@@ -9,7 +9,11 @@ and transport-type diffusion h^k built from the Lie operator L_{xi_k}.
 The mollified family (g_eps, h_eps^k) inserts the bump mollifier J_eps
 into the compositions exactly as the regularised scheme prescribes, e.g.
 -J[Ju * Ju_x] for the quadratic terms and a J^3 factor in front of the
-second-order noise sum.
+second-order noise sum.  The unmollified family (g, h^k) is the same code
+with J = 1: one private core forms the transport term, the Ito sum and h^k
+for both families.  A fluid model supplies only its kind and grid dimension,
+its transport term, its noise conjugation (D^-2 L D^2 on u for sch2, the
+identity elsewhere), its regular drift b and its norms.
 
 Models:
   sch2  -- two-component Camassa-Holm system, state (u, eta) on the 1D torus
@@ -18,10 +22,12 @@ Models:
   linear -- scalar test SDE dX = a X o dW (degenerate model for scheme checks)
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import spectral as sp
-from .lie import lie_derivative, lie_second
+from .lie import ito_correction, lie_derivative
 from .spectral import (SpectralField, dealiased_product, derivative, gradient,
                        hilbert_transform, hs_inner, homogeneous_inner,
                        homogeneous_norm, lipschitz_norm, mollifier_symbol,
@@ -32,6 +38,8 @@ FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
                "sqg": ("theta",), "linear": ("theta",)}
 
 S_THRESHOLD = {"sch2": 5.5, "ccf": 3.5, "sqg": 4.0}
+
+INITIAL_CONDITIONS = ("smooth", "random", "zero")
 
 
 class ModelState:
@@ -97,11 +105,61 @@ class ModelState:
     __rmul__ = __mul__
 
 
-def _wrong_variant(expected, got):
-    return ValueError("expected a %s state, got %s" % (expected, got))
+class _FluidOps:
+    """Operator core of the fluid models; jhat = None means J = 1.
+
+    With T the model's transport term and C its noise conjugation, the core
+    forms the transport term -J T(JX), the Ito sum
+    J^3 C^-1 (1/2) sum_k L_k^2 (C JX) and h^k = -J C^-1 L_k(C JX).
+    """
+
+    kind = None
+    dim = None
+
+    def __init__(self, grid, s, basis, eps):
+        if grid.dim != self.dim:
+            raise ValueError("%s lives on the %dD torus" % (self.kind, self.dim))
+        self.grid = grid
+        self.s = float(s)
+        self.basis = basis
+        self.eps = float(eps)
+        self._jhat = mollifier_symbol(grid, self.eps)
+
+    def _fields(self, X, jhat=None):
+        if X.kind != self.kind:
+            raise ValueError("expected a %s state, got %s" % (self.kind, X.kind))
+        if jhat is None:
+            return X.fields
+        return tuple(sp.apply_multiplier(f, jhat) for f in X.fields)
+
+    def _state(self, terms, jhat=None, scale=None):
+        if jhat is not None:
+            terms = [sp.apply_multiplier(t, jhat) for t in terms]
+        if scale is not None:
+            terms = [scale * t for t in terms]
+        return ModelState(self.kind, tuple(terms))
+
+    def _noise(self, op, *fields):
+        """op on each field, conjugated by the model where it needs it."""
+        return [op(f) for f in fields]
+
+    def _transport_op(self, X, jhat=None):
+        return self._state(self._transport(*self._fields(X, jhat)), jhat, -1.0)
+
+    def _ito_op(self, X, jhat=None):
+        sums = self._noise(partial(ito_correction, self.basis),
+                           *self._fields(X, jhat))
+        return self._state(sums, None if jhat is None else jhat ** 3)
+
+    def _h_op(self, X, k, jhat=None):
+        fields = self._fields(X, jhat)
+        if not 0 <= k < self.basis.K:
+            raise ValueError("noise index %d out of range (K=%d)" % (k, self.basis.K))
+        return self._state(self._noise(partial(lie_derivative, self.basis.xis[k]),
+                                       *fields), jhat, -1.0)
 
 
-class Sch2Ops:
+class Sch2Ops(_FluidOps):
     """Two-component CH splitting.
 
     b(u,eta) = (-dx D^-2(u^2/2 + u_x^2 + eta^2/2), -eta*u_x)
@@ -110,100 +168,50 @@ class Sch2Ops:
     """
 
     kind = "sch2"
+    dim = 1
 
     def __init__(self, grid, s, basis, eps):
-        if grid.dim != 1:
-            raise ValueError("sch2 lives on the 1D torus")
-        self.grid = grid
-        self.s = float(s)
-        self.basis = basis
-        self.eps = float(eps)
-        self._jhat = mollifier_symbol(grid, self.eps)
+        super().__init__(grid, s, basis, eps)
         self._d2 = 1.0 + grid.ksq          # D^2 symbol
         self._d2inv = 1.0 / self._d2
 
-    # -- symbol helpers
-    def _J(self, F):
-        return sp.apply_multiplier(F, self._jhat)
+    def _transport(self, u, eta):
+        return (dealiased_product(u, derivative(u)),
+                dealiased_product(u, derivative(eta)))
 
-    def _J3(self, F):
-        return sp.apply_multiplier(F, self._jhat ** 3)
+    def _noise(self, op, u, eta):
+        # the noise acts on the momentum D^2 u
+        return [sp.apply_multiplier(op(sp.apply_multiplier(u, self._d2)),
+                                    self._d2inv), op(eta)]
 
-    def _D2(self, F):
-        return sp.apply_multiplier(F, self._d2)
-
-    def _D2inv(self, F):
-        return sp.apply_multiplier(F, self._d2inv)
-
-    # -- drift/diffusion splitting
     def b(self, X):
-        self._check(X)
-        u, eta = X.fields
+        u, eta = self._fields(X)
         ux = derivative(u)
         q = 0.5 * dealiased_product(u, u) + dealiased_product(ux, ux) \
             + 0.5 * dealiased_product(eta, eta)
-        G = derivative(self._D2inv(q))
-        return ModelState("sch2", (-1.0 * G, -1.0 * dealiased_product(eta, ux)))
+        G = derivative(sp.apply_multiplier(q, self._d2inv))
+        return self._state([G, dealiased_product(eta, ux)], scale=-1.0)
 
     def g_transport(self, X):
-        self._check(X)
-        u, eta = X.fields
-        return ModelState("sch2", (
-            -1.0 * dealiased_product(u, derivative(u)),
-            -1.0 * dealiased_product(u, derivative(eta))))
+        return self._transport_op(X)
 
     def ito_correction(self, X):
-        self._check(X)
-        u, eta = X.fields
-        d2u = self._D2(u)
-        acc_u = zero_field(self.grid)
-        acc_e = zero_field(self.grid)
-        for xi in self.basis.xis:
-            acc_u = acc_u + lie_second(xi, d2u)
-            acc_e = acc_e + lie_second(xi, eta)
-        return ModelState("sch2", (0.5 * self._D2inv(acc_u), 0.5 * acc_e))
+        return self._ito_op(X)
 
     def g(self, X):
         return self.g_transport(X) + self.ito_correction(X)
 
     def h_k(self, X, k):
-        self._check(X)
-        xi = self._xi(k)
-        u, eta = X.fields
-        return ModelState("sch2", (
-            -1.0 * self._D2inv(lie_derivative(xi, self._D2(u))),
-            -1.0 * lie_derivative(xi, eta)))
+        return self._h_op(X, k)
 
-    # -- mollified family
     def g_eps_transport(self, X):
-        self._check(X)
-        ju = self._J(X.u)
-        jeta = self._J(X.eta)
-        return ModelState("sch2", (
-            -1.0 * self._J(dealiased_product(ju, derivative(ju))),
-            -1.0 * self._J(dealiased_product(ju, derivative(jeta)))))
-
-    def ito_correction_eps(self, X):
-        self._check(X)
-        d2ju = self._D2(self._J(X.u))
-        jeta = self._J(X.eta)
-        acc_u = zero_field(self.grid)
-        acc_e = zero_field(self.grid)
-        for xi in self.basis.xis:
-            acc_u = acc_u + lie_second(xi, d2ju)
-            acc_e = acc_e + lie_second(xi, jeta)
-        return ModelState("sch2", (0.5 * self._J3(self._D2inv(acc_u)),
-                                   0.5 * self._J3(acc_e)))
+        return self._transport_op(X, self._jhat)
 
     def g_eps(self, X):
-        return self.g_eps_transport(X) + self.ito_correction_eps(X)
+        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
 
     def h_eps_k(self, X, k):
-        self._check(X)
-        xi = self._xi(k)
-        return ModelState("sch2", (
-            -1.0 * self._J(self._D2inv(lie_derivative(xi, self._D2(self._J(X.u))))),
-            -1.0 * self._J(lie_derivative(xi, self._J(X.eta)))))
+        return self._h_op(X, k, self._jhat)
 
     # -- norms
     def x_inner(self, A, B):
@@ -229,82 +237,39 @@ class Sch2Ops:
     def max_velocity(self, X):
         return sup_norm(X.u)
 
-    def _xi(self, k):
-        if not 0 <= k < self.basis.K:
-            raise ValueError("noise index %d out of range (K=%d)" % (k, self.basis.K))
-        return self.basis.xis[k]
 
-    def _check(self, X):
-        if X.kind != "sch2":
-            raise _wrong_variant("sch2", X.kind)
-
-
-class CcfOps:
+class CcfOps(_FluidOps):
     """Nonlocal transport splitting: b = 0, g = -(H theta) theta_x + noise."""
 
     kind = "ccf"
+    dim = 1
 
-    def __init__(self, grid, s, basis, eps):
-        if grid.dim != 1:
-            raise ValueError("ccf lives on the 1D torus")
-        self.grid = grid
-        self.s = float(s)
-        self.basis = basis
-        self.eps = float(eps)
-        self._jhat = mollifier_symbol(grid, self.eps)
-
-    def _J(self, F):
-        return sp.apply_multiplier(F, self._jhat)
-
-    def _J3(self, F):
-        return sp.apply_multiplier(F, self._jhat ** 3)
+    def _transport(self, th):
+        return (dealiased_product(hilbert_transform(th), derivative(th)),)
 
     def b(self, X):
-        self._check(X)
-        return ModelState("ccf", (zero_field(self.grid),))
+        return self._state([zero_field(self.grid) for _ in self._fields(X)])
 
     def g_transport(self, X):
-        self._check(X)
-        th = X.theta
-        return ModelState("ccf", (
-            -1.0 * dealiased_product(hilbert_transform(th), derivative(th)),))
+        return self._transport_op(X)
 
     def ito_correction(self, X):
-        self._check(X)
-        acc = zero_field(self.grid)
-        for xi in self.basis.xis:
-            acc = acc + lie_second(xi, X.theta)
-        return ModelState("ccf", (0.5 * acc,))
+        return self._ito_op(X)
 
     def g(self, X):
         return self.g_transport(X) + self.ito_correction(X)
 
     def h_k(self, X, k):
-        self._check(X)
-        return ModelState("ccf", (-1.0 * lie_derivative(self._xi(k), X.theta),))
+        return self._h_op(X, k)
 
     def g_eps_transport(self, X):
-        self._check(X)
-        jth = self._J(X.theta)
-        return ModelState("ccf", (
-            -1.0 * self._J(dealiased_product(hilbert_transform(jth),
-                                             derivative(jth))),))
-
-    def ito_correction_eps(self, X):
-        self._check(X)
-        jth = self._J(X.theta)
-        acc = zero_field(self.grid)
-        for xi in self.basis.xis:
-            acc = acc + lie_second(xi, jth)
-        return ModelState("ccf", (0.5 * self._J3(acc),))
+        return self._transport_op(X, self._jhat)
 
     def g_eps(self, X):
-        return self.g_eps_transport(X) + self.ito_correction_eps(X)
+        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
 
     def h_eps_k(self, X, k):
-        self._check(X)
-        return ModelState("ccf", (
-            -1.0 * self._J(lie_derivative(self._xi(k), self._J(X.theta))),))
+        return self._h_op(X, k, self._jhat)
 
     def x_inner(self, A, B):
         return hs_inner(A.theta, B.theta, self.s)
@@ -326,17 +291,8 @@ class CcfOps:
     def max_velocity(self, X):
         return sup_norm(hilbert_transform(X.theta))
 
-    def _xi(self, k):
-        if not 0 <= k < self.basis.K:
-            raise ValueError("noise index %d out of range (K=%d)" % (k, self.basis.K))
-        return self.basis.xis[k]
 
-    def _check(self, X):
-        if X.kind != "ccf":
-            raise _wrong_variant("ccf", X.kind)
-
-
-class SqgOps:
+class SqgOps(_FluidOps):
     """SALT SQG splitting on the 2D torus, mean-zero theta, u = R-perp(theta).
 
     Norms are homogeneous (Lambda^s based), which is where the model's
@@ -344,72 +300,42 @@ class SqgOps:
     """
 
     kind = "sqg"
+    dim = 2
 
     def __init__(self, grid, s, basis, eps):
-        if grid.dim != 2:
-            raise ValueError("sqg lives on the 2D torus")
-        self.grid = grid
-        self.s = float(s)
-        self.basis = basis
-        self.eps = float(eps)
-        self._jhat = mollifier_symbol(grid, self.eps)
+        super().__init__(grid, s, basis, eps)
         for xi in basis.xis:
             if xi.max_divergence > 1e-12:
                 raise ValueError("sqg needs a divergence-free noise basis")
 
-    def _J(self, F):
-        return sp.apply_multiplier(F, self._jhat)
-
-    def _J3(self, F):
-        return sp.apply_multiplier(F, self._jhat ** 3)
+    def _transport(self, th):
+        u1, u2 = riesz_perp(th)
+        return (dealiased_product(u1, derivative(th, 0))
+                + dealiased_product(u2, derivative(th, 1)),)
 
     def b(self, X):
-        self._check(X)
-        return ModelState("sqg", (zero_field(self.grid),))
-
-    def _advection(self, th):
-        u1, u2 = riesz_perp(th)
-        return dealiased_product(u1, derivative(th, 0)) \
-            + dealiased_product(u2, derivative(th, 1))
+        return self._state([zero_field(self.grid) for _ in self._fields(X)])
 
     def g_transport(self, X):
-        self._check(X)
-        return ModelState("sqg", (-1.0 * self._advection(X.theta),))
+        return self._transport_op(X)
 
     def ito_correction(self, X):
-        self._check(X)
-        acc = zero_field(self.grid)
-        for xi in self.basis.xis:
-            acc = acc + lie_second(xi, X.theta)
-        return ModelState("sqg", (0.5 * acc,))
+        return self._ito_op(X)
 
     def g(self, X):
         return self.g_transport(X) + self.ito_correction(X)
 
     def h_k(self, X, k):
-        self._check(X)
-        return ModelState("sqg", (-1.0 * lie_derivative(self._xi(k), X.theta),))
+        return self._h_op(X, k)
 
     def g_eps_transport(self, X):
-        self._check(X)
-        jth = self._J(X.theta)
-        return ModelState("sqg", (-1.0 * self._J(self._advection(jth)),))
-
-    def ito_correction_eps(self, X):
-        self._check(X)
-        jth = self._J(X.theta)
-        acc = zero_field(self.grid)
-        for xi in self.basis.xis:
-            acc = acc + lie_second(xi, jth)
-        return ModelState("sqg", (0.5 * self._J3(acc),))
+        return self._transport_op(X, self._jhat)
 
     def g_eps(self, X):
-        return self.g_eps_transport(X) + self.ito_correction_eps(X)
+        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
 
     def h_eps_k(self, X, k):
-        self._check(X)
-        return ModelState("sqg", (
-            -1.0 * self._J(lie_derivative(self._xi(k), self._J(X.theta))),))
+        return self._h_op(X, k, self._jhat)
 
     def x_inner(self, A, B):
         return homogeneous_inner(A.theta, B.theta, self.s)
@@ -442,15 +368,6 @@ class SqgOps:
         u1, u2 = riesz_perp(X.theta)
         v1, v2 = to_grid(u1).values, to_grid(u2).values
         return float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
-
-    def _xi(self, k):
-        if not 0 <= k < self.basis.K:
-            raise ValueError("noise index %d out of range (K=%d)" % (k, self.basis.K))
-        return self.basis.xis[k]
-
-    def _check(self, X):
-        if X.kind != "sqg":
-            raise _wrong_variant("sqg", X.kind)
 
 
 class LinearOps:
@@ -487,7 +404,6 @@ class LinearOps:
         return ModelState("linear", (self.a * X.theta,))
 
     g_eps_transport = g_transport
-    ito_correction_eps = ito_correction
     g_eps = g
     h_eps_k = h_k
 
@@ -513,7 +429,7 @@ class LinearOps:
 
     def _check(self, X):
         if X.kind != "linear":
-            raise _wrong_variant("linear", X.kind)
+            raise ValueError("expected a linear state, got %s" % X.kind)
 
 
 def make_ops(model, grid, s, basis, eps, linear_a=1.0):
@@ -570,15 +486,12 @@ def random_initial_state(model, grid, amplitude, seed, kmax=4):
         peak = max(float(np.max(np.abs(vals))), 1e-30)
         return sp.from_values(grid, float(amplitude) * vals / peak)
 
-    if model == "sch2":
-        return ModelState("sch2", (scalar(False), scalar(False)))
-    if model == "ccf":
-        return ModelState("ccf", (scalar(False),))
-    if model == "sqg":
-        return ModelState("sqg", (scalar(True),))
     if model == "linear":
         return smooth_initial_state("linear", grid, amplitude)
-    raise ValueError("unknown model %r" % (model,))
+    if model not in FIELD_NAMES:
+        raise ValueError("unknown model %r" % (model,))
+    return ModelState(model, tuple(scalar(model == "sqg")
+                                   for _ in FIELD_NAMES[model]))
 
 
 def zero_initial_state(model, grid):
@@ -593,4 +506,5 @@ def make_initial_state(model, grid, ic, amplitude, seed=0):
         return random_initial_state(model, grid, amplitude, seed)
     if ic == "zero":
         return zero_initial_state(model, grid)
-    raise ValueError("unknown initial condition %r (smooth | random | zero)" % (ic,))
+    raise ValueError("unknown initial condition %r (%s)"
+                     % (ic, " | ".join(INITIAL_CONDITIONS)))

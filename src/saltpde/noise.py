@@ -9,8 +9,9 @@ perpendicular gradient, so they are divergence-free by construction.
 Brownian increments are generated by deterministic midpoint refinement of
 a coarse path anchored at a scale fixed by the binary mantissa of dt.  Two
 calls with the same seed and step sizes dt and dt/2 therefore agree: the
-finer increments sum pairwise to the coarser ones.  That is what makes
-one stored path usable across a whole dt-refinement ladder.
+finer increments sum pairwise to the coarser ones.  A path is a pure
+function of (seed, dt, n_steps, K), so nothing needs to be stored to drive
+a whole dt-refinement ladder with the same noise.
 """
 
 import math
@@ -47,7 +48,8 @@ class NoiseBasis:
         return self.K ** (1.0 - p) / (p - 1.0)
 
 
-def _check_decay(decay_kind, decay_param):
+def check_decay(decay_kind, decay_param):
+    """Reject an unknown decay law or one whose H^{s_max} tail diverges."""
     if decay_kind == "geometric":
         if not 0.0 < decay_param < 1.0:
             raise ValueError("geometric decay needs ratio in (0,1), got %r"
@@ -72,7 +74,7 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
     """1D basis xi_k = a_k * trig(k x) with ||xi_k||_{H^{s_max}} on target."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    _check_decay(decay_kind, decay_param)
+    check_decay(decay_kind, decay_param)
     targets = _targets(K, decay_kind, decay_param)
     xis = []
     x = grid.x
@@ -93,7 +95,7 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         raise ValueError("SQG basis needs a 2D grid")
     if K < 0:
         raise ValueError("K must be >= 0")
-    _check_decay(decay_kind, decay_param)
+    check_decay(decay_kind, decay_param)
     targets = _targets(K, decay_kind, decay_param)
     x1, x2 = grid.nodes()
     xis = []
@@ -134,14 +136,6 @@ class BrownianPath:
         self.n_steps = int(n_steps)
         self.K = int(K)
         self.increments = increments
-
-    def coarsen(self, factor=2):
-        """Pairwise-summed path at step factor*dt (n_steps must divide)."""
-        if self.n_steps % factor:
-            raise ValueError("n_steps not divisible by %d" % factor)
-        inc = self.increments.reshape(self.n_steps // factor, factor, self.K)
-        return BrownianPath(self.seed, self.dt * factor, self.n_steps // factor,
-                            self.K, inc.sum(axis=1))
 
     def endpoint(self):
         """W(T) per noise component."""
@@ -207,39 +201,3 @@ def sample_path(seed, dt, n_steps, K):
         inc[:, k] = vals
     return BrownianPath(seed, dt, n_steps, K, inc)
 
-
-def write_path_csv(path, filename):
-    with open(filename, "w") as fh:
-        fh.write("# seed = %d\n# dt = %s\n# n_steps = %d\n# K = %d\n"
-                 % (path.seed, repr(path.dt), path.n_steps, path.K))
-        for row in path.increments:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_path_csv(filename):
-    meta = {}
-    rows = []
-    with open(filename) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    inc = np.array(rows) if rows else np.zeros((0, int(meta["K"])))
-    if inc.ndim == 1:
-        inc = inc.reshape(0, int(meta["K"]))
-    return BrownianPath(int(meta["seed"]), float(meta["dt"]),
-                        int(meta["n_steps"]), int(meta["K"]), inc)
-
-
-def write_path_npy(path, filename):
-    np.save(filename, path.increments)
-
-
-def read_path_npy(filename, seed, dt, K):
-    inc = np.load(filename)
-    return BrownianPath(seed, dt, inc.shape[0], K, inc)

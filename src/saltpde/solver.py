@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import S_THRESHOLD, make_initial_state, make_ops
-from .noise import build_basis_1d, build_basis_sqg, sample_path
+from .models import (INITIAL_CONDITIONS, S_THRESHOLD, make_initial_state,
+                     make_ops)
+from .noise import build_basis_1d, build_basis_sqg, check_decay, sample_path
 from .spectral import Grid
 
 
@@ -78,6 +79,7 @@ class SimConfig:
     def validate(self):
         if self.model not in ("sch2", "ccf", "sqg", "linear"):
             raise ValueError("unknown model %r" % (self.model,))
+        Grid.check_n(self.n)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
@@ -88,6 +90,11 @@ class SimConfig:
             raise ValueError("cutoff_r must exceed 1")
         if self.noise_k < 0:
             raise ValueError("noise_k must be >= 0")
+        if self.model != "linear":
+            try:
+                check_decay(self.noise_decay, self.noise_decay_param)
+            except ValueError as exc:
+                raise ValueError("noise_decay, noise_decay_param: %s" % exc) from None
         if self.model == "linear" and self.noise_k > 1:
             raise ValueError("the linear test SDE drives a single Brownian "
                              "motion; noise_k must be 0 or 1")
@@ -95,6 +102,9 @@ class SimConfig:
             raise ValueError(
                 "s = %r violates the %s well-posedness requirement s > %s"
                 % (self.s, self.model, S_THRESHOLD[self.model]))
+        if self.ic not in INITIAL_CONDITIONS:
+            raise ValueError("ic must be one of %s, got %r"
+                             % (" | ".join(INITIAL_CONDITIONS), self.ic))
         if self.scheme not in ("ito_em", "strat_heun"):
             raise ValueError("scheme must be ito_em or strat_heun")
         if self.n_stop <= 0:

@@ -30,11 +30,9 @@ class Grid:
     """
 
     def __init__(self, n, dim=1):
-        n = int(n)
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2, got %r" % (dim,))
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("n_points must be a power of two >= 8, got %r" % (n,))
+        n = self.check_n(n)
         self.n = n
         self.dim = dim
         self.shape = (n,) * dim
@@ -52,6 +50,9 @@ class Grid:
             self.k_axes = (np.broadcast_to(k1, self.shape),
                            np.broadcast_to(k2, self.shape))
             self.ksq = k1 * k1 + k2 * k2
+        absk = np.sqrt(self.ksq)
+        self.inv_absk = np.zeros(self.shape)   # 1/|k|, 0 on the mean mode
+        np.divide(1.0, absk, out=self.inv_absk, where=absk > 0)
 
         # 2/3-rule band: keep |k_i| <= n//3 on every axis
         self.kmax_dealias = n // 3
@@ -65,6 +66,14 @@ class Grid:
         for ka in self.k_axes:
             nyq |= ka == -(n // 2)
         self.not_nyquist = ~nyq
+
+    @staticmethod
+    def check_n(n):
+        """n as an int; rejects anything but a power of two >= 8."""
+        n = int(n)
+        if n < 8 or (n & (n - 1)) != 0:
+            raise ValueError("n must be a power of two >= 8, got %r" % (n,))
+        return n
 
     def compatible(self, other):
         return self.n == other.n and self.dim == other.dim
@@ -97,12 +106,6 @@ class GridField:
         self.grid = grid
         self.values = values
 
-    def to_spectral(self):
-        return to_spectral(self)
-
-    def sup(self):
-        return float(np.max(np.abs(self.values)))
-
 
 class SpectralField:
     """Complex Fourier coefficients of a real field, numpy fft layout.
@@ -120,9 +123,6 @@ class SpectralField:
                              % (coeffs.shape, grid))
         self.grid = grid
         self.coeffs = coeffs
-
-    def to_grid(self):
-        return to_grid(self)
 
     def copy(self):
         return SpectralField(self.grid, self.coeffs.copy())
@@ -227,7 +227,7 @@ def hilbert_transform(F):
 
 
 def riesz_perp(F):
-    """u = R^perp(theta) in 2D: multipliers (i*k2/|k|, -i*k1/|k|).
+    """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D.
 
     The sign convention gives real, divergence-free output and maps
     theta = cos(x1) to u = (0, sin(x1)).  Requires a zero-mean input.
@@ -237,24 +237,13 @@ def riesz_perp(F):
         raise ValueError("Riesz transform is 2D only")
     if abs(F.coeffs[0, 0]) > 1e-12 * (1.0 + np.max(np.abs(F.coeffs))):
         raise ValueError("riesz_perp needs a zero-mean field")
-    absk = np.sqrt(g.ksq)
-    inv = np.zeros(g.shape)
-    nz = absk > 0
-    inv[nz] = 1.0 / absk[nz]
-    k1, k2 = g.k_axes
-    u1 = apply_multiplier(F, 1j * k2 * inv * g.not_nyquist)
-    u2 = apply_multiplier(F, -1j * k1 * inv * g.not_nyquist)
-    return u1, u2
+    return riesz_component(F, 1), -riesz_component(F, 0)
 
 
 def riesz_component(F, axis):
     """R_j theta with multiplier i*k_j/|k| (2D, zero mean in = zero mean out)."""
     g = F.grid
-    absk = np.sqrt(g.ksq)
-    inv = np.zeros(g.shape)
-    nz = absk > 0
-    inv[nz] = 1.0 / absk[nz]
-    return apply_multiplier(F, 1j * g.k_axes[axis] * inv * g.not_nyquist)
+    return apply_multiplier(F, 1j * g.k_axes[axis] * g.inv_absk * g.not_nyquist)
 
 
 def _bump(r):
@@ -295,10 +284,6 @@ def mollify_helmholtz(F, eps):
 
 # ---------------------------------------------------------------------------
 # dealiased products
-
-def dealias(F):
-    return apply_multiplier(F, F.grid.dealias_keep)
-
 
 def band_values(F):
     """Grid samples of the 2/3-band projection of F."""

@@ -36,17 +36,28 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert spec.estimates == "all"
 
 
-def test_sch2_s_threshold_rejected(tmp_path):
-    cfg = write_config(tmp_path, """
-model = sch2
-n = 64
-dt = 1e-3
-t_end = 0.01
-seed = 1
-s = 3.0
-""")
-    with pytest.raises(ConfigError, match="s > 5.5"):
-        parse_config(cfg)
+# overrides of a runnable sch2 config -> what the ConfigError must say
+UNRUNNABLE = (
+    ({"s": "3.0"}, "s > 5.5"),
+    ({"n": "100"}, "n must be a power of two"),
+    ({"ic": "bogus"}, "ic must be one of"),
+    ({"noise_decay": "polynomial", "noise_decay_param": "0.9"},
+     "noise_decay_param"),
+)
+
+
+def test_sch2_s_threshold_rejected(tmp_path, monkeypatch):
+    # unrunnable configs fail at parse time, name the key and write nothing
+    monkeypatch.chdir(tmp_path)
+    for overrides, message in UNRUNNABLE:
+        keys = {"model": "sch2", "n": "64", "dt": "1e-3", "t_end": "0.01",
+                "seed": "1", **overrides}
+        cfg = write_config(tmp_path, "".join("%s = %s\n" % kv
+                                             for kv in keys.items()))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main(["simulate", cfg]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_cites_line(tmp_path):

@@ -43,11 +43,64 @@ def test_state_validation():
         ModelState("sqg", (from_values(g2, 1.0 + np.cos(x1)),))
 
 
+OPERATORS = ("b", "g_transport", "ito_correction", "g", "g_eps_transport",
+             "g_eps")
+NOISE_OPERATORS = ("h_k", "h_eps_k")
+
+
+def model_setup(model, n=None, K=3, eps=0.1):
+    """Grid, ops and default s of a fluid model at a small resolution."""
+    s = {"sch2": 6.0, "ccf": 4.0, "sqg": 4.5}[model]
+    if model == "sqg":
+        g = Grid(n or 32, dim=2)
+        basis = build_basis_sqg(g, K, s + 2.0)
+    else:
+        g = Grid(n or 64)
+        basis = build_basis_1d(g, K, s + 2.0)
+    return g, make_ops(model, g, s, basis, eps), s
+
+
 def test_wrong_variant_rejected():
-    g, ops = sch2_setup()
-    theta = ModelState("ccf", (from_values(g, np.cos(g.x)),))
-    with pytest.raises(ValueError, match="sch2"):
-        ops.b(theta)
+    # every operator checks the state's model, whatever the pairing
+    wrong = {"sch2": "ccf", "ccf": "sch2", "sqg": "ccf"}
+    for model, other in wrong.items():
+        _, ops, _ = model_setup(model)
+        X = make_initial_state(other, Grid(64), "smooth", 0.1)
+        for name in OPERATORS:
+            with pytest.raises(ValueError, match="expected a %s state" % model):
+                getattr(ops, name)(X)
+        for name in NOISE_OPERATORS:
+            with pytest.raises(ValueError, match="expected a %s state" % model):
+                getattr(ops, name)(X, 0)
+
+
+@pytest.mark.parametrize("model, dim", [("sch2", 2), ("ccf", 2), ("sqg", 1)])
+def test_wrong_grid_dimension_rejected(model, dim):
+    g = Grid(32, dim=dim)
+    with pytest.raises(ValueError, match="%s lives on the %dD torus"
+                       % (model, 3 - dim)):
+        make_ops(model, g, 6.0, NoiseBasis([], "geometric", 0.5, 8.0, []), 0.1)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.0625])
+@pytest.mark.parametrize("model", ["sch2", "ccf", "sqg"])
+def test_operators_match_frozen_oracle(model, eps):
+    # the shared core reproduces the per-model operators bit for bit
+    import oracle_ops
+    from saltpde.estimates import corpus_banks, corpus_state
+    g, ops, s = model_setup(model, n=128 if model != "sqg" else 64, K=4,
+                            eps=eps)
+    oracle = getattr(oracle_ops, type(ops).__name__)(g, s, ops.basis, eps)
+    calls = [(name, ()) for name in OPERATORS] + [
+        (name, (k,)) for name in NOISE_OPERATORS for k in range(ops.basis.K)]
+    for banks in corpus_banks(g.dim, 3, seed=29, per_state=2):
+        X = corpus_state(model, g, s, banks)
+        for name, args in calls:
+            got = getattr(ops, name)(X, *args)
+            want = getattr(oracle, name)(X, *args)
+            assert got.kind == want.kind == model
+            for a, b in zip(got.fields, want.fields, strict=True):
+                assert np.array_equal(a.coeffs, b.coeffs), (name, args)
 
 
 def test_sch2_b_zero_and_cosine():
@@ -104,6 +157,13 @@ def test_sch2_g_empty_basis():
     # h vanishes identically with no noise
     with pytest.raises(ValueError, match="out of range"):
         ops.h_k(X, 0)
+    for model in ("sch2", "ccf", "sqg"):
+        gm, ops_m, _ = model_setup(model, K=2)
+        Xm = make_initial_state(model, gm, "smooth", 0.1)
+        for name in NOISE_OPERATORS:
+            for k in (-1, 2):
+                with pytest.raises(ValueError, match="out of range"):
+                    getattr(ops_m, name)(Xm, k)
 
 
 def test_sch2_h_constant_xi_single_mode():
@@ -234,13 +294,20 @@ def test_ccf_g_examples():
 
 
 def test_ccf_mollified_matches_on_band():
-    g = Grid(256)
+    # J = 1 on |k| <= 32; band-10 states and every dealiased term stay
+    # inside it (the 2/3 band of the 64^2 grid ends below |k| = 30)
     eps = 1.0 / 32.0
-    ops = make_ops("ccf", g, 4.0, build_basis_1d(g, 3, 6.0), eps)
+    g = Grid(256)
+    ccf = make_ops("ccf", g, 4.0, build_basis_1d(g, 3, 6.0), eps)
+    g2 = Grid(64, dim=2)
+    sqg = make_ops("sqg", g2, 4.5, build_basis_sqg(g2, 3, 6.5), eps)
     rng = np.random.default_rng(6)
-    X = ModelState("ccf", (band_field(g, rng, 10),))
-    a, b = ops.g_eps(X), ops.g(X)
-    assert np.max(np.abs(a.theta.coeffs - b.theta.coeffs)) < 1e-13
+    for ops in (ccf, sqg):
+        X = ModelState(ops.kind, (band_field(ops.grid, rng, 10),))
+        a, b = ops.g_eps(X), ops.g(X)
+        assert np.max(np.abs(a.theta.coeffs - b.theta.coeffs)) < 1e-13
+        ha, hb = ops.h_eps_k(X, 1), ops.h_k(X, 1)
+        assert np.max(np.abs(ha.theta.coeffs - hb.theta.coeffs)) < 1e-13
 
 
 def test_ccf_v_norm_and_velocity():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from saltpde.noise import (BrownianPath, build_basis_1d, build_basis_sqg,
-                           read_path_csv, read_path_npy, sample_path,
-                           write_path_csv, write_path_npy)
+                           sample_path)
 from saltpde.spectral import Grid, derivative
 
 
@@ -73,13 +72,6 @@ def test_path_dyadic_refinement_consistency():
         assert np.max(np.abs(agg2 - coarse.increments)) < 1e-12 * np.sqrt(dt)
 
 
-def test_path_coarsen_matches_sample():
-    fine = sample_path(77, 5e-4, 40, 2)
-    coarse = fine.coarsen(2)
-    direct = sample_path(77, 1e-3, 20, 2)
-    assert np.max(np.abs(coarse.increments - direct.increments)) < 1e-15
-
-
 def test_path_statistics():
     dt = 1e-3
     p = sample_path(2, dt, 100000, 3)
@@ -99,23 +91,6 @@ def test_path_seed_sensitivity():
     a = sample_path(1, 1e-3, 100, 2)
     b = sample_path(2, 1e-3, 100, 2)
     assert np.max(np.abs(a.increments - b.increments)) > 1e-4
-
-
-def test_path_csv_round_trip(tmp_path):
-    p = sample_path(5, 2e-3, 12, 3)
-    fn = str(tmp_path / "path.csv")
-    write_path_csv(p, fn)
-    q = read_path_csv(fn)
-    assert q.seed == 5 and q.dt == 2e-3 and q.n_steps == 12 and q.K == 3
-    assert np.array_equal(p.increments, q.increments)
-
-
-def test_path_npy_round_trip(tmp_path):
-    p = sample_path(6, 1e-3, 9, 2)
-    fn = str(tmp_path / "path.npy")
-    write_path_npy(p, fn)
-    q = read_path_npy(fn, seed=6, dt=1e-3, K=2)
-    assert np.array_equal(p.increments, q.increments)
 
 
 def test_path_validation():
