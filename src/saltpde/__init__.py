@@ -3,12 +3,11 @@ periodic torus, plus numerical verification of the operator estimates the
 models rest on (mollifier properties, commutator bounds, Lie-derivative
 cancellation, growth and monotonicity conditions)."""
 
-from .spectral import (Grid, GridField, SpectralField, bessel_multiplier,
+from .spectral import (Grid, SpectralField, bessel_multiplier,
                        dealiased_product, derivative, from_values, gradient,
                        hilbert_transform, homogeneous_multiplier,
                        homogeneous_norm, lipschitz_norm, mollify_helmholtz,
-                       mollify_j, riesz_perp, sobolev_norm, sup_norm,
-                       to_grid, to_spectral)
+                       mollify_j, riesz_perp, sobolev_norm, sup_norm, to_grid)
 from .lie import VectorFieldXi, ds_commutator, ito_correction, lie_derivative, lie_second
 from .noise import (BrownianPath, NoiseBasis, build_basis_1d, build_basis_sqg,
                     sample_path)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 import numpy as np
 
 from .estimates import ESTIMATE_IDS, run_estimates, summary_table
+from .models import DEFAULT_S
 from .noise import sample_path
 from .solver import (CflError, SimConfig, run_path, stability_experiment,
                      write_state_snapshot, write_trajectory)
@@ -45,40 +46,12 @@ class ExperimentSpec:
 
 _REQUIRED = ("model", "n", "dt", "t_end", "seed")
 
-# key -> (target, converter); target "sim" lands on SimConfig
-_KEYS = {
-    "command": ("spec", str),
-    "model": ("sim", str),
-    "n": ("sim", int),
-    "dt": ("sim", float),
-    "t_end": ("sim", float),
-    "s": ("sim", float),
-    "epsilon": ("sim", float),
-    "cutoff_r": ("sim", float),
-    "noise_k": ("sim", int),
-    "noise_s_max": ("sim", float),
-    "noise_decay": ("sim", str),
-    "noise_decay_param": ("sim", float),
-    "seed": ("sim", int),
-    "n_stop": ("sim", float),
-    "blowup_factor": ("sim", float),
-    "record_every": ("sim", int),
-    "ic": ("sim", str),
-    "ic_amplitude": ("sim", float),
-    "linear_a": ("sim", float),
-    "scheme": ("sim", str),
-    "ensemble": ("spec", int),
-    "out": ("spec", str),
-    "workers": ("spec", int),
-    "eps_ladder": ("spec", "floats"),
-    "dt_ladder": ("spec", "floats"),
-    "estimates": ("spec", str),
-    "delta": ("spec", float),
-    "perturb_mode": ("spec", int),
-    "save_states": ("spec", int),
-}
-
-_DEFAULT_S = {"sch2": 6.0, "ccf": 4.0, "sqg": 4.5, "linear": 1.0}
+# key -> (target, type), from the fields of SimConfig ("sim") and of
+# ExperimentSpec ("spec"); their defaults are the config defaults, except
+# s, noise_s_max and record_every, which parse_config computes
+_KEYS = {f.name: ("sim", f.type) for f in dc_fields(SimConfig)}
+_KEYS.update((f.name, ("spec", f.type)) for f in dc_fields(ExperimentSpec)
+             if f.name != "sim")
 
 
 class ConfigError(ValueError):
@@ -95,8 +68,9 @@ def _parse_floats(text):
 def parse_config(path, command=None):
     """Read and fully validate a config file; all defaults are filled in.
 
-    Errors carry the offending line number.  The returned spec serialises
-    back to an identical manifest (round-trip identity).
+    Errors carry the offending line number, or name the offending key.  The
+    returned spec serialises back to an identical manifest (round-trip
+    identity).
     """
     raw = {}
     with open(path) as fh:
@@ -116,9 +90,9 @@ def parse_config(path, command=None):
             if key in raw:
                 raise ConfigError("%s line %d: duplicate key %r"
                                   % (path, lineno, key))
-            target, conv = _KEYS[key]
+            conv = _KEYS[key][1]
             try:
-                raw[key] = _parse_floats(val) if conv == "floats" else conv(val)
+                raw[key] = _parse_floats(val) if conv is tuple else conv(val)
             except ValueError:
                 raise ConfigError("%s line %d: bad value %r for key %r"
                                   % (path, lineno, val, key)) from None
@@ -134,50 +108,44 @@ def parse_config(path, command=None):
                               % (path, stated, command))
 
     model = raw["model"]
-    if model not in _DEFAULT_S:
+    if model not in DEFAULT_S:
         raise ConfigError("%s: unknown model %r (sch2 | ccf | sqg | linear)"
                           % (path, model))
+    raw.setdefault("s", DEFAULT_S[model])
+    raw.setdefault("noise_s_max", raw["s"] + 2.0)
+    sim = SimConfig(**{k: v for k, v in raw.items() if _KEYS[k][0] == "sim"})
+    spec = ExperimentSpec(sim=sim, **{k: v for k, v in raw.items()
+                                      if _KEYS[k][0] == "spec"})
+    spec.command = command or spec.command
+    steps = _check_spec(spec, path)
+    if "record_every" not in raw:
+        sim.record_every = max(1, steps // 512)
+    return spec
 
-    sim = SimConfig(model=model, n=raw["n"], dt=raw["dt"], t_end=raw["t_end"],
-                    seed=raw["seed"])
-    sim.s = raw.get("s", _DEFAULT_S[model])
-    sim.epsilon = raw.get("epsilon", 0.0625)
-    sim.cutoff_r = raw.get("cutoff_r", 1e6)
-    sim.noise_k = raw.get("noise_k", 4)
-    sim.noise_s_max = raw.get("noise_s_max", sim.s + 2.0)
-    sim.noise_decay = raw.get("noise_decay", "geometric")
-    sim.noise_decay_param = raw.get("noise_decay_param", 0.5)
-    sim.n_stop = raw.get("n_stop", 1e6)
-    sim.blowup_factor = raw.get("blowup_factor", 50.0)
-    sim.ic = raw.get("ic", "smooth")
-    sim.ic_amplitude = raw.get("ic_amplitude", 0.1)
-    sim.linear_a = raw.get("linear_a", 1.0)
-    sim.scheme = raw.get("scheme", "ito_em")
 
+def _check_spec(spec, path):
+    """Reject a spec that cannot run, naming the key; returns n_steps."""
     try:
-        sim.validate()
-        n_steps = sim.n_steps()
+        steps = spec.sim.validate().n_steps()
     except ValueError as exc:
         raise ConfigError("%s: %s" % (path, exc)) from None
-    sim.record_every = raw.get("record_every", max(1, n_steps // 512))
-    if sim.record_every < 1:
-        raise ConfigError("%s: record_every must be >= 1" % path)
-
-    spec = ExperimentSpec(command=command or raw.get("command", ""), sim=sim)
-    spec.ensemble = raw.get("ensemble", 1)
-    spec.out = raw.get("out", "out")
-    spec.workers = raw.get("workers", 1)
-    spec.eps_ladder = raw.get("eps_ladder", ())
-    spec.dt_ladder = raw.get("dt_ladder", ())
-    spec.estimates = raw.get("estimates", "all")
-    spec.delta = raw.get("delta", 1e-6)
-    spec.perturb_mode = raw.get("perturb_mode", 1)
-    spec.save_states = raw.get("save_states", 0)
-    if spec.ensemble < 1:
-        raise ConfigError("%s: ensemble must be >= 1" % path)
-    if spec.workers < 1:
-        raise ConfigError("%s: workers must be >= 1" % path)
-    return spec
+    ids = [tok.strip() for tok in spec.estimates.split(",") if tok.strip()]
+    unknown = [] if ids == ["all"] else [i for i in ids if i not in ESTIMATE_IDS]
+    problems = [
+        (spec.ensemble < 1, "ensemble must be >= 1"),
+        (spec.workers < 1, "workers must be >= 1"),
+        (unknown, "estimates: unknown id %s; valid ids: all | %s"
+         % (", ".join(map(repr, unknown)), " | ".join(ESTIMATE_IDS))),
+        (spec.command == "converge" and not (spec.eps_ladder or spec.dt_ladder),
+         "converge needs eps_ladder and/or dt_ladder")]
+    for key in ("eps_ladder", "dt_ladder"):
+        rungs = len(getattr(spec, key))
+        problems.append((0 < rungs < 3, "%s needs at least 3 rungs, got %d"
+                         % (key, rungs)))
+    for bad, message in problems:
+        if bad:
+            raise ConfigError("%s: %s" % (path, message))
+    return steps
 
 
 def _fmt(value):
@@ -194,9 +162,9 @@ def manifest_lines(spec):
     pairs = [("command", spec.command)] if spec.command else []
     for f in dc_fields(SimConfig):
         pairs.append((f.name, getattr(sim, f.name)))
-    for key in ("ensemble", "out", "workers", "eps_ladder", "dt_ladder",
-                "estimates", "delta", "perturb_mode", "save_states"):
-        pairs.append((key, getattr(spec, key)))
+    for f in dc_fields(ExperimentSpec):
+        if f.name not in ("command", "sim"):
+            pairs.append((f.name, getattr(spec, f.name)))
     return ["%s = %s" % (k, _fmt(v)) for k, v in pairs]
 
 
@@ -260,8 +228,6 @@ def _fit_order(hs, ds):
 def eps_convergence(spec):
     """Distances between consecutive eps-rungs at the final time."""
     ladder = sorted(spec.eps_ladder, reverse=True)
-    if len(ladder) < 3:
-        raise ConfigError("eps ladder needs at least 3 rungs")
     finals = []
     ops = None
     for eps in ladder:
@@ -278,8 +244,6 @@ def eps_convergence(spec):
 def dt_consistency(spec):
     """EM(Ito) vs Heun(Stratonovich) distance at T down the dt ladder."""
     ladder = sorted(spec.dt_ladder, reverse=True)
-    if len(ladder) < 3:
-        raise ConfigError("dt ladder needs at least 3 rungs")
     dists = []
     ops = None
     for dt in ladder:
@@ -296,20 +260,18 @@ def dt_consistency(spec):
 def linear_strong_error(spec):
     """EM strong error against the exact exponential solution."""
     ladder = sorted(spec.dt_ladder, reverse=True)
-    if len(ladder) < 3:
-        raise ConfigError("dt ladder needs at least 3 rungs")
     a = spec.sim.linear_a
     x0 = spec.sim.ic_amplitude
     errors = []
     for dt in ladder:
         cfg = replace(spec.sim, dt=dt, scheme="ito_em")
+        ops = cfg.build_ops()      # the seed does not enter the ops
         errs = []
         for member in range(spec.ensemble):
             mcfg = replace(cfg, seed=cfg.seed + member)
             n_steps = mcfg.n_steps()
             path = sample_path(mcfg.seed, mcfg.dt, n_steps, mcfg.path_k())
             rec = run_path(mcfg, path=path)
-            ops = mcfg.build_ops()
             exact = ops.exact_solution(x0, path.endpoint()[0])
             errs.append(abs(ops.value(rec.final_state) - exact))
         errors.append(float(np.mean(errs)))
@@ -341,8 +303,6 @@ def cmd_converge(spec):
             lines.append("dt em_heun_distance")
             for dt, d in zip(ladder, dists):
                 lines.append("%s %s" % (repr(dt), repr(float(d))))
-    if not lines:
-        raise ConfigError("converge needs eps_ladder and/or dt_ladder")
     report = "\n".join(lines) + "\n"
     with open(os.path.join(spec.out, "converge.txt"), "w") as fh:
         fh.write(report)
@@ -427,15 +387,14 @@ def main(argv=None):
 
     try:
         spec = parse_config(args.config, command=args.command)
+        for key in ("seed", "out", "workers"):
+            if getattr(args, key) is not None:
+                setattr(spec.sim if key == "seed" else spec, key,
+                        getattr(args, key))
+        _check_spec(spec, args.config)      # the overrides pass the same rules
     except ConfigError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    if args.seed is not None:
-        spec.sim.seed = args.seed
-    if args.out is not None:
-        spec.out = args.out
-    if args.workers is not None:
-        spec.workers = args.workers
     try:
         return _COMMANDS[args.command](spec)
     except (ConfigError, ValueError, CflError) as exc:

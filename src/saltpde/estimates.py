@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectral as sp
 from .lie import ds_commutator, lie_derivative
-from .models import ModelState, make_ops
+from .models import DEFAULT_S, FIELD_NAMES, S_THRESHOLD, ModelState, make_ops
 from .noise import build_basis_1d, build_basis_sqg, constant_basis_1d
 from .spectral import (Grid, dealiased_product, derivative, hs_inner,
                        mollify_helmholtz, sobolev_norm, sup_norm, zero_field)
@@ -34,8 +34,6 @@ RESOLUTIONS_1D = (64, 128, 256, 512, 1024)
 RESOLUTIONS_2D = (64, 128, 256, 512, 1024)
 EPS_LADDER = (0.5, 0.25, 0.125, 0.0625)
 EXPONENT_THRESHOLD = 0.1
-
-DEFAULT_S = {"sch2": 6.0, "ccf": 4.0, "sqg": 4.5}
 
 
 def corpus_kmax(n):
@@ -106,17 +104,11 @@ def corpus_banks(dim, count, seed, per_state=1):
 
 
 def corpus_state(model, grid, s, banks, kind="critical"):
-    if model == "sch2":
-        u = corpus_field(grid, s, kind, banks[0])
-        eta = corpus_field(grid, s - 1.0, kind, banks[1])
-        X = ModelState("sch2", (u, eta))
-    elif model == "ccf":
-        X = ModelState("ccf", (corpus_field(grid, s, kind, banks[0]),))
-    elif model == "sqg":
-        X = ModelState("sqg", (corpus_field(grid, s, kind, banks[0]),))
-    else:
+    """Field i of the model's state at s - i, drawn from bank i."""
+    if model not in S_THRESHOLD:
         raise ValueError("unknown model %r" % (model,))
-    return X
+    return ModelState(model, [corpus_field(grid, s - i, kind, banks[i])
+                              for i in range(len(FIELD_NAMES[model]))])
 
 
 def fit_exponent(ns, ratios, floor=1e-10):

@@ -11,9 +11,8 @@ level of the truncated dynamics.
 
 import numpy as np
 
-from .spectral import (GridField, to_spectral, band_values, bessel_multiplier,
-                       dealiased_product, derivative, product_with_values,
-                       zero_field)
+from .spectral import (band_values, bessel_multiplier, dealiased_product,
+                       derivative, product_with_values, zero_field)
 
 
 class VectorFieldXi:
@@ -24,11 +23,7 @@ class VectorFieldXi:
     """
 
     def __init__(self, components, require_divergence_free=False):
-        comps = []
-        for c in components:
-            if isinstance(c, GridField):
-                c = to_spectral(c)
-            comps.append(c)
+        comps = list(components)
         self.grid = comps[0].grid
         for c in comps[1:]:
             if not c.grid.compatible(self.grid):
@@ -55,8 +50,6 @@ class VectorFieldXi:
 
 def lie_derivative(xi, F):
     """L_xi F = xi.grad(F) + div(xi)*F with dealiased products."""
-    if isinstance(F, GridField):
-        F = to_spectral(F)
     if not xi.grid.compatible(F.grid):
         raise ValueError("grid mismatch between xi and field")
     out = product_with_values(xi._comp_band[0], derivative(F, 0))
@@ -72,8 +65,6 @@ def lie_second(xi, F):
 
 def ito_correction(basis, F):
     """(1/2) * sum_{k <= K} L_{xi_k}^2 F over a truncated noise basis."""
-    if isinstance(F, GridField):
-        F = to_spectral(F)
     out = zero_field(F.grid)
     for xi in basis.xis:
         out = out + lie_second(xi, F)
@@ -82,9 +73,5 @@ def ito_correction(basis, F):
 
 def ds_commutator(s, f, g):
     """[D^s, f] g = D^s(f*g) - f*D^s(g), products dealiased."""
-    if isinstance(f, GridField):
-        f = to_spectral(f)
-    if isinstance(g, GridField):
-        g = to_spectral(g)
     return bessel_multiplier(dealiased_product(f, g), s) \
         - dealiased_product(f, bessel_multiplier(g, s))

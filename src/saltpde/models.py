@@ -15,6 +15,12 @@ for both families.  A fluid model supplies only its kind and grid dimension,
 its transport term, its noise conjugation (D^-2 L D^2 on u for sch2, the
 identity elsewhere), its regular drift b and its norms.
 
+A state X is one element of the model's space, held as one complex
+coefficient array of shape (fields, *grid.shape): rows (u, eta) for sch2,
+the single row theta otherwise.  ModelState(kind, fields) is the one checked
+entry (kind, field count, common grid, grid dimension, sqg zero mean); sums,
+scalings and operator results are built from arrays without re-checking.
+
 Models:
   sch2  -- two-component Camassa-Holm system, state (u, eta) on the 1D torus
   ccf   -- nonlocal transport equation with velocity H(theta), 1D
@@ -39,13 +45,21 @@ FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
 
 S_THRESHOLD = {"sch2": 5.5, "ccf": 3.5, "sqg": 4.0}
 
+DEFAULT_S = {"sch2": 6.0, "ccf": 4.0, "sqg": 4.5, "linear": 1.0}
+
 INITIAL_CONDITIONS = ("smooth", "random", "zero")
 
 
 class ModelState:
-    """Tagged state: SCH2 holds (u, eta), the scalar models hold theta."""
+    """A model's state X: one complex array of shape (fields, *grid.shape).
 
-    __slots__ = ("kind", "fields")
+    ModelState(kind, fields) is the one checked entry for states built from
+    outside; the results of arithmetic and of the operators come from
+    ModelState._of, which checks nothing.  u, eta, theta and fields are
+    SpectralField views of the rows.
+    """
+
+    __slots__ = ("kind", "grid", "coeffs")
 
     def __init__(self, kind, fields):
         if kind not in FIELD_NAMES:
@@ -67,40 +81,54 @@ class ModelState:
         elif grid.dim != 1:
             raise ValueError("%s state needs a 1D grid" % kind)
         self.kind = kind
-        self.fields = fields
+        self.grid = grid
+        self.coeffs = np.stack([f.coeffs for f in fields])
+
+    @classmethod
+    def _of(cls, kind, grid, coeffs):
+        X = cls.__new__(cls)
+        X.kind, X.grid, X.coeffs = kind, grid, coeffs
+        return X
 
     @property
-    def grid(self):
-        return self.fields[0].grid
+    def fields(self):
+        return tuple(SpectralField(self.grid, c) for c in self.coeffs)
 
     @property
     def u(self):
-        return self.fields[0]
+        return SpectralField(self.grid, self.coeffs[0])
+
+    theta = u
 
     @property
     def eta(self):
-        return self.fields[1]
-
-    @property
-    def theta(self):
-        return self.fields[0]
+        return SpectralField(self.grid, self.coeffs[1])
 
     def copy(self):
-        return ModelState(self.kind, tuple(f.copy() for f in self.fields))
+        return ModelState._of(self.kind, self.grid, self.coeffs.copy())
 
     def is_finite(self):
-        return all(np.all(np.isfinite(f.coeffs)) for f in self.fields)
+        return bool(np.isfinite(self.coeffs).all())
+
+    def _like(self, other):
+        # other's array, if it is the same model on the same grid; O(1), and
+        # without it numpy would broadcast a 1-field state against a 2-field one
+        if other.kind != self.kind or not other.grid.compatible(self.grid):
+            raise ValueError("cannot combine a %s state on %r with a %s state "
+                             "on %r" % (self.kind, self.grid, other.kind,
+                                        other.grid))
+        return other.coeffs
 
     def __add__(self, other):
-        return ModelState(self.kind,
-                          tuple(a + b for a, b in zip(self.fields, other.fields)))
+        return ModelState._of(self.kind, self.grid,
+                              self.coeffs + self._like(other))
 
     def __sub__(self, other):
-        return ModelState(self.kind,
-                          tuple(a - b for a, b in zip(self.fields, other.fields)))
+        return ModelState._of(self.kind, self.grid,
+                              self.coeffs - self._like(other))
 
     def __mul__(self, a):
-        return ModelState(self.kind, tuple(f * a for f in self.fields))
+        return ModelState._of(self.kind, self.grid, self.coeffs * a)
 
     __rmul__ = __mul__
 
@@ -128,16 +156,16 @@ class _FluidOps:
     def _fields(self, X, jhat=None):
         if X.kind != self.kind:
             raise ValueError("expected a %s state, got %s" % (self.kind, X.kind))
-        if jhat is None:
-            return X.fields
-        return tuple(sp.apply_multiplier(f, jhat) for f in X.fields)
+        c = X.coeffs if jhat is None else X.coeffs * jhat
+        return [SpectralField(X.grid, row) for row in c]
 
     def _state(self, terms, jhat=None, scale=None):
+        c = np.stack([t.coeffs for t in terms])
         if jhat is not None:
-            terms = [sp.apply_multiplier(t, jhat) for t in terms]
+            c *= jhat
         if scale is not None:
-            terms = [scale * t for t in terms]
-        return ModelState(self.kind, tuple(terms))
+            c *= scale
+        return ModelState._of(self.kind, self.grid, c)
 
     def _noise(self, op, *fields):
         """op on each field, conjugated by the model where it needs it."""
@@ -352,12 +380,12 @@ class SqgOps(_FluidOps):
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes
         g1, g2 = gradient(X.theta)
-        v1, v2 = to_grid(g1).values, to_grid(g2).values
+        v1, v2 = to_grid(g1), to_grid(g2)
         out = float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
         acc = np.zeros(self.grid.shape)
         for gj in (g1, g2):
             for axis in (0, 1):
-                r = to_grid(riesz_component(gj, axis)).values
+                r = to_grid(riesz_component(gj, axis))
                 acc += r * r
         return out + float(np.max(np.sqrt(acc)))
 
@@ -366,13 +394,14 @@ class SqgOps(_FluidOps):
 
     def max_velocity(self, X):
         u1, u2 = riesz_perp(X.theta)
-        v1, v2 = to_grid(u1).values, to_grid(u2).values
+        v1, v2 = to_grid(u1), to_grid(u2)
         return float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
 
 
 class LinearOps:
     """Scalar test SDE dX = a X o dW, i.e. dX = a^2 X/2 dt + a X dW in Ito
-    form, represented as a constant field so the steppers apply unchanged.
+    form, represented as a constant field so the steppers apply unchanged;
+    every operator is a multiple of X (b = 0 X, g = a^2/2 X, h = a X).
     The exact solution X_0 exp(a W_t) pins down strong convergence orders.
     """
 
@@ -385,23 +414,18 @@ class LinearOps:
         self.eps = 0.5
 
     def b(self, X):
-        self._check(X)
-        return ModelState("linear", (zero_field(self.grid),))
+        return self._scaled(X, 0.0)
 
-    def g_transport(self, X):
-        self._check(X)
-        return ModelState("linear", (zero_field(self.grid),))
+    g_transport = b
 
     def ito_correction(self, X):
-        self._check(X)
-        return ModelState("linear", (0.5 * self.a * self.a * X.theta,))
+        return self._scaled(X, 0.5 * self.a * self.a)
 
     def g(self, X):
         return self.ito_correction(X)
 
     def h_k(self, X, k):
-        self._check(X)
-        return ModelState("linear", (self.a * X.theta,))
+        return self._scaled(X, self.a)
 
     g_eps_transport = g_transport
     g_eps = g
@@ -427,9 +451,10 @@ class LinearOps:
     def exact_solution(self, x0, w_t):
         return x0 * np.exp(self.a * w_t)
 
-    def _check(self, X):
+    def _scaled(self, X, c):
         if X.kind != "linear":
             raise ValueError("expected a linear state, got %s" % X.kind)
+        return ModelState._of("linear", X.grid, X.coeffs * c)
 
 
 def make_ops(model, grid, s, basis, eps, linear_a=1.0):
@@ -482,7 +507,7 @@ def random_initial_state(model, grid, amplitude, seed, kmax=4):
                     amp = rng.standard_normal() + 1j * rng.standard_normal()
                     c[k1, k2] = amp / (1.0 + k1 * k1 + k2 * k2)
         # taking the real part of the inverse transform symmetrises c
-        vals = to_grid(SpectralField(grid, c)).values
+        vals = to_grid(SpectralField(grid, c))
         peak = max(float(np.max(np.abs(vals))), 1e-30)
         return sp.from_values(grid, float(amplitude) * vals / peak)
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .spectral import GridField, derivative, from_values
+from .spectral import derivative, from_values
 from .lie import VectorFieldXi
 
 
@@ -82,7 +82,7 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         # ||a trig(k x)||_{H^s} = |a| (1+k^2)^(s/2) / sqrt(2)
         a = targets[k - 1] * math.sqrt(2.0) / (1.0 + k * k) ** (s_max / 2.0)
         wave = np.cos(k * x) if k % 2 == 1 else np.sin(k * x)
-        xis.append(VectorFieldXi([GridField(grid, a * wave)]))
+        xis.append(VectorFieldXi([from_values(grid, a * wave)]))
     return NoiseBasis(xis, decay_kind, decay_param, s_max, targets)
 
 
@@ -117,7 +117,7 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
 
 def constant_basis_1d(grid, c, s_max=6.0):
     """Single constant field xi = c; the exact-cancellation special case."""
-    xi = VectorFieldXi([GridField(grid, np.full(grid.shape, float(c)))])
+    xi = VectorFieldXi([from_values(grid, np.full(grid.shape, float(c)))])
     return NoiseBasis([xi], "geometric", 0.5, s_max, [xi.sobolev_norm(s_max)])
 
 

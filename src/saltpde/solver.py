@@ -54,7 +54,11 @@ class CflError(RuntimeError):
 
 @dataclass
 class SimConfig:
-    """Everything a single trajectory needs; defaults match parse_config."""
+    """Everything a single trajectory needs.
+
+    The defaults are the config defaults, except s, noise_s_max and
+    record_every, which parse_config derives from the model, s and n_steps.
+    """
 
     model: str = "ccf"
     n: int = 128
@@ -109,6 +113,10 @@ class SimConfig:
             raise ValueError("scheme must be ito_em or strat_heun")
         if self.n_stop <= 0:
             raise ValueError("n_stop must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %r" % (self.seed,))
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         return self
 
     def n_steps(self):
@@ -193,17 +201,15 @@ def step_strat_heun(X, ops, dw, dt, R):
         return (chi * chi) * (ops.b(Y) + ops.g_eps_transport(Y)), chi
 
     f0, chi0 = drift(X)
+    h0 = [(k, ops.h_eps_k(X, k)) for k in range(len(dw)) if dw[k] != 0.0]
     pred = X + dt * f0
-    for k in range(len(dw)):
-        if dw[k] != 0.0:
-            pred = pred + (chi0 * dw[k]) * ops.h_eps_k(X, k)
+    for k, h in h0:
+        pred = pred + (chi0 * dw[k]) * h
 
     f1, chi1 = drift(pred)
     out = X + (0.5 * dt) * (f0 + f1)
-    for k in range(len(dw)):
-        if dw[k] != 0.0:
-            out = out + (0.5 * dw[k]) * (chi0 * ops.h_eps_k(X, k)
-                                         + chi1 * ops.h_eps_k(pred, k))
+    for k, h in h0:
+        out = out + (0.5 * dw[k]) * (chi0 * h + chi1 * ops.h_eps_k(pred, k))
     return out
 
 
@@ -235,16 +241,11 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     v = ops.v_norm(X)
     v_ref = max(v, 1e-30)
     rec.add(0.0, hs, v)
-    if hs >= cfg.n_stop:
-        rec.stopped = True
-        rec.tau = 0.0
-        rec.stop_reason = "threshold"
-        rec.final_state = X if keep_final_state else None
-        return rec
+    reason = "threshold" if hs >= cfg.n_stop else None
 
     cfl_limit = 0.5 * grid.dx
     t = 0.0
-    for nstep in range(n_steps):
+    for nstep in range(0 if reason else n_steps):
         vel = ops.max_velocity(X)
         if cfg.dt * vel > cfl_limit:
             raise CflError(
@@ -253,32 +254,21 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
         X = step(X, ops, path.increments[nstep], cfg.dt, cfg.cutoff_r)
         t = (nstep + 1) * cfg.dt
         if not X.is_finite():
-            rec.stopped = True
-            rec.tau = t
-            rec.stop_reason = "diverged"
+            reason = "diverged"     # no row: the norms are not finite
             break
         hs = ops.x_norm(X)
         v = ops.v_norm(X)
-        if (nstep + 1) % cfg.record_every == 0 or nstep + 1 == n_steps:
-            rec.add(t, hs, v)
         if hs >= cfg.n_stop:
-            if rec.times[-1] != t:
-                rec.add(t, hs, v)
-            rec.stopped = True
-            rec.tau = t
-            rec.stop_reason = "threshold"
+            reason = "threshold"
+        elif v >= cfg.blowup_factor * v_ref:
+            reason = "blowup_indicator"
+        if reason or (nstep + 1) % cfg.record_every == 0 or nstep + 1 == n_steps:
+            rec.add(t, hs, v)
+        if reason:
             break
-        if v >= cfg.blowup_factor * v_ref:
-            if rec.times[-1] != t:
-                rec.add(t, hs, v)
-            rec.stopped = True
-            rec.tau = t
-            rec.stop_reason = "blowup_indicator"
-            break
-    else:
-        rec.stopped = False
-        rec.tau = cfg.t_end
-        rec.stop_reason = "end"
+    rec.stopped = reason is not None
+    rec.tau = t if rec.stopped else cfg.t_end
+    rec.stop_reason = reason or "end"
     rec.final_state = X if keep_final_state else None
     return rec
 

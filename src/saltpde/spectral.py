@@ -93,20 +93,6 @@ def _require_same_grid(a, b):
         raise ValueError("grid mismatch: %r vs %r" % (a.grid, b.grid))
 
 
-class GridField:
-    """Real field samples on the grid nodes."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise ValueError("values shape %r does not match grid %r"
-                             % (values.shape, grid))
-        self.grid = grid
-        self.values = values
-
-
 class SpectralField:
     """Complex Fourier coefficients of a real field, numpy fft layout.
 
@@ -154,23 +140,24 @@ def zero_field(grid):
 
 
 def from_values(grid, values):
-    """GridField -> SpectralField in one call."""
-    return to_spectral(GridField(grid, values))
-
-
-def to_spectral(f):
-    """Forward transform; rejects non-finite input with a diagnostic."""
-    if not np.all(np.isfinite(f.values)):
-        bad = int(np.count_nonzero(~np.isfinite(f.values)))
+    """Forward transform of real grid samples; rejects a wrong shape and
+    non-finite input with a diagnostic."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != grid.shape:
+        raise ValueError("values shape %r does not match grid %r"
+                         % (values.shape, grid))
+    if not np.all(np.isfinite(values)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValueError("field has %d non-finite values" % bad)
-    return SpectralField(f.grid, np.fft.fftn(f.values) / f.grid.n_total)
+    return SpectralField(grid, np.fft.fftn(values) / grid.n_total)
 
 
 def to_grid(F):
+    """Real grid samples of F, as an ndarray of shape grid.shape."""
     if not np.all(np.isfinite(F.coeffs)):
         bad = int(np.count_nonzero(~np.isfinite(F.coeffs)))
         raise ValueError("spectrum has %d non-finite coefficients" % bad)
-    return GridField(F.grid, np.real(np.fft.ifftn(F.coeffs * F.grid.n_total)))
+    return np.real(np.fft.ifftn(F.coeffs * F.grid.n_total))
 
 
 def hermitian_defect(F):
@@ -349,23 +336,22 @@ def l2_norm(F):
 
 
 def grid_inner(f, g):
-    """Discrete L2 inner product: mean of the pointwise product."""
-    _require_same_grid(f, g)
-    return float(np.mean(f.values * g.values))
+    """Discrete L2 inner product of grid samples: mean of the pointwise product."""
+    if f.shape != g.shape:
+        raise ValueError("grid samples of shape %r vs %r" % (f.shape, g.shape))
+    return float(np.mean(f * g))
 
 
 def sup_norm(F):
-    return float(np.max(np.abs(to_grid(F).values)))
+    return float(np.max(np.abs(to_grid(F))))
 
 
 def lipschitz_norm(F):
     """Discrete W^{1,inf} surrogate: sup|f| + sup|grad f| on the grid nodes."""
-    if isinstance(F, GridField):
-        F = to_spectral(F)
-    vals = to_grid(F).values
+    vals = to_grid(F)
     if F.grid.dim == 1:
-        dv = to_grid(derivative(F, 0)).values
+        dv = to_grid(derivative(F, 0))
         return float(np.max(np.abs(vals)) + np.max(np.abs(dv)))
-    d1 = to_grid(derivative(F, 0)).values
-    d2 = to_grid(derivative(F, 1)).values
+    d1 = to_grid(derivative(F, 0))
+    d2 = to_grid(derivative(F, 1))
     return float(np.max(np.abs(vals)) + np.max(np.sqrt(d1 * d1 + d2 * d2)))

@@ -2,13 +2,15 @@
 
 The operator methods of Sch2Ops, CcfOps and SqgOps are kept here verbatim
 (norms left out) so that tests can check the shared-core implementation in
-saltpde.models against them bit for bit.  Do not edit: this file is the
-oracle, not a second implementation to maintain.
+saltpde.models against them bit for bit.  step_strat_heun is the Heun step
+as it was when it evaluated h_eps_k(X, k) twice per noise index.  Do not
+edit: this file is the oracle, not a second implementation to maintain.
 """
 
 from saltpde import spectral as sp
 from saltpde.lie import lie_derivative, lie_second
 from saltpde.models import ModelState
+from saltpde.solver import chi_cutoff
 from saltpde.spectral import (dealiased_product, derivative, hilbert_transform,
                               mollifier_symbol, riesz_perp, zero_field)
 
@@ -291,3 +293,29 @@ class SqgOps:
     def _check(self, X):
         if X.kind != "sqg":
             raise _wrong_variant("sqg", X.kind)
+
+
+def step_strat_heun(X, ops, dw, dt, R):
+    """Heun (midpoint-predictor) step of the cut-off Stratonovich form.
+
+    Uses the transport drift only; the Ito correction is generated by the
+    scheme itself, which is exactly what the cross-validation against
+    step_ito_em exercises.
+    """
+    def drift(Y):
+        chi = chi_cutoff(ops.v_norm(Y), R)
+        return (chi * chi) * (ops.b(Y) + ops.g_eps_transport(Y)), chi
+
+    f0, chi0 = drift(X)
+    pred = X + dt * f0
+    for k in range(len(dw)):
+        if dw[k] != 0.0:
+            pred = pred + (chi0 * dw[k]) * ops.h_eps_k(X, k)
+
+    f1, chi1 = drift(pred)
+    out = X + (0.5 * dt) * (f0 + f1)
+    for k in range(len(dw)):
+        if dw[k] != 0.0:
+            out = out + (0.5 * dw[k]) * (chi0 * ops.h_eps_k(X, k)
+                                         + chi1 * ops.h_eps_k(pred, k))
+    return out

@@ -43,6 +43,9 @@ UNRUNNABLE = (
     ({"ic": "bogus"}, "ic must be one of"),
     ({"noise_decay": "polynomial", "noise_decay_param": "0.9"},
      "noise_decay_param"),
+    ({"seed": "-1"}, "seed must be >= 0"),
+    ({"estimates": "bogus"}, "estimates: unknown id 'bogus'"),
+    ({"eps_ladder": "0.5,0.25"}, "eps_ladder needs at least 3 rungs"),
 )
 
 
@@ -58,6 +61,15 @@ def test_sch2_s_threshold_rejected(tmp_path, monkeypatch):
             parse_config(cfg)
         assert main(["simulate", cfg]) == 2
         assert not (tmp_path / "out").exists()
+
+    # converge without a ladder, and CLI overrides that cannot run
+    cfg = write_config(tmp_path, MINIMAL_CCF)
+    with pytest.raises(ConfigError, match="converge needs eps_ladder"):
+        parse_config(cfg, command="converge")
+    assert main(["converge", cfg]) == 2
+    assert main(["simulate", cfg, "--seed", "-5"]) == 2
+    assert main(["simulate", cfg, "--workers", "0"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_cites_line(tmp_path):
@@ -223,11 +235,11 @@ out = %s
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
-def test_converge_requires_three_rungs(tmp_path):
+def test_converge_requires_three_rungs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     text = MINIMAL_CCF + "eps_ladder = 0.5,0.25\n"
-    spec = parse_config(write_config(tmp_path, text), command="converge")
     with pytest.raises(ConfigError, match="3 rungs"):
-        cmd_converge(spec)
+        parse_config(write_config(tmp_path, text), command="converge")
 
 
 def test_verify_single_and_malformed(tmp_path, capsys):

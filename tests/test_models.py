@@ -4,7 +4,7 @@ import pytest
 from saltpde.lie import VectorFieldXi, lie_derivative
 from saltpde.models import ModelState, make_initial_state, make_ops
 from saltpde.noise import NoiseBasis, build_basis_1d, build_basis_sqg, constant_basis_1d
-from saltpde.spectral import (Grid, GridField, SpectralField, dealiased_product,
+from saltpde.spectral import (Grid, SpectralField, dealiased_product,
                               derivative, from_values, hilbert_transform,
                               mollify_j, sobolev_norm, sup_norm, to_grid,
                               zero_field)
@@ -41,6 +41,18 @@ def test_state_validation():
     x1, _ = g2.nodes()
     with pytest.raises(ValueError, match="zero mean"):
         ModelState("sqg", (from_values(g2, 1.0 + np.cos(x1)),))
+
+
+def test_state_arithmetic_checks_kind_and_grid():
+    g = Grid(16)
+    ccf = make_initial_state("ccf", g, "smooth", 0.1)
+    for other in (make_initial_state("linear", g, "smooth", 0.1),
+                  make_initial_state("ccf", Grid(32), "smooth", 0.1),
+                  make_initial_state("sch2", g, "smooth", 0.1)):
+        with pytest.raises(ValueError, match="cannot combine"):
+            ccf + other
+        with pytest.raises(ValueError, match="cannot combine"):
+            ccf - other
 
 
 OPERATORS = ("b", "g_transport", "ito_correction", "g", "g_eps_transport",
@@ -112,7 +124,7 @@ def test_sch2_b_zero_and_cosine():
     # u = 0, eta = cos x: b = (0.1 sin 2x, 0)
     X = ModelState("sch2", (zero_field(g), from_values(g, np.cos(g.x))))
     out = ops.b(X)
-    assert np.max(np.abs(to_grid(out.u).values - 0.1 * np.sin(2 * g.x))) < 1e-13
+    assert np.max(np.abs(to_grid(out.u) - 0.1 * np.sin(2 * g.x))) < 1e-13
     assert sup_norm(out.eta) < 1e-15
 
 
@@ -173,7 +185,7 @@ def test_sch2_h_constant_xi_single_mode():
     ops = make_ops("sch2", g, 6.0, constant_basis_1d(g, c), 0.1)
     X = ModelState("sch2", (from_values(g, np.cos(g.x)), zero_field(g)))
     out = ops.h_k(X, 0)
-    assert np.max(np.abs(to_grid(out.u).values - c * np.sin(g.x))) < 1e-13
+    assert np.max(np.abs(to_grid(out.u) - c * np.sin(g.x))) < 1e-13
     assert sup_norm(out.eta) < 1e-15
 
 
@@ -290,7 +302,7 @@ def test_ccf_g_examples():
     X = ModelState("ccf", (from_values(g, np.cos(g.x)),))
     out = ops.g(X)
     target = 0.5 - 0.5 * np.cos(2 * g.x)
-    assert np.max(np.abs(to_grid(out.theta).values - target)) < 1e-13
+    assert np.max(np.abs(to_grid(out.theta) - target)) < 1e-13
 
 
 def test_ccf_mollified_matches_on_band():

@@ -224,3 +224,22 @@ def test_stability_ratio_stable_under_dt_halving():
         ratios.append(rep.ratio)
     print("stability ratios over dt:", ratios)
     assert max(ratios) < 1.5 * min(ratios)
+
+
+def test_heun_step_matches_frozen_oracle():
+    # one h_eps_k(X, k) per noise index and step gives the same step bit for bit
+    import oracle_ops
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.models import make_ops
+    from saltpde.noise import build_basis_1d, build_basis_sqg
+    from saltpde.spectral import Grid
+    dw = np.array([0.03, 0.0, -0.02, 0.01])
+    for model, g, s, build in (("sch2", Grid(128), 6.0, build_basis_1d),
+                               ("sqg", Grid(64, dim=2), 4.5, build_basis_sqg)):
+        ops = make_ops(model, g, s, build(g, 4, s + 2.0), 0.0625)
+        X = corpus_state(model, g, s, corpus_banks(g.dim, 1, 31, 2)[0])
+        X = (3.0 / ops.v_norm(X)) * X          # V-norm 3: chi_R = 1/2 at R = 2
+        for R in (2.0, 1e6):
+            got = step_strat_heun(X, ops, dw, 1e-3, R)
+            want = oracle_ops.step_strat_heun(X, ops, dw, 1e-3, R)
+            assert np.array_equal(got.coeffs, want.coeffs), (model, R)

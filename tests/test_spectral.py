@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from saltpde.spectral import (Grid, GridField, SpectralField, band_values,
+from saltpde.spectral import (Grid, SpectralField, band_values,
                               bessel_multiplier, dealiased_product, derivative,
                               from_values, grid_inner, hermitian_defect,
                               hilbert_transform, homogeneous_multiplier,
                               l2_inner, lipschitz_norm, mollify_helmholtz,
                               mollify_j, riesz_perp, sobolev_norm, sup_norm,
-                              to_grid, to_spectral)
+                              to_grid)
 
 
 def random_field(grid, rng, kmax=None):
@@ -60,7 +60,7 @@ def test_round_trip_against_direct_dft():
     F = from_values(g, vals)
     oracle = direct_dft(vals)
     assert np.max(np.abs(F.coeffs - oracle)) < 1e-12
-    back = to_grid(F).values
+    back = to_grid(F)
     assert np.max(np.abs(back - vals)) < 1e-12 * max(1.0, np.max(np.abs(vals)))
     assert hermitian_defect(F) < 1e-12
 
@@ -70,7 +70,14 @@ def test_non_finite_rejected():
     vals = np.zeros(64)
     vals[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        to_spectral(GridField(g, vals))
+        from_values(g, vals)
+
+
+def test_from_values_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="does not match grid"):
+        from_values(Grid(64), np.zeros(32))
+    with pytest.raises(ValueError, match="does not match grid"):
+        from_values(Grid(16, dim=2), np.zeros(16))
 
 
 def test_bessel_multiplier_basics():
@@ -83,7 +90,7 @@ def test_bessel_multiplier_basics():
 
     f = from_values(g, np.cos(g.x))
     d2 = bessel_multiplier(f, 2.0)
-    assert np.max(np.abs(to_grid(d2).values - 2.0 * np.cos(g.x))) < 1e-12
+    assert np.max(np.abs(to_grid(d2) - 2.0 * np.cos(g.x))) < 1e-12
 
     h = random_field(g, rng)
     back = bessel_multiplier(bessel_multiplier(h, 2.0), -2.0)
@@ -102,13 +109,13 @@ def test_bessel_composition():
 def test_homogeneous_multiplier():
     g = Grid(64)
     f = from_values(g, np.cos(g.x))
-    assert np.max(np.abs(to_grid(homogeneous_multiplier(f, 1.0)).values
+    assert np.max(np.abs(to_grid(homogeneous_multiplier(f, 1.0))
                          - np.cos(g.x))) < 1e-12
     f2 = from_values(g, np.cos(2 * g.x))
-    assert np.max(np.abs(to_grid(homogeneous_multiplier(f2, 2.0)).values
+    assert np.max(np.abs(to_grid(homogeneous_multiplier(f2, 2.0))
                          - 4.0 * np.cos(2 * g.x))) < 1e-12
     f3 = from_values(g, np.sin(3 * g.x))
-    assert np.max(np.abs(to_grid(homogeneous_multiplier(f3, -1.0)).values
+    assert np.max(np.abs(to_grid(homogeneous_multiplier(f3, -1.0))
                          - np.sin(3 * g.x) / 3.0)) < 1e-12
     nonzero_mean = from_values(g, 1.0 + np.cos(g.x))
     with pytest.raises(ValueError, match="zero-mean"):
@@ -126,7 +133,7 @@ def hilbert_quadrature_oracle(values, grid):
     m = 16 * n
     t = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     fine = to_grid(SpectralField(
-        grid, from_values(grid, values).coeffs)).values
+        grid, from_values(grid, values).coeffs))
     # evaluate the trig interpolant on the fine offset grid
     coeffs = from_values(grid, values).coeffs
     k = np.fft.fftfreq(n, 1.0 / n)
@@ -142,7 +149,7 @@ def test_hilbert_sign_convention_against_quadrature():
     g = Grid(32)
     for vals, target in ((np.cos(g.x), np.sin(g.x)),
                          (np.sin(g.x), -np.cos(g.x))):
-        spec = to_grid(hilbert_transform(from_values(g, vals))).values
+        spec = to_grid(hilbert_transform(from_values(g, vals)))
         oracle = hilbert_quadrature_oracle(vals, g)
         assert np.max(np.abs(spec - target)) < 1e-12
         assert np.max(np.abs(oracle - target)) < 1e-6
@@ -173,7 +180,7 @@ def test_riesz_perp():
     th = from_values(g, np.cos(x1))
     u1, u2 = riesz_perp(th)
     assert sup_norm(u1) < 1e-13
-    assert np.max(np.abs(to_grid(u2).values - np.sin(x1))) < 1e-12
+    assert np.max(np.abs(to_grid(u2) - np.sin(x1))) < 1e-12
 
     rng = np.random.default_rng(4)
     f = random_field(g, rng)
@@ -217,7 +224,7 @@ def test_helmholtz_mollifier():
     g = Grid(64)
     f = from_values(g, np.cos(g.x))
     out = mollify_helmholtz(f, 1.0)
-    assert np.max(np.abs(to_grid(out).values - 0.5 * np.cos(g.x))) < 1e-13
+    assert np.max(np.abs(to_grid(out) - 0.5 * np.cos(g.x))) < 1e-13
 
     rng = np.random.default_rng(6)
     a, b = random_field(g, rng), random_field(g, rng)
@@ -245,7 +252,7 @@ def test_sobolev_norm_against_direct_sum():
     s = 1.5
     k = np.fft.fftfreq(128, 1.0 / 128)
     oracle = np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(direct_dft(
-        to_grid(f).values)) ** 2))
+        to_grid(f))) ** 2))
     assert abs(sobolev_norm(f, s) - oracle) < 1e-12 * oracle
 
     zero = from_values(g, np.zeros(128))
@@ -286,8 +293,8 @@ def test_lipschitz_norm_against_oversampled_oracle():
     cfine = np.zeros(fine.shape, dtype=np.complex128)
     k = np.fft.fftfreq(n, 1.0 / n).astype(int)
     cfine[k] = f.coeffs
-    dense = to_grid(SpectralField(fine, cfine)).values
-    dense_d = to_grid(derivative(SpectralField(fine, cfine))).values
+    dense = to_grid(SpectralField(fine, cfine))
+    dense_d = to_grid(derivative(SpectralField(fine, cfine)))
     oracle = np.max(np.abs(dense)) + np.max(np.abs(dense_d))
     assert abs(lipschitz_norm(f) - oracle) < 1e-3 * oracle
 
