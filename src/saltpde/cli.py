@@ -145,6 +145,14 @@ def _check_spec(spec, path):
     for bad, message in problems:
         if bad:
             raise ConfigError("%s: %s" % (path, message))
+    # every rung must make a runnable config on its own
+    for key, field_name in (("eps_ladder", "epsilon"), ("dt_ladder", "dt")):
+        for rung in getattr(spec, key):
+            try:
+                replace(spec.sim, **{field_name: rung}).validate().n_steps()
+            except ValueError as exc:
+                raise ConfigError("%s: %s rung %r: %s"
+                                  % (path, key, rung, exc)) from None
     return steps
 
 

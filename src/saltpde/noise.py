@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .spectral import derivative, from_values
-from .lie import VectorFieldXi
+from .lie import VectorFieldXi, components_norm
 
 
 class NoiseBasis:
@@ -108,10 +108,9 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         psi = from_values(grid, wave)
         comp1 = -1.0 * derivative(psi, 1)   # xi = (-d2 psi, d1 psi)
         comp2 = derivative(psi, 0)
-        xi = VectorFieldXi([comp1, comp2], require_divergence_free=True)
-        a = targets[k - 1] / xi.sobolev_norm(s_max)
-        xi = VectorFieldXi([a * comp1, a * comp2], require_divergence_free=True)
-        xis.append(xi)
+        a = targets[k - 1] / components_norm((comp1, comp2), s_max)
+        xis.append(VectorFieldXi([a * comp1, a * comp2],
+                                 require_divergence_free=True))
     return NoiseBasis(xis, decay_kind, decay_param, s_max, targets)
 
 

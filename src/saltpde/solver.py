@@ -172,13 +172,14 @@ class TrajectoryRecord:
         self.v_norms.append(float(v))
 
 
-def step_ito_em(X, ops, dw, dt, R):
+def step_ito_em(X, ops, dw, dt, R, v=None):
     """One Euler-Maruyama step of the cut-off Ito-form problem.
 
     dw holds the Brownian increments of this step (one per noise index).
+    v is ops.v_norm(X) if the caller already holds it (computed if None).
     A state with chi_R = 0 (V-norm beyond 2R) is an exact fixed point.
     """
-    chi = chi_cutoff(ops.v_norm(X), R)
+    chi = chi_cutoff(ops.v_norm(X) if v is None else v, R)
     if chi == 0.0:
         return X
     drift = ops.b(X) + ops.g_eps(X)
@@ -189,18 +190,18 @@ def step_ito_em(X, ops, dw, dt, R):
     return out
 
 
-def step_strat_heun(X, ops, dw, dt, R):
+def step_strat_heun(X, ops, dw, dt, R, v=None):
     """Heun (midpoint-predictor) step of the cut-off Stratonovich form.
 
     Uses the transport drift only; the Ito correction is generated by the
     scheme itself, which is exactly what the cross-validation against
-    step_ito_em exercises.
+    step_ito_em exercises.  v is ops.v_norm(X), as in step_ito_em.
     """
-    def drift(Y):
-        chi = chi_cutoff(ops.v_norm(Y), R)
+    def drift(Y, v=None):
+        chi = chi_cutoff(ops.v_norm(Y) if v is None else v, R)
         return (chi * chi) * (ops.b(Y) + ops.g_eps_transport(Y)), chi
 
-    f0, chi0 = drift(X)
+    f0, chi0 = drift(X, v)
     h0 = [(k, ops.h_eps_k(X, k)) for k in range(len(dw)) if dw[k] != 0.0]
     pred = X + dt * f0
     for k, h in h0:
@@ -251,7 +252,7 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
             raise CflError(
                 "CFL guard: dt*max|u| = %.3e exceeds 0.5*dx = %.3e at t=%.6g"
                 % (cfg.dt * vel, cfl_limit, t))
-        X = step(X, ops, path.increments[nstep], cfg.dt, cfg.cutoff_r)
+        X = step(X, ops, path.increments[nstep], cfg.dt, cfg.cutoff_r, v)
         t = (nstep + 1) * cfg.dt
         if not X.is_finite():
             reason = "diverged"     # no row: the norms are not finite

@@ -278,6 +278,18 @@ def band_values(F):
     return np.real(np.fft.ifftn(F.coeffs * g.dealias_keep * g.n_total))
 
 
+def band_support(F, tol):
+    """In-band Fourier support of F: a tuple of (shift, coeff) pairs.
+
+    shift is the index tuple of a 2/3-band mode with |coeff| > tol; the
+    pairs are what product_with_values convolves with.
+    """
+    c = F.coeffs
+    idx = np.nonzero(F.grid.dealias_keep & (np.abs(c) > tol))
+    return tuple((tuple(int(i) for i in mode), complex(c[mode]))
+                 for mode in zip(*idx))
+
+
 def dealiased_product(F, G):
     """Pointwise product with the 2/3 rule applied to inputs and output."""
     _require_same_grid(F, G)
@@ -286,11 +298,31 @@ def dealiased_product(F, G):
     return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
 
 
-def product_with_values(values_banded, G):
-    """Product against precomputed band-limited grid samples (cached factor)."""
+def product_with_values(factor, G):
+    """Dealiased product of a cached factor with G; factor is either form.
+
+    Band samples (an ndarray from band_values): multiply on the grid and
+    transform back, as dealiased_product does.  A support (the tuple from
+    band_support): the exact circular convolution
+    keep * sum_j c_j * roll(keep * G, shift_j), which is what the FFT route
+    computes, with no transform.  Its cost is one roll per support entry,
+    so it pays for the few-mode noise fields; it reads G's coefficients
+    directly, so G must be Hermitian (the FFT route projects onto real
+    fields).  Both forms agree to round-off, but not bit for bit.
+    """
     g = G.grid
-    prod = values_banded * band_values(G)
-    return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
+    if isinstance(factor, np.ndarray):
+        prod = factor * band_values(G)
+        return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
+    if not factor:
+        return zero_field(g)
+    band = G.coeffs * g.dealias_keep
+    axes = tuple(range(g.dim))
+    out = np.zeros(g.shape, dtype=np.complex128)
+    for shift, c in factor:
+        out += c * np.roll(band, shift, axis=axes)
+    out *= g.dealias_keep
+    return SpectralField(g, out)
 
 
 # ---------------------------------------------------------------------------

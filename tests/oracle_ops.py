@@ -3,16 +3,45 @@
 The operator methods of Sch2Ops, CcfOps and SqgOps are kept here verbatim
 (norms left out) so that tests can check the shared-core implementation in
 saltpde.models against them bit for bit.  step_strat_heun is the Heun step
-as it was when it evaluated h_eps_k(X, k) twice per noise index.  Do not
+as it was when it evaluated h_eps_k(X, k) twice per noise index.
+fft_lie_derivative is L_xi as it was when every product went through the
+FFTs against 2/3-band grid samples of xi's factors (band_values and
+product_with_values below are that route's helpers, verbatim).  Do not
 edit: this file is the oracle, not a second implementation to maintain.
 """
+
+import numpy as np
 
 from saltpde import spectral as sp
 from saltpde.lie import lie_derivative, lie_second
 from saltpde.models import ModelState
 from saltpde.solver import chi_cutoff
-from saltpde.spectral import (dealiased_product, derivative, hilbert_transform,
-                              mollifier_symbol, riesz_perp, zero_field)
+from saltpde.spectral import (SpectralField, dealiased_product, derivative,
+                              hilbert_transform, mollifier_symbol, riesz_perp,
+                              zero_field)
+
+
+def band_values(F):
+    """Grid samples of the 2/3-band projection of F."""
+    g = F.grid
+    return np.real(np.fft.ifftn(F.coeffs * g.dealias_keep * g.n_total))
+
+
+def product_with_values(values_banded, G):
+    """Product against precomputed band-limited grid samples (cached factor)."""
+    g = G.grid
+    prod = values_banded * band_values(G)
+    return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
+
+
+def fft_lie_derivative(xi, F):
+    """L_xi F = xi.grad(F) + div(xi)*F with dealiased products."""
+    comp_band = tuple(band_values(c) for c in xi.components)
+    div_band = band_values(xi.divergence)
+    out = product_with_values(comp_band[0], derivative(F, 0))
+    for axis in range(1, F.grid.dim):
+        out = out + product_with_values(comp_band[axis], derivative(F, axis))
+    return out + product_with_values(div_band, F)
 
 
 def _wrong_variant(expected, got):

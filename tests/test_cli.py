@@ -46,6 +46,10 @@ UNRUNNABLE = (
     ({"seed": "-1"}, "seed must be >= 0"),
     ({"estimates": "bogus"}, "estimates: unknown id 'bogus'"),
     ({"eps_ladder": "0.5,0.25"}, "eps_ladder needs at least 3 rungs"),
+    ({"eps_ladder": "0.5,1.5,0.25"},
+     "eps_ladder rung 1.5: epsilon must lie in"),
+    ({"t_end": "0.005", "dt_ladder": "0.001,0.0015,0.0005"},
+     "dt_ladder rung 0.0015: t_end must be an integer multiple of dt"),
 )
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from saltpde.lie import VectorFieldXi, ds_commutator, ito_correction, lie_derivative, lie_second
-from saltpde.noise import NoiseBasis, build_basis_1d, constant_basis_1d
+from saltpde.noise import (_SQG_WAVES, NoiseBasis, build_basis_1d,
+                           build_basis_sqg, constant_basis_1d)
 from saltpde.spectral import (Grid, bessel_multiplier,
                               dealiased_product, derivative, from_values,
                               l2_inner, sobolev_norm, sup_norm, to_grid)
@@ -200,3 +201,85 @@ def test_cancellation_headline_bounded():
     print("uncancelled:", firsts)
     assert max(qs) < 10.0 * max(qs[0], 1e-6)
     assert firsts[-1] > 4.0 * firsts[0]
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-space (2D) and band-sample (1D) routes against the FFT route
+
+def test_lie_derivative_1d_is_the_fft_route():
+    # 1D keeps the band-sample factors: L_xi is the FFT route bit for bit
+    import oracle_ops
+    rng = np.random.default_rng(9)
+    for n in (64, 256):
+        g = Grid(n)
+        xis = build_basis_1d(g, 8, 6.0).xis + constant_basis_1d(g, 0.7).xis
+        fields = [band_field(g, rng, n // 3),
+                  from_values(g, rng.standard_normal(g.shape))]
+        for xi in xis:
+            for f in fields:
+                got = lie_derivative(xi, f)
+                want = oracle_ops.fft_lie_derivative(xi, f)
+                assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def max_relative_difference(got, want):
+    return np.max(np.abs(got.coeffs - want.coeffs)) / np.max(np.abs(want.coeffs))
+
+
+# the support convolution is the FFT product summed in another order; the
+# measured difference is <= 2e-15 at 64^2 and <= 1.4e-14 at 512^2
+TOL_2D = 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_lie_derivative_2d_matches_fft_route(n):
+    import oracle_ops
+    from saltpde.estimates import corpus_banks, corpus_field
+    g = Grid(n, dim=2)
+    rng = np.random.default_rng(10)
+    fields = [corpus_field(g, 4.5, "critical", bank)
+              for bank, in corpus_banks(2, 2, seed=31)]
+    fields.append(from_values(g, rng.standard_normal(g.shape)))
+    for xi in build_basis_sqg(g, 8, 6.5).xis:
+        for f in fields:
+            got = lie_derivative(xi, f)
+            assert max_relative_difference(
+                got, oracle_ops.fft_lie_derivative(xi, f)) <= TOL_2D
+            got2 = lie_derivative(xi, got)
+            assert max_relative_difference(
+                got2, oracle_ops.fft_lie_derivative(xi, got)) <= TOL_2D
+
+
+def test_lie_derivative_2d_dense_xi_matches_fft_route():
+    # positive control for long supports: a white-noise xi, not divergence
+    # free, so every in-band mode of every factor enters the convolution
+    import oracle_ops
+    g = Grid(32, dim=2)
+    rng = np.random.default_rng(11)
+    xi = VectorFieldXi([from_values(g, rng.standard_normal(g.shape))
+                        for _ in range(2)])
+    in_band = int(np.count_nonzero(g.dealias_keep))
+    assert [len(f) for f in xi._comp_factor] == [in_band, in_band]
+    assert len(xi._div_factor) >= in_band - 1      # all but the mean
+    assert xi.max_divergence > 0.1
+    for _ in range(3):
+        f = from_values(g, rng.standard_normal(g.shape))
+        assert max_relative_difference(
+            lie_derivative(xi, f), oracle_ops.fft_lie_derivative(xi, f)) <= TOL_2D
+
+
+def test_sqg_xi_caches_one_mode_per_component():
+    # xi_k = a (-d2 psi, d1 psi) with psi one plane wave m.x: component i
+    # holds the modes +-m exactly when m_(3-i) != 0, and div xi holds none
+    for n in (64, 128):
+        g = Grid(n, dim=2)
+        basis = build_basis_sqg(g, 8, 6.5)
+        for k, xi in enumerate(basis.xis, start=1):
+            w1, w2 = _SQG_WAVES[(k - 1) % len(_SQG_WAVES)]
+            scale = 1 + (k - 1) // len(_SQG_WAVES)
+            m1, m2 = scale * w1, scale * w2
+            modes = {(m1 % n, m2 % n), (-m1 % n, -m2 % n)}
+            for factor, partner in zip(xi._comp_factor, (m2, m1)):
+                assert {shift for shift, _ in factor} == (modes if partner else set())
+                assert len(factor) == (2 if partner else 0)
+            assert xi._div_factor == ()

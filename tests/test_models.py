@@ -115,6 +115,26 @@ def test_operators_match_frozen_oracle(model, eps):
                 assert np.array_equal(a.coeffs, b.coeffs), (name, args)
 
 
+def test_sqg_noise_operators_stay_hermitian():
+    # the 2D support convolution reads coefficients as they are (the FFT
+    # route projected onto real fields), so the outputs must stay Hermitian
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.spectral import hermitian_defect
+    g, _, s = model_setup("sqg", n=64)
+    basis = build_basis_sqg(g, 8, s + 2.0)
+    for eps in (0.5, 0.125):
+        ops = make_ops("sqg", g, s, basis, eps)
+        for banks in corpus_banks(2, 3, seed=17, per_state=2):
+            X = corpus_state("sqg", g, s, banks)
+            for k in range(basis.K):
+                h = ops.h_eps_k(X, k).theta
+                assert hermitian_defect(h) <= 1e-15 * np.max(np.abs(h.coeffs))
+            # g_eps also holds the FFT-route transport term, whose defect is
+            # up to 3e-15 relative on the same states with either L_xi route
+            ge = ops.g_eps(X).theta
+            assert hermitian_defect(ge) <= 1e-14 * np.max(np.abs(ge.coeffs))
+
+
 def test_sch2_b_zero_and_cosine():
     g, ops = sch2_setup()
     zero = ModelState("sch2", (zero_field(g), zero_field(g)))
