@@ -23,10 +23,11 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 import numpy as np
 
 from .estimates import ESTIMATE_IDS, run_estimates, summary_table
-from .models import DEFAULT_S
+from .models import DEFAULT_S, ModelState
 from .noise import sample_path
-from .solver import (CflError, SimConfig, run_path, stability_experiment,
+from .solver import (SimConfig, run_path, stability_experiment,
                      write_state_snapshot, write_trajectory)
+from .spectral import from_values
 
 
 @dataclass
@@ -340,16 +341,10 @@ def cmd_verify(spec):
 
 def perturbed_state(X0, delta, mode):
     """Add delta*cos(mode*x) (first coordinate in 2D) to the leading field."""
-    from . import spectral as sp
     grid = X0.grid
-    if grid.dim == 1:
-        bump = sp.from_values(grid, delta * np.cos(mode * grid.x))
-    else:
-        x1, _ = grid.nodes()
-        bump = sp.from_values(grid, delta * np.cos(mode * x1))
-    fields = (X0.fields[0] + bump,) + X0.fields[1:]
-    from .models import ModelState
-    return ModelState(X0.kind, fields)
+    rows = X0.coeffs.copy()
+    rows[0] += from_values(grid, delta * np.cos(mode * grid.nodes()[0]))
+    return ModelState(X0.kind, grid, rows)
 
 
 def cmd_stability(spec):
@@ -405,7 +400,7 @@ def main(argv=None):
         return 2
     try:
         return _COMMANDS[args.command](spec)
-    except (ConfigError, ValueError, CflError) as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

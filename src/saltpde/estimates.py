@@ -25,7 +25,7 @@ from .lie import ds_commutator, lie_derivative
 from .models import DEFAULT_S, FIELD_NAMES, S_THRESHOLD, ModelState, make_ops
 from .noise import build_basis_1d, build_basis_sqg, constant_basis_1d
 from .spectral import (Grid, dealiased_product, derivative, hs_inner,
-                       mollify_helmholtz, sobolev_norm, sup_norm, zero_field)
+                       mollify_helmholtz, sobolev_norm, sup_norm)
 
 # the default geometric bases use trigonometric modes 1..K
 XI_MAX_MODE = 8
@@ -93,7 +93,7 @@ def corpus_field(grid, s, kind, bank, normalize_s=None):
         F = bank.field(grid, 0.0, min(8, kmax))
     else:
         raise ValueError("unknown corpus kind %r" % (kind,))
-    ref = sobolev_norm(F, s if normalize_s is None else normalize_s)
+    ref = sobolev_norm(grid, F, s if normalize_s is None else normalize_s)
     return (1.0 / ref) * F
 
 
@@ -107,8 +107,8 @@ def corpus_state(model, grid, s, banks, kind="critical"):
     """Field i of the model's state at s - i, drawn from bank i."""
     if model not in S_THRESHOLD:
         raise ValueError("unknown model %r" % (model,))
-    return ModelState(model, [corpus_field(grid, s - i, kind, banks[i])
-                              for i in range(len(FIELD_NAMES[model]))])
+    return ModelState(model, grid, [corpus_field(grid, s - i, kind, banks[i])
+                                    for i in range(len(FIELD_NAMES[model]))])
 
 
 def fit_exponent(ns, ratios, floor=1e-10):
@@ -160,15 +160,15 @@ def _finish(estimate_id, resolutions, ratios, threshold, details,
 # ---------------------------------------------------------------------------
 # Lie cancellation
 
-def cancellation_terms(s, basis, F):
+def cancellation_terms(grid, s, basis, f):
     """Q = (D^s sum L^2 f, D^s f) + sum ||D^s L f||^2 and its first term."""
-    acc = zero_field(F.grid)
+    acc = np.zeros(f.shape, dtype=np.complex128)
     term2 = 0.0
     for xi in basis.xis:
-        lf = lie_derivative(xi, F)
+        lf = lie_derivative(xi, f)
         acc = acc + lie_derivative(xi, lf)
-        term2 += sobolev_norm(lf, s) ** 2
-    term1 = hs_inner(acc, F, s)
+        term2 += sobolev_norm(grid, lf, s) ** 2
+    term1 = hs_inner(grid, acc, f, s)
     return term1 + term2, term1
 
 
@@ -185,7 +185,7 @@ def check_cancellation(s=4.0, resolutions=RESOLUTIONS_1D, K=8,
         worst_1 = 0.0
         for bank, in banks:
             f = corpus_field(grid, s, "critical", bank)
-            q, t1 = cancellation_terms(s, basis, f)
+            q, t1 = cancellation_terms(grid, s, basis, f)
             worst_q = max(worst_q, abs(q))
             worst_1 = max(worst_1, abs(t1))
         ratios.append(worst_q)
@@ -196,7 +196,7 @@ def check_cancellation(s=4.0, resolutions=RESOLUTIONS_1D, K=8,
     grid = Grid(256)
     bank = corpus_banks(1, 1, seed + 1)[0][0]
     f = corpus_field(grid, s, "critical", bank)
-    q_const, t1_const = cancellation_terms(s, constant_basis_1d(grid, 0.7), f)
+    q_const, t1_const = cancellation_terms(grid, s, constant_basis_1d(grid, 0.7), f)
     const_ratio = abs(q_const) / max(abs(t1_const), 1e-30)
 
     details = {"uncancelled_exponent": uncancelled_exponent,
@@ -210,10 +210,10 @@ def check_cancellation(s=4.0, resolutions=RESOLUTIONS_1D, K=8,
 # ---------------------------------------------------------------------------
 # Kato-Ponce commutator
 
-def kato_ponce_ratio(s, f, g):
-    lhs = sobolev_norm(ds_commutator(s, f, g), 0.0)
-    rhs = (sup_norm(derivative(f)) * sobolev_norm(g, s - 1.0)
-           + sobolev_norm(f, s) * sup_norm(g))
+def kato_ponce_ratio(grid, s, f, g):
+    lhs = sobolev_norm(grid, ds_commutator(grid, s, f, g), 0.0)
+    rhs = (sup_norm(grid, derivative(grid, f)) * sobolev_norm(grid, g, s - 1.0)
+           + sobolev_norm(grid, f, s) * sup_norm(grid, g))
     return lhs / rhs
 
 
@@ -227,7 +227,7 @@ def check_kato_ponce(s=4.0, resolutions=RESOLUTIONS_1D, corpus_count=4,
         for bf, bg in banks:
             f = corpus_field(grid, s, "critical", bf)
             g = corpus_field(grid, s, "critical", bg)
-            worst = max(worst, kato_ponce_ratio(s, f, g))
+            worst = max(worst, kato_ponce_ratio(grid, s, f, g))
         ratios.append(worst)
     return _finish("kato_ponce", resolutions, ratios, threshold, {})
 
@@ -235,12 +235,13 @@ def check_kato_ponce(s=4.0, resolutions=RESOLUTIONS_1D, corpus_count=4,
 # ---------------------------------------------------------------------------
 # Helmholtz-mollifier transport commutator
 
-def helmholtz_commutator_ratio(eps, g, F):
-    adv = dealiased_product(g, derivative(F))
-    adv_after = dealiased_product(g, derivative(mollify_helmholtz(F, eps)))
-    comm = mollify_helmholtz(adv, eps) - adv_after
-    rhs = sup_norm(derivative(g)) * sobolev_norm(F, 0.0)
-    return sobolev_norm(comm, 0.0) / rhs
+def helmholtz_commutator_ratio(grid, eps, g, f):
+    adv = dealiased_product(grid, g, derivative(grid, f))
+    adv_after = dealiased_product(
+        grid, g, derivative(grid, mollify_helmholtz(grid, f, eps)))
+    comm = mollify_helmholtz(grid, adv, eps) - adv_after
+    rhs = sup_norm(grid, derivative(grid, g)) * sobolev_norm(grid, f, 0.0)
+    return sobolev_norm(grid, comm, 0.0) / rhs
 
 
 def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
@@ -259,7 +260,7 @@ def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
             # white-noise-like rough field: only L2 regularity is assumed
             f = sp.from_values(grid, rng.standard_normal(grid.shape))
             for eps in eps_list:
-                r = helmholtz_commutator_ratio(eps, g, f)
+                r = helmholtz_commutator_ratio(grid, eps, g, f)
                 worst = max(worst, r)
                 worst_eps[eps] = max(worst_eps[eps], r)
         ratios.append(worst)
@@ -370,12 +371,12 @@ def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
 # ---------------------------------------------------------------------------
 # optional deterministic log-interpolation check
 
-def log_interpolation_ratio(theta):
-    tx = derivative(theta)
-    htx = sp.hilbert_transform(tx)
-    lhs = sup_norm(htx)
-    rhs = 1.0 + sup_norm(tx) * np.log(np.e + sobolev_norm(tx, 1.0)) \
-        + sobolev_norm(tx, 0.0)
+def log_interpolation_ratio(grid, theta):
+    tx = derivative(grid, theta)
+    htx = sp.hilbert_transform(grid, tx)
+    lhs = sup_norm(grid, htx)
+    rhs = 1.0 + sup_norm(grid, tx) * np.log(np.e + sobolev_norm(grid, tx, 1.0)) \
+        + sobolev_norm(grid, tx, 0.0)
     return lhs / rhs
 
 
@@ -384,10 +385,10 @@ def check_log_interpolation(n=1024, modes=64, corpus_count=4, seed=23):
     mode_ratios = []
     for m in range(1, modes + 1):
         theta = sp.from_values(grid, np.cos(m * grid.x))
-        mode_ratios.append(log_interpolation_ratio(theta))
+        mode_ratios.append(log_interpolation_ratio(grid, theta))
     banks = corpus_banks(1, corpus_count, seed)
-    corpus_ratios = [log_interpolation_ratio(corpus_field(grid, 2.0, "critical", b[0]))
-                     for b in banks]
+    corpus_ratios = [log_interpolation_ratio(
+        grid, corpus_field(grid, 2.0, "critical", b[0])) for b in banks]
     all_r = mode_ratios + corpus_ratios
     passed = bool(np.all(np.isfinite(all_r)))
     details = {"max_mode_ratio": float(np.max(mode_ratios)),

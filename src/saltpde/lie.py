@@ -6,7 +6,9 @@ path) is the drift correction appearing when transport noise is rewritten
 from Stratonovich to Ito form.  Derivatives are spectral, products are
 dealiased, so the discrete mean of L_xi f vanishes to round-off in 1D and
 the skew-symmetry identity (L_xi f, f) = ((div xi) f, f)/2 holds at the
-level of the truncated dynamics.
+level of the truncated dynamics.  The operators act on coefficient
+arrays whose trailing axes are xi's grid; leading axes pass through, so
+one call transports every row of a state (sch2's u and eta together).
 
 How the products xi_i * d_i f and div(xi) * f are computed depends on the
 grid dimension.  In 2D each factor is cached as its in-band Fourier support
@@ -26,80 +28,80 @@ import numpy as np
 
 from .spectral import (band_support, band_values, bessel_multiplier,
                        dealiased_product, derivative, product_with_values,
-                       sobolev_norm, zero_field)
+                       sobolev_norm)
 
 # a 2D support keeps the coefficients above this fraction of xi's largest;
 # below it they are transform round-off (the whole sqg divergence is)
 SUPPORT_RTOL = 1e-13
 
 
-def components_norm(components, s):
+def components_norm(grid, components, s):
     """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field."""
-    return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in components)))
+    return float(np.sqrt(sum(sobolev_norm(grid, c, s) ** 2 for c in components)))
 
 
 class VectorFieldXi:
     """Smooth correlation vector field, one component per dimension.
 
+    The components are the coefficient arrays xi_1, ..., xi_dim on grid.
     Caches each factor of L_xi once, the components and div(xi), in the
     form product_with_values takes: the in-band support on a 2D grid, the
     2/3-band grid samples on a 1D grid.
     """
 
-    def __init__(self, components, require_divergence_free=False):
-        comps = list(components)
-        self.grid = comps[0].grid
-        for c in comps[1:]:
-            if not c.grid.compatible(self.grid):
-                raise ValueError("xi components live on different grids")
-        if len(comps) != self.grid.dim:
-            raise ValueError("expected %d components, got %d"
-                             % (self.grid.dim, len(comps)))
+    def __init__(self, grid, components, require_divergence_free=False):
+        comps = [np.asarray(c, dtype=np.complex128) for c in components]
+        if len(comps) != grid.dim or any(c.shape != grid.shape for c in comps):
+            raise ValueError("expected %d components of shape %r"
+                             % (grid.dim, grid.shape))
+        self.grid = grid
         self.components = tuple(comps)
-        div = zero_field(self.grid)
-        for axis, c in enumerate(comps):
-            div = div + derivative(c, axis)
-        self.divergence = div
-        self.max_divergence = float(np.max(np.abs(div.coeffs)))
+        self.divergence = sum(derivative(grid, c, axis)
+                              for axis, c in enumerate(comps))
+        self.max_divergence = float(np.max(np.abs(self.divergence)))
         if require_divergence_free and self.max_divergence > 1e-12:
             raise ValueError("xi is not divergence-free (max spectral residual %.3e)"
                              % self.max_divergence)
-        if self.grid.dim == 1:
-            factor = band_values
+        if grid.dim == 1:
+            factor = partial(band_values, grid)
         else:
-            scale = max(float(np.max(np.abs(c.coeffs))) for c in comps)
-            factor = partial(band_support, tol=SUPPORT_RTOL * scale)
+            scale = max(float(np.max(np.abs(c))) for c in comps)
+            factor = partial(band_support, grid, tol=SUPPORT_RTOL * scale)
         self._comp_factor = tuple(factor(c) for c in comps)
-        self._div_factor = factor(div)
+        self._div_factor = factor(self.divergence)
 
     def sobolev_norm(self, s):
-        return components_norm(self.components, s)
+        return components_norm(self.grid, self.components, s)
 
 
-def lie_derivative(xi, F):
-    """L_xi F = xi.grad(F) + div(xi)*F with dealiased products."""
-    if not xi.grid.compatible(F.grid):
-        raise ValueError("grid mismatch between xi and field")
-    out = product_with_values(xi._comp_factor[0], derivative(F, 0))
-    for axis in range(1, F.grid.dim):
-        out = out + product_with_values(xi._comp_factor[axis], derivative(F, axis))
-    return out + product_with_values(xi._div_factor, F)
+def lie_derivative(xi, c):
+    """L_xi c = xi.grad(c) + div(xi)*c with dealiased products; c may carry
+    leading axes (one call for every row)."""
+    grid = xi.grid
+    if c.shape[c.ndim - grid.dim:] != grid.shape:
+        raise ValueError("grid mismatch between xi (%r) and field of shape %r"
+                         % (grid, c.shape))
+    out = product_with_values(grid, xi._comp_factor[0], derivative(grid, c, 0))
+    for axis in range(1, grid.dim):
+        out = out + product_with_values(grid, xi._comp_factor[axis],
+                                        derivative(grid, c, axis))
+    return out + product_with_values(grid, xi._div_factor, c)
 
 
-def lie_second(xi, F):
-    """L_xi^2 F by composing lie_derivative twice."""
-    return lie_derivative(xi, lie_derivative(xi, F))
+def lie_second(xi, c):
+    """L_xi^2 c by composing lie_derivative twice."""
+    return lie_derivative(xi, lie_derivative(xi, c))
 
 
-def ito_correction(basis, F):
-    """(1/2) * sum_{k <= K} L_{xi_k}^2 F over a truncated noise basis."""
-    out = zero_field(F.grid)
+def ito_correction(basis, c):
+    """(1/2) * sum_{k <= K} L_{xi_k}^2 c over a truncated noise basis."""
+    out = np.zeros(c.shape, dtype=np.complex128)
     for xi in basis.xis:
-        out = out + lie_second(xi, F)
+        out = out + lie_second(xi, c)
     return 0.5 * out
 
 
-def ds_commutator(s, f, g):
+def ds_commutator(grid, s, f, g):
     """[D^s, f] g = D^s(f*g) - f*D^s(g), products dealiased."""
-    return bessel_multiplier(dealiased_product(f, g), s) \
-        - dealiased_product(f, bessel_multiplier(g, s))
+    return bessel_multiplier(grid, dealiased_product(grid, f, g), s) \
+        - dealiased_product(grid, f, bessel_multiplier(grid, g, s))

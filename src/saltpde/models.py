@@ -17,9 +17,12 @@ identity elsewhere), its regular drift b and its norms.
 
 A state X is one element of the model's space, held as one complex
 coefficient array of shape (fields, *grid.shape): rows (u, eta) for sch2,
-the single row theta otherwise.  ModelState(kind, fields) is the one checked
-entry (kind, field count, common grid, grid dimension, sqg zero mean); sums,
+the single row theta otherwise.  ModelState(kind, grid, rows) is the one
+checked entry (kind, grid dimension, row shape, sqg zero mean); sums,
 scalings and operator results are built from arrays without re-checking.
+Every operator takes the whole array: the spectral layer acts on the
+trailing grid axes, so one call transports, differentiates or applies L_xi
+to every row at once.
 
 Models:
   sch2  -- two-component Camassa-Holm system, state (u, eta) on the 1D torus
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import spectral as sp
 from .lie import ito_correction, lie_derivative
-from .spectral import (SpectralField, dealiased_product, derivative, gradient,
+from .spectral import (dealiased_product, derivative, gradient, has_mean,
                        hilbert_transform, hs_inner, homogeneous_inner,
                        homogeneous_norm, lipschitz_norm, mollifier_symbol,
                        riesz_component, riesz_perp, sobolev_norm, sup_norm,
@@ -53,56 +56,34 @@ INITIAL_CONDITIONS = ("smooth", "random", "zero")
 class ModelState:
     """A model's state X: one complex array of shape (fields, *grid.shape).
 
-    ModelState(kind, fields) is the one checked entry for states built from
-    outside; the results of arithmetic and of the operators come from
-    ModelState._of, which checks nothing.  u, eta, theta and fields are
-    SpectralField views of the rows.
+    ModelState(kind, grid, rows) is the one checked entry for states built
+    from outside; it copies rows.  The results of arithmetic and of the
+    operators come from ModelState._of, which checks nothing.
     """
 
     __slots__ = ("kind", "grid", "coeffs")
 
-    def __init__(self, kind, fields):
+    def __init__(self, kind, grid, rows):
         if kind not in FIELD_NAMES:
             raise ValueError("unknown model kind %r" % (kind,))
-        fields = tuple(fields)
-        if len(fields) != len(FIELD_NAMES[kind]):
-            raise ValueError("%s state needs %d fields" %
-                             (kind, len(FIELD_NAMES[kind])))
-        grid = fields[0].grid
-        for f in fields[1:]:
-            if not f.grid.compatible(grid):
-                raise ValueError("state fields live on different grids")
-        if kind == "sqg":
-            if grid.dim != 2:
-                raise ValueError("sqg state needs a 2D grid")
-            if abs(fields[0].coeffs[0, 0]) > 1e-12 * (
-                    1.0 + np.max(np.abs(fields[0].coeffs))):
-                raise ValueError("sqg state must have zero mean")
-        elif grid.dim != 1:
-            raise ValueError("%s state needs a 1D grid" % kind)
+        if grid.dim != (2 if kind == "sqg" else 1):
+            raise ValueError("%s state needs a %dD grid" % (kind, 3 - grid.dim))
+        rows = np.array(rows, dtype=np.complex128)
+        if rows.shape != (len(FIELD_NAMES[kind]),) + grid.shape:
+            raise ValueError("%s state needs %d fields of shape %r, got %r"
+                             % (kind, len(FIELD_NAMES[kind]), grid.shape,
+                                rows.shape))
+        if kind == "sqg" and has_mean(grid, rows):
+            raise ValueError("sqg state must have zero mean")
         self.kind = kind
         self.grid = grid
-        self.coeffs = np.stack([f.coeffs for f in fields])
+        self.coeffs = rows
 
     @classmethod
     def _of(cls, kind, grid, coeffs):
         X = cls.__new__(cls)
         X.kind, X.grid, X.coeffs = kind, grid, coeffs
         return X
-
-    @property
-    def fields(self):
-        return tuple(SpectralField(self.grid, c) for c in self.coeffs)
-
-    @property
-    def u(self):
-        return SpectralField(self.grid, self.coeffs[0])
-
-    theta = u
-
-    @property
-    def eta(self):
-        return SpectralField(self.grid, self.coeffs[1])
 
     def copy(self):
         return ModelState._of(self.kind, self.grid, self.coeffs.copy())
@@ -138,7 +119,8 @@ class _FluidOps:
 
     With T the model's transport term and C its noise conjugation, the core
     forms the transport term -J T(JX), the Ito sum
-    J^3 C^-1 (1/2) sum_k L_k^2 (C JX) and h^k = -J C^-1 L_k(C JX).
+    J^3 C^-1 (1/2) sum_k L_k^2 (C JX) and h^k = -J C^-1 L_k(C JX), each
+    on the whole (fields, *grid) array.
     """
 
     kind = None
@@ -153,38 +135,36 @@ class _FluidOps:
         self.eps = float(eps)
         self._jhat = mollifier_symbol(grid, self.eps)
 
-    def _fields(self, X, jhat=None):
+    def _rows(self, X, jhat=None):
         if X.kind != self.kind:
             raise ValueError("expected a %s state, got %s" % (self.kind, X.kind))
-        c = X.coeffs if jhat is None else X.coeffs * jhat
-        return [SpectralField(X.grid, row) for row in c]
+        return X.coeffs if jhat is None else X.coeffs * jhat
 
-    def _state(self, terms, jhat=None, scale=None):
-        c = np.stack([t.coeffs for t in terms])
+    def _state(self, c, jhat=None, scale=None):
         if jhat is not None:
-            c *= jhat
+            c = c * jhat
         if scale is not None:
-            c *= scale
+            c = c * scale
         return ModelState._of(self.kind, self.grid, c)
 
-    def _noise(self, op, *fields):
-        """op on each field, conjugated by the model where it needs it."""
-        return [op(f) for f in fields]
+    def _noise(self, op, c):
+        """op on the rows, conjugated by the model where it needs it."""
+        return op(c)
 
     def _transport_op(self, X, jhat=None):
-        return self._state(self._transport(*self._fields(X, jhat)), jhat, -1.0)
+        return self._state(self._transport(self._rows(X, jhat)), jhat, -1.0)
 
     def _ito_op(self, X, jhat=None):
         sums = self._noise(partial(ito_correction, self.basis),
-                           *self._fields(X, jhat))
+                           self._rows(X, jhat))
         return self._state(sums, None if jhat is None else jhat ** 3)
 
     def _h_op(self, X, k, jhat=None):
-        fields = self._fields(X, jhat)
+        c = self._rows(X, jhat)
         if not 0 <= k < self.basis.K:
             raise ValueError("noise index %d out of range (K=%d)" % (k, self.basis.K))
         return self._state(self._noise(partial(lie_derivative, self.basis.xis[k]),
-                                       *fields), jhat, -1.0)
+                                       c), jhat, -1.0)
 
 
 class Sch2Ops(_FluidOps):
@@ -200,25 +180,28 @@ class Sch2Ops(_FluidOps):
 
     def __init__(self, grid, s, basis, eps):
         super().__init__(grid, s, basis, eps)
-        self._d2 = 1.0 + grid.ksq          # D^2 symbol
-        self._d2inv = 1.0 / self._d2
+        d2 = 1.0 + grid.ksq                # D^2 symbol
+        self._d2inv = 1.0 / d2
+        # the noise acts on the momentum D^2 u and on eta as it is
+        ones = np.ones(grid.shape)
+        self._conj = np.stack([d2, ones])
+        self._conj_inv = np.stack([self._d2inv, ones])
 
-    def _transport(self, u, eta):
-        return (dealiased_product(u, derivative(u)),
-                dealiased_product(u, derivative(eta)))
+    def _transport(self, c):
+        return dealiased_product(self.grid, c[0], derivative(self.grid, c))
 
-    def _noise(self, op, u, eta):
-        # the noise acts on the momentum D^2 u
-        return [sp.apply_multiplier(op(sp.apply_multiplier(u, self._d2)),
-                                    self._d2inv), op(eta)]
+    def _noise(self, op, c):
+        return op(c * self._conj) * self._conj_inv
 
     def b(self, X):
-        u, eta = self._fields(X)
-        ux = derivative(u)
-        q = 0.5 * dealiased_product(u, u) + dealiased_product(ux, ux) \
-            + 0.5 * dealiased_product(eta, eta)
-        G = derivative(sp.apply_multiplier(q, self._d2inv))
-        return self._state([G, dealiased_product(eta, ux)], scale=-1.0)
+        g = self.grid
+        u, eta = self._rows(X)
+        ux = derivative(g, u)
+        q = 0.5 * dealiased_product(g, u, u) + dealiased_product(g, ux, ux) \
+            + 0.5 * dealiased_product(g, eta, eta)
+        G = derivative(g, q * self._d2inv)
+        return self._state(np.stack([G, dealiased_product(g, eta, ux)]),
+                           scale=-1.0)
 
     def g_transport(self, X):
         return self._transport_op(X)
@@ -243,10 +226,13 @@ class Sch2Ops(_FluidOps):
 
     # -- norms
     def x_inner(self, A, B):
-        return hs_inner(A.u, B.u, self.s) + hs_inner(A.eta, B.eta, self.s - 1.0)
+        g, a, b = self.grid, A.coeffs, B.coeffs
+        return hs_inner(g, a[0], b[0], self.s) + hs_inner(g, a[1], b[1], self.s - 1.0)
 
     def z_inner(self, A, B):
-        return hs_inner(A.u, B.u, self.s - 2.0) + hs_inner(A.eta, B.eta, self.s - 3.0)
+        g, a, b = self.grid, A.coeffs, B.coeffs
+        return hs_inner(g, a[0], b[0], self.s - 2.0) \
+            + hs_inner(g, a[1], b[1], self.s - 3.0)
 
     def x_norm(self, X):
         return float(np.sqrt(max(self.x_inner(X, X), 0.0)))
@@ -256,14 +242,17 @@ class Sch2Ops(_FluidOps):
 
     def v_norm(self, X):
         # W^{1,inf} x W^{1,inf} blow-up functional, grid surrogate
-        return lipschitz_norm(X.u) + lipschitz_norm(X.eta)
+        u, eta = lipschitz_norm(self.grid, X.coeffs)
+        return float(u + eta)
 
     def energy(self, X):
         """Conserved H^1-type energy of the deterministic system."""
-        return sobolev_norm(X.u, 1.0) ** 2 + sobolev_norm(X.eta, 0.0) ** 2
+        u, eta = X.coeffs
+        return sobolev_norm(self.grid, u, 1.0) ** 2 \
+            + sobolev_norm(self.grid, eta, 0.0) ** 2
 
     def max_velocity(self, X):
-        return sup_norm(X.u)
+        return sup_norm(self.grid, X.coeffs[0])
 
 
 class CcfOps(_FluidOps):
@@ -272,11 +261,12 @@ class CcfOps(_FluidOps):
     kind = "ccf"
     dim = 1
 
-    def _transport(self, th):
-        return (dealiased_product(hilbert_transform(th), derivative(th)),)
+    def _transport(self, c):
+        g = self.grid
+        return dealiased_product(g, hilbert_transform(g, c), derivative(g, c))
 
     def b(self, X):
-        return self._state([zero_field(self.grid) for _ in self._fields(X)])
+        return self._state(np.zeros_like(self._rows(X)))
 
     def g_transport(self, X):
         return self._transport_op(X)
@@ -300,24 +290,25 @@ class CcfOps(_FluidOps):
         return self._h_op(X, k, self._jhat)
 
     def x_inner(self, A, B):
-        return hs_inner(A.theta, B.theta, self.s)
+        return hs_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s)
 
     def z_inner(self, A, B):
-        return hs_inner(A.theta, B.theta, self.s - 2.0)
+        return hs_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s - 2.0)
 
     def x_norm(self, X):
-        return sobolev_norm(X.theta, self.s)
+        return sobolev_norm(self.grid, X.coeffs[0], self.s)
 
     def z_norm(self, X):
-        return sobolev_norm(X.theta, self.s - 2.0)
+        return sobolev_norm(self.grid, X.coeffs[0], self.s - 2.0)
 
     def v_norm(self, X):
         # blow-up functional sup|theta_x| + sup|H theta_x|
-        tx = derivative(X.theta)
-        return sup_norm(tx) + sup_norm(hilbert_transform(tx))
+        g = self.grid
+        tx = derivative(g, X.coeffs[0])
+        return sup_norm(g, tx) + sup_norm(g, hilbert_transform(g, tx))
 
     def max_velocity(self, X):
-        return sup_norm(hilbert_transform(X.theta))
+        return sup_norm(self.grid, hilbert_transform(self.grid, X.coeffs[0]))
 
 
 class SqgOps(_FluidOps):
@@ -336,13 +327,14 @@ class SqgOps(_FluidOps):
             if xi.max_divergence > 1e-12:
                 raise ValueError("sqg needs a divergence-free noise basis")
 
-    def _transport(self, th):
-        u1, u2 = riesz_perp(th)
-        return (dealiased_product(u1, derivative(th, 0))
-                + dealiased_product(u2, derivative(th, 1)),)
+    def _transport(self, c):
+        g = self.grid
+        u1, u2 = riesz_perp(g, c)
+        return dealiased_product(g, u1, derivative(g, c, 0)) \
+            + dealiased_product(g, u2, derivative(g, c, 1))
 
     def b(self, X):
-        return self._state([zero_field(self.grid) for _ in self._fields(X)])
+        return self._state(np.zeros_like(self._rows(X)))
 
     def g_transport(self, X):
         return self._transport_op(X)
@@ -366,35 +358,36 @@ class SqgOps(_FluidOps):
         return self._h_op(X, k, self._jhat)
 
     def x_inner(self, A, B):
-        return homogeneous_inner(A.theta, B.theta, self.s)
+        return homogeneous_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s)
 
     def z_inner(self, A, B):
-        return homogeneous_inner(A.theta, B.theta, self.s - 2.0)
+        return homogeneous_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s - 2.0)
 
     def x_norm(self, X):
-        return homogeneous_norm(X.theta, self.s)
+        return homogeneous_norm(self.grid, X.coeffs[0], self.s)
 
     def z_norm(self, X):
-        return homogeneous_norm(X.theta, self.s - 2.0)
+        return homogeneous_norm(self.grid, X.coeffs[0], self.s - 2.0)
 
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes
-        g1, g2 = gradient(X.theta)
-        v1, v2 = to_grid(g1), to_grid(g2)
+        g = self.grid
+        g1, g2 = gradient(g, X.coeffs[0])
+        v1, v2 = to_grid(g, g1), to_grid(g, g2)
         out = float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
-        acc = np.zeros(self.grid.shape)
+        acc = np.zeros(g.shape)
         for gj in (g1, g2):
             for axis in (0, 1):
-                r = to_grid(riesz_component(gj, axis))
+                r = to_grid(g, riesz_component(g, gj, axis))
                 acc += r * r
         return out + float(np.max(np.sqrt(acc)))
 
     def l2_norm(self, X):
-        return sobolev_norm(X.theta, 0.0)
+        return sobolev_norm(self.grid, X.coeffs[0], 0.0)
 
     def max_velocity(self, X):
-        u1, u2 = riesz_perp(X.theta)
-        v1, v2 = to_grid(u1), to_grid(u2)
+        u1, u2 = riesz_perp(self.grid, X.coeffs[0])
+        v1, v2 = to_grid(self.grid, u1), to_grid(self.grid, u2)
         return float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
 
 
@@ -432,15 +425,16 @@ class LinearOps:
     h_eps_k = h_k
 
     def value(self, X):
-        return X.theta.mean()
+        """The constant the field holds: its k = 0 coefficient."""
+        return float(X.coeffs[(0,) * (1 + self.grid.dim)].real)
 
     def x_inner(self, A, B):
-        return hs_inner(A.theta, B.theta, 0.0)
+        return hs_inner(self.grid, A.coeffs[0], B.coeffs[0], 0.0)
 
     z_inner = x_inner
 
     def x_norm(self, X):
-        return sobolev_norm(X.theta, 0.0)
+        return sobolev_norm(self.grid, X.coeffs[0], 0.0)
 
     z_norm = x_norm
     v_norm = x_norm
@@ -473,20 +467,19 @@ def smooth_initial_state(model, grid, amplitude):
     """Default deterministic smooth initial data per model."""
     a = float(amplitude)
     if model == "sch2":
-        u = sp.from_values(grid, a * np.cos(grid.x))
-        eta = sp.from_values(grid, a * np.sin(grid.x))
-        return ModelState("sch2", (u, eta))
-    if model == "ccf":
-        return ModelState("ccf", (sp.from_values(grid, a * np.cos(grid.x)),))
-    if model == "sqg":
+        vals = [a * np.cos(grid.x), a * np.sin(grid.x)]
+    elif model == "ccf":
+        vals = [a * np.cos(grid.x)]
+    elif model == "sqg":
         x1, x2 = grid.nodes()
-        vals = a * (np.cos(x1) + np.sin(x2) + 0.5 * np.cos(x1 + x2))
-        return ModelState("sqg", (sp.from_values(grid, vals),))
-    if model == "linear":
-        th = zero_field(grid)
-        th.coeffs[(0,) * grid.dim] = a
-        return ModelState("linear", (th,))
-    raise ValueError("unknown model %r" % (model,))
+        vals = [a * (np.cos(x1) + np.sin(x2) + 0.5 * np.cos(x1 + x2))]
+    elif model == "linear":
+        c = zero_field(grid, 1)
+        c[(0,) * (1 + grid.dim)] = a
+        return ModelState("linear", grid, c)
+    else:
+        raise ValueError("unknown model %r" % (model,))
+    return ModelState(model, grid, sp.from_values(grid, vals))
 
 
 def random_initial_state(model, grid, amplitude, seed, kmax=4):
@@ -494,7 +487,7 @@ def random_initial_state(model, grid, amplitude, seed, kmax=4):
     rng = np.random.default_rng(seed)
 
     def scalar(zero_mean):
-        c = np.zeros(grid.shape, dtype=np.complex128)
+        c = zero_field(grid)
         if grid.dim == 1:
             for k in range(1 if zero_mean else 0, kmax + 1):
                 amp = rng.standard_normal() + 1j * rng.standard_normal()
@@ -507,7 +500,7 @@ def random_initial_state(model, grid, amplitude, seed, kmax=4):
                     amp = rng.standard_normal() + 1j * rng.standard_normal()
                     c[k1, k2] = amp / (1.0 + k1 * k1 + k2 * k2)
         # taking the real part of the inverse transform symmetrises c
-        vals = to_grid(SpectralField(grid, c))
+        vals = to_grid(grid, c)
         peak = max(float(np.max(np.abs(vals))), 1e-30)
         return sp.from_values(grid, float(amplitude) * vals / peak)
 
@@ -515,13 +508,12 @@ def random_initial_state(model, grid, amplitude, seed, kmax=4):
         return smooth_initial_state("linear", grid, amplitude)
     if model not in FIELD_NAMES:
         raise ValueError("unknown model %r" % (model,))
-    return ModelState(model, tuple(scalar(model == "sqg")
-                                   for _ in FIELD_NAMES[model]))
+    return ModelState(model, grid, [scalar(model == "sqg")
+                                    for _ in FIELD_NAMES[model]])
 
 
 def zero_initial_state(model, grid):
-    n_fields = len(FIELD_NAMES[model])
-    return ModelState(model, tuple(zero_field(grid) for _ in range(n_fields)))
+    return ModelState(model, grid, zero_field(grid, len(FIELD_NAMES[model])))
 
 
 def make_initial_state(model, grid, ic, amplitude, seed=0):

@@ -82,7 +82,7 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         # ||a trig(k x)||_{H^s} = |a| (1+k^2)^(s/2) / sqrt(2)
         a = targets[k - 1] * math.sqrt(2.0) / (1.0 + k * k) ** (s_max / 2.0)
         wave = np.cos(k * x) if k % 2 == 1 else np.sin(k * x)
-        xis.append(VectorFieldXi([from_values(grid, a * wave)]))
+        xis.append(VectorFieldXi(grid, [from_values(grid, a * wave)]))
     return NoiseBasis(xis, decay_kind, decay_param, s_max, targets)
 
 
@@ -106,17 +106,17 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         phase = m1 * x1 + m2 * x2
         wave = np.cos(phase) if k % 2 == 1 else np.sin(phase)
         psi = from_values(grid, wave)
-        comp1 = -1.0 * derivative(psi, 1)   # xi = (-d2 psi, d1 psi)
-        comp2 = derivative(psi, 0)
-        a = targets[k - 1] / components_norm((comp1, comp2), s_max)
-        xis.append(VectorFieldXi([a * comp1, a * comp2],
+        comp1 = -1.0 * derivative(grid, psi, 1)   # xi = (-d2 psi, d1 psi)
+        comp2 = derivative(grid, psi, 0)
+        a = targets[k - 1] / components_norm(grid, (comp1, comp2), s_max)
+        xis.append(VectorFieldXi(grid, [a * comp1, a * comp2],
                                  require_divergence_free=True))
     return NoiseBasis(xis, decay_kind, decay_param, s_max, targets)
 
 
 def constant_basis_1d(grid, c, s_max=6.0):
     """Single constant field xi = c; the exact-cancellation special case."""
-    xi = VectorFieldXi([from_values(grid, np.full(grid.shape, float(c)))])
+    xi = VectorFieldXi(grid, [from_values(grid, np.full(grid.shape, float(c)))])
     return NoiseBasis([xi], "geometric", 0.5, s_max, [xi.sobolev_norm(s_max)])
 
 

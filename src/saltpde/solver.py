@@ -13,8 +13,8 @@ cross-validation of the stochastic-calculus bookkeeping.
 Stopping is checked every step against the H^s norm threshold (the
 discrete analogue of the first-exit stopping time), against a blow-up
 indicator (growth of the V-functional beyond a configurable multiple of
-its initial value), and against loss of finiteness.  A CFL-style guard
-aborts runs whose advection speed outruns the grid.
+its initial value), against loss of finiteness, and by a CFL-style guard
+against advection speeds that outrun the grid (stop reason "cfl").
 """
 
 import math
@@ -46,10 +46,6 @@ def chi_cutoff(v, R):
     if v < 0.0:
         raise ValueError("cut-off argument must be >= 0")
     return _smooth_step((2.0 * R - v) / R)
-
-
-class CflError(RuntimeError):
-    """dt * max|velocity| exceeded half a grid spacing."""
 
 
 @dataclass
@@ -222,7 +218,9 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
 
     Stops at the first sample where the H^s norm reaches n_stop (discrete
     first-exit time), when the V-functional grows past blowup_factor times
-    its initial value, or when the state stops being finite.
+    its initial value, when the state stops being finite, or before a step
+    whose dt * max|velocity| would exceed half a grid spacing ("cfl": tau
+    is the time of the offending state, and the record ends with its row).
     """
     cfg.validate()
     grid = cfg.grid()
@@ -247,11 +245,11 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     cfl_limit = 0.5 * grid.dx
     t = 0.0
     for nstep in range(0 if reason else n_steps):
-        vel = ops.max_velocity(X)
-        if cfg.dt * vel > cfl_limit:
-            raise CflError(
-                "CFL guard: dt*max|u| = %.3e exceeds 0.5*dx = %.3e at t=%.6g"
-                % (cfg.dt * vel, cfl_limit, t))
+        if cfg.dt * ops.max_velocity(X) > cfl_limit:
+            reason = "cfl"
+            if rec.times[-1] != t:
+                rec.add(t, hs, v)
+            break
         X = step(X, ops, path.increments[nstep], cfg.dt, cfg.cutoff_r, v)
         t = (nstep + 1) * cfg.dt
         if not X.is_finite():
@@ -366,12 +364,11 @@ def write_state_snapshot(state, filename):
     with open(filename, "w") as fh:
         fh.write("# model = %s\n" % state.kind)
         fh.write("field k1 k2 re im\n")
-        for name, F in zip(FIELD_NAMES[state.kind], state.fields):
-            g = F.grid
-            it = np.ndindex(*g.shape)
-            for idx in it:
+        g = state.grid
+        for name, row in zip(FIELD_NAMES[state.kind], state.coeffs):
+            for idx in np.ndindex(*g.shape):
                 k1 = int(g.k_axes[0][idx])
                 k2 = int(g.k_axes[1][idx]) if g.dim == 2 else 0
-                c = F.coeffs[idx]
+                c = row[idx]
                 fh.write("%s %d %d %s %s\n"
                          % (name, k1, k2, repr(float(c.real)), repr(float(c.imag))))

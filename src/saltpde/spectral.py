@@ -1,20 +1,28 @@
-"""FFT-backed fields and Fourier-multiplier operators on the periodic torus.
+"""FFT-backed Fourier-multiplier operators on the periodic torus.
 
 All fields live on a uniform grid over [0, 2*pi)^dim with nodes
-x_j = 2*pi*j/n.  Spectral coefficients are normalised so that the field
+x_j = 2*pi*j/n.  A field is a plain complex ndarray of Fourier
+coefficients in numpy fft layout, normalised so that the field
 c*exp(i*k.x) has coeff(k) = c; with that convention the discrete L2 inner
 product (mean of the pointwise product over the grid) equals the spectral
 inner product sum_k f(k)*conj(g(k)), and the H^s norm is
 
     ||f||_{H^s}^2 = sum_k (1+|k|^2)^s |coeff(k)|^2.
 
-Multiplier operators provided here: the Bessel potential D^s with symbol
-(1+|k|^2)^(s/2), the homogeneous power Lambda^s with symbol |k|^s, the
-periodic Hilbert transform (1D), the perpendicular Riesz transform (2D),
-the bump mollifier J_eps and the Helmholtz mollifier (1-eps^2*Lap)^(-1).
-Pointwise products of fields are always dealiased with the 2/3 rule.
+The trailing grid.dim axes of an array are the grid; any leading axes (the
+rows of a model state, say) pass through every function unchanged, and
+every transform runs over the trailing axes only, so one call covers every
+row.  Norms and inner products reduce over the grid axes: a float for one
+field, an array over the leading axes otherwise.  grid is the first
+argument of every function.
 
-Everything here is a pure function over immutable field values; the grid
+Multiplier operators provided here: the Bessel potential D^s with symbol
+(1+|k|^2)^(s/2), the periodic Hilbert transform (1D), the perpendicular
+Riesz transform (2D), the symbol of the bump mollifier J_eps and the
+Helmholtz mollifier (1-eps^2*Lap)^(-1).  Pointwise products of fields are
+always dealiased with the 2/3 rule.
+
+Everything here is a pure function over arrays it never mutates; the grid
 object carries the precomputed wavenumber meshes and masks.
 """
 
@@ -27,6 +35,7 @@ class Grid:
     """Uniform periodic grid, n points per axis, domain length 2*pi per axis.
 
     n must be an even power of two (dyadic refinement studies rely on it).
+    axes are the trailing array axes the grid occupies.
     """
 
     def __init__(self, n, dim=1):
@@ -36,6 +45,7 @@ class Grid:
         self.n = n
         self.dim = dim
         self.shape = (n,) * dim
+        self.axes = tuple(range(-dim, 0))
         self.n_total = n ** dim
         self.x = TWO_PI * np.arange(n) / n
         self.dx = TWO_PI / n
@@ -88,149 +98,85 @@ class Grid:
         return "Grid(n=%d, dim=%d)" % (self.n, self.dim)
 
 
-def _require_same_grid(a, b):
-    if not a.grid.compatible(b.grid):
-        raise ValueError("grid mismatch: %r vs %r" % (a.grid, b.grid))
+def _scalar(x):
+    # a reduction over the grid axes: a float for one field
+    return float(x) if np.ndim(x) == 0 else x
 
 
-class SpectralField:
-    """Complex Fourier coefficients of a real field, numpy fft layout.
-
-    coeff(k) = c for the field c*exp(i*k.x); Hermitian symmetry
-    coeff(-k) = conj(coeff(k)) holds because the field is real.
-    """
-
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != grid.shape:
-            raise ValueError("coeffs shape %r does not match grid %r"
-                             % (coeffs.shape, grid))
-        self.grid = grid
-        self.coeffs = coeffs
-
-    def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def mean(self):
-        idx = (0,) * self.grid.dim
-        return float(self.coeffs[idx].real)
-
-    # value-like arithmetic; fields are never mutated in place
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a):
-        return SpectralField(self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs)
-
-
-def zero_field(grid):
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+def zero_field(grid, *lead):
+    """Zero coefficients of shape lead + grid.shape."""
+    return np.zeros(lead + grid.shape, dtype=np.complex128)
 
 
 def from_values(grid, values):
     """Forward transform of real grid samples; rejects a wrong shape and
     non-finite input with a diagnostic."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
+    if values.shape[values.ndim - grid.dim:] != grid.shape:
         raise ValueError("values shape %r does not match grid %r"
                          % (values.shape, grid))
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValueError("field has %d non-finite values" % bad)
-    return SpectralField(grid, np.fft.fftn(values) / grid.n_total)
+    return np.fft.fftn(values, s=grid.shape, axes=grid.axes) / grid.n_total
 
 
-def to_grid(F):
-    """Real grid samples of F, as an ndarray of shape grid.shape."""
-    if not np.all(np.isfinite(F.coeffs)):
-        bad = int(np.count_nonzero(~np.isfinite(F.coeffs)))
+def to_grid(grid, c):
+    """Real grid samples of the coefficients c, as a float ndarray."""
+    if not np.all(np.isfinite(c)):
+        bad = int(np.count_nonzero(~np.isfinite(c)))
         raise ValueError("spectrum has %d non-finite coefficients" % bad)
-    return np.real(np.fft.ifftn(F.coeffs * F.grid.n_total))
+    return np.real(np.fft.ifftn(c * grid.n_total, s=grid.shape, axes=grid.axes))
 
 
-def hermitian_defect(F):
-    """Max |coeff(-k) - conj(coeff(k))|; ~1e-16 for transforms of real data."""
-    c = F.coeffs
-    flipped = np.conj(c[tuple(np.s_[::-1] for _ in range(F.grid.dim))])
-    flipped = np.roll(flipped, 1, axis=tuple(range(F.grid.dim)))
-    return float(np.max(np.abs(c - flipped)))
+def has_mean(grid, c):
+    """True if some field's k = 0 coefficient exceeds round-off."""
+    zero = (Ellipsis,) + (0,) * grid.dim
+    return bool(np.any(np.abs(c[zero]) > 1e-12 * (
+        1.0 + np.max(np.abs(c), axis=grid.axes))))
 
 
 # ---------------------------------------------------------------------------
 # multiplier operators
 
-def apply_multiplier(F, mult):
-    return SpectralField(F.grid, F.coeffs * mult)
-
-
-def bessel_multiplier(F, s):
+def bessel_multiplier(grid, c, s):
     """D^s: coeff(k) scaled by (1+|k|^2)^(s/2)."""
-    return apply_multiplier(F, (1.0 + F.grid.ksq) ** (0.5 * s))
+    return c * (1.0 + grid.ksq) ** (0.5 * s)
 
 
-def homogeneous_multiplier(F, s):
-    """Lambda^s: coeff(k) scaled by |k|^s; undefined on the mean for s < 0."""
-    g = F.grid
-    if s == 0:
-        return F.copy()
-    zero = (0,) * g.dim
-    if s < 0 and abs(F.coeffs[zero]) > 1e-12 * (1.0 + np.max(np.abs(F.coeffs))):
-        raise ValueError("Lambda^s with s < 0 needs a zero-mean field")
-    absk = np.sqrt(g.ksq)
-    mult = np.zeros(g.shape)
-    nz = absk > 0
-    mult[nz] = absk[nz] ** s
-    return apply_multiplier(F, mult)
+def derivative(grid, c, axis=0):
+    """Spectral partial derivative along grid axis axis; the Nyquist mode is
+    zeroed."""
+    return c * (1j * grid.k_axes[axis] * grid.not_nyquist)
 
 
-def derivative(F, axis=0):
-    """Spectral partial derivative; the Nyquist mode is zeroed."""
-    g = F.grid
-    return apply_multiplier(F, 1j * g.k_axes[axis] * g.not_nyquist)
+def gradient(grid, c):
+    return tuple(derivative(grid, c, axis) for axis in range(grid.dim))
 
 
-def gradient(F):
-    return tuple(derivative(F, axis) for axis in range(F.grid.dim))
-
-
-def hilbert_transform(F):
+def hilbert_transform(grid, c):
     """Periodic Hilbert transform, multiplier -i*sgn(k).  1D only."""
-    g = F.grid
-    if g.dim != 1:
+    if grid.dim != 1:
         raise ValueError("Hilbert transform is 1D only")
-    return apply_multiplier(F, -1j * np.sign(g.k_axes[0]) * g.not_nyquist)
+    return c * (-1j * np.sign(grid.k_axes[0]) * grid.not_nyquist)
 
 
-def riesz_perp(F):
+def riesz_perp(grid, c):
     """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D.
 
     The sign convention gives real, divergence-free output and maps
     theta = cos(x1) to u = (0, sin(x1)).  Requires a zero-mean input.
     """
-    g = F.grid
-    if g.dim != 2:
+    if grid.dim != 2:
         raise ValueError("Riesz transform is 2D only")
-    if abs(F.coeffs[0, 0]) > 1e-12 * (1.0 + np.max(np.abs(F.coeffs))):
+    if has_mean(grid, c):
         raise ValueError("riesz_perp needs a zero-mean field")
-    return riesz_component(F, 1), -riesz_component(F, 0)
+    return riesz_component(grid, c, 1), -riesz_component(grid, c, 0)
 
 
-def riesz_component(F, axis):
+def riesz_component(grid, c, axis):
     """R_j theta with multiplier i*k_j/|k| (2D, zero mean in = zero mean out)."""
-    g = F.grid
-    return apply_multiplier(F, 1j * g.k_axes[axis] * g.inv_absk * g.not_nyquist)
+    return c * (1j * grid.k_axes[axis] * grid.inv_absk * grid.not_nyquist)
 
 
 def _bump(r):
@@ -244,21 +190,17 @@ def _bump(r):
 
 
 def mollifier_symbol(grid, eps):
+    """Symbol jhat(eps*|k|) of the bump mollifier J_eps.
+
+    jhat equals 1 on |xi| <= 1, so J_eps is the identity on fields
+    bandlimited below 1/eps, and 0 <= jhat <= 1 everywhere.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("mollifier parameter eps must lie in (0,1), got %r" % (eps,))
     return _bump(eps * np.sqrt(grid.ksq))
 
 
-def mollify_j(F, eps):
-    """Bump mollifier J_eps: coeff(k) scaled by jhat(eps*|k|).
-
-    jhat equals 1 on |xi| <= 1, so J_eps is the identity on fields
-    bandlimited below 1/eps, and 0 <= jhat <= 1 everywhere.
-    """
-    return apply_multiplier(F, mollifier_symbol(F.grid, eps))
-
-
-def mollify_helmholtz(F, eps):
+def mollify_helmholtz(grid, c, eps):
     """Helmholtz mollifier (1 - eps^2*Lap)^(-1); self-adjoint in L2.
 
     eps in (0, 1]: the family parameter is (0,1) but the operator itself is
@@ -266,124 +208,107 @@ def mollify_helmholtz(F, eps):
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("helmholtz mollifier needs eps in (0,1], got %r" % (eps,))
-    return apply_multiplier(F, 1.0 / (1.0 + (eps * eps) * F.grid.ksq))
+    return c * (1.0 / (1.0 + (eps * eps) * grid.ksq))
 
 
 # ---------------------------------------------------------------------------
 # dealiased products
 
-def band_values(F):
-    """Grid samples of the 2/3-band projection of F."""
-    g = F.grid
-    return np.real(np.fft.ifftn(F.coeffs * g.dealias_keep * g.n_total))
+def band_values(grid, c):
+    """Grid samples of the 2/3-band projection of c."""
+    return np.real(np.fft.ifftn(c * grid.dealias_keep * grid.n_total,
+                                s=grid.shape, axes=grid.axes))
 
 
-def band_support(F, tol):
-    """In-band Fourier support of F: a tuple of (shift, coeff) pairs.
+def band_support(grid, c, tol):
+    """In-band Fourier support of one field c: a tuple of (shift, coeff).
 
     shift is the index tuple of a 2/3-band mode with |coeff| > tol; the
     pairs are what product_with_values convolves with.
     """
-    c = F.coeffs
-    idx = np.nonzero(F.grid.dealias_keep & (np.abs(c) > tol))
+    idx = np.nonzero(grid.dealias_keep & (np.abs(c) > tol))
     return tuple((tuple(int(i) for i in mode), complex(c[mode]))
                  for mode in zip(*idx))
 
 
-def dealiased_product(F, G):
+def _band_product(grid, values):
+    # coefficients of band-sample products, cut back to the band
+    return (np.fft.fftn(values, s=grid.shape, axes=grid.axes)
+            / grid.n_total) * grid.dealias_keep
+
+
+def dealiased_product(grid, f, g):
     """Pointwise product with the 2/3 rule applied to inputs and output."""
-    _require_same_grid(F, G)
-    g = F.grid
-    prod = band_values(F) * band_values(G)
-    return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
+    return _band_product(grid, band_values(grid, f) * band_values(grid, g))
 
 
-def product_with_values(factor, G):
-    """Dealiased product of a cached factor with G; factor is either form.
+def product_with_values(grid, factor, c):
+    """Dealiased product of a cached factor with c; factor is either form.
 
     Band samples (an ndarray from band_values): multiply on the grid and
     transform back, as dealiased_product does.  A support (the tuple from
     band_support): the exact circular convolution
-    keep * sum_j c_j * roll(keep * G, shift_j), which is what the FFT route
+    keep * sum_j c_j * roll(keep * c, shift_j), which is what the FFT route
     computes, with no transform.  Its cost is one roll per support entry,
-    so it pays for the few-mode noise fields; it reads G's coefficients
-    directly, so G must be Hermitian (the FFT route projects onto real
+    so it pays for the few-mode noise fields; it reads c's coefficients
+    directly, so c must be Hermitian (the FFT route projects onto real
     fields).  Both forms agree to round-off, but not bit for bit.
     """
-    g = G.grid
     if isinstance(factor, np.ndarray):
-        prod = factor * band_values(G)
-        return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
+        return _band_product(grid, factor * band_values(grid, c))
+    out = np.zeros(c.shape, dtype=np.complex128)
     if not factor:
-        return zero_field(g)
-    band = G.coeffs * g.dealias_keep
-    axes = tuple(range(g.dim))
-    out = np.zeros(g.shape, dtype=np.complex128)
-    for shift, c in factor:
-        out += c * np.roll(band, shift, axis=axes)
-    out *= g.dealias_keep
-    return SpectralField(g, out)
+        return out
+    band = c * grid.dealias_keep
+    for shift, a in factor:
+        out += a * np.roll(band, shift, axis=grid.axes)
+    out *= grid.dealias_keep
+    return out
 
 
 # ---------------------------------------------------------------------------
-# norms and inner products
+# norms and inner products, reduced over the grid axes
 
-def sobolev_norm(F, s):
-    """||F||_{H^s} = sqrt(sum_k (1+|k|^2)^s |coeff(k)|^2)."""
-    w = (1.0 + F.grid.ksq) ** s
-    return float(np.sqrt(np.sum(w * np.abs(F.coeffs) ** 2)))
-
-
-def homogeneous_norm(F, s):
-    """||Lambda^s F||_{L2} for mean-zero F (the k = 0 term is dropped)."""
-    g = F.grid
-    absk2 = g.ksq
-    w = np.zeros(g.shape)
-    nz = absk2 > 0
-    w[nz] = absk2[nz] ** s
-    return float(np.sqrt(np.sum(w * np.abs(F.coeffs) ** 2)))
+def _homogeneous_weight(grid, s):
+    # |k|^(2s) off the mean mode, 0 on it
+    w = np.zeros(grid.shape)
+    nz = grid.ksq > 0
+    w[nz] = grid.ksq[nz] ** s
+    return w
 
 
-def hs_inner(F, G, s):
-    _require_same_grid(F, G)
-    w = (1.0 + F.grid.ksq) ** s
-    return float(np.real(np.sum(w * F.coeffs * np.conj(G.coeffs))))
+def sobolev_norm(grid, c, s):
+    """||c||_{H^s} = sqrt(sum_k (1+|k|^2)^s |coeff(k)|^2)."""
+    w = (1.0 + grid.ksq) ** s
+    return _scalar(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=grid.axes)))
 
 
-def homogeneous_inner(F, G, s):
-    _require_same_grid(F, G)
-    g = F.grid
-    w = np.zeros(g.shape)
-    nz = g.ksq > 0
-    w[nz] = g.ksq[nz] ** s
-    return float(np.real(np.sum(w * F.coeffs * np.conj(G.coeffs))))
+def homogeneous_norm(grid, c, s):
+    """||Lambda^s c||_{L2} for mean-zero c (the k = 0 term is dropped)."""
+    w = _homogeneous_weight(grid, s)
+    return _scalar(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=grid.axes)))
 
 
-def l2_inner(F, G):
-    return hs_inner(F, G, 0.0)
+def hs_inner(grid, f, g, s):
+    w = (1.0 + grid.ksq) ** s
+    return _scalar(np.real(np.sum(w * f * np.conj(g), axis=grid.axes)))
 
 
-def l2_norm(F):
-    return sobolev_norm(F, 0.0)
+def homogeneous_inner(grid, f, g, s):
+    w = _homogeneous_weight(grid, s)
+    return _scalar(np.real(np.sum(w * f * np.conj(g), axis=grid.axes)))
 
 
-def grid_inner(f, g):
-    """Discrete L2 inner product of grid samples: mean of the pointwise product."""
-    if f.shape != g.shape:
-        raise ValueError("grid samples of shape %r vs %r" % (f.shape, g.shape))
-    return float(np.mean(f * g))
+def sup_norm(grid, c):
+    return _scalar(np.max(np.abs(to_grid(grid, c)), axis=grid.axes))
 
 
-def sup_norm(F):
-    return float(np.max(np.abs(to_grid(F))))
-
-
-def lipschitz_norm(F):
+def lipschitz_norm(grid, c):
     """Discrete W^{1,inf} surrogate: sup|f| + sup|grad f| on the grid nodes."""
-    vals = to_grid(F)
-    if F.grid.dim == 1:
-        dv = to_grid(derivative(F, 0))
-        return float(np.max(np.abs(vals)) + np.max(np.abs(dv)))
-    d1 = to_grid(derivative(F, 0))
-    d2 = to_grid(derivative(F, 1))
-    return float(np.max(np.abs(vals)) + np.max(np.sqrt(d1 * d1 + d2 * d2)))
+    sup = np.max(np.abs(to_grid(grid, c)), axis=grid.axes)
+    if grid.dim == 1:
+        dv = to_grid(grid, derivative(grid, c, 0))
+        return _scalar(sup + np.max(np.abs(dv), axis=grid.axes))
+    d1 = to_grid(grid, derivative(grid, c, 0))
+    d2 = to_grid(grid, derivative(grid, c, 1))
+    return _scalar(sup + np.max(np.sqrt(d1 * d1 + d2 * d2), axis=grid.axes))

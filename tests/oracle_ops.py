@@ -8,17 +8,130 @@ fft_lie_derivative is L_xi as it was when every product went through the
 FFTs against 2/3-band grid samples of xi's factors (band_values and
 product_with_values below are that route's helpers, verbatim).  Do not
 edit: this file is the oracle, not a second implementation to maintain.
+
+The bodies work on SpectralField values, the field wrapper the package had
+before its fields became plain coefficient arrays; that class and the
+spectral helpers the bodies call are kept below verbatim as well.  Only
+the boundary adapts: package states and arrays go in (operator(),
+fft_lie()), package states and coefficient arrays come out, and the
+package's lie_derivative is called through a wrapper.
 """
+
+import types
 
 import numpy as np
 
-from saltpde import spectral as sp
-from saltpde.lie import lie_derivative, lie_second
-from saltpde.models import ModelState
+from saltpde import lie as _lie
+from saltpde import models as _models
 from saltpde.solver import chi_cutoff
-from saltpde.spectral import (SpectralField, dealiased_product, derivative,
-                              hilbert_transform, mollifier_symbol, riesz_perp,
-                              zero_field)
+
+
+# ---------------------------------------------------------------------------
+# the parent's spectral layer, verbatim
+
+def _require_same_grid(a, b):
+    if not a.grid.compatible(b.grid):
+        raise ValueError("grid mismatch: %r vs %r" % (a.grid, b.grid))
+
+
+class SpectralField:
+    """Complex Fourier coefficients of a real field, numpy fft layout.
+
+    coeff(k) = c for the field c*exp(i*k.x); Hermitian symmetry
+    coeff(-k) = conj(coeff(k)) holds because the field is real.
+    """
+
+    __slots__ = ("grid", "coeffs")
+
+    def __init__(self, grid, coeffs):
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != grid.shape:
+            raise ValueError("coeffs shape %r does not match grid %r"
+                             % (coeffs.shape, grid))
+        self.grid = grid
+        self.coeffs = coeffs
+
+    def copy(self):
+        return SpectralField(self.grid, self.coeffs.copy())
+
+    def mean(self):
+        idx = (0,) * self.grid.dim
+        return float(self.coeffs[idx].real)
+
+    # value-like arithmetic; fields are never mutated in place
+    def __add__(self, other):
+        _require_same_grid(self, other)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        _require_same_grid(self, other)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, a):
+        return SpectralField(self.grid, self.coeffs * a)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return SpectralField(self.grid, -self.coeffs)
+
+
+def zero_field(grid):
+    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+
+
+def apply_multiplier(F, mult):
+    return SpectralField(F.grid, F.coeffs * mult)
+
+
+def derivative(F, axis=0):
+    """Spectral partial derivative; the Nyquist mode is zeroed."""
+    g = F.grid
+    return apply_multiplier(F, 1j * g.k_axes[axis] * g.not_nyquist)
+
+
+def hilbert_transform(F):
+    """Periodic Hilbert transform, multiplier -i*sgn(k).  1D only."""
+    g = F.grid
+    if g.dim != 1:
+        raise ValueError("Hilbert transform is 1D only")
+    return apply_multiplier(F, -1j * np.sign(g.k_axes[0]) * g.not_nyquist)
+
+
+def riesz_perp(F):
+    """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D.
+
+    The sign convention gives real, divergence-free output and maps
+    theta = cos(x1) to u = (0, sin(x1)).  Requires a zero-mean input.
+    """
+    g = F.grid
+    if g.dim != 2:
+        raise ValueError("Riesz transform is 2D only")
+    if abs(F.coeffs[0, 0]) > 1e-12 * (1.0 + np.max(np.abs(F.coeffs))):
+        raise ValueError("riesz_perp needs a zero-mean field")
+    return riesz_component(F, 1), -riesz_component(F, 0)
+
+
+def riesz_component(F, axis):
+    """R_j theta with multiplier i*k_j/|k| (2D, zero mean in = zero mean out)."""
+    g = F.grid
+    return apply_multiplier(F, 1j * g.k_axes[axis] * g.inv_absk * g.not_nyquist)
+
+
+def _bump(r):
+    # smooth compactly supported profile: 1 on [0,1], 0 outside [0,2)
+    out = np.ones_like(r)
+    mid = (r > 1.0) & (r < 2.0)
+    rm = r[mid] - 1.0
+    out[mid] = np.exp(1.0 - 1.0 / (1.0 - rm * rm))
+    out[r >= 2.0] = 0.0
+    return out
+
+
+def mollifier_symbol(grid, eps):
+    if not 0.0 < eps < 1.0:
+        raise ValueError("mollifier parameter eps must lie in (0,1), got %r" % (eps,))
+    return _bump(eps * np.sqrt(grid.ksq))
 
 
 def band_values(F):
@@ -27,12 +140,81 @@ def band_values(F):
     return np.real(np.fft.ifftn(F.coeffs * g.dealias_keep * g.n_total))
 
 
+def dealiased_product(F, G):
+    """Pointwise product with the 2/3 rule applied to inputs and output."""
+    _require_same_grid(F, G)
+    g = F.grid
+    prod = band_values(F) * band_values(G)
+    return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
+
+
 def product_with_values(values_banded, G):
     """Product against precomputed band-limited grid samples (cached factor)."""
     g = G.grid
     prod = values_banded * band_values(G)
     return SpectralField(g, (np.fft.fftn(prod) / g.n_total) * g.dealias_keep)
 
+
+# ---------------------------------------------------------------------------
+# boundary adapters
+
+class _StateView:
+    """A package state seen through the parent's SpectralField row views."""
+
+    def __init__(self, X):
+        self.kind, self.grid, self.coeffs = X.kind, X.grid, X.coeffs
+
+    @property
+    def fields(self):
+        return tuple(SpectralField(self.grid, c) for c in self.coeffs)
+
+    @property
+    def u(self):
+        return SpectralField(self.grid, self.coeffs[0])
+
+    theta = u
+
+    @property
+    def eta(self):
+        return SpectralField(self.grid, self.coeffs[1])
+
+
+def ModelState(kind, fields):
+    """The parent's ModelState(kind, fields), building a package state."""
+    return _models.ModelState(kind, fields[0].grid,
+                              np.stack([f.coeffs for f in fields]))
+
+
+def lie_derivative(xi, F):
+    return SpectralField(F.grid, _lie.lie_derivative(xi, F.coeffs))
+
+
+def lie_second(xi, F):
+    return SpectralField(F.grid, _lie.lie_second(xi, F.coeffs))
+
+
+# the bodies call the multiplier as sp.apply_multiplier
+sp = types.SimpleNamespace(apply_multiplier=apply_multiplier)
+
+
+def operator(oracle, name, X, *args):
+    """oracle.name(X, *args) for a package state X, as a package state."""
+    return getattr(oracle, name)(_StateView(X), *args)
+
+
+class _XiView:
+    def __init__(self, xi):
+        self.components = [SpectralField(xi.grid, c) for c in xi.components]
+        self.divergence = SpectralField(xi.grid, xi.divergence)
+
+
+def fft_lie(xi, f):
+    """Coefficients of fft_lie_derivative for a package xi and array f."""
+    return fft_lie_derivative(_XiView(xi), SpectralField(xi.grid, f)).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the frozen operators
 
 def fft_lie_derivative(xi, F):
     """L_xi F = xi.grad(F) + div(xi)*F with dealiased products."""

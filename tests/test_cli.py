@@ -6,6 +6,7 @@ import pytest
 from saltpde.cli import (ConfigError, cmd_converge, cmd_simulate,
                          cmd_stability, cmd_verify, main, manifest_lines,
                          parse_config, write_manifest)
+from saltpde.solver import read_trajectory
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -185,6 +186,32 @@ ic_amplitude = 0.1
         t1 = (tmp_path / "w1" / ("traj_%d.txt" % seed)).read_bytes()
         t8 = (tmp_path / "w8" / ("traj_%d.txt" % seed)).read_bytes()
         assert t1 == t8
+
+
+def test_simulate_cfl_member_keeps_the_ensemble(tmp_path):
+    # at dt = 0.04 the noise drives member 1 past the CFL guard at t = 0.32;
+    # it stops there with reason "cfl" and the other members run to the end
+    cfg = write_config(tmp_path, """
+model = ccf
+n = 64
+dt = 0.04
+t_end = 0.4
+seed = 1
+noise_k = 4
+ic_amplitude = 1.1
+ensemble = 3
+out = %s
+""" % (tmp_path / "out"))
+    assert main(["simulate", cfg]) == 0
+    out = tmp_path / "out"
+    reasons = {}
+    for seed in (1, 2, 3):
+        rec = read_trajectory(str(out / ("traj_%d.txt" % seed)))
+        reasons[seed] = (rec.stop_reason, rec.tau)
+    assert reasons == {1: ("cfl", 0.32), 2: ("end", 0.4), 3: ("end", 0.4)}
+    stats = (out / "stats.txt").read_text()
+    assert "# n_stopped = 1" in stats
+    assert stats.splitlines()[1].split()[4:] == ["1", "0.32"]
 
 
 def test_simulate_save_states(tmp_path):

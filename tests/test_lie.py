@@ -4,9 +4,9 @@ import pytest
 from saltpde.lie import VectorFieldXi, ds_commutator, ito_correction, lie_derivative, lie_second
 from saltpde.noise import (_SQG_WAVES, NoiseBasis, build_basis_1d,
                            build_basis_sqg, constant_basis_1d)
-from saltpde.spectral import (Grid, bessel_multiplier,
-                              dealiased_product, derivative, from_values,
-                              l2_inner, sobolev_norm, sup_norm, to_grid)
+from saltpde.spectral import (Grid, dealiased_product, derivative, from_values,
+                              sobolev_norm, sup_norm, to_grid)
+from spectral_helpers import l2_inner
 
 
 def band_field(grid, rng, kmax):
@@ -18,19 +18,19 @@ def band_field(grid, rng, kmax):
 
 def test_constant_xi_is_advection():
     g = Grid(64)
-    xi = VectorFieldXi([from_values(g, np.full(64, 1.7))])
+    xi = VectorFieldXi(g, [from_values(g, np.full(64, 1.7))])
     rng = np.random.default_rng(0)
     f = band_field(g, rng, 10)
     out = lie_derivative(xi, f)
-    target = 1.7 * derivative(f)
-    assert np.max(np.abs(out.coeffs - target.coeffs)) < 1e-13 * sup_norm(f)
+    target = 1.7 * derivative(g, f)
+    assert np.max(np.abs(out - target)) < 1e-13 * sup_norm(g, f)
 
 
 def test_sin_cos_example():
     g = Grid(64)
-    xi = VectorFieldXi([from_values(g, np.sin(g.x))])
+    xi = VectorFieldXi(g, [from_values(g, np.sin(g.x))])
     f = from_values(g, np.cos(g.x))
-    out = to_grid(lie_derivative(xi, f))
+    out = to_grid(g, lie_derivative(xi, f))
     assert np.max(np.abs(out - np.cos(2 * g.x))) < 1e-13
 
 
@@ -41,14 +41,14 @@ def test_divergence_form_identity_1d():
     for _ in range(5):
         xi_f = band_field(g, rng, 8)
         f = band_field(g, rng, 20)
-        xi = VectorFieldXi([xi_f])
+        xi = VectorFieldXi(g, [xi_f])
         lhs = lie_derivative(xi, f)
-        rhs = derivative(dealiased_product(xi_f, f))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-11
+        rhs = derivative(g, dealiased_product(g, xi_f, f))
+        assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
 def test_grid_mismatch():
-    xi = VectorFieldXi([from_values(Grid(64), np.zeros(64))])
+    xi = VectorFieldXi(Grid(64), [from_values(Grid(64), np.zeros(64))])
     f = from_values(Grid(128), np.zeros(128))
     with pytest.raises(ValueError, match="grid"):
         lie_derivative(xi, f)
@@ -57,29 +57,30 @@ def test_grid_mismatch():
 def test_lie_second_constant_and_hand_example():
     g = Grid(64)
     c = 0.8
-    xi = VectorFieldXi([from_values(g, np.full(64, c))])
+    xi = VectorFieldXi(g, [from_values(g, np.full(64, c))])
     f = from_values(g, np.cos(3 * g.x))
     out = lie_second(xi, f)
-    target = (c * c) * derivative(derivative(f))
-    assert np.max(np.abs(out.coeffs - target.coeffs)) < 1e-12
+    target = (c * c) * derivative(g, derivative(g, f))
+    assert np.max(np.abs(out - target)) < 1e-12
 
-    xi_sin = VectorFieldXi([from_values(g, np.sin(g.x))])
+    xi_sin = VectorFieldXi(g, [from_values(g, np.sin(g.x))])
     one = from_values(g, np.ones(64))
-    out2 = to_grid(lie_second(xi_sin, one))
+    out2 = to_grid(g, lie_second(xi_sin, one))
     assert np.max(np.abs(out2 - np.cos(2 * g.x))) < 1e-13
 
 
 def closed_form_second(xi_vals, f, grid):
     # xi^2 f_xx + 3 xi xi_x f_x + (xi xi_xx + xi_x^2) f
-    xi = from_values(grid, xi_vals)
-    xix = derivative(xi)
-    xixx = derivative(xix)
-    fx = derivative(f)
-    fxx = derivative(fx)
-    t1 = dealiased_product(dealiased_product(xi, xi), fxx)
-    t2 = 3.0 * dealiased_product(dealiased_product(xi, xix), fx)
-    t3 = dealiased_product(dealiased_product(xi, xixx)
-                           + dealiased_product(xix, xix), f)
+    g = grid
+    xi = from_values(g, xi_vals)
+    xix = derivative(g, xi)
+    xixx = derivative(g, xix)
+    fx = derivative(g, f)
+    fxx = derivative(g, fx)
+    t1 = dealiased_product(g, dealiased_product(g, xi, xi), fxx)
+    t2 = 3.0 * dealiased_product(g, dealiased_product(g, xi, xix), fx)
+    t3 = dealiased_product(g, dealiased_product(g, xi, xixx)
+                           + dealiased_product(g, xix, xix), f)
     return t1 + t2 + t3
 
 
@@ -87,11 +88,11 @@ def test_lie_second_matches_closed_form():
     g = Grid(256)
     rng = np.random.default_rng(2)
     for _ in range(4):
-        xi_vals = to_grid(band_field(g, rng, 6))
+        xi_vals = to_grid(g, band_field(g, rng, 6))
         f = band_field(g, rng, 20)
-        composed = lie_second(VectorFieldXi([from_values(g, xi_vals)]), f)
+        composed = lie_second(VectorFieldXi(g, [from_values(g, xi_vals)]), f)
         closed = closed_form_second(xi_vals, f, g)
-        assert np.max(np.abs(composed.coeffs - closed.coeffs)) < 1e-10
+        assert np.max(np.abs(composed - closed)) < 1e-10
 
 
 def test_ito_correction():
@@ -100,12 +101,12 @@ def test_ito_correction():
     basis = constant_basis_1d(g, c)
     f = from_values(g, np.cos(2 * g.x))
     out = ito_correction(basis, f)
-    target = (0.5 * c * c) * derivative(derivative(f))
-    assert np.max(np.abs(out.coeffs - target.coeffs)) < 1e-12
+    target = (0.5 * c * c) * derivative(g, derivative(g, f))
+    assert np.max(np.abs(out - target)) < 1e-12
 
     empty = build_basis_1d(g, 0, 6.0)
     out0 = ito_correction(empty, f)
-    assert np.max(np.abs(out0.coeffs)) == 0.0
+    assert np.max(np.abs(out0)) == 0.0
 
     # K-term accumulation against a naive per-term oracle
     basis_k = build_basis_1d(g, 5, 6.0)
@@ -114,7 +115,7 @@ def test_ito_correction():
     acc = 0.5 * sum((lie_second(xi, h) for xi in basis_k.xis),
                     start=from_values(g, np.zeros(64)))
     out_k = ito_correction(basis_k, h)
-    assert np.max(np.abs(out_k.coeffs - acc.coeffs)) < 1e-12
+    assert np.max(np.abs(out_k - acc)) < 1e-12
 
 
 def test_ds_commutator_trivial_cases():
@@ -122,12 +123,12 @@ def test_ds_commutator_trivial_cases():
     rng = np.random.default_rng(4)
     f_const = from_values(g, np.full(64, 0.9))
     h = band_field(g, rng, 15)
-    out = ds_commutator(2.3, f_const, h)
-    assert np.max(np.abs(out.coeffs)) < 1e-13 * sup_norm(h)
+    out = ds_commutator(g, 2.3, f_const, h)
+    assert np.max(np.abs(out)) < 1e-13 * sup_norm(g, h)
 
     f = band_field(g, rng, 10)
-    out0 = ds_commutator(0.0, f, h)
-    assert np.max(np.abs(out0.coeffs)) == 0.0
+    out0 = ds_commutator(g, 0.0, f, h)
+    assert np.max(np.abs(out0)) == 0.0
 
 
 def test_ds_commutator_kato_ponce_ratio_bounded():
@@ -138,9 +139,9 @@ def test_ds_commutator_kato_ponce_ratio_bounded():
         rng = np.random.default_rng(5)
         f = band_field(g, rng, n // 4)
         h = band_field(g, rng, n // 4)
-        lhs = sobolev_norm(ds_commutator(s, f, h), 0.0)
-        rhs = (sup_norm(derivative(f)) * sobolev_norm(h, s - 1.0)
-               + sobolev_norm(f, s) * sup_norm(h))
+        lhs = sobolev_norm(g, ds_commutator(g, s, f, h), 0.0)
+        rhs = (sup_norm(g, derivative(g, f)) * sobolev_norm(g, h, s - 1.0)
+               + sobolev_norm(g, f, s) * sup_norm(g, h))
         ratios.append(lhs / rhs)
     print("kato-ponce ratios over N:", ratios)
     slope = np.polyfit(np.log2([64, 128, 256, 512, 1024]), np.log2(ratios), 1)[0]
@@ -151,12 +152,12 @@ def test_mean_conservation_1d():
     g = Grid(128)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        xi_vals = to_grid(band_field(g, rng, 8))
-        xi = VectorFieldXi([from_values(g, xi_vals / np.max(np.abs(xi_vals)))])
+        xi_vals = to_grid(g, band_field(g, rng, 8))
+        xi = VectorFieldXi(g, [from_values(g, xi_vals / np.max(np.abs(xi_vals)))])
         f = band_field(g, rng, 30)
-        f = (1.0 / sup_norm(f)) * f
-        assert abs(lie_derivative(xi, f).mean()) < 1e-13
-        assert abs(lie_second(xi, f).mean()) < 1e-13
+        f = (1.0 / sup_norm(g, f)) * f
+        assert abs(lie_derivative(xi, f)[0].real) < 1e-13
+        assert abs(lie_second(xi, f)[0].real) < 1e-13
 
 
 def test_skew_symmetry_up_to_zeroth_order():
@@ -165,10 +166,10 @@ def test_skew_symmetry_up_to_zeroth_order():
     rng = np.random.default_rng(7)
     for _ in range(5):
         xi_field = band_field(g, rng, 8)
-        xi = VectorFieldXi([xi_field.copy()])
+        xi = VectorFieldXi(g, [xi_field.copy()])
         f = band_field(g, rng, 30)
-        lhs = l2_inner(lie_derivative(xi, f), f)
-        rhs = 0.5 * l2_inner(dealiased_product(derivative(xi_field), f), f)
+        lhs = l2_inner(g, lie_derivative(xi, f), f)
+        rhs = 0.5 * l2_inner(g, dealiased_product(g, derivative(g, xi_field), f), f)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -187,14 +188,14 @@ def test_cancellation_headline_bounded():
         c[k] = (rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)) \
             * k.astype(float) ** (-(s + 0.6))
         f = from_values(g, np.real(np.fft.ifftn(c * n)))
-        f = (1.0 / sobolev_norm(f, s)) * f
+        f = (1.0 / sobolev_norm(g, f, s)) * f
         acc = from_values(g, np.zeros(n))
         term2 = 0.0
         for xi in basis.xis:
             lf = lie_derivative(xi, f)
             acc = acc + lie_derivative(xi, lf)
-            term2 += sobolev_norm(lf, s) ** 2
-        first = sum((1.0 + g.ksq) ** s * (acc.coeffs * np.conj(f.coeffs))).real
+            term2 += sobolev_norm(g, lf, s) ** 2
+        first = sum((1.0 + g.ksq) ** s * (acc * np.conj(f))).real
         qs.append(abs(first + term2))
         firsts.append(abs(first))
     print("cancelled:", qs)
@@ -218,12 +219,12 @@ def test_lie_derivative_1d_is_the_fft_route():
         for xi in xis:
             for f in fields:
                 got = lie_derivative(xi, f)
-                want = oracle_ops.fft_lie_derivative(xi, f)
-                assert np.array_equal(got.coeffs, want.coeffs)
+                want = oracle_ops.fft_lie(xi, f)
+                assert np.array_equal(got, want)
 
 
 def max_relative_difference(got, want):
-    return np.max(np.abs(got.coeffs - want.coeffs)) / np.max(np.abs(want.coeffs))
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 # the support convolution is the FFT product summed in another order; the
@@ -244,10 +245,10 @@ def test_lie_derivative_2d_matches_fft_route(n):
         for f in fields:
             got = lie_derivative(xi, f)
             assert max_relative_difference(
-                got, oracle_ops.fft_lie_derivative(xi, f)) <= TOL_2D
+                got, oracle_ops.fft_lie(xi, f)) <= TOL_2D
             got2 = lie_derivative(xi, got)
             assert max_relative_difference(
-                got2, oracle_ops.fft_lie_derivative(xi, got)) <= TOL_2D
+                got2, oracle_ops.fft_lie(xi, got)) <= TOL_2D
 
 
 def test_lie_derivative_2d_dense_xi_matches_fft_route():
@@ -256,8 +257,8 @@ def test_lie_derivative_2d_dense_xi_matches_fft_route():
     import oracle_ops
     g = Grid(32, dim=2)
     rng = np.random.default_rng(11)
-    xi = VectorFieldXi([from_values(g, rng.standard_normal(g.shape))
-                        for _ in range(2)])
+    xi = VectorFieldXi(g, [from_values(g, rng.standard_normal(g.shape))
+                           for _ in range(2)])
     in_band = int(np.count_nonzero(g.dealias_keep))
     assert [len(f) for f in xi._comp_factor] == [in_band, in_band]
     assert len(xi._div_factor) >= in_band - 1      # all but the mean
@@ -265,7 +266,7 @@ def test_lie_derivative_2d_dense_xi_matches_fft_route():
     for _ in range(3):
         f = from_values(g, rng.standard_normal(g.shape))
         assert max_relative_difference(
-            lie_derivative(xi, f), oracle_ops.fft_lie_derivative(xi, f)) <= TOL_2D
+            lie_derivative(xi, f), oracle_ops.fft_lie(xi, f)) <= TOL_2D
 
 
 def test_sqg_xi_caches_one_mode_per_component():

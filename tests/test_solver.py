@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from saltpde.models import ModelState, make_initial_state
 from saltpde.noise import sample_path
-from saltpde.solver import (CflError, SimConfig, chi_cutoff, read_trajectory,
+from saltpde.solver import (SimConfig, chi_cutoff, read_trajectory,
                             run_path, stability_experiment, step_ito_em,
                             step_strat_heun, write_trajectory)
 from saltpde.spectral import from_values, sup_norm, zero_field
@@ -53,8 +53,8 @@ def test_cutoff_kills_step_entirely():
     assert ops.v_norm(X) > 2 * cfg.cutoff_r
     path = sample_path(1, cfg.dt, 4, 2)
     X1 = step_ito_em(X, ops, path.increments[0], cfg.dt, cfg.cutoff_r)
-    assert X1 is X or (np.array_equal(X1.u.coeffs, X.u.coeffs)
-                       and np.array_equal(X1.eta.coeffs, X.eta.coeffs))
+    assert X1 is X or (np.array_equal(X1.coeffs[0], X.coeffs[0])
+                       and np.array_equal(X1.coeffs[1], X.coeffs[1]))
 
 
 def test_em_step_recomposition_oracle():
@@ -68,8 +68,8 @@ def test_em_step_recomposition_oracle():
     manual = X + (chi * chi * cfg.dt) * (ops.b(X) + ops.g_eps(X))
     for k in range(2):
         manual = manual + (chi * dw[k]) * ops.h_eps_k(X, k)
-    assert np.max(np.abs(out.u.coeffs - manual.u.coeffs)) < 1e-13
-    assert np.max(np.abs(out.eta.coeffs - manual.eta.coeffs)) < 1e-13
+    assert np.max(np.abs(out.coeffs[0] - manual.coeffs[0])) < 1e-13
+    assert np.max(np.abs(out.coeffs[1] - manual.coeffs[1])) < 1e-13
 
 
 def test_heun_reduces_to_rk2_without_noise():
@@ -85,7 +85,7 @@ def test_heun_reduces_to_rk2_without_noise():
 
     pred = X + cfg.dt * F(X)
     rk2 = X + (0.5 * cfg.dt) * (F(X) + F(pred))
-    assert np.max(np.abs(out.u.coeffs - rk2.u.coeffs)) < 1e-13
+    assert np.max(np.abs(out.coeffs[0] - rk2.coeffs[0])) < 1e-13
 
 
 def test_run_path_t_end_zero():
@@ -120,10 +120,26 @@ def test_stopping_time_monotone_in_threshold():
 
 
 def test_cfl_guard():
+    # dt * max|H theta| = 0.15 > dx/2 = 0.049 on the initial state: the run
+    # stops there, with one row at tau = 0, instead of raising
     cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, dt=0.05, t_end=0.1,
                  ic_amplitude=3.0, noise_k=0)
-    with pytest.raises(CflError):
-        run_path(cfg)
+    rec = run_path(cfg)
+    assert rec.stopped
+    assert rec.stop_reason == "cfl"
+    assert rec.tau == 0.0
+    assert rec.times == [0.0]
+    # noise drives the EM state past the guard after some steps: tau is the
+    # time of the offending state, whose row ends the record exactly once,
+    # whether or not record_every = 3 had already recorded it
+    for amp, steps in ((1.1, 8), (1.2, 3)):
+        late = run_path(em_cfg(model="ccf", s=4.0, noise_s_max=6.0, dt=0.04,
+                               t_end=2.0, ic_amplitude=amp, noise_k=4,
+                               record_every=3, blowup_factor=1e9))
+        assert late.stop_reason == "cfl"
+        assert late.tau == steps * 0.04
+        assert late.times[-1] == late.tau
+        assert late.times.count(late.tau) == 1
 
 
 def test_blowup_indicator_on_steepening_gradients():
@@ -156,19 +172,19 @@ def test_cutoff_idempotence_same_trajectory():
     a = run_path(cfg)
     b = run_path(replace(cfg, cutoff_r=100.0))
     assert a.hs_norms == b.hs_norms
-    assert np.array_equal(a.final_state.u.coeffs, b.final_state.u.coeffs)
+    assert np.array_equal(a.final_state.coeffs[0], b.final_state.coeffs[0])
 
 
 def test_mean_conserved_in_noisy_runs():
     cfg = em_cfg(t_end=0.1, noise_k=3)
     rec = run_path(cfg)
-    assert abs(rec.final_state.eta.mean()) < 1e-12
+    assert abs(rec.final_state.coeffs[1, 0].real) < 1e-12
 
     cfg2 = SimConfig(model="sqg", n=32, dt=1e-3, t_end=0.05, s=4.5,
                      noise_k=3, noise_s_max=6.5, ic_amplitude=0.3, seed=2,
                      record_every=10)
     rec2 = run_path(cfg2)
-    assert abs(rec2.final_state.theta.mean()) < 1e-12
+    assert abs(rec2.final_state.coeffs[0, 0, 0].real) < 1e-12
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -203,7 +219,7 @@ def test_stability_linear_response():
 
     def perturbed(delta):
         bump = from_values(grid, delta * np.cos(grid.x))
-        return ModelState("ccf", (X0.theta + bump,))
+        return ModelState("ccf", grid, (X0.coeffs[0] + bump,))
 
     r1 = stability_experiment(cfg, X0, perturbed(1e-6))
     r2 = stability_experiment(cfg, X0, perturbed(1e-7))
@@ -217,7 +233,7 @@ def test_stability_ratio_stable_under_dt_halving():
     grid = base.grid()
     X0 = base.initial_state(grid)
     bump = from_values(grid, 1e-6 * np.cos(grid.x))
-    Y0 = ModelState("ccf", (X0.theta + bump,))
+    Y0 = ModelState("ccf", grid, (X0.coeffs[0] + bump,))
     ratios = []
     for dt in (1e-3, 5e-4, 2.5e-4):
         rep = stability_experiment(replace(base, dt=dt), X0, Y0)
