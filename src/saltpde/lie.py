@@ -20,6 +20,15 @@ factors stay cached as band samples and the product goes through the FFTs,
 because the Lie cancellation check conditions Q = term1 + term2 only to
 about 1e-9 at N = 1024, and any reordering of the 1D arithmetic, even the
 dense convolution, moves its ratio by more than that.
+
+The K fields of a 1D noise basis also come as one stacked field
+(VectorFieldXi.stack), whose cached band samples have shape (K, n).
+lie_derivative applies field k of a stack to index k of its input's first
+axis, which has length K or 1, so one call forms every L_k c, and the Ito
+sum (1/2) sum_k L_k^2 c and the h^k share their transforms.  numpy's
+batched transforms give each row bit for bit what a one-row call gives, so
+the stacked route changes no result.  On a 2D grid the per-field loop
+stays: support products make no transforms to share.
 """
 
 from functools import partial
@@ -69,6 +78,26 @@ class VectorFieldXi:
             factor = partial(band_support, grid, tol=SUPPORT_RTOL * scale)
         self._comp_factor = tuple(factor(c) for c in comps)
         self._div_factor = factor(self.divergence)
+        self.K = None       # a single field, not a stack
+
+    @classmethod
+    def stack(cls, xis):
+        """The 1D fields xis as one stacked field of K = len(xis) fields,
+        for lie_derivative only.
+
+        Each cached factor gains a leading axis of length K whose row k is
+        xis[k]'s own band samples, so a stacked product reads the same
+        samples as the single-field one.
+        """
+        grid = xis[0].grid
+        if grid.dim != 1:
+            raise ValueError("only 1D fields stack, got %r" % (grid,))
+        out = cls.__new__(cls)
+        out.grid = grid
+        out._comp_factor = (np.stack([xi._comp_factor[0] for xi in xis]),)
+        out._div_factor = np.stack([xi._div_factor for xi in xis])
+        out.K = len(xis)
+        return out
 
     def sobolev_norm(self, s):
         return components_norm(self.grid, self.components, s)
@@ -76,16 +105,31 @@ class VectorFieldXi:
 
 def lie_derivative(xi, c):
     """L_xi c = xi.grad(c) + div(xi)*c with dealiased products; c may carry
-    leading axes (one call for every row)."""
+    leading axes (one call for every row).
+
+    For a stack of K fields, field k acts on index k of c's first axis,
+    which has length K or 1 (then every field acts on the same input); the
+    result has K rows on that axis.
+    """
     grid = xi.grid
     if c.shape[c.ndim - grid.dim:] != grid.shape:
         raise ValueError("grid mismatch between xi (%r) and field of shape %r"
                          % (grid, c.shape))
-    out = product_with_values(grid, xi._comp_factor[0], derivative(grid, c, 0))
+    comp, div = xi._comp_factor, xi._div_factor
+    if xi.K is not None:
+        if c.ndim == grid.dim or c.shape[0] not in (1, xi.K):
+            raise ValueError("a stack of %d fields needs a first axis of length "
+                             "%d or 1, got shape %r" % (xi.K, xi.K, c.shape))
+        # unit axes between the stack and the grid: broadcasting alone would
+        # pair the fields with c's last leading axis (sch2's u and eta)
+        lead = (xi.K,) + (1,) * (c.ndim - 1 - grid.dim) + grid.shape
+        comp = tuple(f.reshape(lead) for f in comp)
+        div = div.reshape(lead)
+    out = product_with_values(grid, comp[0], derivative(grid, c, 0))
     for axis in range(1, grid.dim):
-        out = out + product_with_values(grid, xi._comp_factor[axis],
+        out = out + product_with_values(grid, comp[axis],
                                         derivative(grid, c, axis))
-    return out + product_with_values(grid, xi._div_factor, c)
+    return out + product_with_values(grid, div, c)
 
 
 def lie_second(xi, c):
@@ -94,10 +138,18 @@ def lie_second(xi, c):
 
 
 def ito_correction(basis, c):
-    """(1/2) * sum_{k <= K} L_{xi_k}^2 c over a truncated noise basis."""
+    """(1/2) * sum_{k <= K} L_{xi_k}^2 c over a truncated noise basis.
+
+    A 1D basis forms every L_k^2 c in one stacked call; the terms are summed
+    from zero in k order on both routes.
+    """
+    if basis.stack is None:
+        terms = (lie_second(xi, c) for xi in basis.xis)
+    else:
+        terms = lie_second(basis.stack, c[None])
     out = np.zeros(c.shape, dtype=np.complex128)
-    for xi in basis.xis:
-        out = out + lie_second(xi, c)
+    for term in terms:
+        out = out + term
     return 0.5 * out
 
 

@@ -160,11 +160,31 @@ class _FluidOps:
         return self._state(sums, None if jhat is None else jhat ** 3)
 
     def _h_op(self, X, k, jhat=None):
+        """h^k for one index k; for a sequence of indices, an iterator over
+        the h^k in that order.  On a 1D grid they all come from one stacked
+        Lie call; on a 2D grid each is formed when it is reached, so that a
+        stepper holds no more of them at once than it uses (a step whose
+        heap peak rises and falls by a few 64^2 states gets its pages
+        trimmed and faulted in again)."""
         c = self._rows(X, jhat)
-        if not 0 <= k < self.basis.K:
-            raise ValueError("noise index %d out of range (K=%d)" % (k, self.basis.K))
-        return self._state(self._noise(partial(lie_derivative, self.basis.xis[k]),
-                                       c), jhat, -1.0)
+        ks = [k] if np.ndim(k) == 0 else list(k)
+        for j in ks:
+            if not 0 <= j < self.basis.K:
+                raise ValueError("noise index %d out of range (K=%d)"
+                                 % (j, self.basis.K))
+        if np.ndim(k) == 0:
+            return self._state(self._h(self.basis.xis[k], c, jhat))
+        if self.basis.stack is None or not ks:
+            return (self._state(self._h(self.basis.xis[j], c, jhat)) for j in ks)
+        return (self._state(h)
+                for h in self._h(self.basis.stacked(ks), c[None], jhat))
+
+    def _h(self, xi, c, jhat):
+        # -J C^-1 L_xi(C c) as an array
+        h = self._noise(partial(lie_derivative, xi), c)
+        if jhat is not None:
+            h = h * jhat
+        return h * -1.0
 
 
 class Sch2Ops(_FluidOps):
@@ -305,7 +325,8 @@ class CcfOps(_FluidOps):
         # blow-up functional sup|theta_x| + sup|H theta_x|
         g = self.grid
         tx = derivative(g, X.coeffs[0])
-        return sup_norm(g, tx) + sup_norm(g, hilbert_transform(g, tx))
+        sup_tx, sup_htx = sup_norm(g, np.stack([tx, hilbert_transform(g, tx)]))
+        return float(sup_tx + sup_htx)
 
     def max_velocity(self, X):
         return sup_norm(self.grid, hilbert_transform(self.grid, X.coeffs[0]))
@@ -371,6 +392,8 @@ class SqgOps(_FluidOps):
 
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes
+        # one transform per row: stacked rows of 64^2 and more cost more in
+        # fresh pages than the transforms they share
         g = self.grid
         g1, g2 = gradient(g, X.coeffs[0])
         v1, v2 = to_grid(g, g1), to_grid(g, g2)
@@ -418,7 +441,8 @@ class LinearOps:
         return self.ito_correction(X)
 
     def h_k(self, X, k):
-        return self._scaled(X, self.a)
+        h = self._scaled(X, self.a)
+        return h if np.ndim(k) == 0 else (h for _ in k)
 
     g_eps_transport = g_transport
     g_eps = g

@@ -28,10 +28,19 @@ class NoiseBasis:
     def __init__(self, xis, decay_kind, decay_param, s_max, target_norms):
         self.xis = list(xis)
         self.K = len(self.xis)
+        # a 1D basis also holds its fields as one stack (see lie.py)
+        self.stack = (VectorFieldXi.stack(self.xis)
+                      if self.xis and self.xis[0].grid.dim == 1 else None)
         self.decay_kind = decay_kind
         self.decay_param = float(decay_param)
         self.s_max = float(s_max)
         self.target_norms = list(target_norms)
+
+    def stacked(self, ks):
+        """xis[k] for k in ks as one stacked field (1D bases only)."""
+        if list(ks) == list(range(self.K)):
+            return self.stack
+        return VectorFieldXi.stack([self.xis[k] for k in ks])
 
     def partial_sum(self, s):
         return float(sum(xi.sobolev_norm(s) for xi in self.xis))

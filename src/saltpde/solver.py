@@ -180,9 +180,9 @@ def step_ito_em(X, ops, dw, dt, R, v=None):
         return X
     drift = ops.b(X) + ops.g_eps(X)
     out = X + (chi * chi * dt) * drift
-    for k in range(len(dw)):
-        if dw[k] != 0.0:
-            out = out + (chi * dw[k]) * ops.h_eps_k(X, k)
+    ks = [k for k in range(len(dw)) if dw[k] != 0.0]
+    for k, h in zip(ks, ops.h_eps_k(X, ks)):
+        out = out + (chi * dw[k]) * h
     return out
 
 
@@ -198,15 +198,16 @@ def step_strat_heun(X, ops, dw, dt, R, v=None):
         return (chi * chi) * (ops.b(Y) + ops.g_eps_transport(Y)), chi
 
     f0, chi0 = drift(X, v)
-    h0 = [(k, ops.h_eps_k(X, k)) for k in range(len(dw)) if dw[k] != 0.0]
+    ks = [k for k in range(len(dw)) if dw[k] != 0.0]
+    h0 = list(ops.h_eps_k(X, ks))
     pred = X + dt * f0
-    for k, h in h0:
+    for k, h in zip(ks, h0):
         pred = pred + (chi0 * dw[k]) * h
 
     f1, chi1 = drift(pred)
     out = X + (0.5 * dt) * (f0 + f1)
-    for k, h in h0:
-        out = out + (0.5 * dw[k]) * (chi0 * h + chi1 * ops.h_eps_k(pred, k))
+    for k, h, h1 in zip(ks, h0, ops.h_eps_k(pred, ks)):
+        out = out + (0.5 * dw[k]) * (chi0 * h + chi1 * h1)
     return out
 
 

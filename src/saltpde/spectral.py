@@ -305,10 +305,13 @@ def sup_norm(grid, c):
 
 def lipschitz_norm(grid, c):
     """Discrete W^{1,inf} surrogate: sup|f| + sup|grad f| on the grid nodes."""
-    sup = np.max(np.abs(to_grid(grid, c)), axis=grid.axes)
     if grid.dim == 1:
-        dv = to_grid(grid, derivative(grid, c, 0))
-        return _scalar(sup + np.max(np.abs(dv), axis=grid.axes))
+        # f and f_x in one transform (2D transforms row by row: see
+        # SqgOps.v_norm)
+        v, dv = to_grid(grid, np.stack([c, derivative(grid, c, 0)]))
+        return _scalar(np.max(np.abs(v), axis=grid.axes)
+                       + np.max(np.abs(dv), axis=grid.axes))
+    sup = np.max(np.abs(to_grid(grid, c)), axis=grid.axes)
     d1 = to_grid(grid, derivative(grid, c, 0))
     d2 = to_grid(grid, derivative(grid, c, 1))
     return _scalar(sup + np.max(np.sqrt(d1 * d1 + d2 * d2), axis=grid.axes))

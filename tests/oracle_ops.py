@@ -3,7 +3,9 @@
 The operator methods of Sch2Ops, CcfOps and SqgOps are kept here verbatim
 (norms left out) so that tests can check the shared-core implementation in
 saltpde.models against them bit for bit.  step_strat_heun is the Heun step
-as it was when it evaluated h_eps_k(X, k) twice per noise index.
+as it was when it evaluated h_eps_k(X, k) twice per noise index, and
+step_ito_em the Euler-Maruyama step as it was when it evaluated one
+h_eps_k(X, k) per noise index.
 fft_lie_derivative is L_xi as it was when every product went through the
 FFTs against 2/3-band grid samples of xi's factors (band_values and
 product_with_values below are that route's helpers, verbatim).  Do not
@@ -529,4 +531,22 @@ def step_strat_heun(X, ops, dw, dt, R):
         if dw[k] != 0.0:
             out = out + (0.5 * dw[k]) * (chi0 * ops.h_eps_k(X, k)
                                          + chi1 * ops.h_eps_k(pred, k))
+    return out
+
+
+def step_ito_em(X, ops, dw, dt, R, v=None):
+    """One Euler-Maruyama step of the cut-off Ito-form problem.
+
+    dw holds the Brownian increments of this step (one per noise index).
+    v is ops.v_norm(X) if the caller already holds it (computed if None).
+    A state with chi_R = 0 (V-norm beyond 2R) is an exact fixed point.
+    """
+    chi = chi_cutoff(ops.v_norm(X) if v is None else v, R)
+    if chi == 0.0:
+        return X
+    drift = ops.b(X) + ops.g_eps(X)
+    out = X + (chi * chi * dt) * drift
+    for k in range(len(dw)):
+        if dw[k] != 0.0:
+            out = out + (chi * dw[k]) * ops.h_eps_k(X, k)
     return out

@@ -115,6 +115,47 @@ def test_operators_match_frozen_oracle(model, eps):
                 assert np.array_equal(a, b), (name, args)
 
 
+@pytest.mark.parametrize("K", [1, 2, 8])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_stacked_noise_fields_equal_the_loop(n, K):
+    # the 1D stack applies field k to row k: every stacked result equals the
+    # per-index call bit for bit (sch2 at K = 2 is where plain broadcasting
+    # would pair xi_1 with u and xi_2 with eta)
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.lie import ito_correction, lie_second
+    g = Grid(n)
+    for model, s in (("ccf", 4.0), ("sch2", 6.0)):
+        basis = build_basis_1d(g, K, s + 2.0)
+        assert basis.stack.K == K
+        for eps in (0.5, 0.0625):
+            ops = make_ops(model, g, s, basis, eps)
+            X = corpus_state(model, g, s, corpus_banks(1, 1, 37, 2)[0])
+            c = X.coeffs
+            want = np.zeros(c.shape, dtype=np.complex128)
+            for xi in basis.xis:
+                want = want + lie_second(xi, c)
+            assert np.array_equal(ito_correction(basis, c), 0.5 * want)
+            for ks in ((), (2,), (3, 0), tuple(range(K))):
+                if any(k >= K for k in ks):
+                    continue
+                for name in NOISE_OPERATORS:
+                    op = getattr(ops, name)
+                    got = list(op(X, ks))
+                    assert len(got) == len(ks)
+                    for k, h in zip(ks, got):
+                        assert h.kind == model
+                        assert np.array_equal(h.coeffs, op(X, k).coeffs), \
+                            (model, name, ks, k)
+            for name in NOISE_OPERATORS:
+                for ks in ((0, K), (-1,)):
+                    with pytest.raises(ValueError, match="noise index %d out of "
+                                       "range \\(K=%d\\)" % (ks[-1], K)):
+                        getattr(ops, name)(X, ks)
+        if K > 1:
+            with pytest.raises(ValueError, match="a stack of %d fields" % K):
+                lie_derivative(basis.stack, np.stack([c] * (K + 1)))
+
+
 def test_sqg_noise_operators_stay_hermitian():
     # the 2D support convolution reads coefficients as they are (the FFT
     # route projected onto real fields), so the outputs must stay Hermitian

@@ -259,3 +259,47 @@ def test_heun_step_matches_frozen_oracle():
             got = step_strat_heun(X, ops, dw, 1e-3, R)
             want = oracle_ops.step_strat_heun(X, ops, dw, 1e-3, R)
             assert np.array_equal(got.coeffs, want.coeffs), (model, R)
+
+
+def test_em_step_matches_frozen_oracle():
+    # the stacked h_eps_k(X, ks) gives the per-index step bit for bit
+    import oracle_ops
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.models import make_ops
+    from saltpde.noise import build_basis_1d
+    from saltpde.spectral import Grid
+    dw = np.array([0.03, 0.0, -0.02, 0.01])
+    for model, g, s in (("ccf", Grid(256), 4.0), ("sch2", Grid(128), 6.0)):
+        ops = make_ops(model, g, s, build_basis_1d(g, 4, s + 2.0), 0.0625)
+        X = corpus_state(model, g, s, corpus_banks(g.dim, 1, 31, 2)[0])
+        X = (3.0 / ops.v_norm(X)) * X          # V-norm 3: chi_R = 1/2 at R = 2
+        chis = [chi_cutoff(ops.v_norm(X), R) for R in (2.0, 1e6)]
+        assert 0.0 < chis[0] < 1.0 and chis[1] == 1.0
+        for R in (2.0, 1e6):
+            got = step_ito_em(X, ops, dw, 1e-3, R)
+            want = oracle_ops.step_ito_em(X, ops, dw, 1e-3, R)
+            assert np.array_equal(got.coeffs, want.coeffs), (model, R)
+
+
+def test_ccf_em_step_fft_budget(monkeypatch):
+    # one ccf Ito-EM step of run_path at K = 4, with its CFL check and its
+    # V-norm, makes 17 transforms: 3 for the transport product, 8 for the
+    # stacked Ito sum, 4 for the stacked h^k, 1 each for max_velocity and
+    # v_norm
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
+                 "irfft", "fft2", "ifft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = []
+    for steps in (1, 2):
+        cfg = SimConfig(model="ccf", n=256, dt=1e-3, t_end=steps * 1e-3,
+                        s=4.0, noise_k=4, seed=3)
+        assert np.all(sample_path(3, cfg.dt, steps, 4).increments != 0.0)
+        calls.clear()
+        rec = run_path(cfg)
+        assert rec.stop_reason == "end" and len(rec.times) == steps + 1
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 17
