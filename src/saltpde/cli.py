@@ -206,7 +206,7 @@ def cmd_simulate(spec):
     for cfg, rec in zip(cfgs, records):
         write_trajectory(rec, os.path.join(spec.out, "traj_%d.txt" % cfg.seed))
         if spec.save_states and rec.final_state is not None:
-            write_state_snapshot(rec.final_state,
+            write_state_snapshot(cfg.model, cfg.grid(), rec.final_state,
                                  os.path.join(spec.out,
                                               "state_%d.txt" % cfg.seed))
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import spectral as sp
 from .lie import ds_commutator, lie_derivative
 from .models import DEFAULT_S, FIELD_NAMES, S_THRESHOLD, ModelState, make_ops
-from .noise import build_basis_1d, build_basis_sqg, constant_basis_1d
+from .noise import build_basis, build_basis_1d, constant_basis_1d
 from .spectral import (Grid, dealiased_product, derivative, hs_inner,
                        mollify_helmholtz, sobolev_norm, sup_norm)
 
@@ -83,7 +83,7 @@ class CoefficientBank:
         return sp.from_values(grid, vals)
 
 
-def corpus_field(grid, s, kind, bank, normalize_s=None):
+def corpus_field(grid, s, kind, bank):
     kmax = corpus_kmax(grid.n)
     if kind == "smooth":
         F = bank.field(grid, s + 3.0, kmax)
@@ -93,7 +93,7 @@ def corpus_field(grid, s, kind, bank, normalize_s=None):
         F = bank.field(grid, 0.0, min(8, kmax))
     else:
         raise ValueError("unknown corpus kind %r" % (kind,))
-    ref = sobolev_norm(grid, F, s if normalize_s is None else normalize_s)
+    ref = sobolev_norm(grid, F, s)
     return (1.0 / ref) * F
 
 
@@ -103,17 +103,20 @@ def corpus_banks(dim, count, seed, per_state=1):
             for _ in range(count)]
 
 
-def corpus_state(model, grid, s, banks, kind="critical"):
-    """Field i of the model's state at s - i, drawn from bank i."""
+def corpus_state(model, grid, s, banks):
+    """The model's state array, checked through ModelState: field i is the
+    critical corpus field at s - i, drawn from bank i."""
     if model not in S_THRESHOLD:
         raise ValueError("unknown model %r" % (model,))
-    return ModelState(model, grid, [corpus_field(grid, s - i, kind, banks[i])
-                                    for i in range(len(FIELD_NAMES[model]))])
+    return ModelState(model, grid,
+                      [corpus_field(grid, s - i, "critical", banks[i])
+                       for i in range(len(FIELD_NAMES[model]))]).coeffs
 
 
-def fit_exponent(ns, ratios, floor=1e-10):
-    """Least-squares slope of log2|ratio| against log2 N."""
-    y = np.log2(np.maximum(np.abs(np.asarray(ratios, dtype=float)), floor))
+def fit_exponent(ns, ratios):
+    """Least-squares slope of log2|ratio| against log2 N (|ratio| floored
+    at 1e-10)."""
+    y = np.log2(np.maximum(np.abs(np.asarray(ratios, dtype=float)), 1e-10))
     return float(np.polyfit(np.log2(np.asarray(ns, dtype=float)), y, 1)[0])
 
 
@@ -274,12 +277,6 @@ def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
 # ---------------------------------------------------------------------------
 # growth conditions on the regularised family
 
-def _default_basis(model, grid, s, K=8):
-    if model == "sqg":
-        return build_basis_sqg(grid, K, s_max=s + 2.0)
-    return build_basis_1d(grid, K, s_max=s + 2.0)
-
-
 def growth_ratios(ops, X):
     """(energy-growth ratio, diffusion-pairing ratio) at the ops' epsilon."""
     xn2 = ops.x_inner(X, X)
@@ -310,7 +307,7 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
     ratios_pair = []
     for n in resolutions:
         grid = Grid(n, dim=dim)
-        basis = _default_basis(model, grid, s, K)
+        basis = build_basis(grid, K, s_max=s + 2.0)
         states = [corpus_state(model, grid, s, b) for b in banks]
         worst_energy = 0.0
         worst_pair = 0.0
@@ -353,7 +350,7 @@ def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
     ratios = []
     for n in resolutions:
         grid = Grid(n, dim=dim)
-        basis = _default_basis(model, grid, s, K)
+        basis = build_basis(grid, K, s_max=s + 2.0)
         ops = make_ops(model, grid, s, basis, 0.5)
         worst = 0.0
         for i in range(corpus_count):

@@ -17,12 +17,14 @@ identity elsewhere), its regular drift b and its norms.
 
 A state X is one element of the model's space, held as one complex
 coefficient array of shape (fields, *grid.shape): rows (u, eta) for sch2,
-the single row theta otherwise.  ModelState(kind, grid, rows) is the one
-checked entry (kind, grid dimension, row shape, sqg zero mean); sums,
-scalings and operator results are built from arrays without re-checking.
-Every operator takes the whole array: the spectral layer acts on the
-trailing grid axes, so one call transports, differentiates or applies L_xi
-to every row at once.
+the single row theta otherwise.  Operators, norms and steppers take and
+return these plain arrays; each operator checks the shape it is given
+against its own model and grid.  ModelState(kind, grid, rows) is the one
+checked entry for states from outside (kind, grid dimension, row shape,
+sqg zero mean): initial data and corpus states come through it, and its
+.coeffs is the array.  Every operator takes the whole array: the spectral
+layer acts on the trailing grid axes, so one call transports,
+differentiates or applies L_xi to every row at once.
 
 Models:
   sch2  -- two-component Camassa-Holm system, state (u, eta) on the 1D torus
@@ -54,11 +56,12 @@ INITIAL_CONDITIONS = ("smooth", "random", "zero")
 
 
 class ModelState:
-    """A model's state X: one complex array of shape (fields, *grid.shape).
+    """The checked entry for a state X built from outside the operators.
 
-    ModelState(kind, grid, rows) is the one checked entry for states built
-    from outside; it copies rows.  The results of arithmetic and of the
-    operators come from ModelState._of, which checks nothing.
+    ModelState(kind, grid, rows) checks the kind, the grid dimension, the
+    row shape and the sqg zero mean, and copies rows into .coeffs, the
+    complex array of shape (fields, *grid.shape) that the operators,
+    steppers and norms take and return.
     """
 
     __slots__ = ("kind", "grid", "coeffs")
@@ -79,39 +82,14 @@ class ModelState:
         self.grid = grid
         self.coeffs = rows
 
-    @classmethod
-    def _of(cls, kind, grid, coeffs):
-        X = cls.__new__(cls)
-        X.kind, X.grid, X.coeffs = kind, grid, coeffs
-        return X
 
-    def copy(self):
-        return ModelState._of(self.kind, self.grid, self.coeffs.copy())
-
-    def is_finite(self):
-        return bool(np.isfinite(self.coeffs).all())
-
-    def _like(self, other):
-        # other's array, if it is the same model on the same grid; O(1), and
-        # without it numpy would broadcast a 1-field state against a 2-field one
-        if other.kind != self.kind or not other.grid.compatible(self.grid):
-            raise ValueError("cannot combine a %s state on %r with a %s state "
-                             "on %r" % (self.kind, self.grid, other.kind,
-                                        other.grid))
-        return other.coeffs
-
-    def __add__(self, other):
-        return ModelState._of(self.kind, self.grid,
-                              self.coeffs + self._like(other))
-
-    def __sub__(self, other):
-        return ModelState._of(self.kind, self.grid,
-                              self.coeffs - self._like(other))
-
-    def __mul__(self, a):
-        return ModelState._of(self.kind, self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
+def _checked(X, kind, shape):
+    """X itself, if it has the shape of a kind state on the ops' grid."""
+    if getattr(X, "shape", None) != shape:
+        got = X.shape if isinstance(X, np.ndarray) else type(X).__name__
+        raise ValueError("expected a %s state of shape %r, got %s"
+                         % (kind, shape, got))
+    return X
 
 
 class _FluidOps:
@@ -120,7 +98,8 @@ class _FluidOps:
     With T the model's transport term and C its noise conjugation, the core
     forms the transport term -J T(JX), the Ito sum
     J^3 C^-1 (1/2) sum_k L_k^2 (C JX) and h^k = -J C^-1 L_k(C JX), each
-    on the whole (fields, *grid) array.
+    on the whole (fields, *grid) array.  Every public method takes states
+    as such arrays, of shape self.shape, and checks that shape.
     """
 
     kind = None
@@ -130,34 +109,33 @@ class _FluidOps:
         if grid.dim != self.dim:
             raise ValueError("%s lives on the %dD torus" % (self.kind, self.dim))
         self.grid = grid
+        self.shape = (len(FIELD_NAMES[self.kind]),) + grid.shape
         self.s = float(s)
         self.basis = basis
         self.eps = float(eps)
         self._jhat = mollifier_symbol(grid, self.eps)
 
     def _rows(self, X, jhat=None):
-        if X.kind != self.kind:
-            raise ValueError("expected a %s state, got %s" % (self.kind, X.kind))
-        return X.coeffs if jhat is None else X.coeffs * jhat
+        X = _checked(X, self.kind, self.shape)
+        return X if jhat is None else X * jhat
 
-    def _state(self, c, jhat=None, scale=None):
-        if jhat is not None:
-            c = c * jhat
-        if scale is not None:
-            c = c * scale
-        return ModelState._of(self.kind, self.grid, c)
+    def _theta(self, X):
+        return self._rows(X)[0]
 
     def _noise(self, op, c):
         """op on the rows, conjugated by the model where it needs it."""
         return op(c)
 
     def _transport_op(self, X, jhat=None):
-        return self._state(self._transport(self._rows(X, jhat)), jhat, -1.0)
+        c = self._transport(self._rows(X, jhat))
+        if jhat is not None:
+            c = c * jhat
+        return c * -1.0
 
     def _ito_op(self, X, jhat=None):
         sums = self._noise(partial(ito_correction, self.basis),
                            self._rows(X, jhat))
-        return self._state(sums, None if jhat is None else jhat ** 3)
+        return sums if jhat is None else sums * jhat ** 3
 
     def _h_op(self, X, k, jhat=None):
         """h^k for one index k; for a sequence of indices, an iterator over
@@ -173,14 +151,13 @@ class _FluidOps:
                 raise ValueError("noise index %d out of range (K=%d)"
                                  % (j, self.basis.K))
         if np.ndim(k) == 0:
-            return self._state(self._h(self.basis.xis[k], c, jhat))
+            return self._h(self.basis.xis[k], c, jhat)
         if self.basis.stack is None or not ks:
-            return (self._state(self._h(self.basis.xis[j], c, jhat)) for j in ks)
-        return (self._state(h)
-                for h in self._h(self.basis.stacked(ks), c[None], jhat))
+            return (self._h(self.basis.xis[j], c, jhat) for j in ks)
+        return iter(self._h(self.basis.stacked(ks), c[None], jhat))
 
     def _h(self, xi, c, jhat):
-        # -J C^-1 L_xi(C c) as an array
+        # -J C^-1 L_xi(C c)
         h = self._noise(partial(lie_derivative, xi), c)
         if jhat is not None:
             h = h * jhat
@@ -220,8 +197,7 @@ class Sch2Ops(_FluidOps):
         q = 0.5 * dealiased_product(g, u, u) + dealiased_product(g, ux, ux) \
             + 0.5 * dealiased_product(g, eta, eta)
         G = derivative(g, q * self._d2inv)
-        return self._state(np.stack([G, dealiased_product(g, eta, ux)]),
-                           scale=-1.0)
+        return np.stack([G, dealiased_product(g, eta, ux)]) * -1.0
 
     def g_transport(self, X):
         return self._transport_op(X)
@@ -246,11 +222,11 @@ class Sch2Ops(_FluidOps):
 
     # -- norms
     def x_inner(self, A, B):
-        g, a, b = self.grid, A.coeffs, B.coeffs
+        g, a, b = self.grid, self._rows(A), self._rows(B)
         return hs_inner(g, a[0], b[0], self.s) + hs_inner(g, a[1], b[1], self.s - 1.0)
 
     def z_inner(self, A, B):
-        g, a, b = self.grid, A.coeffs, B.coeffs
+        g, a, b = self.grid, self._rows(A), self._rows(B)
         return hs_inner(g, a[0], b[0], self.s - 2.0) \
             + hs_inner(g, a[1], b[1], self.s - 3.0)
 
@@ -262,17 +238,17 @@ class Sch2Ops(_FluidOps):
 
     def v_norm(self, X):
         # W^{1,inf} x W^{1,inf} blow-up functional, grid surrogate
-        u, eta = lipschitz_norm(self.grid, X.coeffs)
+        u, eta = lipschitz_norm(self.grid, self._rows(X))
         return float(u + eta)
 
     def energy(self, X):
         """Conserved H^1-type energy of the deterministic system."""
-        u, eta = X.coeffs
+        u, eta = self._rows(X)
         return sobolev_norm(self.grid, u, 1.0) ** 2 \
             + sobolev_norm(self.grid, eta, 0.0) ** 2
 
     def max_velocity(self, X):
-        return sup_norm(self.grid, X.coeffs[0])
+        return sup_norm(self.grid, self._rows(X)[0])
 
 
 class CcfOps(_FluidOps):
@@ -286,7 +262,7 @@ class CcfOps(_FluidOps):
         return dealiased_product(g, hilbert_transform(g, c), derivative(g, c))
 
     def b(self, X):
-        return self._state(np.zeros_like(self._rows(X)))
+        return np.zeros_like(self._rows(X))
 
     def g_transport(self, X):
         return self._transport_op(X)
@@ -310,26 +286,26 @@ class CcfOps(_FluidOps):
         return self._h_op(X, k, self._jhat)
 
     def x_inner(self, A, B):
-        return hs_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s)
+        return hs_inner(self.grid, self._theta(A), self._theta(B), self.s)
 
     def z_inner(self, A, B):
-        return hs_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s - 2.0)
+        return hs_inner(self.grid, self._theta(A), self._theta(B), self.s - 2.0)
 
     def x_norm(self, X):
-        return sobolev_norm(self.grid, X.coeffs[0], self.s)
+        return sobolev_norm(self.grid, self._theta(X), self.s)
 
     def z_norm(self, X):
-        return sobolev_norm(self.grid, X.coeffs[0], self.s - 2.0)
+        return sobolev_norm(self.grid, self._theta(X), self.s - 2.0)
 
     def v_norm(self, X):
         # blow-up functional sup|theta_x| + sup|H theta_x|
         g = self.grid
-        tx = derivative(g, X.coeffs[0])
+        tx = derivative(g, self._theta(X))
         sup_tx, sup_htx = sup_norm(g, np.stack([tx, hilbert_transform(g, tx)]))
         return float(sup_tx + sup_htx)
 
     def max_velocity(self, X):
-        return sup_norm(self.grid, hilbert_transform(self.grid, X.coeffs[0]))
+        return sup_norm(self.grid, hilbert_transform(self.grid, self._theta(X)))
 
 
 class SqgOps(_FluidOps):
@@ -355,7 +331,7 @@ class SqgOps(_FluidOps):
             + dealiased_product(g, u2, derivative(g, c, 1))
 
     def b(self, X):
-        return self._state(np.zeros_like(self._rows(X)))
+        return np.zeros_like(self._rows(X))
 
     def g_transport(self, X):
         return self._transport_op(X)
@@ -379,23 +355,24 @@ class SqgOps(_FluidOps):
         return self._h_op(X, k, self._jhat)
 
     def x_inner(self, A, B):
-        return homogeneous_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s)
+        return homogeneous_inner(self.grid, self._theta(A), self._theta(B), self.s)
 
     def z_inner(self, A, B):
-        return homogeneous_inner(self.grid, A.coeffs[0], B.coeffs[0], self.s - 2.0)
+        return homogeneous_inner(self.grid, self._theta(A), self._theta(B),
+                                 self.s - 2.0)
 
     def x_norm(self, X):
-        return homogeneous_norm(self.grid, X.coeffs[0], self.s)
+        return homogeneous_norm(self.grid, self._theta(X), self.s)
 
     def z_norm(self, X):
-        return homogeneous_norm(self.grid, X.coeffs[0], self.s - 2.0)
+        return homogeneous_norm(self.grid, self._theta(X), self.s - 2.0)
 
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes
         # one transform per row: stacked rows of 64^2 and more cost more in
         # fresh pages than the transforms they share
         g = self.grid
-        g1, g2 = gradient(g, X.coeffs[0])
+        g1, g2 = gradient(g, self._theta(X))
         v1, v2 = to_grid(g, g1), to_grid(g, g2)
         out = float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
         acc = np.zeros(g.shape)
@@ -406,10 +383,10 @@ class SqgOps(_FluidOps):
         return out + float(np.max(np.sqrt(acc)))
 
     def l2_norm(self, X):
-        return sobolev_norm(self.grid, X.coeffs[0], 0.0)
+        return sobolev_norm(self.grid, self._theta(X), 0.0)
 
     def max_velocity(self, X):
-        u1, u2 = riesz_perp(self.grid, X.coeffs[0])
+        u1, u2 = riesz_perp(self.grid, self._theta(X))
         v1, v2 = to_grid(self.grid, u1), to_grid(self.grid, u2)
         return float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
 
@@ -425,23 +402,25 @@ class LinearOps:
 
     def __init__(self, grid, a):
         self.grid = grid
+        self.shape = (1,) + grid.shape
         self.a = float(a)
-        self.s = 0.0
-        self.eps = 0.5
+
+    def _rows(self, X):
+        return _checked(X, self.kind, self.shape)
 
     def b(self, X):
-        return self._scaled(X, 0.0)
+        return self._rows(X) * 0.0
 
     g_transport = b
 
     def ito_correction(self, X):
-        return self._scaled(X, 0.5 * self.a * self.a)
+        return self._rows(X) * (0.5 * self.a * self.a)
 
     def g(self, X):
         return self.ito_correction(X)
 
     def h_k(self, X, k):
-        h = self._scaled(X, self.a)
+        h = self._rows(X) * self.a
         return h if np.ndim(k) == 0 else (h for _ in k)
 
     g_eps_transport = g_transport
@@ -450,29 +429,25 @@ class LinearOps:
 
     def value(self, X):
         """The constant the field holds: its k = 0 coefficient."""
-        return float(X.coeffs[(0,) * (1 + self.grid.dim)].real)
+        return float(self._rows(X)[(0,) * (1 + self.grid.dim)].real)
 
     def x_inner(self, A, B):
-        return hs_inner(self.grid, A.coeffs[0], B.coeffs[0], 0.0)
+        return hs_inner(self.grid, self._rows(A)[0], self._rows(B)[0], 0.0)
 
     z_inner = x_inner
 
     def x_norm(self, X):
-        return sobolev_norm(self.grid, X.coeffs[0], 0.0)
+        return sobolev_norm(self.grid, self._rows(X)[0], 0.0)
 
     z_norm = x_norm
     v_norm = x_norm
 
     def max_velocity(self, X):
+        self._rows(X)
         return 0.0
 
     def exact_solution(self, x0, w_t):
         return x0 * np.exp(self.a * w_t)
-
-    def _scaled(self, X, c):
-        if X.kind != "linear":
-            raise ValueError("expected a linear state, got %s" % X.kind)
-        return ModelState._of("linear", X.grid, X.coeffs * c)
 
 
 def make_ops(model, grid, s, basis, eps, linear_a=1.0):
@@ -506,9 +481,11 @@ def smooth_initial_state(model, grid, amplitude):
     return ModelState(model, grid, sp.from_values(grid, vals))
 
 
-def random_initial_state(model, grid, amplitude, seed, kmax=4):
-    """Seeded random trigonometric initial data with mild coefficient decay."""
+def random_initial_state(model, grid, amplitude, seed):
+    """Seeded random trigonometric initial data with mild coefficient decay,
+    modes up to 4."""
     rng = np.random.default_rng(seed)
+    kmax = 4
 
     def scalar(zero_mean):
         c = zero_field(grid)

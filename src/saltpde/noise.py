@@ -25,7 +25,7 @@ from .lie import VectorFieldXi, components_norm
 class NoiseBasis:
     """Ordered family {xi_k}, k = 1..K, plus its decay metadata."""
 
-    def __init__(self, xis, decay_kind, decay_param, s_max, target_norms):
+    def __init__(self, xis, decay_kind, decay_param, s_max):
         self.xis = list(xis)
         self.K = len(self.xis)
         # a 1D basis also holds its fields as one stack (see lie.py)
@@ -34,7 +34,6 @@ class NoiseBasis:
         self.decay_kind = decay_kind
         self.decay_param = float(decay_param)
         self.s_max = float(s_max)
-        self.target_norms = list(target_norms)
 
     def stacked(self, ks):
         """xis[k] for k in ks as one stacked field (1D bases only)."""
@@ -92,7 +91,7 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         a = targets[k - 1] * math.sqrt(2.0) / (1.0 + k * k) ** (s_max / 2.0)
         wave = np.cos(k * x) if k % 2 == 1 else np.sin(k * x)
         xis.append(VectorFieldXi(grid, [from_values(grid, a * wave)]))
-    return NoiseBasis(xis, decay_kind, decay_param, s_max, targets)
+    return NoiseBasis(xis, decay_kind, decay_param, s_max)
 
 
 _SQG_WAVES = [(1, 0), (0, 1), (1, 1), (1, -1)]
@@ -120,13 +119,20 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         a = targets[k - 1] / components_norm(grid, (comp1, comp2), s_max)
         xis.append(VectorFieldXi(grid, [a * comp1, a * comp2],
                                  require_divergence_free=True))
-    return NoiseBasis(xis, decay_kind, decay_param, s_max, targets)
+    return NoiseBasis(xis, decay_kind, decay_param, s_max)
+
+
+def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
+    """The basis of K fields for the grid: build_basis_sqg on a 2D grid,
+    build_basis_1d otherwise."""
+    builder = build_basis_sqg if grid.dim == 2 else build_basis_1d
+    return builder(grid, K, s_max, decay_kind, decay_param)
 
 
 def constant_basis_1d(grid, c, s_max=6.0):
     """Single constant field xi = c; the exact-cancellation special case."""
     xi = VectorFieldXi(grid, [from_values(grid, np.full(grid.shape, float(c)))])
-    return NoiseBasis([xi], "geometric", 0.5, s_max, [xi.sobolev_norm(s_max)])
+    return NoiseBasis([xi], "geometric", 0.5, s_max)
 
 
 # ---------------------------------------------------------------------------

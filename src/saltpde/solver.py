@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (INITIAL_CONDITIONS, S_THRESHOLD, make_initial_state,
-                     make_ops)
-from .noise import build_basis_1d, build_basis_sqg, check_decay, sample_path
+from .models import (FIELD_NAMES, INITIAL_CONDITIONS, S_THRESHOLD,
+                     make_initial_state, make_ops)
+from .noise import build_basis, check_decay, sample_path
 from .spectral import Grid
 
 
@@ -127,11 +127,8 @@ class SimConfig:
     def build_basis(self, grid):
         if self.model == "linear":
             return None
-        if self.model == "sqg":
-            return build_basis_sqg(grid, self.noise_k, self.noise_s_max,
-                                   self.noise_decay, self.noise_decay_param)
-        return build_basis_1d(grid, self.noise_k, self.noise_s_max,
-                              self.noise_decay, self.noise_decay_param)
+        return build_basis(grid, self.noise_k, self.noise_s_max,
+                           self.noise_decay, self.noise_decay_param)
 
     def build_ops(self, grid=None, basis=None):
         grid = grid if grid is not None else self.grid()
@@ -160,7 +157,7 @@ class TrajectoryRecord:
     stopped: bool = False
     tau: float = 0.0
     stop_reason: str = "end"
-    final_state: object = None
+    final_state: object = None      # coefficient array, or None
 
     def add(self, t, hs, v):
         self.times.append(float(t))
@@ -214,6 +211,27 @@ def step_strat_heun(X, ops, dw, dt, R, v=None):
 _STEPPERS = {"ito_em": step_ito_em, "strat_heun": step_strat_heun}
 
 
+def _driving_path(cfg, path):
+    """path, or the seed's path if None; a supplied path must have exactly
+    cfg.path_k() components and at least cfg.n_steps() steps."""
+    n_steps, K = cfg.n_steps(), cfg.path_k()
+    if path is None:
+        return sample_path(cfg.seed, cfg.dt, n_steps, K)
+    if path.K != K or path.n_steps < n_steps:
+        raise ValueError("supplied Brownian path has %d steps x %d components; "
+                         "this run needs at least %d steps x exactly %d"
+                         % (path.n_steps, path.K, n_steps, K))
+    return path
+
+
+def _entry(cfg, grid, X, name):
+    """The coefficient array of the ModelState X, if it is cfg's model on grid."""
+    if X.kind != cfg.model or not X.grid.compatible(grid):
+        raise ValueError("%s is a %s state on %r; this run needs a %s state "
+                         "on %r" % (name, X.kind, X.grid, cfg.model, grid))
+    return X.coeffs
+
+
 def run_path(cfg, path=None, X0=None, keep_final_state=True):
     """Integrate one trajectory; returns the TrajectoryRecord.
 
@@ -222,18 +240,16 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     its initial value, when the state stops being finite, or before a step
     whose dt * max|velocity| would exceed half a grid spacing ("cfl": tau
     is the time of the offending state, and the record ends with its row).
+    X0, if given, is a ModelState of cfg's model on cfg's grid; the record's
+    final_state is the final coefficient array.
     """
     cfg.validate()
     grid = cfg.grid()
     basis = cfg.build_basis(grid)
     ops = cfg.build_ops(grid, basis)
     n_steps = cfg.n_steps()
-    if path is None:
-        path = sample_path(cfg.seed, cfg.dt, n_steps, cfg.path_k())
-    elif path.n_steps < n_steps or path.K < cfg.path_k():
-        raise ValueError("supplied Brownian path is too short for this run")
-
-    X = X0 if X0 is not None else cfg.initial_state(grid)
+    path = _driving_path(cfg, path)
+    X = _entry(cfg, grid, cfg.initial_state(grid) if X0 is None else X0, "X0")
     step = _STEPPERS[cfg.scheme]
     rec = TrajectoryRecord(model=cfg.model)
 
@@ -253,7 +269,7 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
             break
         X = step(X, ops, path.increments[nstep], cfg.dt, cfg.cutoff_r, v)
         t = (nstep + 1) * cfg.dt
-        if not X.is_finite():
+        if not np.isfinite(X).all():
             reason = "diverged"     # no row: the norms are not finite
             break
         hs = ops.x_norm(X)
@@ -287,15 +303,16 @@ def stability_experiment(cfg, X0, Y0, path=None):
     estimate: both runs share the Brownian path and are stopped at the
     joint first-exit time from the ball of radius M+2 in the H^s norm,
     M = max of the initial norms.  Reports sup_t ||X - Y||_{H^{s-2}} and
-    its ratio to the initial distance.
+    its ratio to the initial distance.  X0 and Y0 are ModelStates of cfg's
+    model on cfg's grid.
     """
     cfg.validate()
     grid = cfg.grid()
     basis = cfg.build_basis(grid)
     ops = cfg.build_ops(grid, basis)
     n_steps = cfg.n_steps()
-    if path is None:
-        path = sample_path(cfg.seed, cfg.dt, n_steps, cfg.path_k())
+    path = _driving_path(cfg, path)
+    X0, Y0 = _entry(cfg, grid, X0, "X0"), _entry(cfg, grid, Y0, "Y0")
 
     M = max(ops.x_norm(X0), ops.x_norm(Y0))
     threshold = M + 2.0
@@ -359,14 +376,13 @@ def read_trajectory(filename):
     return rec
 
 
-def write_state_snapshot(state, filename):
-    """Flat coefficient table: one row per mode and field component."""
-    from .models import FIELD_NAMES
+def write_state_snapshot(kind, g, X, filename):
+    """Flat coefficient table of a kind state X on grid g: one row per mode
+    and field component."""
     with open(filename, "w") as fh:
-        fh.write("# model = %s\n" % state.kind)
+        fh.write("# model = %s\n" % kind)
         fh.write("field k1 k2 re im\n")
-        g = state.grid
-        for name, row in zip(FIELD_NAMES[state.kind], state.coeffs):
+        for name, row in zip(FIELD_NAMES[kind], X):
             for idx in np.ndindex(*g.shape):
                 k1 = int(g.k_axes[0][idx])
                 k2 = int(g.k_axes[1][idx]) if g.dim == 2 else 0

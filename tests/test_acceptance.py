@@ -152,7 +152,7 @@ def test_criterion_5a_deterministic_ch_energy():
                     noise_k=0, noise_s_max=8.0, ic_amplitude=0.02,
                     record_every=1000)
     ops = cfg.build_ops()
-    X0 = cfg.initial_state(cfg.grid())
+    X0 = cfg.initial_state(cfg.grid()).coeffs
     rec = run_path(cfg)
     drift = abs(ops.energy(rec.final_state) - ops.energy(X0)) / ops.energy(X0)
     ok = drift < 1e-4 and not rec.stopped
@@ -167,7 +167,7 @@ def test_criterion_5b_deterministic_ccf_sup():
     g = cfg.grid()
     X0 = cfg.initial_state(g)
     rec = run_path(cfg)
-    drift = abs(sup_norm(g, rec.final_state.coeffs[0]) - sup_norm(g, X0.coeffs[0])) \
+    drift = abs(sup_norm(g, rec.final_state[0]) - sup_norm(g, X0.coeffs[0])) \
         / sup_norm(g, X0.coeffs[0])
     ok = drift < 1e-3 and rec.stop_reason in ("end", "blowup_indicator")
     assert report("5b", "deterministic CCF sup norm", ok,
@@ -179,7 +179,7 @@ def test_criterion_5c_sqg_l2_drift_slope():
                      noise_k=4, noise_s_max=6.5, ic_amplitude=0.5, seed=7,
                      record_every=10 ** 9, scheme="strat_heun")
     ops = base.build_ops()
-    X0 = base.initial_state(base.grid())
+    X0 = base.initial_state(base.grid()).coeffs
     l20 = ops.l2_norm(X0)
     dts = (1e-3, 5e-4, 2.5e-4)
     drifts = []
@@ -198,13 +198,13 @@ def test_criterion_5d_mean_conservation_eta_sqg():
                     noise_k=4, noise_s_max=8.0, ic_amplitude=0.1, seed=5,
                     record_every=50)
     rec = run_path(cfg)
-    eta_drift = abs(rec.final_state.coeffs[1, 0].real)
+    eta_drift = abs(rec.final_state[1, 0].real)
 
     cfg2 = SimConfig(model="sqg", n=64, dt=1e-3, t_end=0.1, s=4.5,
                      noise_k=4, noise_s_max=6.5, ic_amplitude=0.4, seed=6,
                      record_every=20)
     rec2 = run_path(cfg2)
-    sqg_drift = abs(rec2.final_state.coeffs[0, 0, 0].real)
+    sqg_drift = abs(rec2.final_state[0, 0, 0].real)
 
     ok = eta_drift < 1e-12 and sqg_drift < 1e-12
     assert report("5d", "spatial mean of eta and SQG theta in noisy runs", ok,
@@ -222,7 +222,7 @@ def test_criterion_5d_mean_conservation_ccf():
                     record_every=50)
     X0 = cfg.initial_state(cfg.grid())
     rec = run_path(cfg)
-    drift = abs(rec.final_state.coeffs[0, 0].real - X0.coeffs[0, 0].real)
+    drift = abs(rec.final_state[0, 0].real - X0.coeffs[0, 0].real)
     report("5d", "spatial mean of CCF theta in noisy runs",
            drift < 1e-12, "(drift=%.2e; not conserved by the model)" % drift)
     assert drift < 1e-12
@@ -271,7 +271,7 @@ def test_criterion_7_stability_uniqueness():
         bump = from_values(grid, delta * np.cos(grid.x))
         return ModelState("ccf", grid, (X0.coeffs[0] + bump,))
 
-    rep0 = stability_experiment(cfg, X0, X0.copy())
+    rep0 = stability_experiment(cfg, X0, ModelState("ccf", grid, X0.coeffs))
     rep1 = stability_experiment(cfg, X0, perturbed(1e-6))
     rep2 = stability_experiment(cfg, X0, perturbed(1e-7))
     agree = abs(rep1.ratio - rep2.ratio) <= 0.2 * rep2.ratio
@@ -310,12 +310,12 @@ cutoff_r = 50.0
     sim = spec.sim
     grid = sim.grid()
     ops = sim.build_ops(grid)
-    X = make_initial_state("sch2", grid, "smooth", 500.0)
+    X = make_initial_state("sch2", grid, "smooth", 500.0).coeffs
     assert ops.v_norm(X) > 2 * sim.cutoff_r
     dw = sample_path(1, sim.dt, 1, 2).increments[0]
     X1 = step_ito_em(X, ops, dw, sim.dt, sim.cutoff_r)
-    fixed = (np.array_equal(X1.coeffs[0], X.coeffs[0])
-             and np.array_equal(X1.coeffs[1], X.coeffs[1]))
+    fixed = (np.array_equal(X1[0], X[0])
+             and np.array_equal(X1[1], X[1]))
 
     ok = identical and fixed
     assert report(8, "cut-off semantics", ok,

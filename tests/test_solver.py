@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -7,7 +9,7 @@ from saltpde.noise import sample_path
 from saltpde.solver import (SimConfig, chi_cutoff, read_trajectory,
                             run_path, stability_experiment, step_ito_em,
                             step_strat_heun, write_trajectory)
-from saltpde.spectral import from_values, sup_norm, zero_field
+from saltpde.spectral import Grid, from_values
 
 
 def test_chi_cutoff_values():
@@ -49,34 +51,34 @@ def test_cutoff_kills_step_entirely():
     cfg = em_cfg(cutoff_r=1.0 + 1e-9)   # V-norm of the state far exceeds 2R
     grid = cfg.grid()
     ops = cfg.build_ops(grid)
-    X = make_initial_state("sch2", grid, "smooth", 50.0)
+    X = make_initial_state("sch2", grid, "smooth", 50.0).coeffs
     assert ops.v_norm(X) > 2 * cfg.cutoff_r
     path = sample_path(1, cfg.dt, 4, 2)
     X1 = step_ito_em(X, ops, path.increments[0], cfg.dt, cfg.cutoff_r)
-    assert X1 is X or (np.array_equal(X1.coeffs[0], X.coeffs[0])
-                       and np.array_equal(X1.coeffs[1], X.coeffs[1]))
+    assert X1 is X or (np.array_equal(X1[0], X[0])
+                       and np.array_equal(X1[1], X[1]))
 
 
 def test_em_step_recomposition_oracle():
     cfg = em_cfg()
     grid = cfg.grid()
     ops = cfg.build_ops(grid)
-    X = cfg.initial_state(grid)
+    X = cfg.initial_state(grid).coeffs
     dw = sample_path(3, cfg.dt, 1, 2).increments[0]
     out = step_ito_em(X, ops, dw, cfg.dt, cfg.cutoff_r)
     chi = chi_cutoff(ops.v_norm(X), cfg.cutoff_r)
     manual = X + (chi * chi * cfg.dt) * (ops.b(X) + ops.g_eps(X))
     for k in range(2):
         manual = manual + (chi * dw[k]) * ops.h_eps_k(X, k)
-    assert np.max(np.abs(out.coeffs[0] - manual.coeffs[0])) < 1e-13
-    assert np.max(np.abs(out.coeffs[1] - manual.coeffs[1])) < 1e-13
+    assert np.max(np.abs(out[0] - manual[0])) < 1e-13
+    assert np.max(np.abs(out[1] - manual[1])) < 1e-13
 
 
 def test_heun_reduces_to_rk2_without_noise():
     cfg = em_cfg(noise_k=0)
     grid = cfg.grid()
     ops = cfg.build_ops(grid)
-    X = cfg.initial_state(grid)
+    X = cfg.initial_state(grid).coeffs
     dw = np.zeros(0)
     out = step_strat_heun(X, ops, dw, cfg.dt, cfg.cutoff_r)
 
@@ -85,7 +87,7 @@ def test_heun_reduces_to_rk2_without_noise():
 
     pred = X + cfg.dt * F(X)
     rk2 = X + (0.5 * cfg.dt) * (F(X) + F(pred))
-    assert np.max(np.abs(out.coeffs[0] - rk2.coeffs[0])) < 1e-13
+    assert np.max(np.abs(out[0] - rk2[0])) < 1e-13
 
 
 def test_run_path_t_end_zero():
@@ -172,19 +174,19 @@ def test_cutoff_idempotence_same_trajectory():
     a = run_path(cfg)
     b = run_path(replace(cfg, cutoff_r=100.0))
     assert a.hs_norms == b.hs_norms
-    assert np.array_equal(a.final_state.coeffs[0], b.final_state.coeffs[0])
+    assert np.array_equal(a.final_state[0], b.final_state[0])
 
 
 def test_mean_conserved_in_noisy_runs():
     cfg = em_cfg(t_end=0.1, noise_k=3)
     rec = run_path(cfg)
-    assert abs(rec.final_state.coeffs[1, 0].real) < 1e-12
+    assert abs(rec.final_state[1, 0].real) < 1e-12
 
     cfg2 = SimConfig(model="sqg", n=32, dt=1e-3, t_end=0.05, s=4.5,
                      noise_k=3, noise_s_max=6.5, ic_amplitude=0.3, seed=2,
                      record_every=10)
     rec2 = run_path(cfg2)
-    assert abs(rec2.final_state.coeffs[0, 0, 0].real) < 1e-12
+    assert abs(rec2.final_state[0, 0, 0].real) < 1e-12
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -205,7 +207,7 @@ def test_stability_identical_initial_data():
     cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, t_end=0.05)
     grid = cfg.grid()
     X0 = cfg.initial_state(grid)
-    rep = stability_experiment(cfg, X0, X0.copy())
+    rep = stability_experiment(cfg, X0, ModelState("ccf", grid, X0.coeffs))
     assert rep.distance0 == 0.0
     assert rep.sup_distance < 1e-14
     assert np.isnan(rep.ratio)
@@ -258,7 +260,7 @@ def test_heun_step_matches_frozen_oracle():
         for R in (2.0, 1e6):
             got = step_strat_heun(X, ops, dw, 1e-3, R)
             want = oracle_ops.step_strat_heun(X, ops, dw, 1e-3, R)
-            assert np.array_equal(got.coeffs, want.coeffs), (model, R)
+            assert np.array_equal(got, want), (model, R)
 
 
 def test_em_step_matches_frozen_oracle():
@@ -278,7 +280,7 @@ def test_em_step_matches_frozen_oracle():
         for R in (2.0, 1e6):
             got = step_ito_em(X, ops, dw, 1e-3, R)
             want = oracle_ops.step_ito_em(X, ops, dw, 1e-3, R)
-            assert np.array_equal(got.coeffs, want.coeffs), (model, R)
+            assert np.array_equal(got, want), (model, R)
 
 
 def test_ccf_em_step_fft_budget(monkeypatch):
@@ -303,3 +305,66 @@ def test_ccf_em_step_fft_budget(monkeypatch):
         assert rec.stop_reason == "end" and len(rec.times) == steps + 1
         counts.append(len(calls))
     assert counts[1] - counts[0] == 17
+
+
+def test_entry_states_must_match_the_config():
+    # X0 and Y0 are checked where they enter: same model kind, same grid
+    # (a linear state has the array shape of a ccf one on the same grid)
+    cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, t_end=0.002)
+    grid = cfg.grid()
+    X0 = cfg.initial_state(grid)
+    for bad in (make_initial_state("linear", grid, "smooth", 0.1),
+                make_initial_state("ccf", Grid(32), "smooth", 0.1),
+                make_initial_state("sch2", grid, "smooth", 0.1)):
+        want = "is a %s state on %r; this run needs a ccf state on %r" \
+            % (bad.kind, bad.grid, grid)
+        with pytest.raises(ValueError, match="X0 " + re.escape(want)):
+            run_path(cfg, X0=bad)
+        with pytest.raises(ValueError, match="X0 " + re.escape(want)):
+            stability_experiment(cfg, bad, X0)
+        with pytest.raises(ValueError, match="Y0 " + re.escape(want)):
+            stability_experiment(cfg, X0, bad)
+    assert run_path(cfg, X0=X0).stop_reason == "end"
+
+
+@pytest.mark.parametrize("model, noise_k, steps, K", [
+    ("linear", 1, 10, 2),   # would drive the one SDE with both components
+    ("ccf", 2, 10, 3),      # would stop mid-run at noise index 2
+    ("ccf", 2, 10, 1),
+    ("ccf", 2, 9, 2)])
+def test_supplied_path_must_fit_the_run(model, noise_k, steps, K):
+    cfg = SimConfig(model=model, n=16, dt=1e-3, t_end=0.01, s=4.0,
+                    noise_k=noise_k, noise_s_max=6.0)
+    path = sample_path(5, cfg.dt, steps, K)
+    want = ("supplied Brownian path has %d steps x %d components; this run "
+            "needs at least 10 steps x exactly %d" % (steps, K, noise_k))
+    with pytest.raises(ValueError, match=want):
+        run_path(cfg, path=path)
+    X0 = cfg.initial_state(cfg.grid())
+    with pytest.raises(ValueError, match=want):
+        stability_experiment(cfg, X0, X0, path=path)
+    # a longer path with the right components drives the run
+    rec = run_path(cfg, path=sample_path(5, cfg.dt, 12, noise_k))
+    assert rec.stop_reason == "end"
+
+
+def test_run_path_builds_one_checked_state(monkeypatch):
+    # the initial state is the only ModelState a run builds, none when X0
+    # is given: the stepper loop and the record hold plain arrays
+    calls = []
+
+    def counted(self, *args, _init=ModelState.__init__):
+        calls.append(1)
+        _init(self, *args)
+    monkeypatch.setattr(ModelState, "__init__", counted)
+    cfg = SimConfig(model="ccf", n=64, dt=1e-3, t_end=0.02, s=4.0,
+                    noise_k=4, seed=3)
+    rec = run_path(cfg)
+    assert rec.stop_reason == "end" and len(rec.times) == 21
+    assert type(rec.final_state) is np.ndarray
+    assert len(calls) == 1
+    X0 = cfg.initial_state(cfg.grid())
+    calls.clear()
+    again = run_path(cfg, X0=X0)
+    assert again.hs_norms == rec.hs_norms
+    assert len(calls) == 0
