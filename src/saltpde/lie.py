@@ -10,16 +10,20 @@ level of the truncated dynamics.  The operators act on coefficient
 arrays whose trailing axes are xi's grid; leading axes pass through, so
 one call transports every row of a state (sch2's u and eta together).
 
-How the products xi_i * d_i f and div(xi) * f are computed depends on the
-grid dimension.  In 2D each factor is cached as its in-band Fourier support
-and the product is a circular convolution in coefficient space, with no
-FFTs: a shipped xi_k is one trigonometric mode, so each factor has at most
-two coefficients (none for the divergence of the divergence-free sqg
-basis), and the result agrees with the FFT route to round-off.  In 1D the
-factors stay cached as band samples and the product goes through the FFTs,
-because the Lie cancellation check conditions Q = term1 + term2 only to
-about 1e-9 at N = 1024, and any reordering of the 1D arithmetic, even the
-dense convolution, moves its ratio by more than that.
+How L_xi is computed depends on the grid dimension.  In 2D it is taken in
+divergence form, div(xi*f), in coefficient space with no FFTs: the field
+caches one stencil, each in-band mode s of xi with its coefficients
+(xi_1(s), xi_2(s)), and spectral.product_with_values sums, over the
+stencil, the band-cut f shifted by s times the symbol
+i*(xi_1(s)*k1 + xi_2(s)*k2) of the output mode k.  That symbol is where the derivative of f (i*(k - s)) and
+the divergence of xi (i*s) meet, so neither is formed and div(xi)*f needs
+no product of its own.  A shipped xi_k is one trigonometric mode, so its
+stencil holds the two shifts +-m, and the result agrees with the FFT route
+to round-off.  In 1D the factors xi and div(xi) stay cached as band
+samples and the products go through the FFTs, because the Lie
+cancellation check conditions Q = term1 + term2 only to about 1e-9 at
+N = 1024, and any reordering of the 1D arithmetic, even the dense
+convolution, moves its ratio by more than that.
 
 The K fields of a 1D noise basis also come as one stacked field
 (VectorFieldXi.stack), whose cached band samples have shape (K, n).
@@ -28,19 +32,16 @@ axis, which has length K or 1, so one call forms every L_k c, and the Ito
 sum (1/2) sum_k L_k^2 c and the h^k share their transforms.  numpy's
 batched transforms give each row bit for bit what a one-row call gives, so
 the stacked route changes no result.  On a 2D grid the per-field loop
-stays: support products make no transforms to share.
+stays: stencil sums make no transforms to share.
 """
-
-from functools import partial
 
 import numpy as np
 
-from .spectral import (band_support, band_values, bessel_multiplier,
-                       dealiased_product, derivative, product_with_values,
-                       sobolev_norm)
+from .spectral import (band_values, bessel_multiplier, dealiased_product,
+                       derivative, product_with_values, sobolev_norm)
 
-# a 2D support keeps the coefficients above this fraction of xi's largest;
-# below it they are transform round-off (the whole sqg divergence is)
+# a 2D stencil keeps the modes where a component exceeds this fraction of
+# xi's largest coefficient; below it they are transform round-off
 SUPPORT_RTOL = 1e-13
 
 
@@ -53,9 +54,9 @@ class VectorFieldXi:
     """Smooth correlation vector field, one component per dimension.
 
     The components are the coefficient arrays xi_1, ..., xi_dim on grid.
-    Caches each factor of L_xi once, the components and div(xi), in the
-    form product_with_values takes: the in-band support on a 2D grid, the
-    2/3-band grid samples on a 1D grid.
+    Caches L_xi in the form product_with_values takes: on a 2D grid the
+    stencil of xi's in-band modes (no grid-sized array besides the
+    components), on a 1D grid the 2/3-band samples of xi and div(xi).
     """
 
     def __init__(self, grid, components, require_divergence_free=False):
@@ -65,20 +66,24 @@ class VectorFieldXi:
                              % (grid.dim, grid.shape))
         self.grid = grid
         self.components = tuple(comps)
-        self.divergence = sum(derivative(grid, c, axis)
-                              for axis, c in enumerate(comps))
-        self.max_divergence = float(np.max(np.abs(self.divergence)))
+        div = self.divergence
+        self.max_divergence = float(np.max(np.abs(div)))
         if require_divergence_free and self.max_divergence > 1e-12:
             raise ValueError("xi is not divergence-free (max spectral residual %.3e)"
                              % self.max_divergence)
         if grid.dim == 1:
-            factor = partial(band_values, grid)
+            self._comp_factor = band_values(grid, comps[0])
+            self._div_factor = band_values(grid, div)
         else:
-            scale = max(float(np.max(np.abs(c))) for c in comps)
-            factor = partial(band_support, grid, tol=SUPPORT_RTOL * scale)
-        self._comp_factor = tuple(factor(c) for c in comps)
-        self._div_factor = factor(self.divergence)
+            self._stencil = _stencil(grid, comps)
         self.K = None       # a single field, not a stack
+
+    @property
+    def divergence(self):
+        """div(xi), formed on each access; a field keeps only its
+        max_divergence."""
+        return sum(derivative(self.grid, c, axis)
+                   for axis, c in enumerate(self.components))
 
     @classmethod
     def stack(cls, xis):
@@ -94,7 +99,7 @@ class VectorFieldXi:
             raise ValueError("only 1D fields stack, got %r" % (grid,))
         out = cls.__new__(cls)
         out.grid = grid
-        out._comp_factor = (np.stack([xi._comp_factor[0] for xi in xis]),)
+        out._comp_factor = np.stack([xi._comp_factor for xi in xis])
         out._div_factor = np.stack([xi._div_factor for xi in xis])
         out.K = len(xis)
         return out
@@ -103,9 +108,21 @@ class VectorFieldXi:
         return components_norm(self.grid, self.components, s)
 
 
+def _stencil(grid, comps):
+    """The in-band modes s of a 2D xi above SUPPORT_RTOL, as a tuple of
+    (s, (xi_1(s), xi_2(s))) in fft index order; s is the wavenumber pair."""
+    mags = [np.abs(c) for c in comps]
+    tol = SUPPORT_RTOL * max(float(np.max(m)) for m in mags)
+    idx = np.nonzero(grid.dealias_keep & ((mags[0] > tol) | (mags[1] > tol)))
+    return tuple((tuple(int(k[mode]) for k in grid.k_axes),
+                  tuple(complex(c[mode]) for c in comps))
+                 for mode in zip(*idx))
+
+
 def lie_derivative(xi, c):
-    """L_xi c = xi.grad(c) + div(xi)*c with dealiased products; c may carry
-    leading axes (one call for every row).
+    """L_xi c = xi.grad(c) + div(xi)*c with dealiased products (on a 2D grid
+    in divergence form, div(xi*c)); c may carry leading axes (one call for
+    every row).
 
     For a stack of K fields, field k acts on index k of c's first axis,
     which has length K or 1 (then every field acts on the same input); the
@@ -115,6 +132,8 @@ def lie_derivative(xi, c):
     if c.shape[c.ndim - grid.dim:] != grid.shape:
         raise ValueError("grid mismatch between xi (%r) and field of shape %r"
                          % (grid, c.shape))
+    if grid.dim == 2:
+        return product_with_values(grid, xi._stencil, c)
     comp, div = xi._comp_factor, xi._div_factor
     if xi.K is not None:
         if c.ndim == grid.dim or c.shape[0] not in (1, xi.K):
@@ -123,13 +142,10 @@ def lie_derivative(xi, c):
         # unit axes between the stack and the grid: broadcasting alone would
         # pair the fields with c's last leading axis (sch2's u and eta)
         lead = (xi.K,) + (1,) * (c.ndim - 1 - grid.dim) + grid.shape
-        comp = tuple(f.reshape(lead) for f in comp)
+        comp = comp.reshape(lead)
         div = div.reshape(lead)
-    out = product_with_values(grid, comp[0], derivative(grid, c, 0))
-    for axis in range(1, grid.dim):
-        out = out + product_with_values(grid, comp[axis],
-                                        derivative(grid, c, axis))
-    return out + product_with_values(grid, div, c)
+    return product_with_values(grid, comp, derivative(grid, c)) \
+        + product_with_values(grid, div, c)
 
 
 def lie_second(xi, c):

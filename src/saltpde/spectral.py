@@ -26,6 +26,8 @@ Everything here is a pure function over arrays it never mutates; the grid
 object carries the precomputed wavenumber meshes and masks.
 """
 
+import itertools
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -76,6 +78,11 @@ class Grid:
         for ka in self.k_axes:
             nyq |= ka == -(n // 2)
         self.not_nyquist = ~nyq
+
+        # multipliers (derivative, Hilbert, Riesz) and norm weights, each
+        # built on first use; see _symbol
+        self._symbols = {}
+        self._weights = {}
 
     @staticmethod
     def check_n(n):
@@ -137,17 +144,56 @@ def has_mean(grid, c):
 
 
 # ---------------------------------------------------------------------------
+# per-grid symbols: each multiplier and norm weight is built once per grid
+# (and per exponent s), from the expression a call used to evaluate, so a
+# cached symbol gives the bits the uncached call gave
+
+# exponents s whose weights a grid keeps at once (a model's norms use up to
+# four); past that the oldest is dropped, so a 2D grid holds a bounded
+# number of these 8 n^2-byte arrays
+_MAX_WEIGHTS = 8
+
+
+def _symbol(grid, key, build):
+    """The multiplier key of grid, build() on first use."""
+    sym = grid._symbols.get(key)
+    if sym is None:
+        sym = grid._symbols[key] = build()
+        sym.flags.writeable = False
+    return sym
+
+
+def _weight(grid, s, homogeneous=False):
+    """(1+|k|^2)^s, or |k|^(2s) with 0 on the mean mode if homogeneous."""
+    key = (s, homogeneous)
+    w = grid._weights.get(key)
+    if w is None:
+        if homogeneous:
+            w = np.zeros(grid.shape)
+            nz = grid.ksq > 0
+            w[nz] = grid.ksq[nz] ** s
+        else:
+            w = (1.0 + grid.ksq) ** s
+        w.flags.writeable = False
+        if len(grid._weights) >= _MAX_WEIGHTS:
+            del grid._weights[next(iter(grid._weights))]
+        grid._weights[key] = w
+    return w
+
+
+# ---------------------------------------------------------------------------
 # multiplier operators
 
 def bessel_multiplier(grid, c, s):
     """D^s: coeff(k) scaled by (1+|k|^2)^(s/2)."""
-    return c * (1.0 + grid.ksq) ** (0.5 * s)
+    return c * _weight(grid, 0.5 * s)
 
 
 def derivative(grid, c, axis=0):
     """Spectral partial derivative along grid axis axis; the Nyquist mode is
     zeroed."""
-    return c * (1j * grid.k_axes[axis] * grid.not_nyquist)
+    return c * _symbol(grid, ("derivative", axis),
+                       lambda: 1j * grid.k_axes[axis] * grid.not_nyquist)
 
 
 def gradient(grid, c):
@@ -158,7 +204,8 @@ def hilbert_transform(grid, c):
     """Periodic Hilbert transform, multiplier -i*sgn(k).  1D only."""
     if grid.dim != 1:
         raise ValueError("Hilbert transform is 1D only")
-    return c * (-1j * np.sign(grid.k_axes[0]) * grid.not_nyquist)
+    return c * _symbol(grid, ("hilbert", 0),
+                       lambda: -1j * np.sign(grid.k_axes[0]) * grid.not_nyquist)
 
 
 def riesz_perp(grid, c):
@@ -176,7 +223,9 @@ def riesz_perp(grid, c):
 
 def riesz_component(grid, c, axis):
     """R_j theta with multiplier i*k_j/|k| (2D, zero mean in = zero mean out)."""
-    return c * (1j * grid.k_axes[axis] * grid.inv_absk * grid.not_nyquist)
+    return c * _symbol(grid, ("riesz", axis),
+                       lambda: 1j * grid.k_axes[axis] * grid.inv_absk
+                       * grid.not_nyquist)
 
 
 def _bump(r):
@@ -220,17 +269,6 @@ def band_values(grid, c):
                                 s=grid.shape, axes=grid.axes))
 
 
-def band_support(grid, c, tol):
-    """In-band Fourier support of one field c: a tuple of (shift, coeff).
-
-    shift is the index tuple of a 2/3-band mode with |coeff| > tol; the
-    pairs are what product_with_values convolves with.
-    """
-    idx = np.nonzero(grid.dealias_keep & (np.abs(c) > tol))
-    return tuple((tuple(int(i) for i in mode), complex(c[mode]))
-                 for mode in zip(*idx))
-
-
 def _band_product(grid, values):
     # coefficients of band-sample products, cut back to the band
     return (np.fft.fftn(values, s=grid.shape, axes=grid.axes)
@@ -242,60 +280,81 @@ def dealiased_product(grid, f, g):
     return _band_product(grid, band_values(grid, f) * band_values(grid, g))
 
 
-def product_with_values(grid, factor, c):
-    """Dealiased product of a cached factor with c; factor is either form.
+def _overlap(s, w):
+    """(output, input) slices of the rows i and i - s that both lie in
+    range(w): a shift by s with nothing wrapped around."""
+    return slice(max(0, s), w + min(0, s)), slice(max(0, -s), w - max(0, s))
 
-    Band samples (an ndarray from band_values): multiply on the grid and
-    transform back, as dealiased_product does.  A support (the tuple from
-    band_support): the exact circular convolution
-    keep * sum_j c_j * roll(keep * c, shift_j), which is what the FFT route
-    computes, with no transform.  Its cost is one roll per support entry,
-    so it pays for the few-mode noise fields; it reads c's coefficients
+
+def product_with_values(grid, factor, c):
+    """Dealiased product of a vector field's cached factor with c.
+
+    1D: factor is band samples (an ndarray from band_values); multiply on
+    the grid and transform back, as dealiased_product does.
+
+    2D: factor is a stencil, a tuple of (s, (a1, a2)) with s = (s1, s2)
+    the wavenumber of one in-band mode of xi and a_i = xi_i(s), and the
+    product is taken in divergence form, div(xi * c) with the 2/3 rule:
+
+        keep(k) * sum_s i*(a1*k1 + a2*k2) * (keep * c)(k - s),
+
+    which is L_xi c.  The FFT route's xi.grad(c) + div(xi)*c pairs a_i(s)
+    with i*(k - s)_i (the derivative of c) and i*s_i (the divergence of xi);
+    the two add up to i*k_i, a symbol of the output mode alone.  So each
+    shift costs one shifted copy of the band-cut input times that symbol
+    (an outer sum of two wavenumber vectors), no derivative of c or of xi
+    is formed, and div(xi) is carried exactly, whether or not xi is
+    divergence-free.  No transform runs.  The sum runs over the band only,
+    laid out as one (2K+1)^2 block in wavenumber order, K = n//3: k and s
+    in the band put k - s within 2K < n - K of the origin, so the FFT
+    route's circular convolution wraps nothing into the band and each
+    shift is a plain slice of the block.  The sum reads c's coefficients
     directly, so c must be Hermitian (the FFT route projects onto real
-    fields).  Both forms agree to round-off, but not bit for bit.
+    fields); it agrees with the FFT route to round-off, not bit for bit.
     """
-    if isinstance(factor, np.ndarray):
+    if grid.dim == 1:
         return _band_product(grid, factor * band_values(grid, c))
+    n, K = grid.n, grid.kmax_dealias
+    w = 2 * K + 1
+    # the band's wavenumbers -K..-1 and 0..K: block rows and fft indices
+    parts = ((slice(0, K), slice(n - K, n)), (slice(K, w), slice(0, K + 1)))
+    band = np.empty(c.shape[:-2] + (w, w), dtype=np.complex128)
+    for (b1, f1), (b2, f2) in itertools.product(parts, repeat=2):
+        band[..., b1, b2] = c[..., f1, f2]
+    kb = np.arange(-K, K + 1.0)
+    acc = np.zeros(band.shape, dtype=np.complex128)
+    for (s1, s2), (a1, a2) in factor:
+        (o1, i1), (o2, i2) = _overlap(s1, w), _overlap(s2, w)
+        sym = (1j * a1) * kb[o1, None] + (1j * a2) * kb[o2]
+        acc[..., o1, o2] += sym * band[..., i1, i2]
     out = np.zeros(c.shape, dtype=np.complex128)
-    if not factor:
-        return out
-    band = c * grid.dealias_keep
-    for shift, a in factor:
-        out += a * np.roll(band, shift, axis=grid.axes)
-    out *= grid.dealias_keep
+    for (b1, f1), (b2, f2) in itertools.product(parts, repeat=2):
+        out[..., f1, f2] = acc[..., b1, b2]
     return out
 
 
 # ---------------------------------------------------------------------------
 # norms and inner products, reduced over the grid axes
 
-def _homogeneous_weight(grid, s):
-    # |k|^(2s) off the mean mode, 0 on it
-    w = np.zeros(grid.shape)
-    nz = grid.ksq > 0
-    w[nz] = grid.ksq[nz] ** s
-    return w
-
-
 def sobolev_norm(grid, c, s):
     """||c||_{H^s} = sqrt(sum_k (1+|k|^2)^s |coeff(k)|^2)."""
-    w = (1.0 + grid.ksq) ** s
+    w = _weight(grid, s)
     return _scalar(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=grid.axes)))
 
 
 def homogeneous_norm(grid, c, s):
     """||Lambda^s c||_{L2} for mean-zero c (the k = 0 term is dropped)."""
-    w = _homogeneous_weight(grid, s)
+    w = _weight(grid, s, homogeneous=True)
     return _scalar(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=grid.axes)))
 
 
 def hs_inner(grid, f, g, s):
-    w = (1.0 + grid.ksq) ** s
+    w = _weight(grid, s)
     return _scalar(np.real(np.sum(w * f * np.conj(g), axis=grid.axes)))
 
 
 def homogeneous_inner(grid, f, g, s):
-    w = _homogeneous_weight(grid, s)
+    w = _weight(grid, s, homogeneous=True)
     return _scalar(np.real(np.sum(w * f * np.conj(g), axis=grid.axes)))
 
 

@@ -15,8 +15,9 @@ The bodies work on SpectralField values, the field wrapper the package had
 before its fields became plain coefficient arrays; that class and the
 spectral helpers the bodies call are kept below verbatim as well.  Only
 the boundary adapts: package states and arrays go in (operator(),
-fft_lie()), package states and coefficient arrays come out, and the
-package's lie_derivative is called through a wrapper.
+fft_lie()), checked states that add (as the parent's did) and coefficient
+arrays come out, and the package's lie_derivative is called through a
+wrapper.
 """
 
 import types
@@ -181,10 +182,24 @@ class _StateView:
         return SpectralField(self.grid, self.coeffs[1])
 
 
+class _State:
+    """A checked package state as the parent's ModelState held it: kind,
+    grid and coeffs, and + of two states of one kind, which the bodies of
+    g and g_eps use."""
+
+    def __init__(self, kind, grid, coeffs):
+        state = _models.ModelState(kind, grid, coeffs)
+        self.kind, self.grid, self.coeffs = state.kind, state.grid, state.coeffs
+
+    def __add__(self, other):
+        if other.kind != self.kind:
+            raise _wrong_variant(self.kind, other.kind)
+        return _State(self.kind, self.grid, self.coeffs + other.coeffs)
+
+
 def ModelState(kind, fields):
-    """The parent's ModelState(kind, fields), building a package state."""
-    return _models.ModelState(kind, fields[0].grid,
-                              np.stack([f.coeffs for f in fields]))
+    """The parent's ModelState(kind, fields), building a state that adds."""
+    return _State(kind, fields[0].grid, np.stack([f.coeffs for f in fields]))
 
 
 def lie_derivative(xi, F):

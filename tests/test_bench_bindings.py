@@ -43,3 +43,37 @@ def test_expected_spans_are_bound():
             assert inspect.isfunction(fn), name
             assert not parts[1].startswith("_"), name
             assert fn.__module__ == module.__name__, name
+
+
+def test_sqg_heun_step_reaches_product_with_values(monkeypatch):
+    # the tracer records spectral.product_with_values by wrapping it at
+    # every module-level binding in the package, and the sqg_heun workload
+    # expects that span; a 2D Lie kernel that went around those bindings
+    # (a private helper, say) would fail only a traced benchmark run
+    import sys
+
+    import numpy as np
+
+    from saltpde import spectral
+    from saltpde.models import make_initial_state, make_ops
+    from saltpde.noise import build_basis_sqg
+    from saltpde.solver import step_strat_heun
+    fn = spectral.product_with_values
+    calls, patched = [], set()
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "saltpde" or name.startswith("saltpde."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+                    patched.add(name)
+    assert "saltpde.lie" in patched
+    grid = spectral.Grid(32, dim=2)
+    ops = make_ops("sqg", grid, 4.5, build_basis_sqg(grid, 4, 6.5), 0.1)
+    X = make_initial_state("sqg", grid, "smooth", 0.1).coeffs
+    step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
+    assert len(calls) >= ops.basis.K

@@ -227,8 +227,8 @@ def max_relative_difference(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-# the support convolution is the FFT product summed in another order; the
-# measured difference is <= 2e-15 at 64^2 and <= 1.4e-14 at 512^2
+# the stencil sum is the FFT route's two products summed in another order;
+# the measured difference is <= 2.1e-15 at 64^2 and <= 1.4e-14 at 512^2
 TOL_2D = 1e-12
 
 
@@ -252,26 +252,32 @@ def test_lie_derivative_2d_matches_fft_route(n):
 
 
 def test_lie_derivative_2d_dense_xi_matches_fft_route():
-    # positive control for long supports: a white-noise xi, not divergence
-    # free, so every in-band mode of every factor enters the convolution
+    # positive control for long stencils: a white-noise xi, not divergence
+    # free, so every in-band mode enters the sum, and the output-side symbol
+    # must carry the div(xi)*f term that the FFT route forms as a product
     import oracle_ops
     g = Grid(32, dim=2)
     rng = np.random.default_rng(11)
     xi = VectorFieldXi(g, [from_values(g, rng.standard_normal(g.shape))
                            for _ in range(2)])
-    in_band = int(np.count_nonzero(g.dealias_keep))
-    assert [len(f) for f in xi._comp_factor] == [in_band, in_band]
-    assert len(xi._div_factor) >= in_band - 1      # all but the mean
+    in_band = {(int(k1), int(k2)) for k1, k2 in zip(g.k_axes[0][g.dealias_keep],
+                                                   g.k_axes[1][g.dealias_keep])}
+    shifts = [shift for shift, _ in xi._stencil]
+    assert len(shifts) == len(in_band) and set(shifts) == in_band
     assert xi.max_divergence > 0.1
     for _ in range(3):
         f = from_values(g, rng.standard_normal(g.shape))
-        assert max_relative_difference(
-            lie_derivative(xi, f), oracle_ops.fft_lie(xi, f)) <= TOL_2D
+        want = oracle_ops.fft_lie(xi, f)
+        assert max_relative_difference(lie_derivative(xi, f), want) <= TOL_2D
+        # the div(xi)*f term is far above the tolerance: dropping it fails
+        div_term = dealiased_product(g, xi.divergence, f)
+        assert max_relative_difference(want - div_term, want) > 1e6 * TOL_2D
 
 
-def test_sqg_xi_caches_one_mode_per_component():
-    # xi_k = a (-d2 psi, d1 psi) with psi one plane wave m.x: component i
-    # holds the modes +-m exactly when m_(3-i) != 0, and div xi holds none
+def test_sqg_xi_stencil_holds_the_shifts_of_its_wave():
+    # xi_k = a (-d2 psi, d1 psi) with psi one plane wave m.x: the stencil
+    # holds the wavenumbers +-m, one entry each, with xi's coefficients
+    # there; component i is zero exactly when m_(3-i) is
     for n in (64, 128):
         g = Grid(n, dim=2)
         basis = build_basis_sqg(g, 8, 6.5)
@@ -279,8 +285,51 @@ def test_sqg_xi_caches_one_mode_per_component():
             w1, w2 = _SQG_WAVES[(k - 1) % len(_SQG_WAVES)]
             scale = 1 + (k - 1) // len(_SQG_WAVES)
             m1, m2 = scale * w1, scale * w2
-            modes = {(m1 % n, m2 % n), (-m1 % n, -m2 % n)}
-            for factor, partner in zip(xi._comp_factor, (m2, m1)):
-                assert {shift for shift, _ in factor} == (modes if partner else set())
-                assert len(factor) == (2 if partner else 0)
-            assert xi._div_factor == ()
+            shifts = [shift for shift, _ in xi._stencil]
+            assert len(shifts) == 2 and set(shifts) == {(m1, m2), (-m1, -m2)}
+            for (s1, s2), coeffs in xi._stencil:
+                assert coeffs == tuple(complex(c[s1, s2]) for c in xi.components)
+                assert [a != 0 for a in coeffs] == [m2 != 0, m1 != 0]
+
+
+def _held_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item)
+
+
+def test_2d_xi_holds_no_grid_array_but_its_components():
+    # the stencil replaces the cached factors and div(xi): at 512^2 each
+    # grid-sized array is 4 MiB, per field of the basis
+    g = Grid(32, dim=2)
+    rng = np.random.default_rng(13)
+    dense = VectorFieldXi(g, [from_values(g, rng.standard_normal(g.shape))
+                              for _ in range(2)])
+    for xi in build_basis_sqg(g, 8, 6.5).xis + [dense]:
+        held = [a for value in vars(xi).values() for a in _held_arrays(value)]
+        assert len(held) == 2
+        assert all(a is c for a, c in zip(held, xi.components))
+        assert not list(_held_arrays(xi._stencil))
+
+
+def test_lie_derivative_2d_makes_no_transforms(monkeypatch):
+    # counter as in test_ccf_em_step_fft_budget
+    g = Grid(32, dim=2)
+    basis = build_basis_sqg(g, 8, 6.5)
+    f = from_values(g, np.random.default_rng(14).standard_normal(g.shape))
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
+                 "irfft", "fft2", "ifft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    for xi in basis.xis:
+        lie_derivative(xi, f)
+        lie_second(xi, np.stack([f, f]))
+    ito_correction(basis, f)
+    assert calls == []
+    to_grid(g, f)       # the counter counts
+    assert calls == [1]

@@ -142,25 +142,14 @@ def test_operators_match_frozen_oracle(model, eps):
     oracle = getattr(oracle_ops, type(ops).__name__)(g, s, ops.basis, eps)
     calls = [(name, ()) for name in OPERATORS] + [
         (name, (k,)) for name in NOISE_OPERATORS for k in range(ops.basis.K)]
-    # the oracle's g and g_eps add its two parts as states, which no longer
-    # add: the test forms that sum of the two parts' coefficients instead
-    parts = {"g": ("g_transport", "ito_correction"),
-             "g_eps": ("g_eps_transport", "ito_correction_eps")}
-
-    def oracle_coeffs(name, X, *args):
-        if name in parts:
-            a, b = (oracle_coeffs(part, X) for part in parts[name])
-            return a + b
-        want = oracle_ops.operator(oracle, name, ModelState(model, g, X), *args)
-        assert want.kind == model
-        return want.coeffs
-
     for banks in corpus_banks(g.dim, 3, seed=29, per_state=2):
         X = corpus_state(model, g, s, banks)
         for name, args in calls:
             got = getattr(ops, name)(X, *args)
-            assert type(got) is np.ndarray
-            for a, b in zip(got, oracle_coeffs(name, X, *args), strict=True):
+            want = oracle_ops.operator(oracle, name, ModelState(model, g, X),
+                                       *args)
+            assert type(got) is np.ndarray and want.kind == model
+            for a, b in zip(got, want.coeffs, strict=True):
                 assert np.array_equal(a, b), (name, args)
 
 
