@@ -15,6 +15,7 @@ byte for byte.  All floats are serialised with full round-trip precision.
 """
 
 import argparse
+import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -374,7 +375,36 @@ _COMMANDS = {"simulate": cmd_simulate, "verify": cmd_verify,
              "converge": cmd_converge, "stability": cmd_stability}
 
 
+# glibc mallopt parameters
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+
+
+def keep_heap_pages():
+    """On glibc, keep freed heap pages for reuse instead of handing them
+    back to the kernel as soon as 128 KiB lie free at the heap top.
+
+    A 64^2 sqg time step allocates and frees about 1 MiB of temporaries
+    (a complex 64^2 array is 64 KiB); with glibc's defaults the top of the
+    heap is trimmed and faulted in again every step (some 100 page faults
+    a step), or not at all, depending on where earlier allocations
+    happened to land.  16 MiB of top padding holds a step's temporaries;
+    arrays up to 32 MiB come from the heap, where glibc's own threshold
+    would settle after the first such array is freed.  The price is freed
+    pages kept resident: `verify` with every estimate peaks about 3%
+    higher.  Without mallopt (not glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TOP_PAD, 16 << 20)
+
+
 def main(argv=None):
+    keep_heap_pages()
     parser = argparse.ArgumentParser(
         prog="saltpde",
         description="transport-noise fluid PDE simulation and estimate checks")

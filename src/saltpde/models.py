@@ -40,10 +40,10 @@ import numpy as np
 from . import spectral as sp
 from .lie import ito_correction, lie_derivative
 from .spectral import (dealiased_product, derivative, gradient, has_mean,
-                       hilbert_transform, hs_inner, homogeneous_inner,
-                       homogeneous_norm, lipschitz_norm, mollifier_symbol,
-                       riesz_component, riesz_perp, sobolev_norm, sup_norm,
-                       to_grid, zero_field)
+                       hermitian_part, hilbert_transform, hs_inner,
+                       homogeneous_inner, homogeneous_norm, lipschitz_norm,
+                       mollifier_symbol, riesz_component, riesz_perp,
+                       sobolev_norm, sup_norm, to_grid, zero_field)
 
 FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
                "sqg": ("theta",), "linear": ("theta",)}
@@ -325,10 +325,10 @@ class SqgOps(_FluidOps):
                 raise ValueError("sqg needs a divergence-free noise basis")
 
     def _transport(self, c):
+        # u.grad(theta) from the pairs u and grad(theta), one transform each
         g = self.grid
-        u1, u2 = riesz_perp(g, c)
-        return dealiased_product(g, u1, derivative(g, c, 0)) \
-            + dealiased_product(g, u2, derivative(g, c, 1))
+        c = hermitian_part(g, c)
+        return dealiased_product(g, riesz_perp(g, c), gradient(g, c))
 
     def b(self, X):
         return np.zeros_like(self._rows(X))
@@ -368,26 +368,23 @@ class SqgOps(_FluidOps):
         return homogeneous_norm(self.grid, self._theta(X), self.s - 2.0)
 
     def v_norm(self, X):
-        # sup|grad theta| + sup|R grad theta| on the grid nodes
-        # one transform per row: stacked rows of 64^2 and more cost more in
-        # fresh pages than the transforms they share
+        # sup|grad theta| + sup|R grad theta| on the grid nodes: the pairs
+        # grad(theta) and (R_1, R_2) of each partial, one transform each
         g = self.grid
-        g1, g2 = gradient(g, self._theta(X))
-        v1, v2 = to_grid(g, g1), to_grid(g, g2)
+        grad = gradient(g, hermitian_part(g, self._theta(X)))
+        v1, v2 = to_grid(g, grad)
         out = float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
         acc = np.zeros(g.shape)
-        for gj in (g1, g2):
-            for axis in (0, 1):
-                r = to_grid(g, riesz_component(g, gj, axis))
-                acc += r * r
+        for gj in grad:
+            r1, r2 = to_grid(g, (riesz_component(g, gj, 0),
+                                 riesz_component(g, gj, 1)))
+            acc += r1 * r1
+            acc += r2 * r2
         return out + float(np.max(np.sqrt(acc)))
 
-    def l2_norm(self, X):
-        return sobolev_norm(self.grid, self._theta(X), 0.0)
-
     def max_velocity(self, X):
-        u1, u2 = riesz_perp(self.grid, self._theta(X))
-        v1, v2 = to_grid(self.grid, u1), to_grid(self.grid, u2)
+        g = self.grid
+        v1, v2 = to_grid(g, riesz_perp(g, hermitian_part(g, self._theta(X))))
         return float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
 
 

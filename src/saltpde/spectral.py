@@ -20,7 +20,9 @@ Multiplier operators provided here: the Bessel potential D^s with symbol
 (1+|k|^2)^(s/2), the periodic Hilbert transform (1D), the perpendicular
 Riesz transform (2D), the symbol of the bump mollifier J_eps and the
 Helmholtz mollifier (1-eps^2*Lap)^(-1).  Pointwise products of fields are
-always dealiased with the 2/3 rule.
+always dealiased with the 2/3 rule.  to_grid, band_values and
+dealiased_product also take a pair (a, b) of real fields, which goes
+through one complex transform of a + i*b.
 
 Everything here is a pure function over arrays it never mutates; the grid
 object carries the precomputed wavenumber meshes and masks.
@@ -128,12 +130,56 @@ def from_values(grid, values):
     return np.fft.fftn(values, s=grid.shape, axes=grid.axes) / grid.n_total
 
 
+def _packed(c, mult):
+    # c * mult as a fresh array; a pair (a, b) of real fields as the one
+    # complex field (a + i*b) * mult
+    if not isinstance(c, tuple):
+        return c * mult
+    a, b = c
+    z = b * 1j
+    z += a
+    z *= mult
+    return z
+
+
+def _samples(grid, z, c):
+    # the real samples of c from its packed coefficients z (a fresh array,
+    # transformed in place): a pair's are the real and imaginary parts
+    z = np.fft.ifftn(z, s=grid.shape, axes=grid.axes, out=z)
+    return (z.real, z.imag) if isinstance(c, tuple) else np.real(z)
+
+
 def to_grid(grid, c):
-    """Real grid samples of the coefficients c, as a float ndarray."""
-    if not np.all(np.isfinite(c)):
-        bad = int(np.count_nonzero(~np.isfinite(c)))
+    """Real grid samples of the coefficients c, as a float ndarray.
+
+    c may also be a pair (a, b) of real fields (Hermitian coefficients,
+    such as the two components of a gradient): the pair of samples comes
+    from one complex transform of a + i*b, whose real and imaginary parts
+    are the samples of a and b.  Round-off in a's anti-Hermitian part lands
+    in b's samples, so project the fields onto their Hermitian part first
+    (hermitian_part) where the last bits matter.
+    """
+    z = _packed(c, grid.n_total)
+    if not np.all(np.isfinite(z)):
+        bad = int(np.count_nonzero(~np.isfinite(z)))
         raise ValueError("spectrum has %d non-finite coefficients" % bad)
-    return np.real(np.fft.ifftn(c * grid.n_total, s=grid.shape, axes=grid.axes))
+    return _samples(grid, z, c)
+
+
+def hermitian_part(grid, c):
+    """(c(k) + conj(c(-k)))/2: the coefficients of the real part of the
+    field c, Hermitian exactly (the derivative and Riesz multipliers keep
+    them so), which is what pairing two fields in one transform needs."""
+    flipped = np.empty_like(c)
+    # index -k mod n along each grid axis: 0 stays, 1..n-1 reverse
+    axis_parts = ((0, 0), (slice(1, None), slice(None, 0, -1)))
+    for parts in itertools.product(axis_parts, repeat=grid.dim):
+        out, src = zip(*parts)
+        flipped[(Ellipsis,) + out] = c[(Ellipsis,) + src]
+    np.conjugate(flipped, out=flipped)
+    flipped += c
+    flipped *= 0.5
+    return flipped
 
 
 def has_mean(grid, c):
@@ -264,20 +310,38 @@ def mollify_helmholtz(grid, c, eps):
 # dealiased products
 
 def band_values(grid, c):
-    """Grid samples of the 2/3-band projection of c."""
-    return np.real(np.fft.ifftn(c * grid.dealias_keep * grid.n_total,
-                                s=grid.shape, axes=grid.axes))
+    """Grid samples of the 2/3-band projection of c; of a pair (a, b), the
+    pair of samples from one transform, as in to_grid."""
+    z = _packed(c, grid.dealias_keep)
+    z *= grid.n_total
+    return _samples(grid, z, c)
 
 
 def _band_product(grid, values):
-    # coefficients of band-sample products, cut back to the band
-    return (np.fft.fftn(values, s=grid.shape, axes=grid.axes)
-            / grid.n_total) * grid.dealias_keep
+    # coefficients of band-sample products, cut back to the band; the
+    # transform runs in place on the one complex copy of values
+    z = values.astype(np.complex128)
+    z = np.fft.fftn(z, s=grid.shape, axes=grid.axes, out=z)
+    z /= grid.n_total
+    z *= grid.dealias_keep
+    return z
 
 
 def dealiased_product(grid, f, g):
-    """Pointwise product with the 2/3 rule applied to inputs and output."""
-    return _band_product(grid, band_values(grid, f) * band_values(grid, g))
+    """Pointwise product with the 2/3 rule applied to inputs and output.
+
+    f and g may also be two pairs (f1, f2), (g1, g2) of real fields: the
+    product is then the dot product f1*g1 + f2*g2, summed on the grid
+    before the one forward transform, and each pair takes one inverse
+    transform (band_values), so u.grad(theta) costs three transforms.
+    """
+    if isinstance(f, tuple) != isinstance(g, tuple):
+        raise ValueError("dealiased_product takes two fields or two pairs")
+    fv, gv = band_values(grid, f), band_values(grid, g)
+    if isinstance(f, tuple):
+        (f1, f2), (g1, g2) = fv, gv
+        return _band_product(grid, f1 * g1 + f2 * g2)
+    return _band_product(grid, fv * gv)
 
 
 def _overlap(s, w):
@@ -365,8 +429,7 @@ def sup_norm(grid, c):
 def lipschitz_norm(grid, c):
     """Discrete W^{1,inf} surrogate: sup|f| + sup|grad f| on the grid nodes."""
     if grid.dim == 1:
-        # f and f_x in one transform (2D transforms row by row: see
-        # SqgOps.v_norm)
+        # f and f_x in one stacked transform
         v, dv = to_grid(grid, np.stack([c, derivative(grid, c, 0)]))
         return _scalar(np.max(np.abs(v), axis=grid.axes)
                        + np.max(np.abs(dv), axis=grid.axes))

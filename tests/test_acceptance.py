@@ -178,14 +178,13 @@ def test_criterion_5c_sqg_l2_drift_slope():
     base = SimConfig(model="sqg", n=64, dt=1e-3, t_end=0.25, s=4.5,
                      noise_k=4, noise_s_max=6.5, ic_amplitude=0.5, seed=7,
                      record_every=10 ** 9, scheme="strat_heun")
-    ops = base.build_ops()
-    X0 = base.initial_state(base.grid()).coeffs
-    l20 = ops.l2_norm(X0)
+    g = base.grid()
+    l20 = sobolev_norm(g, base.initial_state(g).coeffs[0], 0.0)
     dts = (1e-3, 5e-4, 2.5e-4)
     drifts = []
     for dt in dts:
         rec = run_path(replace(base, dt=dt))
-        drifts.append(abs(ops.l2_norm(rec.final_state) - l20) / l20)
+        drifts.append(abs(sobolev_norm(g, rec.final_state[0], 0.0) - l20) / l20)
     slope = float(np.polyfit(np.log(dts), np.log(drifts), 1)[0])
     ok = 0.7 <= slope <= 1.3
     assert report("5c", "SQG Stratonovich-Heun pathwise L2 drift", ok,

@@ -45,20 +45,10 @@ def test_expected_spans_are_bound():
             assert fn.__module__ == module.__name__, name
 
 
-def test_sqg_heun_step_reaches_product_with_values(monkeypatch):
-    # the tracer records spectral.product_with_values by wrapping it at
-    # every module-level binding in the package, and the sqg_heun workload
-    # expects that span; a 2D Lie kernel that went around those bindings
-    # (a private helper, say) would fail only a traced benchmark run
+def count_at_bindings(monkeypatch, fn):
+    """Wrap fn at every module-level binding in the package, as the tracer
+    does; returns the list each call appends to and the modules patched."""
     import sys
-
-    import numpy as np
-
-    from saltpde import spectral
-    from saltpde.models import make_initial_state, make_ops
-    from saltpde.noise import build_basis_sqg
-    from saltpde.solver import step_strat_heun
-    fn = spectral.product_with_values
     calls, patched = [], set()
 
     def counted(*args, **kwargs):
@@ -71,9 +61,55 @@ def test_sqg_heun_step_reaches_product_with_values(monkeypatch):
                 if obj is fn:
                     monkeypatch.setattr(mod, attr, counted)
                     patched.add(name)
-    assert "saltpde.lie" in patched
+    return calls, patched
+
+
+def sqg_setup():
+    from saltpde import spectral
+    from saltpde.models import make_initial_state, make_ops
+    from saltpde.noise import build_basis_sqg
     grid = spectral.Grid(32, dim=2)
     ops = make_ops("sqg", grid, 4.5, build_basis_sqg(grid, 4, 6.5), 0.1)
-    X = make_initial_state("sqg", grid, "smooth", 0.1).coeffs
+    return ops, make_initial_state("sqg", grid, "smooth", 0.1).coeffs
+
+
+def test_sqg_heun_step_reaches_product_with_values(monkeypatch):
+    # the tracer records spectral.product_with_values by wrapping it at
+    # every module-level binding in the package, and the sqg_heun workload
+    # expects that span; a 2D Lie kernel that went around those bindings
+    # (a private helper, say) would fail only a traced benchmark run
+    import numpy as np
+
+    from saltpde import spectral
+    from saltpde.solver import step_strat_heun
+    calls, patched = count_at_bindings(monkeypatch,
+                                       spectral.product_with_values)
+    assert "saltpde.lie" in patched
+    ops, X = sqg_setup()
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
     assert len(calls) >= ops.basis.K
+
+
+def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
+    # the sqg_heun workload expects spectral.to_grid and
+    # spectral.dealiased_product; the paired transforms of the transport
+    # term, v_norm and max_velocity must go through those two functions at
+    # their module bindings, not through a helper beside them
+    import numpy as np
+
+    from saltpde import spectral
+    from saltpde.solver import step_strat_heun
+    ops, X = sqg_setup()
+    counts = {}
+    for fn in (spectral.to_grid, spectral.dealiased_product):
+        calls, patched = count_at_bindings(monkeypatch, fn)
+        assert "saltpde.models" in patched, fn.__name__
+        counts[fn.__name__] = calls
+    step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
+    assert counts["dealiased_product"] and counts["to_grid"]
+    to_grid_calls = counts["to_grid"]
+    to_grid_calls.clear()
+    ops.v_norm(X)
+    assert len(to_grid_calls) == 3
+    ops.max_velocity(X)
+    assert len(to_grid_calls) == 4

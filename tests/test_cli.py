@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from saltpde.cli import (ConfigError, cmd_converge, cmd_simulate,
-                         cmd_stability, cmd_verify, main, manifest_lines,
-                         parse_config, write_manifest)
-from saltpde.solver import read_trajectory
+                         cmd_stability, cmd_verify, keep_heap_pages, main,
+                         manifest_lines, parse_config, write_manifest)
+from saltpde.solver import SimConfig, read_trajectory, step_strat_heun
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -314,3 +314,29 @@ def test_main_entry(tmp_path, capsys):
 
     bad = write_config(tmp_path, "model = ccf\n", name="bad.cfg")
     assert main(["simulate", bad]) == 2
+
+
+def test_sqg_steps_reuse_heap_pages():
+    # a 64^2 sqg Heun step frees about 1 MiB of 64 KiB temporaries; with
+    # glibc's default 128 KiB trim threshold those pages go back to the
+    # kernel and are faulted in again on the next step (some 100 faults a
+    # step, or none, depending on where earlier allocations landed).  After
+    # keep_heap_pages (main calls it) the steps reuse the same pages
+    import ctypes
+    resource = pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("no mallopt in this C library")
+    keep_heap_pages()
+    cfg = SimConfig(model="sqg", n=64, s=4.5, noise_k=4, noise_s_max=6.5,
+                    ic_amplitude=0.5, seed=7)
+    ops = cfg.build_ops()
+    X = cfg.initial_state(cfg.grid()).coeffs
+    dw = np.full(4, 0.01)
+    for _ in range(5):
+        X = step_strat_heun(X, ops, dw, 1e-3, 1e6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        X = step_strat_heun(X, ops, dw, 1e-3, 1e6)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50

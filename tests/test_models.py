@@ -8,8 +8,8 @@ from saltpde.lie import VectorFieldXi, lie_derivative
 from saltpde.models import ModelState, make_initial_state, make_ops
 from saltpde.noise import NoiseBasis, build_basis_1d, build_basis_sqg, constant_basis_1d
 from saltpde.spectral import (Grid, dealiased_product, derivative,
-                              from_values, sobolev_norm, sup_norm, to_grid,
-                              zero_field)
+                              from_values, mollifier_symbol, sobolev_norm,
+                              sup_norm, to_grid, zero_field)
 from spectral_helpers import hermitian_defect, l2_inner, mollify_j
 
 
@@ -131,10 +131,74 @@ def test_wrong_grid_dimension_rejected(model, dim):
         make_ops(model, g, 6.0, NoiseBasis([], "geometric", 0.5, 8.0), 0.1)
 
 
+def sqg_parent_formulas(grid, theta, jhat=None, dtype=np.float64):
+    """(transport, v_norm, max_velocity) of one sqg row theta as the models
+    computed them before the paired transforms, every operation in dtype.
+
+    The transport term is -J(u1*d1 theta + u2*d2 theta) of J theta (J = 1
+    when jhat is None), one inverse transform per real field and the two
+    dealiased products summed in coefficient space; the V-norm takes one
+    transform per row.  At float64 it is the frozen oracle's transport bit
+    for bit; at longdouble (numpy transforms clongdouble natively, epsilon
+    1.1e-19) it is the yardstick the float64 operators are measured by.
+    """
+    n_total, keep, nyq = grid.n_total, grid.dealias_keep, grid.not_nyquist
+    k = [np.asarray(ka, dtype=dtype) for ka in grid.k_axes]
+    absk = np.sqrt(k[0] * k[0] + k[1] * k[1])
+    inv_absk = np.zeros(grid.shape, dtype=dtype)
+    np.divide(1.0, absk, out=inv_absk, where=absk > 0)
+    theta = np.asarray(theta, dtype=np.result_type(dtype, np.complex64))
+
+    def deriv(c, axis):
+        return c * (1j * k[axis] * nyq)
+
+    def riesz(c, axis):
+        return c * (1j * k[axis] * inv_absk * nyq)
+
+    def band(c):
+        return np.real(np.fft.ifftn(c * keep * n_total))
+
+    def product(f, h):
+        return (np.fft.fftn(band(f) * band(h)) / n_total) * keep
+
+    def samples(c):
+        return np.real(np.fft.ifftn(c * n_total))
+
+    th = theta if jhat is None else theta * jhat
+    u1, u2 = riesz(th, 1), -riesz(th, 0)
+    adv = product(u1, deriv(th, 0)) + product(u2, deriv(th, 1))
+    transport = (adv if jhat is None else adv * jhat) * -1.0
+    g1, g2 = deriv(theta, 0), deriv(theta, 1)
+    v1, v2 = samples(g1), samples(g2)
+    v_norm = np.max(np.sqrt(v1 * v1 + v2 * v2))
+    acc = np.zeros(grid.shape, dtype=dtype)
+    for gj in (g1, g2):
+        for axis in (0, 1):
+            r = samples(riesz(gj, axis))
+            acc += r * r
+    v_norm = v_norm + np.max(np.sqrt(acc))
+    w1, w2 = samples(riesz(theta, 1)), samples(-riesz(theta, 0))
+    return transport, v_norm, np.max(np.sqrt(w1 * w1 + w2 * w2))
+
+
+def long_double_error(got, ref):
+    """max |got - ref|, with got taken exactly into long double."""
+    return float(np.max(np.abs(np.asarray(got, dtype=np.clongdouble) - ref)))
+
+
+# the sqg operators whose transport term pairs two real fields per
+# transform: measured against the long-double yardstick, not the old bits
+SQG_PAIRED = ("g_transport", "g", "g_eps_transport", "g_eps")
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.0625])
 @pytest.mark.parametrize("model", ["sch2", "ccf", "sqg"])
 def test_operators_match_frozen_oracle(model, eps):
-    # the shared core reproduces the per-model operators bit for bit
+    # the shared core reproduces the per-model operators bit for bit; the
+    # sqg transport term (and g, g_eps through it) transforms its real
+    # fields in pairs, so there it must be no farther from the long-double
+    # evaluation of the frozen formulas than the oracle is, max over the
+    # corpus
     import oracle_ops
     from saltpde.estimates import corpus_banks, corpus_state
     g, ops, s = model_setup(model, n=128 if model != "sqg" else 64, K=4,
@@ -142,15 +206,80 @@ def test_operators_match_frozen_oracle(model, eps):
     oracle = getattr(oracle_ops, type(ops).__name__)(g, s, ops.basis, eps)
     calls = [(name, ()) for name in OPERATORS] + [
         (name, (k,)) for name in NOISE_OPERATORS for k in range(ops.basis.K)]
+    errors = {}
     for banks in corpus_banks(g.dim, 3, seed=29, per_state=2):
         X = corpus_state(model, g, s, banks)
+        state = ModelState(model, g, X)
         for name, args in calls:
             got = getattr(ops, name)(X, *args)
-            want = oracle_ops.operator(oracle, name, ModelState(model, g, X),
-                                       *args)
+            want = oracle_ops.operator(oracle, name, state, *args)
             assert type(got) is np.ndarray and want.kind == model
+            if model == "sqg" and name in SQG_PAIRED:
+                mollified = "eps" in name
+                ref = sqg_parent_formulas(g, X[0], mollifier_symbol(g, eps)
+                                          if mollified else None,
+                                          np.longdouble)[0]
+                if name in ("g", "g_eps"):
+                    ito = "ito_correction_eps" if mollified else "ito_correction"
+                    ref = ref + oracle_ops.operator(oracle, ito, state).coeffs[0]
+                for side, out in (("package", got[0]), ("oracle", want.coeffs[0])):
+                    errors[name, side] = max(errors.get((name, side), 0.0),
+                                             long_double_error(out, ref))
+                continue
             for a, b in zip(got, want.coeffs, strict=True):
                 assert np.array_equal(a, b), (name, args)
+    for name in SQG_PAIRED if model == "sqg" else ():
+        assert errors[name, "package"] <= errors[name, "oracle"], \
+            (name, errors[name, "package"], errors[name, "oracle"])
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_sqg_paired_transforms_no_farther_from_long_double(n):
+    # the transport term, V-norm and max velocity pair two real fields per
+    # transform; over the corpus, none may be farther from the long-double
+    # evaluation of the frozen formulas than those formulas in float64.
+    # Positive control: the same pairs without the Hermitian projection of
+    # theta leak each field's anti-Hermitian round-off into its partner,
+    # which must show as a transport error beyond the bound
+    import oracle_ops
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.spectral import gradient, riesz_perp
+    eps = 0.0625
+    g, ops, s = model_setup("sqg", n=n, K=4, eps=eps)
+    oracle = oracle_ops.SqgOps(g, s, ops.basis, eps)
+    errors = {}
+
+    def record(name, side, got, ref):
+        errors[name, side] = max(errors.get((name, side), 0.0),
+                                 long_double_error(got, ref))
+
+    for banks in corpus_banks(2, 3, seed=29, per_state=2):
+        X = corpus_state("sqg", g, s, banks)
+        theta = X[0]
+        for name, jhat in (("g_transport", None),
+                           ("g_eps_transport", mollifier_symbol(g, eps))):
+            parent = sqg_parent_formulas(g, theta, jhat)[0]
+            frozen = oracle_ops.operator(oracle, name, ModelState("sqg", g, X))
+            assert np.array_equal(parent, frozen.coeffs[0]), name
+            ref = sqg_parent_formulas(g, theta, jhat, np.longdouble)[0]
+            record(name, "package", getattr(ops, name)(X)[0], ref)
+            record(name, "parent", parent, ref)
+            c = theta if jhat is None else theta * jhat
+            unprojected = dealiased_product(g, riesz_perp(g, c), gradient(g, c))
+            if jhat is not None:
+                unprojected = unprojected * jhat
+            record(name, "unprojected", unprojected * -1.0, ref)
+        parent = sqg_parent_formulas(g, theta)
+        ref = sqg_parent_formulas(g, theta, None, np.longdouble)
+        for i, name in ((1, "v_norm"), (2, "max_velocity")):
+            record(name, "package", getattr(ops, name)(X), ref[i])
+            record(name, "parent", parent[i], ref[i])
+    for name in ("g_transport", "g_eps_transport", "v_norm", "max_velocity"):
+        assert errors[name, "package"] <= errors[name, "parent"], \
+            (name, errors[name, "package"], errors[name, "parent"])
+    for name in ("g_transport", "g_eps_transport"):
+        assert errors[name, "unprojected"] > 2.0 * errors[name, "parent"], \
+            (name, errors[name, "unprojected"], errors[name, "parent"])
 
 
 @pytest.mark.parametrize("K", [1, 2, 8])

@@ -307,6 +307,32 @@ def test_ccf_em_step_fft_budget(monkeypatch):
     assert counts[1] - counts[0] == 17
 
 
+def test_sqg_heun_step_fft_budget(monkeypatch):
+    # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
+    # CFL check and its V-norm, makes 13 transforms: 3 for each of the two
+    # transport products (one per pair u, grad theta and one forward), 3
+    # for the predictor's v_norm, 3 for the monitor's v_norm and 1 for
+    # max_velocity; the noise operators make none
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
+                 "irfft", "fft2", "ifft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = []
+    for steps in (1, 2):
+        cfg = SimConfig(model="sqg", n=64, dt=1e-3, t_end=steps * 1e-3,
+                        s=4.5, noise_k=4, noise_s_max=6.5, seed=3,
+                        scheme="strat_heun")
+        assert np.all(sample_path(3, cfg.dt, steps, 4).increments != 0.0)
+        calls.clear()
+        rec = run_path(cfg)
+        assert rec.stop_reason == "end" and len(rec.times) == steps + 1
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 13
+
+
 def test_entry_states_must_match_the_config():
     # X0 and Y0 are checked where they enter: same model kind, same grid
     # (a linear state has the array shape of a ccf one on the same grid)

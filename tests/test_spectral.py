@@ -322,6 +322,46 @@ def test_band_values_projection():
     assert np.max(np.abs(spec[absk > g.kmax_dealias])) < 1e-14
 
 
+@pytest.mark.parametrize("n, dim", [(64, 1), (32, 2)])
+def test_pairs_share_one_transform(n, dim, monkeypatch):
+    # a pair (a, b) of real fields goes through one complex transform of
+    # a + i*b; its samples and its dot product agree with the one-field
+    # calls to round-off, and hermitian_part makes the coefficients
+    # Hermitian exactly (a projection: applying it twice changes nothing)
+    from saltpde.spectral import hermitian_part
+    g = Grid(n, dim=dim)
+    rng = np.random.default_rng(13)
+    a, b, f, h = (random_field(g, rng) for _ in range(4))
+    for c in (a, b, np.stack([a, b])):
+        p = hermitian_part(g, c)
+        assert hermitian_defect(g, p) == 0.0
+        assert np.array_equal(hermitian_part(g, p), p)
+        assert np.max(np.abs(p - c)) < 1e-15 * np.max(np.abs(c))
+    a, b = hermitian_part(g, a), hermitian_part(g, b)
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    va, vb = to_grid(g, (a, b))
+    assert len(calls) == 1
+    for got, want in ((va, to_grid(g, a)), (vb, to_grid(g, b))):
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    bands = band_values(g, (a, b))
+    for got, want in zip(bands, (band_values(g, a), band_values(g, b))):
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+    dot = dealiased_product(g, (a, b), (f, h))
+    want = dealiased_product(g, a, f) + dealiased_product(g, b, h)
+    assert np.max(np.abs(dot - want)) < 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="two fields or two pairs"):
+        dealiased_product(g, (a, b), np.stack([f, h]))
+    with pytest.raises(ValueError, match="non-finite"):
+        to_grid(g, (a, np.full_like(b, np.nan)))
+
+
 def test_multipliers_commute_pairwise():
     g = Grid(64)
     rng = np.random.default_rng(11)
