@@ -50,21 +50,36 @@ class CoefficientBank:
     A field at resolution N is the band restriction of the same underlying
     random field, so ratios measured on the corpus vary smoothly along a
     resolution ladder instead of being resampled at every rung.
+
+    The bank draws the real and then the imaginary parts of modes up to
+    kbig in every direction, in that order whatever it keeps, so kmax
+    changes no coefficient.  It keeps the modes up to kmax (default kbig):
+    k <= kmax in 1D, the block |k1|, k2 <= kmax in 2D, which is what a
+    ladder reading modes up to corpus_kmax of its finest rung needs.  field
+    refuses modes beyond kmax.
     """
 
-    def __init__(self, dim, rng, kbig=_KBIG):
+    def __init__(self, dim, rng, kbig=_KBIG, kmax=None):
+        kmax = kbig if kmax is None else kmax
+        if not 0 <= kmax <= kbig:
+            raise ValueError("a bank keeps modes up to kmax in [0, %d], got %r"
+                             % (kbig, kmax))
         self.dim = dim
-        self.kbig = kbig
+        self.kmax = kmax
         if dim == 1:
-            self.raw = rng.standard_normal(kbig + 1) \
-                + 1j * rng.standard_normal(kbig + 1)
+            shape, block = (kbig + 1,), np.s_[:kmax + 1]
         else:
             shape = (2 * kbig + 1, kbig + 1)
-            self.raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            block = np.s_[kbig - kmax:kbig + kmax + 1, :kmax + 1]
+        # each part is cut to the kept block before the next is drawn
+        re = rng.standard_normal(shape)[block].copy()
+        self.raw = re + 1j * rng.standard_normal(shape)[block]
 
     def field(self, grid, alpha, kmax):
         """Zero-mean field with |coeff(k)| ~ |k|^-alpha filled to kmax."""
-        kmax = min(kmax, self.kbig)
+        if kmax > self.kmax:
+            raise ValueError("field asks for modes up to %d, but the bank kept "
+                             "modes up to %d only" % (kmax, self.kmax))
         c = np.zeros(grid.shape, dtype=np.complex128)
         if self.dim == 1:
             k = np.arange(1, kmax + 1)
@@ -75,7 +90,7 @@ class CoefficientBank:
             keep = (k2 > 0) | (k1 > 0)
             absk = np.sqrt((k1 * k1 + k2 * k2).astype(float))
             absk_safe = np.where(absk > 0, absk, 1.0)
-            amp = np.where(keep, self.raw[k1 + self.kbig, k2], 0.0)
+            amp = np.where(keep, self.raw[k1 + self.kmax, k2], 0.0)
             dec = np.where(keep & (absk <= kmax), absk_safe ** (-alpha), 0.0)
             c[k1 % grid.n, k2] = amp * dec
         # taking the real part of the inverse transform Hermitian-symmetrises
@@ -97,9 +112,11 @@ def corpus_field(grid, s, kind, bank):
     return (1.0 / ref) * F
 
 
-def corpus_banks(dim, count, seed, per_state=1):
+def corpus_banks(dim, count, seed, per_state=1, kmax=None):
+    """count tuples of per_state banks from one generator; each bank keeps
+    modes up to kmax (all it draws by default)."""
     rng = np.random.default_rng(seed)
-    return [tuple(CoefficientBank(dim, rng) for _ in range(per_state))
+    return [tuple(CoefficientBank(dim, rng, kmax=kmax) for _ in range(per_state))
             for _ in range(count)]
 
 
@@ -302,7 +319,8 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if model == "sqg" else RESOLUTIONS_1D
     dim = 2 if model == "sqg" else 1
-    banks = corpus_banks(dim, corpus_count, seed, per_state=2)
+    banks = corpus_banks(dim, corpus_count, seed, per_state=2,
+                         kmax=corpus_kmax(max(resolutions)))
     ratios = []
     ratios_pair = []
     for n in resolutions:
@@ -346,7 +364,8 @@ def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if model == "sqg" else RESOLUTIONS_1D
     dim = 2 if model == "sqg" else 1
-    banks = corpus_banks(dim, 2 * corpus_count, seed, per_state=2)
+    banks = corpus_banks(dim, 2 * corpus_count, seed, per_state=2,
+                         kmax=corpus_kmax(max(resolutions)))
     ratios = []
     for n in resolutions:
         grid = Grid(n, dim=dim)

@@ -12,16 +12,23 @@ one call transports every row of a state (sch2's u and eta together).
 
 How L_xi is computed depends on the grid dimension.  In 2D it is taken in
 divergence form, div(xi*f), in coefficient space with no FFTs: the field
-caches one stencil, each in-band mode s of xi with its coefficients
+holds one stencil, each in-band mode s of xi with its coefficients
 (xi_1(s), xi_2(s)), and spectral.product_with_values sums, over the
 stencil, the band-cut f shifted by s times the symbol
-i*(xi_1(s)*k1 + xi_2(s)*k2) of the output mode k.  That symbol is where the derivative of f (i*(k - s)) and
-the divergence of xi (i*s) meet, so neither is formed and div(xi)*f needs
-no product of its own.  A shipped xi_k is one trigonometric mode, so its
-stencil holds the two shifts +-m, and the result agrees with the FFT route
-to round-off.  In 1D the factors xi and div(xi) stay cached as band
-samples and the products go through the FFTs, because the Lie
-cancellation check conditions Q = term1 + term2 only to about 1e-9 at
+i*(xi_1(s)*k1 + xi_2(s)*k2) of the output mode k.  That symbol is where
+the derivative of f (i*(k - s)) and the divergence of xi (i*s) meet, so
+neither is formed and div(xi)*f needs no product of its own.  A shipped
+xi_k is one trigonometric mode, so its stencil holds the two shifts +-m,
+and the result agrees with the FFT route to round-off.  The stencil is all
+a 2D field keeps: its components and divergence are rebuilt from it on
+access (so they hold only the stencil's modes), and only max_divergence is
+taken from the full components it was built from.  The Ito sum on a 2D
+basis gathers the band of its input once, applies both L_k of every xi_k
+inside that block (spectral.stencil_sum), sums there and scatters once; the
+sum is bit for bit the per-field one, whose scatter and gather between two
+L_k copy the block unchanged.  In 1D the factors xi and div(xi) stay
+cached as band samples and the products go through the FFTs, because the
+Lie cancellation check conditions Q = term1 + term2 only to about 1e-9 at
 N = 1024, and any reordering of the 1D arithmetic, even the dense
 convolution, moves its ratio by more than that.
 
@@ -31,14 +38,14 @@ lie_derivative applies field k of a stack to index k of its input's first
 axis, which has length K or 1, so one call forms every L_k c, and the Ito
 sum (1/2) sum_k L_k^2 c and the h^k share their transforms.  numpy's
 batched transforms give each row bit for bit what a one-row call gives, so
-the stacked route changes no result.  On a 2D grid the per-field loop
-stays: stencil sums make no transforms to share.
+the stacked route changes no result.
 """
 
 import numpy as np
 
 from .spectral import (band_values, bessel_multiplier, dealiased_product,
-                       derivative, product_with_values, sobolev_norm)
+                       derivative, gather_band, product_with_values,
+                       scatter_band, sobolev_norm, stencil_sum)
 
 # a 2D stencil keeps the modes where a component exceeds this fraction of
 # xi's largest coefficient; below it they are transform round-off
@@ -53,10 +60,11 @@ def components_norm(grid, components, s):
 class VectorFieldXi:
     """Smooth correlation vector field, one component per dimension.
 
-    The components are the coefficient arrays xi_1, ..., xi_dim on grid.
-    Caches L_xi in the form product_with_values takes: on a 2D grid the
-    stencil of xi's in-band modes (no grid-sized array besides the
-    components), on a 1D grid the 2/3-band samples of xi and div(xi).
+    Built from the coefficient arrays xi_1, ..., xi_dim on grid.  Keeps L_xi
+    in the form product_with_values takes: on a 2D grid only the stencil of
+    xi's in-band modes (no grid-sized array; components and divergence are
+    rebuilt from it on access), on a 1D grid the components and the
+    2/3-band samples of xi and div(xi).
     """
 
     def __init__(self, grid, components, require_divergence_free=False):
@@ -65,13 +73,13 @@ class VectorFieldXi:
             raise ValueError("expected %d components of shape %r"
                              % (grid.dim, grid.shape))
         self.grid = grid
-        self.components = tuple(comps)
-        div = self.divergence
+        div = _divergence(grid, comps)
         self.max_divergence = float(np.max(np.abs(div)))
         if require_divergence_free and self.max_divergence > 1e-12:
             raise ValueError("xi is not divergence-free (max spectral residual %.3e)"
                              % self.max_divergence)
         if grid.dim == 1:
+            self._components = tuple(comps)
             self._comp_factor = band_values(grid, comps[0])
             self._div_factor = band_values(grid, div)
         else:
@@ -79,11 +87,21 @@ class VectorFieldXi:
         self.K = None       # a single field, not a stack
 
     @property
+    def components(self):
+        """The coefficient arrays of xi; on a 2D grid, rebuilt on each access
+        from the stencil, zero off its modes."""
+        if self.grid.dim == 1:
+            return self._components
+        comps = np.zeros((2,) + self.grid.shape, dtype=np.complex128)
+        for (s1, s2), coeffs in self._stencil:
+            comps[:, s1, s2] = coeffs
+        return tuple(comps)
+
+    @property
     def divergence(self):
-        """div(xi), formed on each access; a field keeps only its
-        max_divergence."""
-        return sum(derivative(self.grid, c, axis)
-                   for axis, c in enumerate(self.components))
+        """div(xi), formed on each access from the components; a field keeps
+        only its max_divergence."""
+        return _divergence(self.grid, self.components)
 
     @classmethod
     def stack(cls, xis):
@@ -108,6 +126,10 @@ class VectorFieldXi:
         return components_norm(self.grid, self.components, s)
 
 
+def _divergence(grid, comps):
+    return sum(derivative(grid, c, axis) for axis, c in enumerate(comps))
+
+
 def _stencil(grid, comps):
     """The in-band modes s of a 2D xi above SUPPORT_RTOL, as a tuple of
     (s, (xi_1(s), xi_2(s))) in fft index order; s is the wavenumber pair."""
@@ -117,6 +139,12 @@ def _stencil(grid, comps):
     return tuple((tuple(int(k[mode]) for k in grid.k_axes),
                   tuple(complex(c[mode]) for c in comps))
                  for mode in zip(*idx))
+
+
+def _check_grid(grid, c):
+    if c.shape[c.ndim - grid.dim:] != grid.shape:
+        raise ValueError("grid mismatch between xi (%r) and field of shape %r"
+                         % (grid, c.shape))
 
 
 def lie_derivative(xi, c):
@@ -129,9 +157,7 @@ def lie_derivative(xi, c):
     result has K rows on that axis.
     """
     grid = xi.grid
-    if c.shape[c.ndim - grid.dim:] != grid.shape:
-        raise ValueError("grid mismatch between xi (%r) and field of shape %r"
-                         % (grid, c.shape))
+    _check_grid(grid, c)
     if grid.dim == 2:
         return product_with_values(grid, xi._stencil, c)
     comp, div = xi._comp_factor, xi._div_factor
@@ -156,13 +182,24 @@ def lie_second(xi, c):
 def ito_correction(basis, c):
     """(1/2) * sum_{k <= K} L_{xi_k}^2 c over a truncated noise basis.
 
-    A 1D basis forms every L_k^2 c in one stacked call; the terms are summed
-    from zero in k order on both routes.
+    A 1D basis forms every L_k^2 c in one stacked call.  A 2D basis works in
+    one band block of c: both L_k of every xi_k are stencil sums there, and
+    the block is scattered once.  The terms are summed from zero in k order
+    on every route.
     """
-    if basis.stack is None:
-        terms = (lie_second(xi, c) for xi in basis.xis)
-    else:
+    if basis.stack is not None:
         terms = lie_second(basis.stack, c[None])
+    elif basis.xis:
+        grid = basis.xis[0].grid
+        _check_grid(grid, c)
+        block = gather_band(grid, c)
+        acc = np.zeros(block.shape, dtype=np.complex128)
+        for xi in basis.xis:
+            acc = acc + stencil_sum(grid, xi._stencil,
+                                    stencil_sum(grid, xi._stencil, block))
+        return 0.5 * scatter_band(grid, acc)
+    else:
+        terms = ()
     out = np.zeros(c.shape, dtype=np.complex128)
     for term in terms:
         out = out + term

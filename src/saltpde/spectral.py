@@ -368,32 +368,61 @@ def product_with_values(grid, factor, c):
     shift costs one shifted copy of the band-cut input times that symbol
     (an outer sum of two wavenumber vectors), no derivative of c or of xi
     is formed, and div(xi) is carried exactly, whether or not xi is
-    divergence-free.  No transform runs.  The sum runs over the band only,
-    laid out as one (2K+1)^2 block in wavenumber order, K = n//3: k and s
-    in the band put k - s within 2K < n - K of the origin, so the FFT
-    route's circular convolution wraps nothing into the band and each
-    shift is a plain slice of the block.  The sum reads c's coefficients
-    directly, so c must be Hermitian (the FFT route projects onto real
-    fields); it agrees with the FFT route to round-off, not bit for bit.
+    divergence-free.  No transform runs.  The product is three steps:
+    gather_band, stencil_sum and scatter_band, so a caller that applies
+    several stencils in turn (the Ito sum) gathers and scatters once.  The
+    sum reads c's coefficients directly, so c must be Hermitian (the FFT
+    route projects onto real fields); it agrees with the FFT route to
+    round-off, not bit for bit.
     """
     if grid.dim == 1:
         return _band_product(grid, factor * band_values(grid, c))
+    return scatter_band(grid, stencil_sum(grid, factor, gather_band(grid, c)))
+
+
+def _band_parts(grid):
+    # (block, fft index) slices along one axis of the band's wavenumbers
+    # -K..-1 and 0..K, K = n//3
     n, K = grid.n, grid.kmax_dealias
+    return ((slice(0, K), slice(n - K, n)),
+            (slice(K, 2 * K + 1), slice(0, K + 1)))
+
+
+def gather_band(grid, c):
+    """The 2/3 band of the 2D coefficients c as one (2K+1, 2K+1) block in
+    wavenumber order, K = n//3: block row i holds wavenumber i - K.
+    Leading axes pass through."""
+    w = 2 * grid.kmax_dealias + 1
+    block = np.empty(c.shape[:-2] + (w, w), dtype=np.complex128)
+    for (b1, f1), (b2, f2) in itertools.product(_band_parts(grid), repeat=2):
+        block[..., b1, b2] = c[..., f1, f2]
+    return block
+
+
+def stencil_sum(grid, stencil, block):
+    """L_xi on a band block (see product_with_values): a fresh block,
+    sum_s i*(a1*k1 + a2*k2) * block(k - s) over the stencil's entries.
+
+    k and s in the band put k - s within 2K < n - K of the origin, so the
+    FFT route's circular convolution wraps nothing into the band and each
+    shift is a plain slice of the block."""
+    K = grid.kmax_dealias
     w = 2 * K + 1
-    # the band's wavenumbers -K..-1 and 0..K: block rows and fft indices
-    parts = ((slice(0, K), slice(n - K, n)), (slice(K, w), slice(0, K + 1)))
-    band = np.empty(c.shape[:-2] + (w, w), dtype=np.complex128)
-    for (b1, f1), (b2, f2) in itertools.product(parts, repeat=2):
-        band[..., b1, b2] = c[..., f1, f2]
     kb = np.arange(-K, K + 1.0)
-    acc = np.zeros(band.shape, dtype=np.complex128)
-    for (s1, s2), (a1, a2) in factor:
+    acc = np.zeros(block.shape, dtype=np.complex128)
+    for (s1, s2), (a1, a2) in stencil:
         (o1, i1), (o2, i2) = _overlap(s1, w), _overlap(s2, w)
         sym = (1j * a1) * kb[o1, None] + (1j * a2) * kb[o2]
-        acc[..., o1, o2] += sym * band[..., i1, i2]
-    out = np.zeros(c.shape, dtype=np.complex128)
-    for (b1, f1), (b2, f2) in itertools.product(parts, repeat=2):
-        out[..., f1, f2] = acc[..., b1, b2]
+        acc[..., o1, o2] += sym * block[..., i1, i2]
+    return acc
+
+
+def scatter_band(grid, block):
+    """The coefficients whose 2/3 band is block (gather_band's layout),
+    zero outside the band."""
+    out = np.zeros(block.shape[:-2] + grid.shape, dtype=np.complex128)
+    for (b1, f1), (b2, f2) in itertools.product(_band_parts(grid), repeat=2):
+        out[..., f1, f2] = block[..., b1, b2]
     return out
 
 

@@ -11,6 +11,8 @@ import importlib.util
 import inspect
 import pathlib
 
+import pytest
+
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # spans the benchmark records from outside the package
@@ -113,3 +115,32 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     assert len(to_grid_calls) == 3
     ops.max_velocity(X)
     assert len(to_grid_calls) == 4
+
+
+def assert_sqg_g_reaches_stencil_sum(monkeypatch):
+    # the Ito sum of a 2D basis applies both L_k of every xi_k as block
+    # stencil sums; the tracer records spectral.stencil_sum only if lie
+    # calls it through its module binding
+    from saltpde import spectral
+    calls, patched = count_at_bindings(monkeypatch, spectral.stencil_sum)
+    ops, X = sqg_setup()
+    ops.g(X)
+    assert "saltpde.lie" in patched
+    assert len(calls) == 2 * ops.basis.K
+
+
+def test_sqg_g_reaches_stencil_sum(monkeypatch):
+    assert_sqg_g_reaches_stencil_sum(monkeypatch)
+
+
+def test_stencil_sum_check_fails_on_a_private_helper(monkeypatch):
+    # positive control: lie calling the kernel through a private helper that
+    # captured it at import time escapes every binding the tracer wraps
+    from saltpde import lie, spectral
+
+    def _stencil_sum(grid, stencil, block, _kernel=spectral.stencil_sum):
+        return _kernel(grid, stencil, block)
+
+    monkeypatch.setattr(lie, "stencil_sum", _stencil_sum)
+    with pytest.raises(AssertionError):
+        assert_sqg_g_reaches_stencil_sum(monkeypatch)

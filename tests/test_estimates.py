@@ -21,6 +21,26 @@ def test_corpus_nested_across_resolutions():
     assert np.max(np.abs(f_small[k] - f_big[k])) < 1e-14
 
 
+def test_trimmed_bank_fields_equal_the_full_bank():
+    # a 2D bank cut to the finest rung's corpus_kmax draws what the full
+    # bank draws, in the same order, so every rung's field keeps its bits;
+    # modes beyond the kept block are refused, not clipped
+    from saltpde.estimates import RESOLUTIONS_2D
+    kmax = corpus_kmax(max(RESOLUTIONS_2D))
+    full = corpus_banks(2, 1, seed=41, per_state=2)[0]
+    trimmed = corpus_banks(2, 1, seed=41, per_state=2, kmax=kmax)[0]
+    assert trimmed[1].raw.shape == (2 * kmax + 1, kmax + 1)
+    for n in RESOLUTIONS_2D:
+        g = Grid(n, dim=2)
+        for whole, cut in zip(full, trimmed):
+            assert np.array_equal(corpus_field(g, 4.5, "critical", cut),
+                                  corpus_field(g, 4.5, "critical", whole)), n
+    small = CoefficientBank(2, np.random.default_rng(41), kmax=corpus_kmax(512))
+    with pytest.raises(ValueError, match="modes up to %d, but the bank kept "
+                       "modes up to %d" % (kmax, corpus_kmax(512))):
+        small.field(Grid(1024, dim=2), 5.1, kmax)
+
+
 def test_corpus_kinds():
     g = Grid(128)
     bank = CoefficientBank(1, np.random.default_rng(1))
