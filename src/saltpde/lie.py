@@ -123,6 +123,8 @@ class VectorFieldXi:
         return out
 
     def sobolev_norm(self, s):
+        """||xi||_{H^s} of components; on a 2D grid that is the norm on the
+        stencil's modes, not on the arrays xi was built from."""
         return components_norm(self.grid, self.components, s)
 
 

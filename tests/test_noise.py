@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from saltpde.lie import components_norm
 from saltpde.noise import (BrownianPath, build_basis_1d, build_basis_sqg,
                            sample_path)
-from saltpde.spectral import Grid, derivative
+from saltpde.spectral import Grid
+from xi_helpers import divergence, sqg_basis_with_arrays
 
 
 def test_empty_basis():
@@ -42,15 +44,19 @@ def test_tail_bound_honest():
 
 
 def test_sqg_basis_divergence_free():
+    # read on the arrays each xi_k was built from; a 2D field's own
+    # components, divergence and norm are rebuilt from its stencil
     g = Grid(32, dim=2)
-    basis = build_basis_sqg(g, 5, s_max=5.0)
-    for k, xi in enumerate(basis.xis, start=1):
-        div = derivative(g, xi.components[0], 0) + derivative(g, xi.components[1], 1)
-        assert np.max(np.abs(div)) < 1e-12
+    basis, arrays = sqg_basis_with_arrays(g, 5, s_max=5.0)
+    for k, (xi, comps) in enumerate(zip(basis.xis, arrays), start=1):
+        assert np.max(np.abs(divergence(g, comps))) < 1e-12
+        assert xi.max_divergence < 1e-12
+        assert abs(components_norm(g, comps, 5.0) - 2.0 ** -k) < 1e-10
+        # at 32^2 the round-off off the stencil is far below the tolerance
         assert abs(xi.sobolev_norm(5.0) - 2.0 ** -k) < 1e-10
     # psi = cos(x1) gives xi = (0, -sin x1): first basis member is that shape
-    xi1 = basis.xis[0]
-    assert np.max(np.abs(xi1.components[0])) < 1e-13
+    assert np.max(np.abs(arrays[0][0])) < 1e-13
+    assert np.max(np.abs(basis.xis[0].components[0])) < 1e-13
 
 
 def stencil_norm(xi, s):
