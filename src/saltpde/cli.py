@@ -238,14 +238,9 @@ def _fit_order(hs, ds):
 def eps_convergence(spec):
     """Distances between consecutive eps-rungs at the final time."""
     ladder = sorted(spec.eps_ladder, reverse=True)
-    finals = []
-    ops = None
-    for eps in ladder:
-        cfg = replace(spec.sim, epsilon=eps)
-        rec = run_path(cfg)
-        if ops is None:
-            ops = cfg.build_ops()
-        finals.append(rec.final_state)
+    ops = spec.sim.build_ops()      # z_norm reads only the grid and s
+    finals = [run_path(replace(spec.sim, epsilon=eps)).final_state
+              for eps in ladder]
     dists = [ops.z_norm(a - b) for a, b in zip(finals, finals[1:])]
     order = _fit_order(ladder[:-1], dists)
     return ladder, dists, order
@@ -254,14 +249,12 @@ def eps_convergence(spec):
 def dt_consistency(spec):
     """EM(Ito) vs Heun(Stratonovich) distance at T down the dt ladder."""
     ladder = sorted(spec.dt_ladder, reverse=True)
+    ops = spec.sim.build_ops()      # z_norm reads only the grid and s
     dists = []
-    ops = None
     for dt in ladder:
         cfg = replace(spec.sim, dt=dt)
         rec_em = run_path(replace(cfg, scheme="ito_em"))
         rec_he = run_path(replace(cfg, scheme="strat_heun"))
-        if ops is None:
-            ops = cfg.build_ops()
         dists.append(ops.z_norm(rec_em.final_state - rec_he.final_state))
     order = _fit_order(ladder, dists)
     return ladder, dists, order

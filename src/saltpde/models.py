@@ -368,18 +368,18 @@ class SqgOps(_FluidOps):
         return homogeneous_norm(self.grid, self._theta(X), self.s - 2.0)
 
     def v_norm(self, X):
-        # sup|grad theta| + sup|R grad theta| on the grid nodes: the pairs
-        # grad(theta) and (R_1, R_2) of each partial, one transform each
+        # sup|grad theta| + sup|R grad theta| on the grid nodes.  R_1 d_2 theta
+        # and R_2 d_1 theta have one symbol, so |R grad theta|^2 is
+        # r11^2 + 2 r12^2 + r22^2: the pairs grad(theta) and (R_1 d_1, R_2 d_2)
+        # take one transform each, R_1 d_2 theta a third
         g = self.grid
-        grad = gradient(g, hermitian_part(g, self._theta(X)))
+        d1, d2 = grad = gradient(g, hermitian_part(g, self._theta(X)))
         v1, v2 = to_grid(g, grad)
         out = float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
-        acc = np.zeros(g.shape)
-        for gj in grad:
-            r1, r2 = to_grid(g, (riesz_component(g, gj, 0),
-                                 riesz_component(g, gj, 1)))
-            acc += r1 * r1
-            acc += r2 * r2
+        r11, r22 = to_grid(g, (riesz_component(g, d1, 0),
+                               riesz_component(g, d2, 1)))
+        r12 = to_grid(g, riesz_component(g, d2, 0))
+        acc = r11 * r11 + 2.0 * (r12 * r12) + r22 * r22
         return out + float(np.max(np.sqrt(acc)))
 
     def max_velocity(self, X):

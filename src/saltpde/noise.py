@@ -1,10 +1,10 @@
 """Noise basis construction and reproducible Brownian driving paths.
 
 The correlation fields xi_k are trigonometric modes scaled so that
-||xi_k||_{H^{s_max}} follows a prescribed decay law (geometric by default,
-ratio 1/2, which makes every partial-sum and tail check an exact geometric
-series).  The 2D builder derives the xi_k from stream functions via the
-perpendicular gradient, so they are divergence-free by construction.
+||xi_k||_{H^{s_max}} follows a prescribed decay law, r^k (geometric, ratio
+r = 1/2 by default) or k^(-p) (polynomial); check_decay rejects a law whose
+sum over k diverges.  The 2D builder derives the xi_k from stream functions
+via the perpendicular gradient, so they are divergence-free by construction.
 
 Brownian increments are generated by deterministic midpoint refinement of
 a coarse path anchored at a scale fixed by the binary mantissa of dt.  Two
@@ -23,37 +23,20 @@ from .lie import VectorFieldXi, components_norm
 
 
 class NoiseBasis:
-    """Ordered family {xi_k}, k = 1..K, plus its decay metadata."""
+    """Ordered family {xi_k}, k = 1..K."""
 
-    def __init__(self, xis, decay_kind, decay_param, s_max):
+    def __init__(self, xis):
         self.xis = list(xis)
         self.K = len(self.xis)
         # a 1D basis also holds its fields as one stack (see lie.py)
         self.stack = (VectorFieldXi.stack(self.xis)
                       if self.xis and self.xis[0].grid.dim == 1 else None)
-        self.decay_kind = decay_kind
-        self.decay_param = float(decay_param)
-        self.s_max = float(s_max)
 
     def stacked(self, ks):
         """xis[k] for k in ks as one stacked field (1D bases only)."""
         if list(ks) == list(range(self.K)):
             return self.stack
         return VectorFieldXi.stack([self.xis[k] for k in ks])
-
-    def partial_sum(self, s):
-        return float(sum(xi.sobolev_norm(s) for xi in self.xis))
-
-    def tail_bound(self, s):
-        """Closed-form bound on sum_{k > K} ||xi_k||_{H^s} for s <= s_max."""
-        if s > self.s_max:
-            raise ValueError("tail bound only available for s <= s_max")
-        if self.decay_kind == "geometric":
-            r = self.decay_param
-            return r ** (self.K + 1) / (1.0 - r)
-        # polynomial targets k^(-p): integral bound
-        p = self.decay_param
-        return self.K ** (1.0 - p) / (p - 1.0)
 
 
 def check_decay(decay_kind, decay_param):
@@ -64,7 +47,7 @@ def check_decay(decay_kind, decay_param):
                              % (decay_param,))
     elif decay_kind == "polynomial":
         if decay_param <= 1.0:
-            # sum k^(-p) diverges: report the failed tail bound
+            # sum k^(-p) diverges
             raise ValueError(
                 "polynomial decay p=%r gives a divergent H^{s_max} tail "
                 "(sum k^-p needs p > 1)" % (decay_param,))
@@ -91,7 +74,7 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         a = targets[k - 1] * math.sqrt(2.0) / (1.0 + k * k) ** (s_max / 2.0)
         wave = np.cos(k * x) if k % 2 == 1 else np.sin(k * x)
         xis.append(VectorFieldXi(grid, [from_values(grid, a * wave)]))
-    return NoiseBasis(xis, decay_kind, decay_param, s_max)
+    return NoiseBasis(xis)
 
 
 _SQG_WAVES = [(1, 0), (0, 1), (1, 1), (1, -1)]
@@ -119,7 +102,7 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         a = targets[k - 1] / components_norm(grid, (comp1, comp2), s_max)
         xis.append(VectorFieldXi(grid, [a * comp1, a * comp2],
                                  require_divergence_free=True))
-    return NoiseBasis(xis, decay_kind, decay_param, s_max)
+    return NoiseBasis(xis)
 
 
 def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
@@ -129,10 +112,10 @@ def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
     return builder(grid, K, s_max, decay_kind, decay_param)
 
 
-def constant_basis_1d(grid, c, s_max=6.0):
+def constant_basis_1d(grid, c):
     """Single constant field xi = c; the exact-cancellation special case."""
     xi = VectorFieldXi(grid, [from_values(grid, np.full(grid.shape, float(c)))])
-    return NoiseBasis([xi], "geometric", 0.5, s_max)
+    return NoiseBasis([xi])
 
 
 # ---------------------------------------------------------------------------

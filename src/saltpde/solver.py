@@ -245,8 +245,7 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     """
     cfg.validate()
     grid = cfg.grid()
-    basis = cfg.build_basis(grid)
-    ops = cfg.build_ops(grid, basis)
+    ops = cfg.build_ops(grid)
     n_steps = cfg.n_steps()
     path = _driving_path(cfg, path)
     X = _entry(cfg, grid, cfg.initial_state(grid) if X0 is None else X0, "X0")
@@ -308,8 +307,7 @@ def stability_experiment(cfg, X0, Y0, path=None):
     """
     cfg.validate()
     grid = cfg.grid()
-    basis = cfg.build_basis(grid)
-    ops = cfg.build_ops(grid, basis)
+    ops = cfg.build_ops(grid)
     n_steps = cfg.n_steps()
     path = _driving_path(cfg, path)
     X0, Y0 = _entry(cfg, grid, X0, "X0"), _entry(cfg, grid, Y0, "Y0")

@@ -84,15 +84,14 @@ class Grid:
         # multipliers (derivative, Hilbert, Riesz) and norm weights, each
         # built on first use; see _symbol
         self._symbols = {}
-        self._weights = {}
 
     @staticmethod
     def check_n(n):
         """n as an int; rejects anything but a power of two >= 8."""
-        n = int(n)
-        if n < 8 or (n & (n - 1)) != 0:
+        m = int(n)
+        if m != n or m < 8 or (m & (m - 1)) != 0:
             raise ValueError("n must be a power of two >= 8, got %r" % (n,))
-        return n
+        return m
 
     def compatible(self, other):
         return self.n == other.n and self.dim == other.dim
@@ -192,12 +191,8 @@ def has_mean(grid, c):
 # ---------------------------------------------------------------------------
 # per-grid symbols: each multiplier and norm weight is built once per grid
 # (and per exponent s), from the expression a call used to evaluate, so a
-# cached symbol gives the bits the uncached call gave
-
-# exponents s whose weights a grid keeps at once (a model's norms use up to
-# four); past that the oldest is dropped, so a 2D grid holds a bounded
-# number of these 8 n^2-byte arrays
-_MAX_WEIGHTS = 8
+# cached symbol gives the bits the uncached call gave.  A model's norms use
+# up to four exponents, so a grid holds a handful of weights.
 
 
 def _symbol(grid, key, build):
@@ -211,20 +206,14 @@ def _symbol(grid, key, build):
 
 def _weight(grid, s, homogeneous=False):
     """(1+|k|^2)^s, or |k|^(2s) with 0 on the mean mode if homogeneous."""
-    key = (s, homogeneous)
-    w = grid._weights.get(key)
-    if w is None:
-        if homogeneous:
-            w = np.zeros(grid.shape)
-            nz = grid.ksq > 0
-            w[nz] = grid.ksq[nz] ** s
-        else:
-            w = (1.0 + grid.ksq) ** s
-        w.flags.writeable = False
-        if len(grid._weights) >= _MAX_WEIGHTS:
-            del grid._weights[next(iter(grid._weights))]
-        grid._weights[key] = w
-    return w
+    def build():
+        if not homogeneous:
+            return (1.0 + grid.ksq) ** s
+        w = np.zeros(grid.shape)
+        nz = grid.ksq > 0
+        w[nz] = grid.ksq[nz] ** s
+        return w
+    return _symbol(grid, ("weight", s, homogeneous), build)
 
 
 # ---------------------------------------------------------------------------

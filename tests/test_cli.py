@@ -1,9 +1,10 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
-from saltpde.cli import (ConfigError, cmd_converge, cmd_simulate,
+from saltpde.cli import (_KEYS, ConfigError, cmd_converge, cmd_simulate,
                          cmd_stability, cmd_verify, keep_heap_pages, main,
                          manifest_lines, parse_config, write_manifest)
 from saltpde.solver import SimConfig, read_trajectory, step_strat_heun
@@ -108,6 +109,23 @@ def test_manifest_round_trip(tmp_path):
     spec2 = parse_config(str(manifest), command="simulate")
     assert manifest_lines(spec) == manifest_lines(spec2)
     assert spec.sim == spec2.sim
+
+
+def test_non_integer_n_rejected():
+    # a run on int(n) points would write n = 16.5 to a manifest that
+    # parse_config refuses
+    with pytest.raises(ValueError, match="n must be a power of two"):
+        SimConfig(model="ccf", n=16.5, dt=1e-3, t_end=0.002).validate()
+
+
+def test_readme_config_table_lists_every_key():
+    # one row per key parse_config accepts, and no other
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(rows) == sorted(_KEYS)
 
 
 def test_manifest_command_mismatch(tmp_path):

@@ -128,7 +128,7 @@ def test_wrong_grid_dimension_rejected(model, dim):
     g = Grid(32, dim=dim)
     with pytest.raises(ValueError, match="%s lives on the %dD torus"
                        % (model, 3 - dim)):
-        make_ops(model, g, 6.0, NoiseBasis([], "geometric", 0.5, 8.0), 0.1)
+        make_ops(model, g, 6.0, NoiseBasis([]), 0.1)
 
 
 def sqg_parent_formulas(grid, theta, jhat=None, dtype=np.float64):
@@ -583,7 +583,7 @@ def test_sqg_requires_divergence_free_basis():
     g = Grid(32, dim=2)
     x1, _ = g.nodes()
     bad_xi = VectorFieldXi(g, [from_values(g, np.cos(x1)), from_values(g, 0 * x1)])
-    bad = NoiseBasis([bad_xi], "geometric", 0.5, 6.5)
+    bad = NoiseBasis([bad_xi])
     with pytest.raises(ValueError, match="divergence-free"):
         make_ops("sqg", g, 4.5, bad, 0.1)
 

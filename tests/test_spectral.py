@@ -34,6 +34,8 @@ def test_grid_validation():
         Grid(100)            # not a power of two
     with pytest.raises(ValueError):
         Grid(64, dim=3)
+    with pytest.raises(ValueError, match="n must be a power of two"):
+        Grid(16.5)           # not truncated to 16
     g = Grid(64)
     assert g.n == 64 and g.dim == 1
     assert np.allclose(g.x[1], 2.0 * np.pi / 64)
@@ -454,3 +456,32 @@ def test_leading_axes_are_free(n, dim):
         assert not has_mean(g, stack)
         stack[-1][(0,) * dim] = 1.0
         assert has_mean(g, stack) and not has_mean(g, stack[:-1])
+
+
+def test_symbol_cache_stays_small_on_real_runs(monkeypatch):
+    # a grid keeps every symbol and weight it builds, nothing is evicted:
+    # shortened shipped runs and two-rung estimate checks read fewer than
+    # eight weight exponents on any one grid
+    import os
+    from dataclasses import replace
+    import saltpde.spectral as sp
+    from saltpde.cli import parse_config
+    from saltpde.estimates import check_difference, check_growth
+    from saltpde.solver import run_path
+    grids = {}     # holding each grid keeps its id from being reused
+
+    def recording(grid, key, build, _symbol=sp._symbol):
+        grids[id(grid)] = grid
+        return _symbol(grid, key, build)
+    monkeypatch.setattr(sp, "_symbol", recording)
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    for name in ("simulate_ccf", "simulate_sqg"):
+        sim = parse_config(os.path.join(configs, name + ".cfg")).sim
+        run_path(replace(sim, t_end=5 * sim.dt))
+    for model in ("sch2", "sqg"):
+        check_growth(model, resolutions=(64, 128))
+        check_difference(model, resolutions=(64, 128))
+    exponents = [sum(key[0] == "weight" for key in grid._symbols)
+                 for grid in grids.values()]
+    assert max(exponents) >= 2
+    assert max(exponents) < 8, exponents
