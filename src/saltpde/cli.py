@@ -235,11 +235,24 @@ def _fit_order(hs, ds):
     return float(np.polyfit(np.log(hs), np.log(ds), 1)[0])
 
 
+def _path(cfg):
+    """The Brownian path run_path would draw for cfg."""
+    return sample_path(cfg.seed, cfg.dt, cfg.n_steps(), cfg.path_k())
+
+
+def _ladder_paths(cfgs):
+    """The path of each of cfgs (one seed, a dt ladder with its finest rung
+    last): the finest is drawn, the coarser ones are read off its tree."""
+    finest = _path(cfgs[-1])
+    return [finest.coarsened(cfg.dt, cfg.n_steps()) for cfg in cfgs]
+
+
 def eps_convergence(spec):
     """Distances between consecutive eps-rungs at the final time."""
     ladder = sorted(spec.eps_ladder, reverse=True)
     ops = spec.sim.build_ops()      # z_norm reads only the grid and s
-    finals = [run_path(replace(spec.sim, epsilon=eps)).final_state
+    path = _path(spec.sim)          # every rung runs on the same path
+    finals = [run_path(replace(spec.sim, epsilon=eps), path=path).final_state
               for eps in ladder]
     dists = [ops.z_norm(a - b) for a, b in zip(finals, finals[1:])]
     order = _fit_order(ladder[:-1], dists)
@@ -250,34 +263,35 @@ def dt_consistency(spec):
     """EM(Ito) vs Heun(Stratonovich) distance at T down the dt ladder."""
     ladder = sorted(spec.dt_ladder, reverse=True)
     ops = spec.sim.build_ops()      # z_norm reads only the grid and s
+    cfgs = [replace(spec.sim, dt=dt) for dt in ladder]
     dists = []
-    for dt in ladder:
-        cfg = replace(spec.sim, dt=dt)
-        rec_em = run_path(replace(cfg, scheme="ito_em"))
-        rec_he = run_path(replace(cfg, scheme="strat_heun"))
+    for cfg, path in zip(cfgs, _ladder_paths(cfgs)):
+        rec_em = run_path(replace(cfg, scheme="ito_em"), path=path)
+        rec_he = run_path(replace(cfg, scheme="strat_heun"), path=path)
         dists.append(ops.z_norm(rec_em.final_state - rec_he.final_state))
     order = _fit_order(ladder, dists)
     return ladder, dists, order
 
 
 def linear_strong_error(spec):
-    """EM strong error against the exact exponential solution."""
+    """EM strong error against the exact exponential solution.
+
+    Members run one after another, each over the whole dt ladder on the
+    paths of one Brownian tree; the mean error of each rung is taken over
+    the members in seed order.
+    """
     ladder = sorted(spec.dt_ladder, reverse=True)
-    a = spec.sim.linear_a
     x0 = spec.sim.ic_amplitude
-    errors = []
-    for dt in ladder:
-        cfg = replace(spec.sim, dt=dt, scheme="ito_em")
-        ops = cfg.build_ops()      # the seed does not enter the ops
-        errs = []
-        for member in range(spec.ensemble):
-            mcfg = replace(cfg, seed=cfg.seed + member)
-            n_steps = mcfg.n_steps()
-            path = sample_path(mcfg.seed, mcfg.dt, n_steps, mcfg.path_k())
+    cfgs = [replace(spec.sim, dt=dt, scheme="ito_em") for dt in ladder]
+    ops = cfgs[0].build_ops()       # neither the seed nor dt enters the ops
+    errs = [[] for _ in ladder]
+    for member in range(spec.ensemble):
+        mcfgs = [replace(cfg, seed=cfg.seed + member) for cfg in cfgs]
+        for mcfg, path, rung in zip(mcfgs, _ladder_paths(mcfgs), errs):
             rec = run_path(mcfg, path=path)
             exact = ops.exact_solution(x0, path.endpoint()[0])
-            errs.append(abs(ops.value(rec.final_state) - exact))
-        errors.append(float(np.mean(errs)))
+            rung.append(abs(ops.value(rec.final_state) - exact))
+    errors = [float(np.mean(rung)) for rung in errs]
     order = _fit_order(ladder, errors)
     return ladder, errors, order
 

@@ -104,6 +104,7 @@ class _FluidOps:
 
     kind = None
     dim = None
+    v_is_x_norm = False     # see LinearOps
 
     def __init__(self, grid, s, basis, eps):
         if grid.dim != self.dim:
@@ -396,6 +397,9 @@ class LinearOps:
     """
 
     kind = "linear"
+    # the V-functional is the H^s norm (v_norm = x_norm), so a caller that
+    # holds x_norm(X) holds v_norm(X)
+    v_is_x_norm = True
 
     def __init__(self, grid, a):
         self.grid = grid
@@ -418,7 +422,7 @@ class LinearOps:
 
     def h_k(self, X, k):
         h = self._rows(X) * self.a
-        return h if np.ndim(k) == 0 else (h for _ in k)
+        return h if isinstance(k, (int, np.integer)) else (h for _ in k)
 
     g_eps_transport = g_transport
     g_eps = g

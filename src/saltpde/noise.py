@@ -11,7 +11,9 @@ a coarse path anchored at a scale fixed by the binary mantissa of dt.  Two
 calls with the same seed and step sizes dt and dt/2 therefore agree: the
 finer increments sum pairwise to the coarser ones.  A path is a pure
 function of (seed, dt, n_steps, K), so nothing needs to be stored to drive
-a whole dt-refinement ladder with the same noise.
+a whole dt-refinement ladder with the same noise; a path keeps the levels
+of its tree, so BrownianPath.coarsened reads the coarser rungs of a ladder
+off the finest rung's walk instead of drawing them again.
 """
 
 import math
@@ -122,9 +124,13 @@ def constant_basis_1d(grid, c):
 # Brownian paths
 
 class BrownianPath:
-    """Increments of K independent Brownian motions on a fixed step grid."""
+    """Increments of K independent Brownian motions on a fixed step grid.
 
-    def __init__(self, seed, dt, n_steps, K, increments):
+    A path from sample_path also keeps the levels of its refinement tree
+    (tree[k][level]), from which coarsened reads the coarser rungs.
+    """
+
+    def __init__(self, seed, dt, n_steps, K, increments, tree=None):
         increments = np.asarray(increments, dtype=np.float64)
         if increments.shape != (n_steps, K):
             raise ValueError("increments must have shape (n_steps, K)")
@@ -133,10 +139,30 @@ class BrownianPath:
         self.n_steps = int(n_steps)
         self.K = int(K)
         self.increments = increments
+        self.tree = tree
 
     def endpoint(self):
         """W(T) per noise component."""
         return self.increments.sum(axis=0)
+
+    def coarsened(self, dt, n_steps):
+        """sample_path(self.seed, dt, n_steps, self.K), bit for bit.
+
+        When dt is this path's dt times a power of two and this path's tree
+        holds n_steps intervals at dt's level, the increments are read off
+        that level; otherwise the path is drawn anew.
+        """
+        if self.tree is not None and dt > 0:
+            m, e = _odd_mantissa(dt)
+            level = _E_ROOT - e
+            levels = self.tree[0]
+            if (m == _odd_mantissa(self.dt)[0] and 0 <= level < len(levels)
+                    and 0 < n_steps <= len(levels[level])):
+                inc = np.empty((n_steps, self.K))
+                for k in range(self.K):
+                    inc[:, k] = self.tree[k][level][:n_steps]
+                return BrownianPath(self.seed, dt, n_steps, self.K, inc)
+        return sample_path(self.seed, dt, n_steps, self.K)
 
 
 # root scale of the refinement tree: intervals of length m * 2**_E_ROOT
@@ -184,9 +210,11 @@ def sample_path(seed, dt, n_steps, K):
     sizes.reverse()                       # sizes[level], level 0 = root
 
     inc = np.empty((n_steps, K))
+    tree = []
     root_std = math.sqrt(m) * 2.0 ** (_E_ROOT / 2.0)
     for k in range(K):
         vals = _level_normals(seed, k, 0, sizes[0]) * root_std
+        levels = [vals]
         for level in range(1, depth + 1):
             child_len = m * 2.0 ** (_E_ROOT - level)
             w = _level_normals(seed, k, level, len(vals)) \
@@ -195,6 +223,8 @@ def sample_path(seed, dt, n_steps, K):
             children[0::2] = 0.5 * vals + w
             children[1::2] = 0.5 * vals - w
             vals = children[:sizes[level]]
+            levels.append(vals)
         inc[:, k] = vals
-    return BrownianPath(seed, dt, n_steps, K, inc)
+        tree.append(levels)
+    return BrownianPath(seed, dt, n_steps, K, inc, tree)
 

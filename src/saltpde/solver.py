@@ -258,6 +258,11 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     rec.add(0.0, hs, v)
     reason = "threshold" if hs >= cfg.n_stop else None
 
+    # after a step: one H^s norm, which is also the V-norm where the model
+    # says so (v_is_x_norm).  x_norm weighs every coefficient of every row,
+    # so a NaN or inf coefficient makes it non-finite; the state is scanned
+    # only then, and a finite state whose norm overflows is not "diverged"
+    dws = path.increments.tolist()
     cfl_limit = 0.5 * grid.dx
     t = 0.0
     for nstep in range(0 if reason else n_steps):
@@ -266,13 +271,13 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
             if rec.times[-1] != t:
                 rec.add(t, hs, v)
             break
-        X = step(X, ops, path.increments[nstep], cfg.dt, cfg.cutoff_r, v)
+        X = step(X, ops, dws[nstep], cfg.dt, cfg.cutoff_r, v)
         t = (nstep + 1) * cfg.dt
-        if not np.isfinite(X).all():
+        hs = ops.x_norm(X)
+        if not math.isfinite(hs) and not np.isfinite(X).all():
             reason = "diverged"     # no row: the norms are not finite
             break
-        hs = ops.x_norm(X)
-        v = ops.v_norm(X)
+        v = hs if ops.v_is_x_norm else ops.v_norm(X)
         if hs >= cfg.n_stop:
             reason = "threshold"
         elif v >= cfg.blowup_factor * v_ref:
@@ -321,8 +326,9 @@ def stability_experiment(cfg, X0, Y0, path=None):
     X, Y = X0, Y0
     t = 0.0
     used = 0
+    dws = path.increments.tolist()
     for nstep in range(n_steps):
-        dw = path.increments[nstep]
+        dw = dws[nstep]
         X = step(X, ops, dw, cfg.dt, cfg.cutoff_r)
         Y = step(Y, ops, dw, cfg.dt, cfg.cutoff_r)
         t = (nstep + 1) * cfg.dt

@@ -87,11 +87,12 @@ class Grid:
 
     @staticmethod
     def check_n(n):
-        """n as an int; rejects anything but a power of two >= 8."""
-        m = int(n)
-        if m != n or m < 8 or (m & (m - 1)) != 0:
+        """n as an int; rejects anything but an integer power of two >= 8
+        (a float 16.0 too: a manifest would write it back as 16.0)."""
+        m = n if isinstance(n, (int, np.integer)) else 0
+        if m < 8 or (m & (m - 1)) != 0:
             raise ValueError("n must be a power of two >= 8, got %r" % (n,))
-        return m
+        return int(m)
 
     def compatible(self, other):
         return self.n == other.n and self.dim == other.dim
@@ -108,7 +109,7 @@ class Grid:
 
 def _scalar(x):
     # a reduction over the grid axes: a float for one field
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if x.ndim == 0 else x
 
 
 def zero_field(grid, *lead):
@@ -421,23 +422,23 @@ def scatter_band(grid, block):
 def sobolev_norm(grid, c, s):
     """||c||_{H^s} = sqrt(sum_k (1+|k|^2)^s |coeff(k)|^2)."""
     w = _weight(grid, s)
-    return _scalar(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=grid.axes)))
+    return _scalar(np.sqrt((w * np.abs(c) ** 2).sum(axis=grid.axes)))
 
 
 def homogeneous_norm(grid, c, s):
     """||Lambda^s c||_{L2} for mean-zero c (the k = 0 term is dropped)."""
     w = _weight(grid, s, homogeneous=True)
-    return _scalar(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=grid.axes)))
+    return _scalar(np.sqrt((w * np.abs(c) ** 2).sum(axis=grid.axes)))
 
 
 def hs_inner(grid, f, g, s):
     w = _weight(grid, s)
-    return _scalar(np.real(np.sum(w * f * np.conj(g), axis=grid.axes)))
+    return _scalar((w * f * np.conj(g)).sum(axis=grid.axes).real)
 
 
 def homogeneous_inner(grid, f, g, s):
     w = _weight(grid, s, homogeneous=True)
-    return _scalar(np.real(np.sum(w * f * np.conj(g), axis=grid.axes)))
+    return _scalar((w * f * np.conj(g)).sum(axis=grid.axes).real)
 
 
 def sup_norm(grid, c):

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from saltpde.cli import (_KEYS, ConfigError, cmd_converge, cmd_simulate,
-                         cmd_stability, cmd_verify, keep_heap_pages, main,
-                         manifest_lines, parse_config, write_manifest)
+from saltpde.cli import (_KEYS, ConfigError, _check_spec, cmd_converge,
+                         cmd_simulate, cmd_stability, cmd_verify,
+                         keep_heap_pages, main, manifest_lines, parse_config,
+                         write_manifest)
 from saltpde.solver import SimConfig, read_trajectory, step_strat_heun
 
 
@@ -116,6 +117,28 @@ def test_non_integer_n_rejected():
     # parse_config refuses
     with pytest.raises(ValueError, match="n must be a power of two"):
         SimConfig(model="ccf", n=16.5, dt=1e-3, t_end=0.002).validate()
+
+
+def test_float_n_never_reaches_a_manifest(tmp_path):
+    # n = 16.0 would be written back as "n = 16.0", which parse_config
+    # refuses; the spec is rejected before a manifest is written, and the
+    # int n round-trips
+    spec = parse_config(write_config(tmp_path, MINIMAL_CCF), command="simulate")
+    for n in (16.0, np.float64(16.0)):
+        spec.sim.n = n
+        with pytest.raises(ValueError, match="n must be a power of two"):
+            spec.sim.validate()
+        with pytest.raises(ConfigError, match="n must be a power of two"):
+            _check_spec(spec, "run.cfg")
+    spec.sim.n = np.int64(16)
+    spec.sim.validate()
+    spec.sim.n = 16
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(spec, str(manifest))
+    assert "n = 16" in manifest.read_text().splitlines()
+    spec2 = parse_config(str(manifest), command="simulate")
+    assert manifest_lines(spec2) == manifest_lines(spec)
+    assert spec2.sim == spec.sim
 
 
 def test_readme_config_table_lists_every_key():
@@ -358,3 +381,78 @@ def test_sqg_steps_reuse_heap_pages():
     for _ in range(50):
         X = step_strat_heun(X, ops, dw, 1e-3, 1e6)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+def _rung_by_rung_linear_strong_error(spec):
+    # linear_strong_error as a rung-by-rung loop: every member draws
+    # its own path on every rung and run_path runs on it
+    from dataclasses import replace
+    from saltpde.noise import sample_path
+    from saltpde.solver import run_path
+    ladder = sorted(spec.dt_ladder, reverse=True)
+    x0 = spec.sim.ic_amplitude
+    errors = []
+    for dt in ladder:
+        cfg = replace(spec.sim, dt=dt, scheme="ito_em")
+        ops = cfg.build_ops()
+        errs = []
+        for member in range(spec.ensemble):
+            mcfg = replace(cfg, seed=cfg.seed + member)
+            path = sample_path(mcfg.seed, mcfg.dt, mcfg.n_steps(), mcfg.path_k())
+            rec = run_path(mcfg, path=path)
+            exact = ops.exact_solution(x0, path.endpoint()[0])
+            errs.append(abs(ops.value(rec.final_state) - exact))
+        errors.append(float(np.mean(errs)))
+    return ladder, errors
+
+
+@pytest.mark.parametrize("dt_ladder", [
+    (0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625),   # the shipped one
+    (0.0625, 0.05, 0.03125, 0.015625)])   # 0.05 is not on the tree: drawn
+def test_linear_strong_error_is_the_rung_by_rung_loop(dt_ladder):
+    from saltpde.cli import ExperimentSpec, linear_strong_error
+    sim = SimConfig(model="linear", n=8, dt=dt_ladder[0], t_end=1.0,
+                    ic_amplitude=1.0, linear_a=1.0, seed=100, noise_k=1,
+                    record_every=7)
+    spec = ExperimentSpec(command="converge", sim=sim, ensemble=6,
+                          dt_ladder=dt_ladder)
+    ladder, errors, _ = linear_strong_error(spec)
+    assert (ladder, errors) == _rung_by_rung_linear_strong_error(spec)
+
+
+def test_converge_ladders_draw_one_path(tmp_path, monkeypatch):
+    # each ladder draws its path once (the coarser dt rungs are read off the
+    # finest rung's tree), and the distances are those of runs that draw
+    # their own paths
+    import saltpde.cli as cli
+    import saltpde.noise as noise
+    from dataclasses import replace
+    from saltpde.solver import run_path
+    draws = []
+
+    def counted(*args, _fn=noise.sample_path):
+        draws.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(noise, "sample_path", counted)
+    monkeypatch.setattr(cli, "sample_path", counted)
+    sim = SimConfig(model="ccf", n=32, dt=1e-3, t_end=8e-3, noise_k=2,
+                    seed=5, ic="random", ic_amplitude=0.2)
+    spec = cli.ExperimentSpec(command="converge", sim=sim,
+                              eps_ladder=(0.5, 0.25, 0.125),
+                              dt_ladder=(2e-3, 1e-3, 5e-4))
+    _, dists, _ = cli.eps_convergence(spec)
+    assert len(draws) == 1
+    ops = sim.build_ops()
+    finals = [run_path(replace(sim, epsilon=e)).final_state
+              for e in (0.5, 0.25, 0.125)]
+    assert dists == [ops.z_norm(a - b) for a, b in zip(finals, finals[1:])]
+
+    draws.clear()
+    _, dists, _ = cli.dt_consistency(spec)
+    assert draws == [(5, 5e-4, 16, 2)]
+    want = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        em = run_path(replace(sim, dt=dt))
+        he = run_path(replace(sim, dt=dt, scheme="strat_heun"))
+        want.append(ops.z_norm(em.final_state - he.final_state))
+    assert dists == want

@@ -112,3 +112,41 @@ def test_path_validation():
         sample_path(0, -1.0, 10, 1)
     with pytest.raises(ValueError):
         BrownianPath(0, 1e-3, 10, 2, np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("dt, n, K", [
+    (1.0 / 256, 256, 1),      # the finest rung of the shipped linear ladder
+    (1.0 / 256, 37, 2),       # odd n: the coarser levels end in a half pair
+    (1e-3, 37, 3)])
+def test_coarsened_paths_are_sample_path(dt, n, K):
+    fine = sample_path(100, dt, n, K)
+    for j in range(6):
+        for m in {-(-n // 2 ** j), max(1, -(-n // 2 ** j) - 1)}:
+            got = fine.coarsened(dt * 2 ** j, m)
+            want = sample_path(100, dt * 2 ** j, m, K)
+            assert (got.seed, got.dt, got.n_steps, got.K) == \
+                (want.seed, want.dt, want.n_steps, want.K)
+            assert np.array_equal(got.increments, want.increments), (j, m)
+
+
+def test_coarsened_off_the_tree_is_drawn(monkeypatch):
+    # a dt with another odd mantissa, a finer dt, or more steps than the
+    # tree holds at that level: drawn by sample_path, with the same bits
+    import saltpde.noise as noise
+    fine = sample_path(7, 1.0 / 64, 37, 2)
+    draws = []
+
+    def counted(*args, _fn=noise.sample_path):
+        draws.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(noise, "sample_path", counted)
+    for dt, m in ((3.0 / 64, 12), (1.0 / 128, 74), (1.0 / 32, 20)):
+        got = fine.coarsened(dt, m)
+        assert draws.pop() == (7, dt, m, 2)
+        assert np.array_equal(got.increments,
+                              sample_path(7, dt, m, 2).increments)
+    with pytest.raises(ValueError, match="dt too large"):
+        fine.coarsened(4096.0, 1)
+    draws.clear()
+    fine.coarsened(1.0 / 32, 19)        # on the tree: nothing drawn
+    assert draws == []

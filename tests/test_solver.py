@@ -168,6 +168,44 @@ def test_divergence_flagged():
     assert rec.tau == 1.0
 
 
+def test_finite_state_with_overflowing_norm_ends_at_threshold():
+    # one step takes X from 1e150 to about 5e155: every coefficient is
+    # finite, but |X|^2 overflows, so the H^s norm reads inf; the run stops
+    # at the threshold, not as diverged
+    cfg = SimConfig(model="linear", n=8, dt=1.0, t_end=3.0, linear_a=1e3,
+                    noise_k=1, cutoff_r=1e300, n_stop=1e200, record_every=1,
+                    seed=4)
+    grid = cfg.grid()
+    X0 = ModelState("linear", grid, [from_values(grid, np.full(8, 1e150))])
+    with np.errstate(over="ignore"):
+        rec = run_path(cfg, X0=X0)
+    assert np.isfinite(rec.final_state).all()
+    assert rec.stop_reason == "threshold" and rec.tau == 1.0
+    assert rec.hs_norms == [1e150, np.inf]
+
+
+def test_linear_step_norm_budget(monkeypatch):
+    # a linear step of run_path evaluates the H^s norm once: its V-norm is
+    # the same norm of the same state
+    import saltpde.models as models
+    import saltpde.spectral as spectral
+    calls = []
+
+    def counted(*args, _fn=spectral.sobolev_norm):
+        calls.append(1)
+        return _fn(*args)
+    monkeypatch.setattr(models, "sobolev_norm", counted)
+    counts = []
+    for steps in (1, 2):
+        cfg = SimConfig(model="linear", n=8, dt=1.0 / 16, t_end=steps / 16,
+                        noise_k=1, seed=100, ic_amplitude=1.0)
+        calls.clear()
+        rec = run_path(cfg)
+        assert rec.stop_reason == "end" and len(rec.times) == steps + 1
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 1
+
+
 def test_cutoff_idempotence_same_trajectory():
     # V-norm never exceeds R: doubling R gives the identical trajectory
     cfg = em_cfg(cutoff_r=50.0, t_end=0.05)
