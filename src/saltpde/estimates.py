@@ -351,8 +351,11 @@ def difference_ratio(ops, X, Y):
     diff = X - Y
     zn2 = ops.z_inner(diff, diff)
     lhs = 2.0 * ops.z_inner(ops.g(X) - ops.g(Y), diff)
-    for k in range(ops.basis.K):
-        hd = ops.h_k(X, k) - ops.h_k(Y, k)
+    # every h^k of X, then of Y: on a 1D grid each state's first-order
+    # terms are formed once (alternating the states would form them per k)
+    ks = range(ops.basis.K)
+    for hx, hy in zip(ops.h_k(X, ks), ops.h_k(Y, ks)):
+        hd = hx - hy
         lhs += ops.z_inner(hd, hd)
     rhs = (1.0 + ops.x_norm(X) ** 2 + ops.x_norm(Y) ** 2) * zn2
     return lhs / rhs

@@ -30,15 +30,23 @@ L_k copy the block unchanged.  In 1D the factors xi and div(xi) stay
 cached as band samples and the products go through the FFTs, because the
 Lie cancellation check conditions Q = term1 + term2 only to about 1e-9 at
 N = 1024, and any reordering of the 1D arithmetic, even the dense
-convolution, moves its ratio by more than that.
+convolution, moves its ratio by more than that.  Both products of
+L_xi c = xi*c_x + div(xi)*c are one product_with_values call on the pair
+(xi, div xi) x (c_x, c): one inverse and one forward transform, whose two
+rows are then added.
 
 The K fields of a 1D noise basis also come as one stacked field
-(VectorFieldXi.stack), whose cached band samples have shape (K, n).
+(VectorFieldXi.stack), whose cached band samples have shape (2, K, n).
 lie_derivative applies field k of a stack to index k of its input's first
-axis, which has length K or 1, so one call forms every L_k c, and the Ito
-sum (1/2) sum_k L_k^2 c and the h^k share their transforms.  numpy's
-batched transforms give each row bit for bit what a one-row call gives, so
-the stacked route changes no result.
+axis, which has length K or 1, so one call forms every L_k c.  The Ito sum
+(1/2) sum_k L_k^2 c and the h^k = -L_k c (up to the models' J and
+conjugation) start from these same first-order terms: a caller that holds
+them passes them to lie_second and ito_correction as first, and the 1D
+fluid models form them once per state and share them.  numpy's batched
+transforms give each row bit for bit what a one-row call gives, so the
+stacked and paired routes change no result.  A 2D basis is not stacked:
+its L_k are stencil sums with no transform to share, and K h-blocks held
+at once would raise the peak memory of the 512^2 estimate checks.
 """
 
 import numpy as np
@@ -80,8 +88,10 @@ class VectorFieldXi:
                              % self.max_divergence)
         if grid.dim == 1:
             self._components = tuple(comps)
-            self._comp_factor = band_values(grid, comps[0])
-            self._div_factor = band_values(grid, div)
+            # band samples of xi and div(xi), paired with (c_x, c) in one
+            # product (lie_derivative)
+            self._factors = np.stack([band_values(grid, comps[0]),
+                                      band_values(grid, div)])
         else:
             self._stencil = _stencil(grid, comps)
         self.K = None       # a single field, not a stack
@@ -108,17 +118,16 @@ class VectorFieldXi:
         """The 1D fields xis as one stacked field of K = len(xis) fields,
         for lie_derivative only.
 
-        Each cached factor gains a leading axis of length K whose row k is
-        xis[k]'s own band samples, so a stacked product reads the same
-        samples as the single-field one.
+        The cached factors gain an axis of length K after the (xi, div xi)
+        axis, whose row k is xis[k]'s own band samples, so a stacked product
+        reads the same samples as the single-field one.
         """
         grid = xis[0].grid
         if grid.dim != 1:
             raise ValueError("only 1D fields stack, got %r" % (grid,))
         out = cls.__new__(cls)
         out.grid = grid
-        out._comp_factor = np.stack([xi._comp_factor for xi in xis])
-        out._div_factor = np.stack([xi._div_factor for xi in xis])
+        out._factors = np.stack([xi._factors for xi in xis], axis=1)
         out.K = len(xis)
         return out
 
@@ -157,40 +166,49 @@ def lie_derivative(xi, c):
     For a stack of K fields, field k acts on index k of c's first axis,
     which has length K or 1 (then every field acts on the same input); the
     result has K rows on that axis.
+
+    In 1D both products are one product_with_values call on the pair
+    (xi, div xi) x (c_x, c), one inverse and one forward transform; the
+    pair's two rows are then added, as the two products' results were.
     """
     grid = xi.grid
     _check_grid(grid, c)
     if grid.dim == 2:
         return product_with_values(grid, xi._stencil, c)
-    comp, div = xi._comp_factor, xi._div_factor
+    lead = ()
     if xi.K is not None:
         if c.ndim == grid.dim or c.shape[0] not in (1, xi.K):
             raise ValueError("a stack of %d fields needs a first axis of length "
                              "%d or 1, got shape %r" % (xi.K, xi.K, c.shape))
-        # unit axes between the stack and the grid: broadcasting alone would
-        # pair the fields with c's last leading axis (sch2's u and eta)
-        lead = (xi.K,) + (1,) * (c.ndim - 1 - grid.dim) + grid.shape
-        comp = comp.reshape(lead)
-        div = div.reshape(lead)
-    return product_with_values(grid, comp, derivative(grid, c)) \
-        + product_with_values(grid, div, c)
+        lead = (xi.K,)
+    # unit axes between the field's axes and the grid: broadcasting alone
+    # would pair the pair axis or the stack with c's rows (sch2's u and eta)
+    factors = xi._factors.reshape(
+        (2,) + lead + (1,) * (c.ndim - len(lead) - grid.dim) + grid.shape)
+    pair = np.empty((2,) + c.shape, dtype=np.complex128)
+    pair[0] = derivative(grid, c)
+    pair[1] = c
+    out = product_with_values(grid, factors, pair)
+    return out[0] + out[1]
 
 
-def lie_second(xi, c):
-    """L_xi^2 c by composing lie_derivative twice."""
-    return lie_derivative(xi, lie_derivative(xi, c))
+def lie_second(xi, c, first=None):
+    """L_xi^2 c by composing lie_derivative twice; first is L_xi c if the
+    caller already holds it."""
+    return lie_derivative(xi, lie_derivative(xi, c) if first is None else first)
 
 
-def ito_correction(basis, c):
+def ito_correction(basis, c, first=None):
     """(1/2) * sum_{k <= K} L_{xi_k}^2 c over a truncated noise basis.
 
-    A 1D basis forms every L_k^2 c in one stacked call.  A 2D basis works in
-    one band block of c: both L_k of every xi_k are stencil sums there, and
-    the block is scattered once.  The terms are summed from zero in k order
-    on every route.
+    A 1D basis forms every L_k^2 c in one stacked call; first is the
+    stacked L_k c, shape (K,) + c.shape, if the caller already holds it.
+    A 2D basis works in one band block of c: both L_k of every xi_k are
+    stencil sums there, and the block is scattered once.  The terms are
+    summed from zero in k order on every route.
     """
     if basis.stack is not None:
-        terms = lie_second(basis.stack, c[None])
+        terms = lie_second(basis.stack, c[None], first)
     elif basis.xis:
         grid = basis.xis[0].grid
         _check_grid(grid, c)

@@ -33,8 +33,6 @@ Models:
   linear -- scalar test SDE dX = a X o dW (degenerate model for scheme checks)
 """
 
-from functools import partial
-
 import numpy as np
 
 from . import spectral as sp
@@ -99,12 +97,15 @@ class _FluidOps:
     forms the transport term -J T(JX), the Ito sum
     J^3 C^-1 (1/2) sum_k L_k^2 (C JX) and h^k = -J C^-1 L_k(C JX), each
     on the whole (fields, *grid) array.  Every public method takes states
-    as such arrays, of shape self.shape, and checks that shape.
+    as such arrays, of shape self.shape, and checks that shape.  On a 1D
+    grid the first-order terms L_k(C JX) of every k are formed once per
+    state (_first): the Ito sum and the h^k of that state share them.
     """
 
     kind = None
     dim = None
     v_is_x_norm = False     # see LinearOps
+    _conj = None            # C per row (Sch2Ops); None means C = 1
 
     def __init__(self, grid, s, basis, eps):
         if grid.dim != self.dim:
@@ -115,6 +116,9 @@ class _FluidOps:
         self.basis = basis
         self.eps = float(eps)
         self._jhat = mollifier_symbol(grid, self.eps)
+        # _first's one slot: the bytes of its last input and their terms
+        self._first_key = None
+        self._first_terms = None
 
     def _rows(self, X, jhat=None):
         X = _checked(X, self.kind, self.shape)
@@ -123,9 +127,29 @@ class _FluidOps:
     def _theta(self, X):
         return self._rows(X)[0]
 
-    def _noise(self, op, c):
-        """op on the rows, conjugated by the model where it needs it."""
-        return op(c)
+    def _conjugated(self, c):
+        return c if self._conj is None else c * self._conj
+
+    def _unconjugated(self, c):
+        return c if self._conj is None else c * self._conj_inv
+
+    def _first(self, cc):
+        """The first-order terms L_k(cc) of a 1D basis as one (K,) + cc.shape
+        array, for cc = C JX; None on a 2D grid or an empty basis.
+
+        One slot remembers the last cc by a copy of its bytes, so the Ito
+        sum and the h^k of one state form the terms once, and any state
+        that differs in a bit gets its own, also when the caller mutated X
+        in place (with J = 1 and C = 1, cc is the caller's X).
+        """
+        if self.basis.stack is None:
+            return None
+        key = (cc.dtype.str, cc.tobytes())
+        if key != self._first_key:
+            terms = lie_derivative(self.basis.stack, cc[None])
+            terms.flags.writeable = False
+            self._first_key, self._first_terms = key, terms
+        return self._first_terms
 
     def _transport_op(self, X, jhat=None):
         c = self._transport(self._rows(X, jhat))
@@ -134,32 +158,39 @@ class _FluidOps:
         return c * -1.0
 
     def _ito_op(self, X, jhat=None):
-        sums = self._noise(partial(ito_correction, self.basis),
-                           self._rows(X, jhat))
+        cc = self._conjugated(self._rows(X, jhat))
+        sums = self._unconjugated(ito_correction(self.basis, cc,
+                                                 self._first(cc)))
         return sums if jhat is None else sums * jhat ** 3
 
     def _h_op(self, X, k, jhat=None):
         """h^k for one index k; for a sequence of indices, an iterator over
-        the h^k in that order.  On a 1D grid they all come from one stacked
-        Lie call; on a 2D grid each is formed when it is reached, so that a
-        stepper holds no more of them at once than it uses (a step whose
-        heap peak rises and falls by a few 64^2 states gets its pages
-        trimmed and faulted in again)."""
-        c = self._rows(X, jhat)
-        ks = [k] if np.ndim(k) == 0 else list(k)
+        the h^k in that order.  On a 1D grid each h^k is row k of the
+        state's first-order terms (_first), formed at the call.  On a 2D
+        grid each is formed when it is reached, so that a stepper holds no
+        more of them at once than it uses (a step whose heap peak rises and
+        falls by a few 64^2 states gets its pages trimmed and faulted in
+        again)."""
+        cc = self._conjugated(self._rows(X, jhat))
+        scalar = np.ndim(k) == 0
+        ks = [k] if scalar else list(k)
         for j in ks:
             if not 0 <= j < self.basis.K:
                 raise ValueError("noise index %d out of range (K=%d)"
                                  % (j, self.basis.K))
-        if np.ndim(k) == 0:
-            return self._h(self.basis.xis[k], c, jhat)
-        if self.basis.stack is None or not ks:
-            return (self._h(self.basis.xis[j], c, jhat) for j in ks)
-        return iter(self._h(self.basis.stacked(ks), c[None], jhat))
+        first = self._first(cc)
+        if first is None:
+            if scalar:
+                return self._h(lie_derivative(self.basis.xis[k], cc), jhat)
+            return (self._h(lie_derivative(self.basis.xis[j], cc), jhat)
+                    for j in ks)
+        if scalar:
+            return self._h(first[k], jhat)
+        return iter(self._h(first[ks], jhat))
 
-    def _h(self, xi, c, jhat):
-        # -J C^-1 L_xi(C c)
-        h = self._noise(partial(lie_derivative, xi), c)
+    def _h(self, lc, jhat):
+        # -J C^-1 of the first-order terms lc = L_xi(C c)
+        h = self._unconjugated(lc)
         if jhat is not None:
             h = h * jhat
         return h * -1.0
@@ -187,9 +218,6 @@ class Sch2Ops(_FluidOps):
 
     def _transport(self, c):
         return dealiased_product(self.grid, c[0], derivative(self.grid, c))
-
-    def _noise(self, op, c):
-        return op(c * self._conj) * self._conj_inv
 
     def b(self, X):
         g = self.grid

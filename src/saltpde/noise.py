@@ -34,12 +34,6 @@ class NoiseBasis:
         self.stack = (VectorFieldXi.stack(self.xis)
                       if self.xis and self.xis[0].grid.dim == 1 else None)
 
-    def stacked(self, ks):
-        """xis[k] for k in ks as one stacked field (1D bases only)."""
-        if list(ks) == list(range(self.K)):
-            return self.stack
-        return VectorFieldXi.stack([self.xis[k] for k in ks])
-
 
 def check_decay(decay_kind, decay_param):
     """Reject an unknown decay law or one whose H^{s_max} tail diverges."""

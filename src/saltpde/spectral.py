@@ -207,6 +207,11 @@ def _symbol(grid, key, build):
 
 def _weight(grid, s, homogeneous=False):
     """(1+|k|^2)^s, or |k|^(2s) with 0 on the mean mode if homogeneous."""
+    key = ("weight", s, homogeneous)
+    w = grid._symbols.get(key)
+    if w is not None:
+        return w
+
     def build():
         if not homogeneous:
             return (1.0 + grid.ksq) ** s
@@ -214,7 +219,7 @@ def _weight(grid, s, homogeneous=False):
         nz = grid.ksq > 0
         w[nz] = grid.ksq[nz] ** s
         return w
-    return _symbol(grid, ("weight", s, homogeneous), build)
+    return _symbol(grid, key, build)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +329,20 @@ def dealiased_product(grid, f, g):
     product is then the dot product f1*g1 + f2*g2, summed on the grid
     before the one forward transform, and each pair takes one inverse
     transform (band_values), so u.grad(theta) costs three transforms.
+    Two fields take their samples from one transform of their rows
+    concatenated (their leading axes may differ), so a product costs two.
     """
     if isinstance(f, tuple) != isinstance(g, tuple):
         raise ValueError("dealiased_product takes two fields or two pairs")
-    fv, gv = band_values(grid, f), band_values(grid, g)
     if isinstance(f, tuple):
-        (f1, f2), (g1, g2) = fv, gv
+        (f1, f2), (g1, g2) = band_values(grid, f), band_values(grid, g)
         return _band_product(grid, f1 * g1 + f2 * g2)
+    rows = (-1,) + grid.shape
+    fg = np.concatenate([f.reshape(rows), g.reshape(rows)])
+    v = band_values(grid, fg)
+    split = f.size // grid.n_total
+    fv = v[:split].reshape(f.shape)
+    gv = v[split:].reshape(g.shape)
     return _band_product(grid, fv * gv)
 
 

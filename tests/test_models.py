@@ -322,6 +322,90 @@ def test_stacked_noise_fields_equal_the_loop(n, K):
                 lie_derivative(basis.stack, np.stack([X] * (K + 1)))
 
 
+def direct_h(kind, grid, basis, X, k, jhat=None):
+    """-J C^-1 L_k(C JX) from one lie_derivative call on basis.xis[k]."""
+    c = X if jhat is None else X * jhat
+    if kind == "sch2":
+        d2 = 1.0 + grid.ksq
+        ones = np.ones(grid.shape)
+        h = lie_derivative(basis.xis[k], c * np.stack([d2, ones])) \
+            * np.stack([1.0 / d2, ones])
+    else:
+        h = lie_derivative(basis.xis[k], c)
+    if jhat is not None:
+        h = h * jhat
+    return h * -1.0
+
+
+@pytest.mark.parametrize("model, s", [("ccf", 4.0), ("sch2", 6.0)])
+def test_shared_first_order_terms_never_cross_states(model, s):
+    # the Ito sum and the h^k of one state share its first-order terms; a
+    # state that differs in one bit, or X mutated in place, gets its own
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.solver import chi_cutoff, step_ito_em
+    g, K, eps = Grid(64), 4, 0.0625
+    basis = build_basis_1d(g, K, s + 2.0)
+    jhat = mollifier_symbol(g, eps)
+    X = corpus_state(model, g, s, corpus_banks(1, 1, 41, 2)[0])
+    ks = list(range(K))
+
+    def fresh():
+        return make_ops(model, g, s, basis, eps)
+
+    # g_eps(X), then the h^k of Y, which differs from X by 1e-9 relative in
+    # one mode that J keeps whole (within np.allclose of X)
+    Y = X.copy()
+    Y[0, 3] *= 1.0 + 1e-9
+    assert jhat[3] == 1.0 and Y[0, 3] != X[0, 3] and np.allclose(Y, X)
+    ops = fresh()
+    ops.g_eps(X)
+    got = list(ops.h_eps_k(Y, ks))
+    want = list(fresh().h_eps_k(Y, ks))
+    for k in ks:
+        assert np.array_equal(got[k], want[k])
+        assert np.array_equal(got[k], direct_h(model, g, basis, Y, k, jhat))
+    assert not all(np.array_equal(got[k], direct_h(model, g, basis, X, k, jhat))
+                   for k in ks)
+
+    # g(X), then X mutated in place, then h_k(X, ks): with J = 1 (and C = 1
+    # on ccf) the terms were formed from the caller's own array
+    Z = X.copy()
+    ops = fresh()
+    ops.g(Z)
+    before = list(ops.h_k(Z, ks))
+    Z[0, 5] *= 1.5
+    got = list(ops.h_k(Z, ks))
+    want = list(fresh().h_k(Z, ks))
+    for k in ks:
+        assert np.array_equal(got[k], want[k])
+        assert np.array_equal(got[k], direct_h(model, g, basis, Z, k))
+        assert not np.array_equal(got[k], before[k])
+    assert np.array_equal(ops.g(Z), fresh().g(Z))
+
+    # an Ito-EM step whose dW_1 is exactly zero takes the h^k of the other
+    # indices from the terms its g_eps formed
+    dw, dt, R, v = [0.03, 0.0, -0.02, 0.01], 1e-3, 10.0, 0.5
+    ops = fresh()
+    got = step_ito_em(X, ops, dw, dt, R, v)
+    ref = fresh()
+    chi = chi_cutoff(v, R)
+    want = X + (chi * chi * dt) * (ref.b(X) + ref.g_eps(X))
+    for k in (0, 2, 3):
+        want = want + (chi * dw[k]) * direct_h(model, g, basis, X, k, jhat)
+    assert np.array_equal(got, want)
+    assert [np.array_equal(h, direct_h(model, g, basis, X, k, jhat))
+            for k, h in zip((0, 2, 3), ops.h_eps_k(X, (0, 2, 3)))] == [True] * 3
+
+    # one index at a time, after the terms of X and of another state
+    ops = fresh()
+    ops.g_eps(X)
+    for k in ks:
+        assert np.array_equal(ops.h_eps_k(X, k),
+                              direct_h(model, g, basis, X, k, jhat))
+        assert np.array_equal(ops.h_eps_k(Y, k),
+                              direct_h(model, g, basis, Y, k, jhat))
+
+
 def test_sqg_noise_operators_stay_hermitian():
     # the 2D support convolution reads coefficients as they are (the FFT
     # route projected onto real fields), so the outputs must stay Hermitian

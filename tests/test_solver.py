@@ -322,16 +322,19 @@ def test_em_step_matches_frozen_oracle():
 
 
 def test_ccf_em_step_fft_budget(monkeypatch):
-    # one ccf Ito-EM step of run_path at K = 4, with its CFL check and its
-    # V-norm, makes 17 transforms: 3 for the transport product, 8 for the
-    # stacked Ito sum, 4 for the stacked h^k, 1 each for max_velocity and
-    # v_norm
+    # one ccf Ito-EM step of run_path at n = 256, K = 4, with its CFL check
+    # and its V-norm, makes 8 transforms over 8192 points: 2 for the
+    # transport product (512 + 256 points), 2 for the stacked first-order
+    # terms L_k(JX) that the Ito sum and the h^k share (512 + 2048), 2 for
+    # the second-order terms (2048 + 2048), 1 for max_velocity (256) and 1
+    # for v_norm (512)
     calls = []
     for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
                  "irfft", "fft2", "ifft2"):
         def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            calls.append(max(np.size(args[0]), out.size))
+            return out
         monkeypatch.setattr(np.fft, name, counted)
     counts = []
     for steps in (1, 2):
@@ -341,8 +344,9 @@ def test_ccf_em_step_fft_budget(monkeypatch):
         calls.clear()
         rec = run_path(cfg)
         assert rec.stop_reason == "end" and len(rec.times) == steps + 1
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 17
+        counts.append((len(calls), sum(calls)))
+    assert counts[1][0] - counts[0][0] == 8
+    assert counts[1][1] - counts[0][1] == 8192
 
 
 def test_sqg_heun_step_fft_budget(monkeypatch):
