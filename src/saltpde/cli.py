@@ -16,6 +16,7 @@ byte for byte.  All floats are serialised with full round-trip precision.
 
 import argparse
 import ctypes
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -136,6 +137,8 @@ def _check_spec(spec, path):
     problems = [
         (spec.ensemble < 1, "ensemble must be >= 1"),
         (spec.workers < 1, "workers must be >= 1"),
+        (not math.isfinite(spec.delta), "delta must be finite, got %r"
+         % (spec.delta,)),
         (unknown, "estimates: unknown id %s; valid ids: all | %s"
          % (", ".join(map(repr, unknown)), " | ".join(ESTIMATE_IDS))),
         (spec.command == "converge" and not (spec.eps_ladder or spec.dt_ladder),

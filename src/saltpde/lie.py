@@ -19,18 +19,15 @@ i*(xi_1(s)*k1 + xi_2(s)*k2) of the output mode k.  That symbol is where
 the derivative of f (i*(k - s)) and the divergence of xi (i*s) meet, so
 neither is formed and div(xi)*f needs no product of its own.  A shipped
 xi_k is one trigonometric mode, so its stencil holds the two shifts +-m,
-and the result agrees with the FFT route to round-off.  The stencil is all
-a 2D field keeps: its components and divergence are rebuilt from it on
-access (so they hold only the stencil's modes), and only max_divergence is
-taken from the full components it was built from.  The Ito sum on a 2D
-basis gathers the band of its input once, applies both L_k of every xi_k
-inside that block (spectral.stencil_sum), sums there and scatters once; the
-sum is bit for bit the per-field one, whose scatter and gather between two
-L_k copy the block unchanged.  In 1D the factors xi and div(xi) stay
-cached as band samples and the products go through the FFTs, because the
-Lie cancellation check conditions Q = term1 + term2 only to about 1e-9 at
-N = 1024, and any reordering of the 1D arithmetic, even the dense
-convolution, moves its ratio by more than that.  Both products of
+and the result agrees with the FFT route to round-off.  The Ito sum on a
+2D basis gathers the band of its input once, applies both L_k of every
+xi_k inside that block (spectral.stencil_sum), sums there and scatters
+once; the sum is bit for bit the per-field one, whose scatter and gather
+between two L_k copy the block unchanged.  In 1D the factors xi and
+div(xi) stay cached as band samples and the products go through the FFTs,
+because the Lie cancellation check conditions Q = term1 + term2 only to
+about 1e-9 at N = 1024, and any reordering of the 1D arithmetic, even the
+dense convolution, moves its ratio by more than that.  Both products of
 L_xi c = xi*c_x + div(xi)*c are one product_with_values call on the pair
 (xi, div xi) x (c_x, c): one inverse and one forward transform, whose two
 rows are then added.
@@ -53,41 +50,31 @@ import numpy as np
 
 from .spectral import (band_values, bessel_multiplier, dealiased_product,
                        derivative, gather_band, product_with_values,
-                       scatter_band, sobolev_norm, stencil_sum)
+                       scatter_band, stencil_sum)
 
 # a 2D stencil keeps the modes where a component exceeds this fraction of
 # xi's largest coefficient; below it they are transform round-off
 SUPPORT_RTOL = 1e-13
 
 
-def components_norm(grid, components, s):
-    """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field."""
-    return float(np.sqrt(sum(sobolev_norm(grid, c, s) ** 2 for c in components)))
-
-
 class VectorFieldXi:
     """Smooth correlation vector field, one component per dimension.
 
-    Built from the coefficient arrays xi_1, ..., xi_dim on grid.  Keeps L_xi
-    in the form product_with_values takes: on a 2D grid only the stencil of
-    xi's in-band modes (no grid-sized array; components and divergence are
-    rebuilt from it on access), on a 1D grid the components and the
-    2/3-band samples of xi and div(xi).
+    Built from the coefficient arrays xi_1, ..., xi_dim on grid.  Keeps only
+    max |div xi| and L_xi in the form product_with_values takes: on a 2D
+    grid the stencil of xi's in-band modes (no grid-sized array), on a 1D
+    grid the 2/3-band samples of xi and div(xi).
     """
 
-    def __init__(self, grid, components, require_divergence_free=False):
+    def __init__(self, grid, components):
         comps = [np.asarray(c, dtype=np.complex128) for c in components]
         if len(comps) != grid.dim or any(c.shape != grid.shape for c in comps):
             raise ValueError("expected %d components of shape %r"
                              % (grid.dim, grid.shape))
         self.grid = grid
-        div = _divergence(grid, comps)
+        div = sum(derivative(grid, c, axis) for axis, c in enumerate(comps))
         self.max_divergence = float(np.max(np.abs(div)))
-        if require_divergence_free and self.max_divergence > 1e-12:
-            raise ValueError("xi is not divergence-free (max spectral residual %.3e)"
-                             % self.max_divergence)
         if grid.dim == 1:
-            self._components = tuple(comps)
             # band samples of xi and div(xi), paired with (c_x, c) in one
             # product (lie_derivative)
             self._factors = np.stack([band_values(grid, comps[0]),
@@ -95,23 +82,6 @@ class VectorFieldXi:
         else:
             self._stencil = _stencil(grid, comps)
         self.K = None       # a single field, not a stack
-
-    @property
-    def components(self):
-        """The coefficient arrays of xi; on a 2D grid, rebuilt on each access
-        from the stencil, zero off its modes."""
-        if self.grid.dim == 1:
-            return self._components
-        comps = np.zeros((2,) + self.grid.shape, dtype=np.complex128)
-        for (s1, s2), coeffs in self._stencil:
-            comps[:, s1, s2] = coeffs
-        return tuple(comps)
-
-    @property
-    def divergence(self):
-        """div(xi), formed on each access from the components; a field keeps
-        only its max_divergence."""
-        return _divergence(self.grid, self.components)
 
     @classmethod
     def stack(cls, xis):
@@ -130,15 +100,6 @@ class VectorFieldXi:
         out._factors = np.stack([xi._factors for xi in xis], axis=1)
         out.K = len(xis)
         return out
-
-    def sobolev_norm(self, s):
-        """||xi||_{H^s} of components; on a 2D grid that is the norm on the
-        stencil's modes, not on the arrays xi was built from."""
-        return components_norm(self.grid, self.components, s)
-
-
-def _divergence(grid, comps):
-    return sum(derivative(grid, c, axis) for axis, c in enumerate(comps))
 
 
 def _stencil(grid, comps):
@@ -175,16 +136,15 @@ def lie_derivative(xi, c):
     _check_grid(grid, c)
     if grid.dim == 2:
         return product_with_values(grid, xi._stencil, c)
-    lead = ()
-    if xi.K is not None:
-        if c.ndim == grid.dim or c.shape[0] not in (1, xi.K):
-            raise ValueError("a stack of %d fields needs a first axis of length "
-                             "%d or 1, got shape %r" % (xi.K, xi.K, c.shape))
-        lead = (xi.K,)
-    # unit axes between the field's axes and the grid: broadcasting alone
-    # would pair the pair axis or the stack with c's rows (sch2's u and eta)
+    if xi.K is not None and (c.ndim == grid.dim or c.shape[0] not in (1, xi.K)):
+        raise ValueError("a stack of %d fields needs a first axis of length "
+                         "%d or 1, got shape %r" % (xi.K, xi.K, c.shape))
+    # the factors' own axes, then unit axes up to the grid: broadcasting
+    # alone would pair the pair axis or the stack with c's rows (sch2's u
+    # and eta)
+    own = xi._factors.shape[:-grid.dim]
     factors = xi._factors.reshape(
-        (2,) + lead + (1,) * (c.ndim - len(lead) - grid.dim) + grid.shape)
+        own + (1,) * (c.ndim + 1 - len(own) - grid.dim) + grid.shape)
     pair = np.empty((2,) + c.shape, dtype=np.complex128)
     pair[0] = derivative(grid, c)
     pair[1] = c

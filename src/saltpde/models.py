@@ -165,12 +165,12 @@ class _FluidOps:
 
     def _h_op(self, X, k, jhat=None):
         """h^k for one index k; for a sequence of indices, an iterator over
-        the h^k in that order.  On a 1D grid each h^k is row k of the
-        state's first-order terms (_first), formed at the call.  On a 2D
-        grid each is formed when it is reached, so that a stepper holds no
-        more of them at once than it uses (a step whose heap peak rises and
-        falls by a few 64^2 states gets its pages trimmed and faulted in
-        again)."""
+        the h^k in that order.  Each h^k is formed when it is reached, so
+        that a stepper holds no more of them at once than it uses (a step
+        whose heap peak rises and falls by a few 64^2 states gets its pages
+        trimmed and faulted in again); on a 1D grid from row k of the
+        state's first-order terms (_first), which are taken at the call, so
+        a later state cannot replace them."""
         cc = self._conjugated(self._rows(X, jhat))
         scalar = np.ndim(k) == 0
         ks = [k] if scalar else list(k)
@@ -179,14 +179,10 @@ class _FluidOps:
                 raise ValueError("noise index %d out of range (K=%d)"
                                  % (j, self.basis.K))
         first = self._first(cc)
-        if first is None:
-            if scalar:
-                return self._h(lie_derivative(self.basis.xis[k], cc), jhat)
-            return (self._h(lie_derivative(self.basis.xis[j], cc), jhat)
-                    for j in ks)
-        if scalar:
-            return self._h(first[k], jhat)
-        return iter(self._h(first[ks], jhat))
+        hs = (self._h(first[j] if first is not None
+                      else lie_derivative(self.basis.xis[j], cc), jhat)
+              for j in ks)
+        return next(hs) if scalar else hs
 
     def _h(self, lc, jhat):
         # -J C^-1 of the first-order terms lc = L_xi(C c)

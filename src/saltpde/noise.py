@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .spectral import derivative, from_values
-from .lie import VectorFieldXi, components_norm
+from .spectral import derivative, from_values, sobolev_norm
+from .lie import VectorFieldXi
 
 
 class NoiseBasis:
@@ -33,6 +33,11 @@ class NoiseBasis:
         # a 1D basis also holds its fields as one stack (see lie.py)
         self.stack = (VectorFieldXi.stack(self.xis)
                       if self.xis and self.xis[0].grid.dim == 1 else None)
+
+
+def components_norm(grid, components, s):
+    """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field."""
+    return float(np.sqrt(sum(sobolev_norm(grid, c, s) ** 2 for c in components)))
 
 
 def check_decay(decay_kind, decay_param):
@@ -96,8 +101,7 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         comp1 = -1.0 * derivative(grid, psi, 1)   # xi = (-d2 psi, d1 psi)
         comp2 = derivative(grid, psi, 0)
         a = targets[k - 1] / components_norm(grid, (comp1, comp2), s_max)
-        xis.append(VectorFieldXi(grid, [a * comp1, a * comp2],
-                                 require_divergence_free=True))
+        xis.append(VectorFieldXi(grid, [a * comp1, a * comp2]))
     return NoiseBasis(xis)
 
 

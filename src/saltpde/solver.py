@@ -77,6 +77,9 @@ class SimConfig:
     scheme: str = "ito_em"
 
     def validate(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.model not in ("sch2", "ccf", "sqg", "linear"):
             raise ValueError("unknown model %r" % (self.model,))
         Grid.check_n(self.n)
@@ -109,6 +112,8 @@ class SimConfig:
             raise ValueError("scheme must be ito_em or strat_heun")
         if self.n_stop <= 0:
             raise ValueError("n_stop must be positive")
+        if self.blowup_factor <= 1.0:
+            raise ValueError("blowup_factor must exceed 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0, got %r" % (self.seed,))
         if self.record_every < 1:

@@ -118,9 +118,12 @@ def zero_field(grid, *lead):
 
 
 def from_values(grid, values):
-    """Forward transform of real grid samples; rejects a wrong shape and
-    non-finite input with a diagnostic."""
-    values = np.asarray(values, dtype=np.float64)
+    """Forward transform of real grid samples; rejects complex samples, a
+    wrong shape and non-finite input with a diagnostic."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError("grid samples must be real, got dtype %s" % values.dtype)
+    values = values.astype(np.float64, copy=False)
     if values.shape[values.ndim - grid.dim:] != grid.shape:
         raise ValueError("values shape %r does not match grid %r"
                          % (values.shape, grid))

@@ -14,10 +14,10 @@ edit: this file is the oracle, not a second implementation to maintain.
 The bodies work on SpectralField values, the field wrapper the package had
 before its fields became plain coefficient arrays; that class and the
 spectral helpers the bodies call are kept below verbatim as well.  Only
-the boundary adapts: package states and arrays go in (operator(),
-fft_lie()), checked states that add (as the parent's did) and coefficient
-arrays come out, and the package's lie_derivative is called through a
-wrapper.
+the boundary adapts: package states go in (operator()), checked states
+that add (as the parent's did) and coefficient arrays come out, and the
+package's lie_derivative is called through a wrapper.  xi_helpers.fft_lie
+hands fft_lie_derivative the arrays a field was built from.
 """
 
 import types
@@ -217,17 +217,6 @@ sp = types.SimpleNamespace(apply_multiplier=apply_multiplier)
 def operator(oracle, name, X, *args):
     """oracle.name(X, *args) for a package state X, as a package state."""
     return getattr(oracle, name)(_StateView(X), *args)
-
-
-class _XiView:
-    def __init__(self, xi):
-        self.components = [SpectralField(xi.grid, c) for c in xi.components]
-        self.divergence = SpectralField(xi.grid, xi.divergence)
-
-
-def fft_lie(xi, f):
-    """Coefficients of fft_lie_derivative for a package xi and array f."""
-    return fft_lie_derivative(_XiView(xi), SpectralField(xi.grid, f)).coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,7 @@ def test_product_rule_on_band(grid, seed, kf, kg):
 def test_lie_skew_symmetry(grid, seed, kxi, kf):
     # (L_xi f, f) = ((div xi) f, f) / 2 for any xi, divergence-free or not
     g = Grid(*grid)
-    # div(xi) is taken from the arrays xi is built from, not from the
-    # components a 2D field rebuilds from its stencil
+    # div(xi) is taken from the arrays xi is built from
     comps = [band_field(g, seed + i, kxi) for i in range(g.dim)]
     xi = VectorFieldXi(g, comps)
     f = band_field(g, seed + 7, kf)

@@ -7,7 +7,7 @@ from saltpde.noise import (_SQG_WAVES, NoiseBasis, build_basis_1d,
 from saltpde.spectral import (Grid, dealiased_product, derivative, from_values,
                               sobolev_norm, sup_norm, to_grid)
 from spectral_helpers import l2_inner
-from xi_helpers import divergence, fft_lie, sqg_basis_with_arrays
+from xi_helpers import built_from, divergence, fft_lie
 
 
 def band_field(grid, rng, kmax):
@@ -210,17 +210,17 @@ def test_cancellation_headline_bounded():
 
 def test_lie_derivative_1d_is_the_fft_route():
     # 1D keeps the band-sample factors: L_xi is the FFT route bit for bit
-    import oracle_ops
     rng = np.random.default_rng(9)
     for n in (64, 256):
         g = Grid(n)
-        xis = build_basis_1d(g, 8, 6.0).xis + constant_basis_1d(g, 0.7).xis
+        with built_from() as arrays:
+            xis = build_basis_1d(g, 8, 6.0).xis + constant_basis_1d(g, 0.7).xis
         fields = [band_field(g, rng, n // 3),
                   from_values(g, rng.standard_normal(g.shape))]
-        for xi in xis:
+        for xi, comps in zip(xis, arrays, strict=True):
             for f in fields:
                 got = lie_derivative(xi, f)
-                want = oracle_ops.fft_lie(xi, f)
+                want = fft_lie(g, comps, f)
                 assert np.array_equal(got, want)
 
 
@@ -235,15 +235,15 @@ TOL_2D = 1e-12
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_lie_derivative_2d_matches_fft_route(n):
-    # the FFT route runs on the arrays each xi_k was built from, not on
-    # the components a 2D field rebuilds from its stencil
+    # the FFT route runs on the arrays each xi_k was built from
     from saltpde.estimates import corpus_banks, corpus_field
     g = Grid(n, dim=2)
     rng = np.random.default_rng(10)
     fields = [corpus_field(g, 4.5, "critical", bank)
               for bank, in corpus_banks(2, 2, seed=31)]
     fields.append(from_values(g, rng.standard_normal(g.shape)))
-    basis, arrays = sqg_basis_with_arrays(g, 8, 6.5)
+    with built_from() as arrays:
+        basis = build_basis_sqg(g, 8, 6.5)
     for xi, comps in zip(basis.xis, arrays):
         for f in fields:
             got = lie_derivative(xi, f)
@@ -283,7 +283,8 @@ def test_sqg_xi_stencil_holds_the_shifts_of_its_wave():
     # exactly when m_(3-i) is
     for n in (64, 128):
         g = Grid(n, dim=2)
-        basis, arrays = sqg_basis_with_arrays(g, 8, 6.5)
+        with built_from() as arrays:
+            basis = build_basis_sqg(g, 8, 6.5)
         for k, (xi, comps) in enumerate(zip(basis.xis, arrays), start=1):
             w1, w2 = _SQG_WAVES[(k - 1) % len(_SQG_WAVES)]
             scale = 1 + (k - 1) // len(_SQG_WAVES)
@@ -303,25 +304,28 @@ def _held_arrays(obj):
             yield from _held_arrays(item)
 
 
-def test_2d_xi_holds_no_grid_array_but_its_components():
-    # the stencil is all a 2D field keeps: at 512^2 each grid-sized array is
-    # 4 MiB, per field of the basis.  Its components, rebuilt on access,
-    # carry the built-from coefficients at the stencil's shifts and zero
-    # elsewhere
+def test_noise_field_holds_only_its_lie_data():
+    # what L_xi reads (the band samples in 1D, the stencil in 2D), the
+    # bound on div(xi) and K; a stack holds no divergence bound
+    g1, g2 = Grid(32), Grid(16, dim=2)
+    basis = build_basis_1d(g1, 3, 6.0)
+    assert set(vars(basis.xis[0])) == {"grid", "K", "max_divergence", "_factors"}
+    assert set(vars(basis.stack)) == {"grid", "K", "_factors"}
+    xi = build_basis_sqg(g2, 2, 6.5).xis[0]
+    assert set(vars(xi)) == {"grid", "K", "max_divergence", "_stencil"}
+
+
+def test_2d_xi_holds_no_grid_array():
+    # the stencil is all a 2D field keeps of xi: at 512^2 each grid-sized
+    # array is 4 MiB, per field of the basis
     g = Grid(32, dim=2)
     rng = np.random.default_rng(13)
-    basis, arrays = sqg_basis_with_arrays(g, 8, 6.5)
-    dense_comps = [from_values(g, rng.standard_normal(g.shape)) for _ in range(2)]
-    dense = VectorFieldXi(g, dense_comps)
-    for xi, built in zip(basis.xis + [dense], arrays + [dense_comps]):
+    basis = build_basis_sqg(g, 8, 6.5)
+    dense = VectorFieldXi(g, [from_values(g, rng.standard_normal(g.shape))
+                              for _ in range(2)])
+    for xi in basis.xis + [dense]:
         assert not [a for value in vars(xi).values() for a in _held_arrays(value)]
         assert not list(_held_arrays(xi._stencil))
-        want = np.zeros((2,) + g.shape, dtype=np.complex128)
-        for (s1, s2), _ in xi._stencil:
-            want[:, s1, s2] = [c[s1, s2] for c in built]
-        comps = xi.components
-        assert len(comps) == 2 and all(c.shape == g.shape for c in comps)
-        assert np.array_equal(np.stack(comps), want)
 
 
 @pytest.mark.parametrize("n", [64, 256])

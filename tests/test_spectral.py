@@ -80,6 +80,9 @@ def test_from_values_rejects_wrong_shape():
         from_values(Grid(64), np.zeros(32))
     with pytest.raises(ValueError, match="does not match grid"):
         from_values(Grid(16, dim=2), np.zeros(16))
+    # complex samples are not cast to their real parts
+    with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+        from_values(Grid(8), (1 + 1j) * np.ones(8))
 
 
 def test_bessel_multiplier_basics():

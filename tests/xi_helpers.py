@@ -1,12 +1,13 @@
 """Noise fields together with the arrays they were built from.
 
-A 2D VectorFieldXi keeps only its stencil, and its components and
-divergence are rebuilt from that stencil on access.  A test that checks
-the stencil (its shifts, its coefficients, L_xi against the FFT route)
-takes its reference from the arrays the field was built from instead, so
-a wrong mode, sign or tolerance cut in the stencil shows on one side only.
+A VectorFieldXi keeps only what L_xi reads: the 2/3-band samples of xi and
+div(xi) in 1D, the stencil of xi's in-band modes in 2D.  A test that
+checks those (a norm, the stencil's shifts and coefficients, L_xi against
+the FFT route) takes its reference from the arrays the field was built
+from, so a wrong mode, sign or tolerance cut shows on one side only.
 """
 
+import contextlib
 import types
 
 import numpy as np
@@ -17,20 +18,21 @@ from saltpde.lie import VectorFieldXi
 from saltpde.spectral import derivative
 
 
-def sqg_basis_with_arrays(grid, K, s_max):
-    """build_basis_sqg(grid, K, s_max) and, for each xi_k, the tuple of
-    component arrays it was built from."""
+@contextlib.contextmanager
+def built_from():
+    """Within the block, every field a saltpde.noise builder makes is
+    recorded: yields the list of the tuples of component arrays each field
+    was built from, in build order."""
     made = []
 
-    def recording(grid, components, **kwargs):
+    def recording(grid, components):
         made.append(tuple(np.asarray(c) for c in components))
-        return VectorFieldXi(grid, components, **kwargs)
+        return VectorFieldXi(grid, components)
+    recording.stack = VectorFieldXi.stack      # NoiseBasis stacks a 1D basis
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(noise, "VectorFieldXi", recording)
-        basis = noise.build_basis_sqg(grid, K, s_max)
-    assert len(made) == len(basis.xis)
-    return basis, made
+        yield made
 
 
 def divergence(grid, comps):
