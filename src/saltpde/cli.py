@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
-from .estimates import ESTIMATE_IDS, run_estimates, summary_table
+from .estimates import parse_estimate_ids, run_estimates, summary_table
 from .models import DEFAULT_S, ModelState
 from .noise import sample_path
 from .solver import (SimConfig, run_path, stability_experiment,
@@ -132,15 +132,19 @@ def _check_spec(spec, path):
         steps = spec.sim.validate().n_steps()
     except ValueError as exc:
         raise ConfigError("%s: %s" % (path, exc)) from None
-    ids = [tok.strip() for tok in spec.estimates.split(",") if tok.strip()]
-    unknown = [] if ids == ["all"] else [i for i in ids if i not in ESTIMATE_IDS]
+    try:
+        parse_estimate_ids(spec.estimates)
+    except ValueError as exc:
+        raise ConfigError("%s: estimates: %s" % (path, exc)) from None
+    half = spec.sim.n // 2
     problems = [
         (spec.ensemble < 1, "ensemble must be >= 1"),
         (spec.workers < 1, "workers must be >= 1"),
         (not math.isfinite(spec.delta), "delta must be finite, got %r"
          % (spec.delta,)),
-        (unknown, "estimates: unknown id %s; valid ids: all | %s"
-         % (", ".join(map(repr, unknown)), " | ".join(ESTIMATE_IDS))),
+        (spec.delta == 0, "delta must be nonzero"),
+        (not 1 <= spec.perturb_mode < half, "perturb_mode must satisfy "
+         "1 <= perturb_mode < n // 2 = %d, got %d" % (half, spec.perturb_mode)),
         (spec.command == "converge" and not (spec.eps_ladder or spec.dt_ladder),
          "converge needs eps_ladder and/or dt_ladder")]
     for key in ("eps_ladder", "dt_ladder"):
@@ -334,12 +338,9 @@ def cmd_converge(spec):
 # verify
 
 def cmd_verify(spec):
+    ids = parse_estimate_ids(spec.estimates)
     os.makedirs(spec.out, exist_ok=True)
     write_manifest(spec, os.path.join(spec.out, "manifest.txt"))
-    if spec.estimates.strip() == "all":
-        ids = list(ESTIMATE_IDS)
-    else:
-        ids = [tok.strip() for tok in spec.estimates.split(",") if tok.strip()]
     reports = run_estimates(ids)
     for rep in reports:
         rep.write(os.path.join(spec.out, "estimate_%s.txt" % rep.estimate_id))

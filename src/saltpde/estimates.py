@@ -1,11 +1,13 @@
 """Numerical verification of the operator inequalities behind the models.
 
-Each check measures a ratio LHS/RHS-functional over a random corpus at a
-ladder of resolutions and fits the growth exponent of the (sup over the
-corpus of the) ratio against log2(N).  The constants in the underlying
-estimates are unknown, so boundedness across dyadic refinement, i.e. a
-fitted exponent below a small threshold, is the testable claim; a genuine
-derivative loss shows up as a clearly positive exponent instead.
+Each ladder check measures ratios LHS/RHS-functional over a random corpus
+along a resolution ladder: its local samples(n) sets up rung n and yields
+one tuple of ratios per corpus sample, _sups takes the sup of |ratio| over
+the corpus per rung, and a NaN ratio makes that sup NaN, which fails the
+check.  The estimates' constants are unknown, so boundedness across dyadic
+refinement, i.e. a growth exponent of the sups against log2(N) below a
+small threshold, is the testable claim; a derivative loss shows up as a
+clearly positive exponent instead.
 
 Corpus design: fixed-seed random trigonometric fields at three roughness
 levels (smooth decay |k|^-(s+3), critical decay |k|^-(s+0.6), bandlimited).
@@ -64,8 +66,7 @@ class CoefficientBank:
         if not 0 <= kmax <= kbig:
             raise ValueError("a bank keeps modes up to kmax in [0, %d], got %r"
                              % (kbig, kmax))
-        self.dim = dim
-        self.kmax = kmax
+        self.dim, self.kmax = dim, kmax
         if dim == 1:
             shape, block = (kbig + 1,), np.s_[:kmax + 1]
         else:
@@ -94,22 +95,17 @@ class CoefficientBank:
             dec = np.where(keep & (absk <= kmax), absk_safe ** (-alpha), 0.0)
             c[k1 % grid.n, k2] = amp * dec
         # taking the real part of the inverse transform Hermitian-symmetrises
-        vals = np.real(np.fft.ifftn(c * grid.n_total))
-        return sp.from_values(grid, vals)
+        return sp.from_values(grid, np.real(np.fft.ifftn(c * grid.n_total)))
 
 
 def corpus_field(grid, s, kind, bank):
     kmax = corpus_kmax(grid.n)
-    if kind == "smooth":
-        F = bank.field(grid, s + 3.0, kmax)
-    elif kind == "critical":
-        F = bank.field(grid, s + 0.6, kmax)
-    elif kind == "bandlimited":
-        F = bank.field(grid, 0.0, min(8, kmax))
-    else:
+    decay = {"smooth": (s + 3.0, kmax), "critical": (s + 0.6, kmax),
+             "bandlimited": (0.0, min(8, kmax))}
+    if kind not in decay:
         raise ValueError("unknown corpus kind %r" % (kind,))
-    ref = sobolev_norm(grid, F, s)
-    return (1.0 / ref) * F
+    F = bank.field(grid, *decay[kind])
+    return (1.0 / sobolev_norm(grid, F, s)) * F
 
 
 def corpus_banks(dim, count, seed, per_state=1, kmax=None):
@@ -168,11 +164,21 @@ class EstimateReport:
                 fh.write("%d %s\n" % (n, repr(float(r))))
 
 
+def _sups(rungs, samples, width=1):
+    """Sweep a ladder: samples(rung) yields one tuple of `width` ratios per
+    corpus sample.  One list per tuple position holds, per rung, the sup of
+    |r| over the corpus: 0.0 for an empty corpus, NaN if any r is NaN."""
+    sups = np.zeros((width, len(rungs)))
+    for i, rung in enumerate(rungs):
+        rows = np.array(list(samples(rung)), dtype=float).reshape(-1, width)
+        sups[:, i] = np.max(np.abs(rows), axis=0, initial=0.0)
+    return sups.tolist()
+
+
 def _finish(estimate_id, resolutions, ratios, threshold, details,
             extra_ok=True):
     exponent = fit_exponent(resolutions, ratios) if len(resolutions) > 1 else 0.0
-    passed = (np.all(np.isfinite(ratios)) and exponent < threshold
-              and bool(extra_ok))
+    passed = np.all(np.isfinite(ratios)) and exponent < threshold and extra_ok
     return EstimateReport(estimate_id, list(resolutions), [float(r) for r in ratios],
                           exponent, threshold, bool(passed), details)
 
@@ -196,35 +202,27 @@ def check_cancellation(s=4.0, resolutions=RESOLUTIONS_1D, K=8,
                        corpus_count=4, seed=7,
                        threshold=EXPONENT_THRESHOLD):
     banks = corpus_banks(1, corpus_count, seed)
-    ratios = []
-    raw1 = []
-    for n in resolutions:
+
+    def samples(n):
         grid = Grid(n)
         basis = build_basis_1d(grid, K, s_max=s + 2.0)
-        worst_q = 0.0
-        worst_1 = 0.0
         for bank, in banks:
-            f = corpus_field(grid, s, "critical", bank)
-            q, t1 = cancellation_terms(grid, s, basis, f)
-            worst_q = max(worst_q, abs(q))
-            worst_1 = max(worst_1, abs(t1))
-        ratios.append(worst_q)
-        raw1.append(worst_1)
+            yield cancellation_terms(grid, s, basis,
+                                     corpus_field(grid, s, "critical", bank))
+    ratios, raw1 = _sups(resolutions, samples, width=2)
     uncancelled_exponent = fit_exponent(resolutions, raw1)
 
     # constant-coefficient special case: exact cancellation to round-off
     grid = Grid(256)
-    bank = corpus_banks(1, 1, seed + 1)[0][0]
-    f = corpus_field(grid, s, "critical", bank)
+    f = corpus_field(grid, s, "critical", corpus_banks(1, 1, seed + 1)[0][0])
     q_const, t1_const = cancellation_terms(grid, s, constant_basis_1d(grid, 0.7), f)
     const_ratio = abs(q_const) / max(abs(t1_const), 1e-30)
 
     details = {"uncancelled_exponent": uncancelled_exponent,
                "uncancelled_ratios": raw1,
                "const_xi_relative": const_ratio}
-    extra_ok = uncancelled_exponent >= 0.5 and const_ratio < 1e-10
     return _finish("cancellation", resolutions, ratios, threshold, details,
-                   extra_ok=extra_ok)
+                   extra_ok=uncancelled_exponent >= 0.5 and const_ratio < 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +238,13 @@ def kato_ponce_ratio(grid, s, f, g):
 def check_kato_ponce(s=4.0, resolutions=RESOLUTIONS_1D, corpus_count=4,
                      seed=11, threshold=EXPONENT_THRESHOLD):
     banks = corpus_banks(1, corpus_count, seed, per_state=2)
-    ratios = []
-    for n in resolutions:
+
+    def samples(n):
         grid = Grid(n)
-        worst = 0.0
         for bf, bg in banks:
-            f = corpus_field(grid, s, "critical", bf)
-            g = corpus_field(grid, s, "critical", bg)
-            worst = max(worst, kato_ponce_ratio(grid, s, f, g))
-        ratios.append(worst)
+            yield (kato_ponce_ratio(grid, s, corpus_field(grid, s, "critical", bf),
+                                    corpus_field(grid, s, "critical", bg)),)
+    ratios, = _sups(resolutions, samples)
     return _finish("kato_ponce", resolutions, ratios, threshold, {})
 
 
@@ -256,9 +252,9 @@ def check_kato_ponce(s=4.0, resolutions=RESOLUTIONS_1D, corpus_count=4,
 # Helmholtz-mollifier transport commutator
 
 def helmholtz_commutator_ratio(grid, eps, g, f):
-    adv = dealiased_product(grid, g, derivative(grid, f))
-    adv_after = dealiased_product(
-        grid, g, derivative(grid, mollify_helmholtz(grid, f, eps)))
+    # g times the derivatives of f and of J_eps f, in one product
+    adv, adv_after = dealiased_product(
+        grid, g, derivative(grid, np.stack([f, mollify_helmholtz(grid, f, eps)])))
     comm = mollify_helmholtz(grid, adv, eps) - adv_after
     rhs = sup_norm(grid, derivative(grid, g)) * sobolev_norm(grid, f, 0.0)
     return sobolev_norm(grid, comm, 0.0) / rhs
@@ -268,26 +264,20 @@ def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
                                resolutions=RESOLUTIONS_1D, corpus_count=3,
                                seed=13, threshold=EXPONENT_THRESHOLD):
     banks = corpus_banks(1, corpus_count, seed)
-    ratios = []
-    per_eps = {e: [] for e in eps_list}
-    for n in resolutions:
+
+    def samples(n):
         grid = Grid(n)
         rng = np.random.default_rng(seed + n)
-        worst = 0.0
-        worst_eps = {e: 0.0 for e in eps_list}
         for bank, in banks:
             g = corpus_field(grid, 4.0, "smooth", bank)
             # white-noise-like rough field: only L2 regularity is assumed
             f = sp.from_values(grid, rng.standard_normal(grid.shape))
-            for eps in eps_list:
-                r = helmholtz_commutator_ratio(grid, eps, g, f)
-                worst = max(worst, r)
-                worst_eps[eps] = max(worst_eps[eps], r)
-        ratios.append(worst)
-        for e in eps_list:
-            per_eps[e].append(worst_eps[e])
+            yield tuple(helmholtz_commutator_ratio(grid, eps, g, f)
+                        for eps in eps_list)
+    per_eps = _sups(resolutions, samples, width=len(eps_list))
+    ratios = np.max(per_eps, axis=0, initial=0.0)
     details = {"eps_list": list(eps_list),
-               "per_eps_final": [per_eps[e][-1] for e in eps_list]}
+               "per_eps_final": [col[-1] for col in per_eps]}
     return _finish("helmholtz_commutator", resolutions, ratios, threshold, details)
 
 
@@ -300,14 +290,11 @@ def growth_ratios(ops, X):
     v = ops.v_norm(X)
     lhs_energy = 2.0 * ops.x_inner(ops.g_eps(X), X)
     lhs_pair = 0.0
-    K = ops.basis.K
-    for k in range(K):
+    for k in range(ops.basis.K):
         h = ops.h_eps_k(X, k)
         lhs_energy += ops.x_inner(h, h)
         lhs_pair += ops.x_inner(h, X) ** 2
-    r_energy = lhs_energy / ((1.0 + v) * xn2)
-    r_pair = lhs_pair / ((1.0 + v) * xn2 * xn2)
-    return r_energy, r_pair
+    return lhs_energy / ((1.0 + v) * xn2), lhs_pair / ((1.0 + v) * xn2 * xn2)
 
 
 def check_growth(model, s=None, eps_list=None, resolutions=None,
@@ -321,22 +308,16 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
     dim = 2 if model == "sqg" else 1
     banks = corpus_banks(dim, corpus_count, seed, per_state=2,
                          kmax=corpus_kmax(max(resolutions)))
-    ratios = []
-    ratios_pair = []
-    for n in resolutions:
+
+    def samples(n):
         grid = Grid(n, dim=dim)
         basis = build_basis(grid, K, s_max=s + 2.0)
         states = [corpus_state(model, grid, s, b) for b in banks]
-        worst_energy = 0.0
-        worst_pair = 0.0
         for eps in eps_list:
             ops = make_ops(model, grid, s, basis, eps)
             for X in states:
-                r_energy, r_pair = growth_ratios(ops, X)
-                worst_energy = max(worst_energy, abs(r_energy))
-                worst_pair = max(worst_pair, abs(r_pair))
-        ratios.append(worst_energy)
-        ratios_pair.append(worst_pair)
+                yield growth_ratios(ops, X)
+    ratios, ratios_pair = _sups(resolutions, samples, width=2)
     exp_pair = fit_exponent(resolutions, ratios_pair)
     details = {"pairing_ratios": ratios_pair, "pairing_exponent": exp_pair,
                "eps_list": list(eps_list)}
@@ -369,21 +350,17 @@ def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
     dim = 2 if model == "sqg" else 1
     banks = corpus_banks(dim, 2 * corpus_count, seed, per_state=2,
                          kmax=corpus_kmax(max(resolutions)))
-    ratios = []
-    for n in resolutions:
+
+    def samples(n):
         grid = Grid(n, dim=dim)
         basis = build_basis(grid, K, s_max=s + 2.0)
         ops = make_ops(model, grid, s, basis, 0.5)
-        worst = 0.0
         for i in range(corpus_count):
             X = corpus_state(model, grid, s, banks[2 * i])
-            if i == 0:
-                # nearby pair: difference dominated by one rough direction
-                Y = X + 1e-3 * corpus_state(model, grid, s, banks[2 * i + 1])
-            else:
-                Y = corpus_state(model, grid, s, banks[2 * i + 1])
-            worst = max(worst, abs(difference_ratio(ops, X, Y)))
-        ratios.append(worst)
+            Y = corpus_state(model, grid, s, banks[2 * i + 1])
+            # the first pair is nearby: its difference is one rough direction
+            yield (difference_ratio(ops, X, X + 1e-3 * Y if i == 0 else Y),)
+    ratios, = _sups(resolutions, samples)
     return _finish("difference_%s" % model, resolutions, ratios, threshold, {})
 
 
@@ -392,8 +369,7 @@ def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
 
 def log_interpolation_ratio(grid, theta):
     tx = derivative(grid, theta)
-    htx = sp.hilbert_transform(grid, tx)
-    lhs = sup_norm(grid, htx)
+    lhs = sup_norm(grid, sp.hilbert_transform(grid, tx))
     rhs = 1.0 + sup_norm(grid, tx) * np.log(np.e + sobolev_norm(grid, tx, 1.0)) \
         + sobolev_norm(grid, tx, 0.0)
     return lhs / rhs
@@ -401,14 +377,11 @@ def log_interpolation_ratio(grid, theta):
 
 def check_log_interpolation(n=1024, modes=64, corpus_count=4, seed=23):
     grid = Grid(n)
-    mode_ratios = []
-    for m in range(1, modes + 1):
-        theta = sp.from_values(grid, np.cos(m * grid.x))
-        mode_ratios.append(log_interpolation_ratio(grid, theta))
-    banks = corpus_banks(1, corpus_count, seed)
-    corpus_ratios = [log_interpolation_ratio(
-        grid, corpus_field(grid, 2.0, "critical", b[0])) for b in banks]
-    all_r = mode_ratios + corpus_ratios
+    thetas = [sp.from_values(grid, np.cos(m * grid.x)) for m in range(1, modes + 1)]
+    thetas += [corpus_field(grid, 2.0, "critical", b)
+               for b, in corpus_banks(1, corpus_count, seed)]
+    all_r = [log_interpolation_ratio(grid, theta) for theta in thetas]
+    mode_ratios, corpus_ratios = all_r[:modes], all_r[modes:]
     passed = bool(np.all(np.isfinite(all_r)))
     details = {"max_mode_ratio": float(np.max(mode_ratios)),
                "max_corpus_ratio": float(np.max(corpus_ratios)),
@@ -436,18 +409,33 @@ ESTIMATE_RUNNERS = {
 ESTIMATE_IDS = tuple(ESTIMATE_RUNNERS)
 
 
+def parse_estimate_ids(text):
+    """The ids a comma-separated list names, in order; blank entries are
+    skipped and "all" alone names every id.  Refuses an empty list, an
+    unknown or repeated id, and "all" among other ids."""
+    ids = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if ids == ["all"]:
+        return list(ESTIMATE_IDS)
+    unknown = [repr(i) for i in ids if i not in ESTIMATE_IDS + ("all",)]
+    repeated = sorted(repr(i) for i in set(ids) if ids.count(i) > 1)
+    for bad, message in ((not ids, "no estimate id given"),
+                         ("all" in ids, "'all' must stand alone"),
+                         (unknown, "unknown id %s; valid ids: all | %s"
+                          % (", ".join(unknown), " | ".join(ESTIMATE_IDS))),
+                         (repeated, "repeated id %s" % ", ".join(repeated))):
+        if bad:
+            raise ValueError(message)
+    return ids
+
+
 def run_estimates(ids):
-    reports = []
     for eid in ids:
         if eid not in ESTIMATE_RUNNERS:
             raise ValueError("unknown estimate id %r; valid ids: %s"
                              % (eid, ", ".join(ESTIMATE_IDS)))
-        reports.append(ESTIMATE_RUNNERS[eid]())
-    return reports
+    return [ESTIMATE_RUNNERS[eid]() for eid in ids]
 
 
 def summary_table(reports):
-    lines = ["estimate         result"]
-    for rep in reports:
-        lines.append(rep.summary_line())
-    return "\n".join(lines)
+    return "\n".join(["estimate         result"]
+                     + [rep.summary_line() for rep in reports])

@@ -187,6 +187,8 @@ def ito_correction(basis, c, first=None):
 
 
 def ds_commutator(grid, s, f, g):
-    """[D^s, f] g = D^s(f*g) - f*D^s(g), products dealiased."""
-    return bessel_multiplier(grid, dealiased_product(grid, f, g), s) \
-        - dealiased_product(grid, f, bessel_multiplier(grid, g, s))
+    """[D^s, f] g = D^s(f*g) - f*D^s(g), products dealiased (in one call)."""
+    f, g = np.broadcast_arrays(f, g)        # so the stack pairs f with g and D^s g
+    fg, f_dsg = dealiased_product(grid, f,
+                                  np.stack([g, bessel_multiplier(grid, g, s)]))
+    return bessel_multiplier(grid, fg, s) - f_dsg

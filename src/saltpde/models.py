@@ -219,10 +219,12 @@ class Sch2Ops(_FluidOps):
         g = self.grid
         u, eta = self._rows(X)
         ux = derivative(g, u)
-        q = 0.5 * dealiased_product(g, u, u) + dealiased_product(g, ux, ux) \
-            + 0.5 * dealiased_product(g, eta, eta)
+        # u*u, ux*ux, eta*eta and eta*ux in one product
+        uu, uxux, etaeta, etaux = dealiased_product(
+            g, np.stack([u, ux, eta, eta]), np.stack([u, ux, eta, ux]))
+        q = 0.5 * uu + uxux + 0.5 * etaeta
         G = derivative(g, q * self._d2inv)
-        return np.stack([G, dealiased_product(g, eta, ux)]) * -1.0
+        return np.stack([G, etaux]) * -1.0
 
     def g_transport(self, X):
         return self._transport_op(X)

@@ -9,6 +9,7 @@ from saltpde.cli import (_KEYS, ConfigError, _check_spec, cmd_converge,
                          cmd_simulate, cmd_stability, cmd_verify,
                          keep_heap_pages, main, manifest_lines, parse_config,
                          write_manifest)
+from saltpde.estimates import ESTIMATE_IDS, parse_estimate_ids
 from saltpde.solver import SimConfig, read_trajectory, step_strat_heun
 
 
@@ -49,6 +50,14 @@ UNRUNNABLE = (
      "noise_decay_param"),
     ({"seed": "-1"}, "seed must be >= 0"),
     ({"estimates": "bogus"}, "estimates: unknown id 'bogus'"),
+    ({"estimates": ""}, "estimates: no estimate id given"),
+    ({"estimates": "kato_ponce,kato_ponce"}, "estimates: repeated id 'kato_ponce'"),
+    ({"estimates": "all,kato_ponce"}, "estimates: 'all' must stand alone"),
+    ({"delta": "0.0"}, "delta must be nonzero"),
+    ({"perturb_mode": "0"}, "perturb_mode must satisfy 1 <= perturb_mode "
+     "< n // 2 = 32, got 0"),
+    ({"perturb_mode": "32"}, "perturb_mode must satisfy .* got 32"),
+    ({"perturb_mode": "100"}, "perturb_mode must satisfy .* got 100"),
     ({"eps_ladder": "0.5,0.25"}, "eps_ladder needs at least 3 rungs"),
     ({"eps_ladder": "0.5,1.5,0.25"},
      "eps_ladder rung 1.5: epsilon must lie in"),
@@ -336,6 +345,21 @@ def test_verify_single_and_malformed(tmp_path, capsys):
     spec.estimates = "not_an_estimate"
     with pytest.raises(ValueError, match="valid ids"):
         cmd_verify(spec)
+
+
+def test_verify_reads_its_ids_by_one_rule(tmp_path, monkeypatch):
+    # blank entries are skipped, so "all," means every id, and cmd_verify
+    # runs the ids _check_spec accepted
+    import saltpde.cli as cli
+    assert parse_estimate_ids("all,") == list(ESTIMATE_IDS)
+    assert parse_estimate_ids(" kato_ponce, ,cancellation ") == [
+        "kato_ponce", "cancellation"]
+    ran = []
+    monkeypatch.setattr(cli, "run_estimates", lambda ids: ran.append(ids) or [])
+    text = MINIMAL_CCF + "estimates = all,\nout = %s\n" % (tmp_path / "v")
+    spec = parse_config(write_config(tmp_path, text), command="verify")
+    assert cmd_verify(spec) == 0
+    assert ran == [list(ESTIMATE_IDS)]
 
 
 def test_stability_command(tmp_path, capsys):

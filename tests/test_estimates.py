@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+import saltpde.estimates as E
 from saltpde.estimates import (CoefficientBank, EstimateReport, check_growth,
                                check_difference, check_cancellation, check_log_interpolation,
                                check_kato_ponce, check_helmholtz_commutator,
                                corpus_banks, corpus_field, corpus_kmax,
                                corpus_state, fit_exponent, run_estimates,
-                               summary_table, helmholtz_commutator_ratio)
+                               summary_table, helmholtz_commutator_ratio, _sups)
 from saltpde.spectral import Grid, from_values, sobolev_norm, sup_norm
 
 FAST_1D = (64, 128, 256)
@@ -62,6 +65,73 @@ def test_fit_exponent():
     ns = (64, 128, 256, 512)
     assert abs(fit_exponent(ns, [1.0, 1.0, 1.0, 1.0])) < 1e-12
     assert abs(fit_exponent(ns, [n ** 0.5 for n in ns]) - 0.5) < 1e-12
+
+
+def test_sups_contract():
+    # per tuple position and rung: the sup of |r| over the corpus, 0.0 for
+    # an empty corpus, plain floats
+    corpus = {64: [(0.5, -2.0), (-1.5, 1.0)], 128: [], 256: [(0.25, 3.0)]}
+    sups = _sups(list(corpus), lambda n: iter(corpus[n]), width=2)
+    assert sups == [[1.5, 0.0, 0.25], [2.0, 0.0, 3.0]]
+    assert all(type(v) is float for col in sups for v in col)
+    assert _sups([64, 128], lambda n: iter(())) == [[0.0, 0.0]]
+
+    # finite ratios: the running max(worst, |r|) from 0.0, bit for bit
+    rng = np.random.default_rng(0)
+    rows = [tuple(rng.standard_normal(3) * 10.0 ** rng.integers(-300, 300, 3))
+            for _ in range(7)]
+    worst = [0.0, 0.0, 0.0]
+    for row in rows:
+        worst = [max(w, abs(r)) for w, r in zip(worst, row)]
+    assert _sups([0], lambda n: (r for r in rows), width=3) == [[w] for w in worst]
+
+    # one NaN makes its rung's entry NaN wherever it comes in the corpus
+    for at in range(3):
+        rows = [(1.0,), (-2.0,), (3.0,)]
+        rows[at] = (np.nan,)
+        (col,) = _sups([64, 128], lambda n: iter(rows if n == 128 else [(5.0,)]))
+        assert col[0] == 5.0 and math.isnan(col[1]), at
+
+
+def _poison(monkeypatch, name, n, at):
+    """Make the ratio function `name` return NaN (in its first position)
+    for the sample number `at` of the rung with n points."""
+    real, seen = getattr(E, name), []
+
+    def ratio(*args):
+        out = real(*args)
+        grid = args[0] if isinstance(args[0], Grid) else args[0].grid
+        if grid.n == n:
+            seen.append(1)
+            if len(seen) == at + 1:
+                return (np.nan,) + out[1:] if isinstance(out, tuple) else np.nan
+        return out
+    monkeypatch.setattr(E, name, ratio)
+
+
+@pytest.mark.parametrize("name, check", [
+    ("cancellation_terms",
+     lambda: check_cancellation(resolutions=FAST_1D, corpus_count=2)),
+    ("kato_ponce_ratio",
+     lambda: check_kato_ponce(resolutions=FAST_1D, corpus_count=2)),
+    ("helmholtz_commutator_ratio",
+     lambda: check_helmholtz_commutator(eps_list=(0.5, 0.125),
+                                        resolutions=FAST_1D, corpus_count=2)),
+    ("growth_ratios",
+     lambda: check_growth("ccf", resolutions=FAST_1D, corpus_count=2,
+                          eps_list=(0.5, 0.125))),
+    ("difference_ratio",
+     lambda: check_difference("ccf", resolutions=FAST_1D, corpus_count=2)),
+])
+def test_a_nan_ratio_fails_its_check(monkeypatch, name, check):
+    # one NaN among the corpus of the middle rung (its second sample) must
+    # reach the report and fail the check, not be dropped by the sup
+    assert check().passed
+    _poison(monkeypatch, name, FAST_1D[1], at=1)
+    rep = check()
+    assert rep.passed is False
+    assert math.isnan(rep.ratios[1])
+    assert np.all(np.isfinite(rep.ratios[::2]))
 
 
 def test_cancellation_small_ladder():

@@ -131,6 +131,14 @@ def test_ds_commutator_trivial_cases():
     out0 = ds_commutator(g, 0.0, f, h)
     assert np.max(np.abs(out0)) == 0.0
 
+    # a stack of rows in either argument gives each row's commutator
+    rows = np.stack([f, f_const])
+    for i, row in enumerate(rows):
+        assert np.array_equal(ds_commutator(g, 2.3, rows, h)[i],
+                              ds_commutator(g, 2.3, row, h))
+        assert np.array_equal(ds_commutator(g, 2.3, h, rows)[i],
+                              ds_commutator(g, 2.3, h, row))
+
 
 def test_ds_commutator_kato_ponce_ratio_bounded():
     s = 3.0

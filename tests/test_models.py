@@ -463,6 +463,24 @@ def test_sch2_b_against_term_by_term_oracle():
     assert np.max(np.abs(out[1] - b_eta)) < 1e-11
 
 
+def test_sch2_b_fft_budget(monkeypatch):
+    # one Sch2Ops.b call at n = 256 takes its four products in one
+    # dealiased_product: one inverse transform of the stacked rows and one
+    # forward transform of the stacked products
+    g, ops = sch2_setup(n=256)
+    rng = np.random.default_rng(5)
+    X = state("sch2", g, (band_field(g, rng, 40), band_field(g, rng, 40)))
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
+                 "irfft", "fft2", "ifft2"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    ops.b(X)
+    assert len(calls) == 2
+
+
 def test_sch2_g_empty_basis():
     g = Grid(128)
     ops = make_ops("sch2", g, 6.0, build_basis_1d(g, 0, 8.0), 0.1)

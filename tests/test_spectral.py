@@ -289,6 +289,8 @@ def test_lipschitz_norm():
     assert abs(lipschitz_norm(g, f) - 2.0) < 1e-10
     const = from_values(g, np.full(64, -0.7))
     assert abs(lipschitz_norm(g, const) - 0.7) < 1e-14
+    with pytest.raises(ValueError, match="1D only"):
+        lipschitz_norm(Grid(16, dim=2), np.zeros((16, 16), dtype=complex))
 
 
 def test_lipschitz_norm_against_oversampled_oracle():
@@ -433,12 +435,12 @@ def test_leading_axes_are_free(n, dim):
         lambda c: hs_inner(g, c, other, 1.5),
         lambda c: homogeneous_inner(g, c, c, 1.5),
         lambda c: sup_norm(g, c),
-        lambda c: lipschitz_norm(g, c),
         lambda c: lie_derivative(basis.xis[0], c),
         lambda c: ito_correction(basis, c),
     ]
     if dim == 1:
         ops += [lambda c: hilbert_transform(g, c),
+                lambda c: lipschitz_norm(g, c),
                 lambda c: product_with_values(g, band_values(g, factor), c)]
     else:
         stencil = VectorFieldXi(g, [factor, other])._stencil
