@@ -34,6 +34,9 @@ from .spectral import from_values
 
 @dataclass
 class ExperimentSpec:
+    """A parsed config: the command, the trajectory's SimConfig and the
+    command's own keys (ensemble, ladders, estimate ids, output, ...)."""
+
     command: str = ""
     sim: SimConfig = field(default_factory=SimConfig)
     ensemble: int = 1

@@ -4,10 +4,11 @@ Each ladder check measures ratios LHS/RHS-functional over a random corpus
 along a resolution ladder: its local samples(n) sets up rung n and yields
 one tuple of ratios per corpus sample, _sups takes the sup of |ratio| over
 the corpus per rung, and a NaN ratio makes that sup NaN, which fails the
-check.  The estimates' constants are unknown, so boundedness across dyadic
-refinement, i.e. a growth exponent of the sups against log2(N) below a
-small threshold, is the testable claim; a derivative loss shows up as a
-clearly positive exponent instead.
+check.  So does a ladder whose every sup is at most RATIO_FLOOR, and a
+check refuses an empty corpus.  The estimates' constants are unknown, so
+boundedness across dyadic refinement, i.e. a growth exponent of the sups
+against log2(N) below a small threshold, is the testable claim; a
+derivative loss shows up as a clearly positive exponent instead.
 
 Corpus design: fixed-seed random trigonometric fields at three roughness
 levels (smooth decay |k|^-(s+3), critical decay |k|^-(s+0.6), bandlimited).
@@ -126,15 +127,22 @@ def corpus_state(model, grid, s, banks):
                        for i in range(len(FIELD_NAMES[model]))]).coeffs
 
 
+# fit_exponent floors |ratio| here; a ladder of floors fits slope 0
+RATIO_FLOOR = 1e-10
+
+
 def fit_exponent(ns, ratios):
     """Least-squares slope of log2|ratio| against log2 N (|ratio| floored
-    at 1e-10)."""
-    y = np.log2(np.maximum(np.abs(np.asarray(ratios, dtype=float)), 1e-10))
+    at RATIO_FLOOR)."""
+    y = np.log2(np.maximum(np.abs(np.asarray(ratios, dtype=float)), RATIO_FLOOR))
     return float(np.polyfit(np.log2(np.asarray(ns, dtype=float)), y, 1)[0])
 
 
 @dataclass
 class EstimateReport:
+    """One check's result: the sup ratio per resolution, its fitted
+    exponent against the threshold, the verdict and check-specific details."""
+
     estimate_id: str
     resolutions: list
     ratios: list                     # sup over corpus, one per resolution
@@ -175,10 +183,19 @@ def _sups(rungs, samples, width=1):
     return sups.tolist()
 
 
+def _require_corpus(corpus_count):
+    if corpus_count < 1:
+        raise ValueError("corpus_count must be >= 1, got %r" % (corpus_count,))
+
+
 def _finish(estimate_id, resolutions, ratios, threshold, details,
             extra_ok=True):
+    """The report of a ladder; it fails on a NaN ratio, and on a ladder
+    whose every ratio sits at or below RATIO_FLOOR (it measured nothing)."""
     exponent = fit_exponent(resolutions, ratios) if len(resolutions) > 1 else 0.0
-    passed = np.all(np.isfinite(ratios)) and exponent < threshold and extra_ok
+    measured = np.any(np.abs(ratios) > RATIO_FLOOR)
+    passed = (np.all(np.isfinite(ratios)) and measured and exponent < threshold
+              and extra_ok)
     return EstimateReport(estimate_id, list(resolutions), [float(r) for r in ratios],
                           exponent, threshold, bool(passed), details)
 
@@ -201,6 +218,7 @@ def cancellation_terms(grid, s, basis, f):
 def check_cancellation(s=4.0, resolutions=RESOLUTIONS_1D, K=8,
                        corpus_count=4, seed=7,
                        threshold=EXPONENT_THRESHOLD):
+    _require_corpus(corpus_count)
     banks = corpus_banks(1, corpus_count, seed)
 
     def samples(n):
@@ -237,6 +255,7 @@ def kato_ponce_ratio(grid, s, f, g):
 
 def check_kato_ponce(s=4.0, resolutions=RESOLUTIONS_1D, corpus_count=4,
                      seed=11, threshold=EXPONENT_THRESHOLD):
+    _require_corpus(corpus_count)
     banks = corpus_banks(1, corpus_count, seed, per_state=2)
 
     def samples(n):
@@ -263,6 +282,7 @@ def helmholtz_commutator_ratio(grid, eps, g, f):
 def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
                                resolutions=RESOLUTIONS_1D, corpus_count=3,
                                seed=13, threshold=EXPONENT_THRESHOLD):
+    _require_corpus(corpus_count)
     banks = corpus_banks(1, corpus_count, seed)
 
     def samples(n):
@@ -299,6 +319,7 @@ def growth_ratios(ops, X):
 
 def check_growth(model, s=None, eps_list=None, resolutions=None,
                  corpus_count=3, K=8, seed=17, threshold=EXPONENT_THRESHOLD):
+    _require_corpus(corpus_count)
     s = DEFAULT_S[model] if s is None else s
     if eps_list is None:
         # the eps-sweep burden sits on the cheap 1D suites; 2D samples two
@@ -344,6 +365,7 @@ def difference_ratio(ops, X, Y):
 
 def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
                      seed=19, threshold=EXPONENT_THRESHOLD):
+    _require_corpus(corpus_count)
     s = DEFAULT_S[model] if s is None else s
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if model == "sqg" else RESOLUTIONS_1D
@@ -376,6 +398,7 @@ def log_interpolation_ratio(grid, theta):
 
 
 def check_log_interpolation(n=1024, modes=64, corpus_count=4, seed=23):
+    _require_corpus(corpus_count)
     grid = Grid(n)
     thetas = [sp.from_values(grid, np.cos(m * grid.x)) for m in range(1, modes + 1)]
     thetas += [corpus_field(grid, 2.0, "critical", b)

@@ -152,10 +152,11 @@ class _FluidOps:
         return self._first_terms
 
     def _transport_op(self, X, jhat=None):
-        c = self._transport(self._rows(X, jhat))
+        c = self._transport(self._rows(X, jhat))      # a fresh array
         if jhat is not None:
-            c = c * jhat
-        return c * -1.0
+            c *= jhat
+        c *= -1.0
+        return c
 
     def _ito_op(self, X, jhat=None):
         cc = self._conjugated(self._rows(X, jhat))
@@ -170,7 +171,8 @@ class _FluidOps:
         whose heap peak rises and falls by a few 64^2 states gets its pages
         trimmed and faulted in again); on a 1D grid from row k of the
         state's first-order terms (_first), which are taken at the call, so
-        a later state cannot replace them."""
+        a later state cannot replace them.  Each h^k is a fresh array that
+        the caller may write."""
         cc = self._conjugated(self._rows(X, jhat))
         scalar = np.ndim(k) == 0
         ks = [k] if scalar else list(k)
@@ -185,11 +187,15 @@ class _FluidOps:
         return next(hs) if scalar else hs
 
     def _h(self, lc, jhat):
-        # -J C^-1 of the first-order terms lc = L_xi(C c)
+        # -J C^-1 of the first-order terms lc = L_xi(C c), scaled in place:
+        # lc is fresh unless it is a (read-only) row of _first
         h = self._unconjugated(lc)
+        if not h.flags.writeable:
+            h = h.copy()
         if jhat is not None:
-            h = h * jhat
-        return h * -1.0
+            h *= jhat
+        h *= -1.0
+        return h
 
 
 class Sch2Ops(_FluidOps):
@@ -401,18 +407,20 @@ class SqgOps(_FluidOps):
         # take one transform each, R_1 d_2 theta a third
         g = self.grid
         d1, d2 = grad = gradient(g, hermitian_part(g, self._theta(X)))
+        # (sqrt is correctly rounded, so monotone: the sqrt of the max is
+        # the max of the sqrt)
         v1, v2 = to_grid(g, grad)
-        out = float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
+        out = float(np.sqrt(np.max(v1 * v1 + v2 * v2)))
         r11, r22 = to_grid(g, (riesz_component(g, d1, 0),
                                riesz_component(g, d2, 1)))
         r12 = to_grid(g, riesz_component(g, d2, 0))
         acc = r11 * r11 + 2.0 * (r12 * r12) + r22 * r22
-        return out + float(np.max(np.sqrt(acc)))
+        return out + float(np.sqrt(np.max(acc)))
 
     def max_velocity(self, X):
         g = self.grid
         v1, v2 = to_grid(g, riesz_perp(g, hermitian_part(g, self._theta(X))))
-        return float(np.max(np.sqrt(v1 * v1 + v2 * v2)))
+        return float(np.sqrt(np.max(v1 * v1 + v2 * v2)))
 
 
 class LinearOps:
@@ -447,8 +455,11 @@ class LinearOps:
         return self.ito_correction(X)
 
     def h_k(self, X, k):
-        h = self._rows(X) * self.a
-        return h if isinstance(k, (int, np.integer)) else (h for _ in k)
+        # a fresh array per index, as the fluid models give (the Heun step
+        # sums into them)
+        if isinstance(k, (int, np.integer)):
+            return self._rows(X) * self.a
+        return (self._rows(X) * self.a for _ in k)
 
     g_eps_transport = g_transport
     g_eps = g

@@ -10,6 +10,14 @@ where chi_R is a smooth cut-off equal to 1 on [0,R] and 0 beyond 2R, and
 the Stratonovich form (no Ito correction term) is provided purely for
 cross-validation of the stochastic-calculus bookkeeping.
 
+chi_R is evaluated exactly, on ops.v_norm, only where the V-norm may
+reach R.  run_path hands each step the V-norm its monitor already holds;
+elsewhere (the Heun predictor, stability_experiment, a step called without
+v) a transform-free coefficient bound decides chi_R = 1 whenever it lies
+below R, and chi_R is evaluated on ops.v_norm otherwise (_chi).  A step of
+run_path then makes 8 transforms for ccf Ito-EM at K = 4 and 10 for sqg
+Stratonovich-Heun, monitors included.
+
 Stopping is checked every step against the H^s norm threshold (the
 discrete analogue of the first-exit stopping time), against a blow-up
 indicator (growth of the V-functional beyond a configurable multiple of
@@ -25,7 +33,7 @@ import numpy as np
 from .models import (FIELD_NAMES, INITIAL_CONDITIONS, S_THRESHOLD,
                      make_initial_state, make_ops)
 from .noise import build_basis, check_decay, sample_path
-from .spectral import Grid
+from .spectral import Grid, lipschitz_bound
 
 
 def _smooth_step(t):
@@ -170,14 +178,44 @@ class TrajectoryRecord:
         self.v_norms.append(float(v))
 
 
+def _chi(ops, X, R):
+    """chi_R(||X||_V), decided without a transform where a bound proves it 1.
+
+    With B(X) = 2 sum_rows sum_k (1+|k|)|X(k)| (spectral.lipschitz_bound),
+    every model's V-norm is at most B(X), because |f(x)| <= sum_k |f(k)|
+    bounds the grid samples of any field f, and a multiplier of modulus
+    (or Frobenius norm) at most |k| bounds them by sum_k |k||f(k)|:
+
+      sch2    sup|u| + sup|u_x| + sup|eta| + sup|eta_x|
+              <= sum_k (1+|k|)(|u(k)| + |eta(k)|);
+      ccf     sup|theta_x| + sup|H theta_x|, two symbols of modulus |k|;
+      sqg     sup|grad theta| + sup|R grad theta|_F, where grad has the
+              symbol i*k and R_i d_j the matrix -k_i k_j/|k| of Frobenius
+              norm |k|;
+      linear  the L2 norm, at most sum_k |X(k)|.
+
+    (The sqg Hermitian projection does not raise sum_k |theta(k)|, and a
+    zeroed Nyquist mode only lowers a sup.)  chi_R is 1 on [0, R], so
+    B(X)(1 + 1e-9) <= R gives chi_R(B(X)) = 1.0, which chi_cutoff returns
+    for every float v <= R; the margin covers the transforms' round-off in
+    ops.v_norm.  Otherwise, a non-finite B included, chi_R is evaluated on
+    ops.v_norm(X).  Either way chi_cutoff refuses R <= 1.
+    """
+    bound = 2.0 * lipschitz_bound(ops.grid, X)
+    if bound * (1.0 + 1e-9) <= R:
+        return chi_cutoff(bound, R)
+    return chi_cutoff(ops.v_norm(X), R)
+
+
 def step_ito_em(X, ops, dw, dt, R, v=None):
     """One Euler-Maruyama step of the cut-off Ito-form problem.
 
     dw holds the Brownian increments of this step (one per noise index).
-    v is ops.v_norm(X) if the caller already holds it (computed if None).
-    A state with chi_R = 0 (V-norm beyond 2R) is an exact fixed point.
+    v is ops.v_norm(X) if the caller already holds it; if None, chi_R is
+    decided by _chi.  A state with chi_R = 0 (V-norm beyond 2R) is an
+    exact fixed point.
     """
-    chi = chi_cutoff(ops.v_norm(X) if v is None else v, R)
+    chi = _chi(ops, X, R) if v is None else chi_cutoff(v, R)
     if chi == 0.0:
         return X
     drift = ops.b(X) + ops.g_eps(X)
@@ -193,23 +231,37 @@ def step_strat_heun(X, ops, dw, dt, R, v=None):
 
     Uses the transport drift only; the Ito correction is generated by the
     scheme itself, which is exactly what the cross-validation against
-    step_ito_em exercises.  v is ops.v_norm(X), as in step_ito_em.
+    step_ito_em exercises.  v is ops.v_norm(X), as in step_ito_em; the
+    predictor's chi_R is decided by _chi.  The sums run in place on the
+    fresh arrays the operators return, in the order of the textbook form
+    X + dt/2 (f0 + f1) + sum_k dW_k/2 (chi0 h0_k + chi1 h1_k).
     """
-    def drift(Y, v=None):
-        chi = chi_cutoff(ops.v_norm(Y) if v is None else v, R)
-        return (chi * chi) * (ops.b(Y) + ops.g_eps_transport(Y)), chi
+    def drift(Y, chi):
+        f = ops.b(Y) + ops.g_eps_transport(Y)
+        if chi != 1.0:
+            f *= chi * chi
+        return f
 
-    f0, chi0 = drift(X, v)
+    chi0 = _chi(ops, X, R) if v is None else chi_cutoff(v, R)
+    f0 = drift(X, chi0)
     ks = [k for k in range(len(dw)) if dw[k] != 0.0]
     h0 = list(ops.h_eps_k(X, ks))
     pred = X + dt * f0
     for k, h in zip(ks, h0):
-        pred = pred + (chi0 * dw[k]) * h
+        pred += (chi0 * dw[k]) * h
 
-    f1, chi1 = drift(pred)
-    out = X + (0.5 * dt) * (f0 + f1)
+    chi1 = _chi(ops, pred, R)
+    f0 += drift(pred, chi1)
+    f0 *= 0.5 * dt
+    out = X + f0
     for k, h, h1 in zip(ks, h0, ops.h_eps_k(pred, ks)):
-        out = out + (0.5 * dw[k]) * (chi0 * h + chi1 * h1)
+        if chi0 != 1.0:
+            h *= chi0
+        if chi1 != 1.0:
+            h1 *= chi1
+        h += h1
+        h *= 0.5 * dw[k]
+        out += h
     return out
 
 
@@ -300,6 +352,9 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
 
 @dataclass
 class StabilityReport:
+    """The outcome of stability_experiment: the initial and sup
+    H^{s-2} distances, their ratio, the joint exit time and steps used."""
+
     distance0: float
     sup_distance: float
     ratio: float          # nan when distance0 == 0

@@ -187,8 +187,10 @@ def hermitian_part(grid, c):
 
 def has_mean(grid, c):
     """True if some field's k = 0 coefficient exceeds round-off."""
-    zero = (Ellipsis,) + (0,) * grid.dim
-    return bool(np.any(np.abs(c[zero]) > 1e-12 * (
+    mean = np.abs(c[(Ellipsis,) + (0,) * grid.dim])
+    # the tolerance is at least 1e-12, so a mean below that needs no pass
+    # over the whole field
+    return bool(np.any(mean > 1e-12) and np.any(mean > 1e-12 * (
         1.0 + np.max(np.abs(c), axis=grid.axes))))
 
 
@@ -468,3 +470,11 @@ def lipschitz_norm(grid, c):
     v, dv = to_grid(grid, np.stack([c, derivative(grid, c, 0)]))
     return _scalar(np.max(np.abs(v), axis=grid.axes)
                    + np.max(np.abs(dv), axis=grid.axes))
+
+
+def lipschitz_bound(grid, c):
+    """sum over every row and mode of (1+|k|)|coeff(k)|, as a float, with
+    no transform: it bounds sup|f| + sup|grad f| of each row f, summed over
+    the rows, since |f(x)| <= sum_k |coeff(k)| and grad has the symbol i*k."""
+    w = _symbol(grid, ("lipschitz_bound",), lambda: 1.0 + np.sqrt(grid.ksq))
+    return float(np.sum(np.abs(c) * w))

@@ -96,20 +96,27 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     # the sqg_heun workload expects spectral.to_grid and
     # spectral.dealiased_product; the paired transforms of the transport
     # term, v_norm and max_velocity must go through those two functions at
-    # their module bindings, not through a helper beside them
+    # their module bindings, not through a helper beside them.  A step
+    # handed no V-norm decides chi_R from a coefficient bound at R = 1e6
+    # (no to_grid call); with R below that bound it calls v_norm on X and
+    # on the predictor, 3 to_grid calls each
     import numpy as np
 
     from saltpde import spectral
     from saltpde.solver import step_strat_heun
     ops, X = sqg_setup()
+    X = 10.0 * X
+    assert 2.0 * spectral.lipschitz_bound(ops.grid, X) > 4.0
     counts = {}
     for fn in (spectral.to_grid, spectral.dealiased_product):
         calls, patched = count_at_bindings(monkeypatch, fn)
         assert "saltpde.models" in patched, fn.__name__
         counts[fn.__name__] = calls
-    step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
-    assert counts["dealiased_product"] and counts["to_grid"]
     to_grid_calls = counts["to_grid"]
+    step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
+    assert len(counts["dealiased_product"]) == 2 and len(to_grid_calls) == 0
+    step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 2.0)
+    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 6
     to_grid_calls.clear()
     ops.v_norm(X)
     assert len(to_grid_calls) == 3

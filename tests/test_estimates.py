@@ -109,7 +109,7 @@ def _poison(monkeypatch, name, n, at):
     monkeypatch.setattr(E, name, ratio)
 
 
-@pytest.mark.parametrize("name, check", [
+LADDER_CHECKS = [
     ("cancellation_terms",
      lambda: check_cancellation(resolutions=FAST_1D, corpus_count=2)),
     ("kato_ponce_ratio",
@@ -122,7 +122,10 @@ def _poison(monkeypatch, name, n, at):
                           eps_list=(0.5, 0.125))),
     ("difference_ratio",
      lambda: check_difference("ccf", resolutions=FAST_1D, corpus_count=2)),
-])
+]
+
+
+@pytest.mark.parametrize("name, check", LADDER_CHECKS)
 def test_a_nan_ratio_fails_its_check(monkeypatch, name, check):
     # one NaN among the corpus of the middle rung (its second sample) must
     # reach the report and fail the check, not be dropped by the sup
@@ -132,6 +135,43 @@ def test_a_nan_ratio_fails_its_check(monkeypatch, name, check):
     assert rep.passed is False
     assert math.isnan(rep.ratios[1])
     assert np.all(np.isfinite(rep.ratios[::2]))
+
+
+@pytest.mark.parametrize("name, check", LADDER_CHECKS)
+def test_a_vanishing_ladder_fails_its_check(monkeypatch, name, check):
+    # every main ratio scaled to 0 leaves a ladder of fit_exponent's floor,
+    # whose slope 0 would pass; scaled by 1e-3 the ratios stay above the
+    # floor and the check still passes (positive control)
+    real = getattr(E, name)
+
+    def scaled(factor):
+        def ratio(*args):
+            out = real(*args)
+            return ((factor * out[0],) + out[1:] if isinstance(out, tuple)
+                    else factor * out)
+        monkeypatch.setattr(E, name, ratio)
+    scaled(1e-3)
+    rep = check()
+    assert rep.passed and min(rep.ratios) > E.RATIO_FLOOR
+    scaled(0.0)
+    rep = check()
+    assert rep.ratios == [0.0] * len(FAST_1D) and abs(rep.exponent) < 1e-12
+    assert rep.passed is False
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: check_cancellation(resolutions=(64, 128), corpus_count=n),
+    lambda n: check_kato_ponce(resolutions=(64, 128), corpus_count=n),
+    lambda n: check_helmholtz_commutator(resolutions=(64, 128), corpus_count=n),
+    lambda n: check_growth("ccf", resolutions=(64, 128), corpus_count=n),
+    lambda n: check_difference("ccf", resolutions=(64, 128), corpus_count=n),
+    lambda n: check_log_interpolation(n=64, modes=4, corpus_count=n)])
+def test_an_empty_corpus_is_refused(check):
+    # with no corpus every sup is 0.0 and the ladder fitted slope 0: PASS
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="corpus_count must be >= 1, got %d"
+                           % count):
+            check(count)
 
 
 def test_cancellation_small_ladder():

@@ -351,22 +351,15 @@ def test_2d_ito_correction_is_the_per_field_sum(n):
         assert np.array_equal(ito_correction(basis, X[0]), want[0])
 
 
-def test_lie_derivative_2d_makes_no_transforms(monkeypatch):
-    # counter as in test_ccf_em_step_fft_budget
+def test_lie_derivative_2d_makes_no_transforms(fft_calls):
     g = Grid(32, dim=2)
     basis = build_basis_sqg(g, 8, 6.5)
     f = from_values(g, np.random.default_rng(14).standard_normal(g.shape))
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
-                 "irfft", "fft2", "ifft2"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    fft_calls.clear()
     for xi in basis.xis:
         lie_derivative(xi, f)
         lie_second(xi, np.stack([f, f]))
     ito_correction(basis, f)
-    assert calls == []
+    assert fft_calls == []
     to_grid(g, f)       # the counter counts
-    assert calls == [1]
+    assert fft_calls == [g.n_total]

@@ -9,7 +9,7 @@ from saltpde.noise import sample_path
 from saltpde.solver import (SimConfig, chi_cutoff, read_trajectory,
                             run_path, stability_experiment, step_ito_em,
                             step_strat_heun, write_trajectory)
-from saltpde.spectral import Grid, from_values
+from saltpde.spectral import Grid, from_values, lipschitz_bound
 
 
 def test_chi_cutoff_values():
@@ -321,58 +321,162 @@ def test_em_step_matches_frozen_oracle():
             assert np.array_equal(got, want), (model, R)
 
 
-def test_ccf_em_step_fft_budget(monkeypatch):
+def test_ccf_em_step_fft_budget(fft_calls):
     # one ccf Ito-EM step of run_path at n = 256, K = 4, with its CFL check
     # and its V-norm, makes 8 transforms over 8192 points: 2 for the
     # transport product (512 + 256 points), 2 for the stacked first-order
     # terms L_k(JX) that the Ito sum and the h^k share (512 + 2048), 2 for
     # the second-order terms (2048 + 2048), 1 for max_velocity (256) and 1
     # for v_norm (512)
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
-                 "irfft", "fft2", "ifft2"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            out = _fn(*args, **kwargs)
-            calls.append(max(np.size(args[0]), out.size))
-            return out
-        monkeypatch.setattr(np.fft, name, counted)
     counts = []
     for steps in (1, 2):
         cfg = SimConfig(model="ccf", n=256, dt=1e-3, t_end=steps * 1e-3,
                         s=4.0, noise_k=4, seed=3)
         assert np.all(sample_path(3, cfg.dt, steps, 4).increments != 0.0)
-        calls.clear()
+        fft_calls.clear()
         rec = run_path(cfg)
         assert rec.stop_reason == "end" and len(rec.times) == steps + 1
-        counts.append((len(calls), sum(calls)))
+        counts.append((len(fft_calls), sum(fft_calls)))
     assert counts[1][0] - counts[0][0] == 8
     assert counts[1][1] - counts[0][1] == 8192
 
 
-def test_sqg_heun_step_fft_budget(monkeypatch):
-    # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
-    # CFL check and its V-norm, makes 13 transforms: 3 for each of the two
-    # transport products (one per pair u, grad theta and one forward), 3
-    # for the predictor's v_norm, 3 for the monitor's v_norm and 1 for
-    # max_velocity; the noise operators make none
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
-                 "irfft", "fft2", "ifft2"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+def per_step_transforms(fft_calls, run, **kw):
+    """The transforms one more step adds to run(cfg) for the SimConfig kw."""
     counts = []
     for steps in (1, 2):
-        cfg = SimConfig(model="sqg", n=64, dt=1e-3, t_end=steps * 1e-3,
-                        s=4.5, noise_k=4, noise_s_max=6.5, seed=3,
-                        scheme="strat_heun")
-        assert np.all(sample_path(3, cfg.dt, steps, 4).increments != 0.0)
-        calls.clear()
+        cfg = SimConfig(t_end=steps * kw["dt"], **kw)
+        assert np.all(sample_path(cfg.seed, cfg.dt, steps,
+                                  cfg.noise_k).increments != 0.0)
+        fft_calls.clear()
+        run(cfg)
+        counts.append(len(fft_calls))
+    return counts[1] - counts[0]
+
+
+def test_sqg_heun_step_fft_budget(fft_calls):
+    # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
+    # CFL check and its V-norm, makes 10 transforms: 3 for each of the two
+    # transport products (one per pair u, grad theta and one forward), 3
+    # for the monitor's v_norm and 1 for max_velocity; the noise operators
+    # make none.  The predictor's chi_R comes from its coefficient bound
+    # at R = 1e6; with R below that bound its v_norm runs, 3 more
+    kw = dict(model="sqg", n=64, dt=1e-3, s=4.5, noise_k=4, noise_s_max=6.5,
+              seed=3, scheme="strat_heun", ic_amplitude=0.5)
+    grid = Grid(64, dim=2)
+    X0 = SimConfig(**kw).initial_state(grid).coeffs
+    assert 2.0 < lipschitz_bound(grid, X0) < 1e6
+
+    def run(cfg):
         rec = run_path(cfg)
-        assert rec.stop_reason == "end" and len(rec.times) == steps + 1
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 13
+        assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == 10
+    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == 13
+
+
+def test_stability_step_pair_fft_budget(fft_calls):
+    # one step of stability_experiment steps X and Y (ccf Ito-EM, n = 128,
+    # K = 4): 6 transforms each, 2 for the transport product and 2 each for
+    # the first- and second-order Lie terms.  chi_R comes from the
+    # coefficient bound and the H^s and H^{s-2} monitors are coefficient
+    # sums; with R below the bound each state's v_norm adds 1 transform
+    kw = dict(model="ccf", n=128, dt=1e-3, s=4.0, noise_k=4,
+              noise_s_max=6.0, seed=11, ic_amplitude=1.0)
+    grid = Grid(128)
+    X0 = SimConfig(**kw).initial_state(grid)
+    bump = from_values(grid, [1e-6 * np.cos(grid.x)])
+    Y0 = ModelState("ccf", grid, X0.coeffs + bump)
+    assert 2.0 * lipschitz_bound(grid, X0.coeffs) > 3.0
+
+    def run(cfg):
+        assert stability_experiment(cfg, X0, Y0).n_steps_used == cfg.n_steps()
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == 12
+    assert per_step_transforms(fft_calls, run, cutoff_r=1.5, **kw) == 14
+
+
+GUARD_SETUPS = {"sch2": (64, 6.0), "ccf": (128, 4.0), "sqg": (32, 4.5),
+                "linear": (8, 1.0)}
+
+
+def guard_corpus(model):
+    """The model's ops and a corpus of states: critical-corpus (rough) and
+    band-limited white-noise states at three scales, the smooth initial
+    state, and single modes, where the bound is nearly attained."""
+    from saltpde.estimates import corpus_banks, corpus_state
+    n, s = GUARD_SETUPS[model]
+    cfg = SimConfig(model=model, n=n, s=s, noise_k=1 if model == "linear" else 4,
+                    noise_s_max=s + 2.0)
+    grid = cfg.grid()
+    ops = cfg.build_ops(grid)
+    rng = np.random.default_rng(29)
+    shape = ops.shape
+    bases = [cfg.initial_state(grid).coeffs]
+    for banks in corpus_banks(grid.dim, 3, 37, per_state=2):
+        if model == "linear":
+            bases.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        else:
+            bases.append(corpus_state(model, grid, s, banks))
+        noise = from_values(grid, rng.standard_normal(shape))
+        noise *= grid.dealias_keep
+        if model == "sqg":
+            noise[..., 0, 0] = 0.0
+        bases.append(noise)
+    for m in (1, 3, grid.kmax_dealias):
+        vals = np.cos(m * grid.nodes()[0])
+        bases.append(np.stack([from_values(grid, vals)] * shape[0]))
+    states = [scale * X for X in bases for scale in (1e-3, 1.0, 1e3)]
+    return ops, states
+
+
+@pytest.mark.parametrize("model", sorted(GUARD_SETUPS))
+def test_v_norm_is_bounded_by_the_coefficient_bound(model):
+    ops, states = guard_corpus(model)
+    tight = 0.0
+    for X in states:
+        v, bound = ops.v_norm(X), 2.0 * lipschitz_bound(ops.grid, X)
+        assert v <= bound, (model, v, bound)
+        tight = max(tight, v / bound)
+    # the bound is not slack by more than 2: a single mode (a constant for
+    # linear) attains half of it or more
+    assert tight > 0.49
+
+
+@pytest.mark.parametrize("model", sorted(GUARD_SETUPS))
+def test_guarded_chi_is_the_exact_chi(model, monkeypatch):
+    from saltpde.solver import _chi
+    ops, states = guard_corpus(model)
+    v_norm, calls = ops.v_norm, []
+
+    def counted(X):
+        calls.append(1)
+        return v_norm(X)
+    monkeypatch.setattr(ops, "v_norm", counted)
+    for X in states:
+        v, bound = v_norm(X), 2.0 * lipschitz_bound(ops.grid, X)
+        R = max(bound * (1.0 + 2e-9), 2.0)
+        calls.clear()
+        assert _chi(ops, X, R) == chi_cutoff(v, R) == 1.0
+        assert calls == []                   # decided by the bound
+        # positive control: V-norm 3 against R = 2, where chi_R < 1
+        Y = (3.0 / v) * X
+        calls.clear()
+        chi = _chi(ops, Y, 2.0)
+        assert calls == [1] and 0.0 < chi < 1.0
+        assert chi == chi_cutoff(v_norm(Y), 2.0)
+    with pytest.raises(ValueError, match="R > 1"):
+        _chi(ops, 1e-3 * states[0], 1.0)     # bound below R: R <= 1 still raises
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("model", sorted(GUARD_SETUPS))
+def test_a_non_finite_state_takes_the_exact_chi(model, bad, monkeypatch):
+    from saltpde.solver import _chi
+    ops, states = guard_corpus(model)
+    seen = []
+    monkeypatch.setattr(ops, "v_norm", lambda X: seen.append(X) or 0.5)
+    X = states[0].copy()
+    X.flat[1] = bad
+    assert _chi(ops, X, 1e300) == 1.0 and len(seen) == 1 and seen[0] is X
 
 
 def test_entry_states_must_match_the_config():
