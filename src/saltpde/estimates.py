@@ -45,6 +45,7 @@ def corpus_kmax(n):
 
 
 _KBIG = 512            # coefficient banks cover modes up to this
+_DRAW_ROWS = 64        # rows of a 2D bank's part drawn at once
 
 
 class CoefficientBank:
@@ -59,7 +60,9 @@ class CoefficientBank:
     changes no coefficient.  It keeps the modes up to kmax (default kbig):
     k <= kmax in 1D, the block |k1|, k2 <= kmax in 2D, which is what a
     ladder reading modes up to corpus_kmax of its finest rung needs.  field
-    refuses modes beyond kmax.
+    refuses modes beyond kmax.  A 2D part is drawn in blocks of rows into
+    one buffer, of which the kept rows are copied out; the draws run in
+    the order of one whole draw, so the kept values are the same.
     """
 
     def __init__(self, dim, rng, kbig=_KBIG, kmax=None):
@@ -69,34 +72,47 @@ class CoefficientBank:
                              % (kbig, kmax))
         self.dim, self.kmax = dim, kmax
         if dim == 1:
-            shape, block = (kbig + 1,), np.s_[:kmax + 1]
-        else:
-            shape = (2 * kbig + 1, kbig + 1)
-            block = np.s_[kbig - kmax:kbig + kmax + 1, :kmax + 1]
-        # each part is cut to the kept block before the next is drawn
-        re = rng.standard_normal(shape)[block].copy()
-        self.raw = re + 1j * rng.standard_normal(shape)[block]
+            block = np.s_[:kmax + 1]
+            re = rng.standard_normal(kbig + 1)[block].copy()
+            self.raw = re + 1j * rng.standard_normal(kbig + 1)[block]
+            return
+        # rows kbig - kmax .. kbig + kmax of 2*kbig + 1, columns 0..kmax
+        parts = np.empty((2, 2 * kmax + 1, kmax + 1))
+        buf = np.empty((_DRAW_ROWS, kbig + 1))
+        for part in parts:
+            for start in range(0, 2 * kbig + 1, _DRAW_ROWS):
+                rows = buf[:min(_DRAW_ROWS, 2 * kbig + 1 - start)]
+                rng.standard_normal(out=rows)
+                lo = max(start, kbig - kmax)
+                hi = min(start + len(rows), kbig + kmax + 1)
+                if lo < hi:
+                    part[lo - kbig + kmax:hi - kbig + kmax] = \
+                        rows[lo - start:hi - start, :kmax + 1]
+        self.raw = parts[0] + 1j * parts[1]
 
     def field(self, grid, alpha, kmax):
-        """Zero-mean field with |coeff(k)| ~ |k|^-alpha filled to kmax."""
+        """Zero-mean field with |coeff(k)| ~ |k|^-alpha filled to kmax: the
+        real part of the field of the bank's coefficients (k > 0 in 1D,
+        k2 > 0 or k2 = 0 < k1 in 2D), decayed and cut at |k| <= kmax."""
         if kmax > self.kmax:
             raise ValueError("field asks for modes up to %d, but the bank kept "
                              "modes up to %d only" % (kmax, self.kmax))
-        c = np.zeros(grid.shape, dtype=np.complex128)
+        c = sp.zero_field(grid)
         if self.dim == 1:
             k = np.arange(1, kmax + 1)
             c[k] = self.raw[k] * k.astype(float) ** (-alpha)
-        else:
-            k1 = np.arange(-kmax, kmax + 1)[:, None]
-            k2 = np.arange(0, kmax + 1)[None, :]
-            keep = (k2 > 0) | (k1 > 0)
-            absk = np.sqrt((k1 * k1 + k2 * k2).astype(float))
-            absk_safe = np.where(absk > 0, absk, 1.0)
-            amp = np.where(keep, self.raw[k1 + self.kmax, k2], 0.0)
-            dec = np.where(keep & (absk <= kmax), absk_safe ** (-alpha), 0.0)
-            c[k1 % grid.n, k2] = amp * dec
-        # taking the real part of the inverse transform Hermitian-symmetrises
-        return sp.from_values(grid, np.real(np.fft.ifftn(c * grid.n_total)))
+            # taking the real part of the inverse transform Hermitian-
+            # symmetrises c
+            return sp.from_values(grid, np.real(np.fft.ifftn(c * grid.n_total)))
+        k1 = np.arange(-kmax, kmax + 1)[:, None]
+        k2 = np.arange(0, kmax + 1)[None, :]
+        keep = (k2 > 0) | (k1 > 0)
+        absk = np.sqrt((k1 * k1 + k2 * k2).astype(float))
+        absk_safe = np.where(absk > 0, absk, 1.0)
+        amp = np.where(keep, self.raw[k1 + self.kmax, k2], 0.0)
+        dec = np.where(keep & (absk <= kmax), absk_safe ** (-alpha), 0.0)
+        c[k1 % grid.n, k2] = amp * dec
+        return sp.real_part(grid, c)
 
 
 def corpus_field(grid, s, kind, bank):
@@ -304,14 +320,13 @@ def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
 # ---------------------------------------------------------------------------
 # growth conditions on the regularised family
 
-def growth_ratios(ops, X):
-    """(energy-growth ratio, diffusion-pairing ratio) at the ops' epsilon."""
-    xn2 = ops.x_inner(X, X)
-    v = ops.v_norm(X)
+def growth_ratios(ops, X, xn2, v):
+    """(energy-growth ratio, diffusion-pairing ratio) at the ops' epsilon;
+    xn2 = ops.x_inner(X, X) and v = ops.v_norm(X), which no epsilon
+    changes, so a caller takes them once per state."""
     lhs_energy = 2.0 * ops.x_inner(ops.g_eps(X), X)
     lhs_pair = 0.0
-    for k in range(ops.basis.K):
-        h = ops.h_eps_k(X, k)
+    for h in ops.h_eps_k(X, range(ops.basis.K)):
         lhs_energy += ops.x_inner(h, h)
         lhs_pair += ops.x_inner(h, X) ** 2
     return lhs_energy / ((1.0 + v) * xn2), lhs_pair / ((1.0 + v) * xn2 * xn2)
@@ -334,10 +349,13 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
         grid = Grid(n, dim=dim)
         basis = build_basis(grid, K, s_max=s + 2.0)
         states = [corpus_state(model, grid, s, b) for b in banks]
+        norms = None
         for eps in eps_list:
             ops = make_ops(model, grid, s, basis, eps)
-            for X in states:
-                yield growth_ratios(ops, X)
+            if norms is None:
+                norms = [(ops.x_inner(X, X), ops.v_norm(X)) for X in states]
+            for X, (xn2, v) in zip(states, norms):
+                yield growth_ratios(ops, X, xn2, v)
     ratios, ratios_pair = _sups(resolutions, samples, width=2)
     exp_pair = fit_exponent(resolutions, ratios_pair)
     details = {"pairing_ratios": ratios_pair, "pairing_exponent": exp_pair,

@@ -12,14 +12,17 @@ one call transports every row of a state (sch2's u and eta together).
 
 How L_xi is computed depends on the grid dimension.  In 2D it is taken in
 divergence form, div(xi*f), in coefficient space with no FFTs: the field
-holds one stencil, each in-band mode s of xi with its coefficients
-(xi_1(s), xi_2(s)), and spectral.product_with_values sums, over the
-stencil, the band-cut f shifted by s times the symbol
+holds one stencil, each in-band mode s of xi's whole spectrum with its
+coefficients (xi_1(s), xi_2(s)), and spectral.product_with_values sums,
+over the stencil, the band-cut f shifted by s times the symbol
 i*(xi_1(s)*k1 + xi_2(s)*k2) of the output mode k.  That symbol is where
 the derivative of f (i*(k - s)) and the divergence of xi (i*s) meet, so
-neither is formed and div(xi)*f needs no product of its own.  A shipped
-xi_k is one trigonometric mode, so its stencil holds the two shifts +-m,
-and the result agrees with the FFT route to round-off.  The Ito sum on a
+neither is formed and div(xi)*f needs no product of its own.  f is a half
+spectrum (the columns k2 >= 0, see spectral), so the sum runs over the
+output modes with k2 >= 0, and a shift that reaches a mode k - s with
+k2 - s2 < 0 reads the conjugate of the held mode s - k.  A shipped xi_k
+is one trigonometric mode, so its stencil holds the two shifts +-m, and
+the result agrees with the FFT route to round-off.  The Ito sum on a
 2D basis gathers the band of its input once, applies both L_k of every
 xi_k inside that block (spectral.stencil_sum), sums there and scatters
 once; the sum is bit for bit the per-field one, whose scatter and gather
@@ -49,8 +52,8 @@ at once would raise the peak memory of the 512^2 estimate checks.
 import numpy as np
 
 from .spectral import (band_values, bessel_multiplier, dealiased_product,
-                       derivative, gather_band, product_with_values,
-                       scatter_band, stencil_sum)
+                       derivative, full_derivative, gather_band,
+                       product_with_values, scatter_band, stencil_sum)
 
 # a 2D stencil keeps the modes where a component exceeds this fraction of
 # xi's largest coefficient; below it they are transform round-off
@@ -60,10 +63,13 @@ SUPPORT_RTOL = 1e-13
 class VectorFieldXi:
     """Smooth correlation vector field, one component per dimension.
 
-    Built from the coefficient arrays xi_1, ..., xi_dim on grid.  Keeps only
-    max |div xi| and L_xi in the form product_with_values takes: on a 2D
-    grid the stencil of xi's in-band modes (no grid-sized array), on a 1D
-    grid the 2/3-band samples of xi and div(xi).
+    Built from the coefficient arrays xi_1, ..., xi_dim on grid, given on
+    the whole spectrum (Grid.full's layout; in 2D not the half spectrum of
+    a state, since the stencil holds both modes s and -s with the
+    coefficients given there).  Keeps only max |div xi| and L_xi in the
+    form product_with_values takes: on a 2D grid the stencil of xi's
+    in-band modes (no grid-sized array), on a 1D grid the 2/3-band samples
+    of xi and div(xi).
     """
 
     def __init__(self, grid, components):
@@ -72,7 +78,8 @@ class VectorFieldXi:
             raise ValueError("expected %d components of shape %r"
                              % (grid.dim, grid.shape))
         self.grid = grid
-        div = sum(derivative(grid, c, axis) for axis, c in enumerate(comps))
+        div = sum(full_derivative(grid, c, axis)
+                  for axis, c in enumerate(comps))
         self.max_divergence = float(np.max(np.abs(div)))
         if grid.dim == 1:
             # band samples of xi and div(xi), paired with (c_x, c) in one
@@ -107,14 +114,15 @@ def _stencil(grid, comps):
     (s, (xi_1(s), xi_2(s))) in fft index order; s is the wavenumber pair."""
     mags = [np.abs(c) for c in comps]
     tol = SUPPORT_RTOL * max(float(np.max(m)) for m in mags)
-    idx = np.nonzero(grid.dealias_keep & ((mags[0] > tol) | (mags[1] > tol)))
-    return tuple((tuple(int(k[mode]) for k in grid.k_axes),
+    modes = grid.full
+    idx = np.nonzero(modes.dealias_keep & ((mags[0] > tol) | (mags[1] > tol)))
+    return tuple((tuple(int(k[mode]) for k in modes.k_axes),
                   tuple(complex(c[mode]) for c in comps))
                  for mode in zip(*idx))
 
 
 def _check_grid(grid, c):
-    if c.shape[c.ndim - grid.dim:] != grid.shape:
+    if c.shape[c.ndim - grid.dim:] != grid.spec_shape:
         raise ValueError("grid mismatch between xi (%r) and field of shape %r"
                          % (grid, c.shape))
 

@@ -16,13 +16,17 @@ its transport term, its noise conjugation (D^-2 L D^2 on u for sch2, the
 identity elsewhere), its regular drift b and its norms.
 
 A state X is one element of the model's space, held as one complex
-coefficient array of shape (fields, *grid.shape): rows (u, eta) for sch2,
-the single row theta otherwise.  Operators, norms and steppers take and
-return these plain arrays; each operator checks the shape it is given
-against its own model and grid.  ModelState(kind, grid, rows) is the one
-checked entry for states from outside (kind, grid dimension, row shape,
-sqg zero mean): initial data and corpus states come through it, and its
-.coeffs is the array.  Every operator takes the whole array: the spectral
+coefficient array of shape (fields, *grid.spec_shape): rows (u, eta) for
+sch2, the single row theta otherwise.  A 1D row holds all n coefficients,
+an sqg row its half spectrum, the (n, n//2+1) columns k2 >= 0 of the
+n x n spectrum (see spectral): its norms count each column 0 < k2 < n/2
+twice, its L_xi reads the modes k2 < 0 as conjugates, and its transforms
+are real.  Operators, norms and steppers take and return these plain
+arrays; each operator checks the shape it is given against its own model
+and grid.  ModelState(kind, grid, rows) is the one checked entry for
+states from outside (kind, grid dimension, row shape, sqg zero mean):
+initial data and corpus states come through it, and its .coeffs is the
+array.  Every operator takes the whole array: the spectral
 layer acts on the trailing grid axes, so one call transports,
 differentiates or applies L_xi to every row at once.
 
@@ -38,10 +42,10 @@ import numpy as np
 from . import spectral as sp
 from .lie import ito_correction, lie_derivative
 from .spectral import (dealiased_product, derivative, gradient, has_mean,
-                       hermitian_part, hilbert_transform, hs_inner,
-                       homogeneous_inner, homogeneous_norm, lipschitz_norm,
-                       mollifier_symbol, riesz_component, riesz_perp,
-                       sobolev_norm, sup_norm, to_grid, zero_field)
+                       hilbert_transform, hs_inner, homogeneous_inner,
+                       homogeneous_norm, lipschitz_norm, mollifier_symbol,
+                       real_part, riesz_component, riesz_perp, sobolev_norm,
+                       sup_norm, to_grid, zero_field)
 
 FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
                "sqg": ("theta",), "linear": ("theta",)}
@@ -58,7 +62,7 @@ class ModelState:
 
     ModelState(kind, grid, rows) checks the kind, the grid dimension, the
     row shape and the sqg zero mean, and copies rows into .coeffs, the
-    complex array of shape (fields, *grid.shape) that the operators,
+    complex array of shape (fields, *grid.spec_shape) that the operators,
     steppers and norms take and return.
     """
 
@@ -70,9 +74,9 @@ class ModelState:
         if grid.dim != (2 if kind == "sqg" else 1):
             raise ValueError("%s state needs a %dD grid" % (kind, 3 - grid.dim))
         rows = np.array(rows, dtype=np.complex128)
-        if rows.shape != (len(FIELD_NAMES[kind]),) + grid.shape:
+        if rows.shape != (len(FIELD_NAMES[kind]),) + grid.spec_shape:
             raise ValueError("%s state needs %d fields of shape %r, got %r"
-                             % (kind, len(FIELD_NAMES[kind]), grid.shape,
+                             % (kind, len(FIELD_NAMES[kind]), grid.spec_shape,
                                 rows.shape))
         if kind == "sqg" and has_mean(grid, rows):
             raise ValueError("sqg state must have zero mean")
@@ -111,11 +115,12 @@ class _FluidOps:
         if grid.dim != self.dim:
             raise ValueError("%s lives on the %dD torus" % (self.kind, self.dim))
         self.grid = grid
-        self.shape = (len(FIELD_NAMES[self.kind]),) + grid.shape
+        self.shape = (len(FIELD_NAMES[self.kind]),) + grid.spec_shape
         self.s = float(s)
         self.basis = basis
         self.eps = float(eps)
         self._jhat = mollifier_symbol(grid, self.eps)
+        self._jhat3 = self._jhat ** 3       # the Ito sum's J^3
         # _first's one slot: the bytes of its last input and their terms
         self._first_key = None
         self._first_terms = None
@@ -162,7 +167,7 @@ class _FluidOps:
         cc = self._conjugated(self._rows(X, jhat))
         sums = self._unconjugated(ito_correction(self.basis, cc,
                                                  self._first(cc)))
-        return sums if jhat is None else sums * jhat ** 3
+        return sums if jhat is None else sums * self._jhat3
 
     def _h_op(self, X, k, jhat=None):
         """h^k for one index k; for a sequence of indices, an iterator over
@@ -344,8 +349,9 @@ class CcfOps(_FluidOps):
 class SqgOps(_FluidOps):
     """SALT SQG splitting on the 2D torus, mean-zero theta, u = R-perp(theta).
 
-    Norms are homogeneous (Lambda^s based), which is where the model's
-    solution space lives.
+    theta is held as its half spectrum (see spectral).  Norms are
+    homogeneous (Lambda^s based), which is where the model's solution space
+    lives; they count each column 0 < k2 < n/2 twice.
     """
 
     kind = "sqg"
@@ -358,10 +364,11 @@ class SqgOps(_FluidOps):
                 raise ValueError("sqg needs a divergence-free noise basis")
 
     def _transport(self, c):
-        # u.grad(theta) from the pairs u and grad(theta), one transform each
+        # u.grad(theta): u and grad(theta) in one inverse transform, their
+        # dot product in one forward transform
         g = self.grid
-        c = hermitian_part(g, c)
-        return dealiased_product(g, riesz_perp(g, c), gradient(g, c))
+        return dealiased_product(g, np.stack(riesz_perp(g, c)),
+                                 np.stack(gradient(g, c)), dot=True)
 
     def b(self, X):
         return np.zeros_like(self._rows(X))
@@ -403,23 +410,21 @@ class SqgOps(_FluidOps):
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes.  R_1 d_2 theta
         # and R_2 d_1 theta have one symbol, so |R grad theta|^2 is
-        # r11^2 + 2 r12^2 + r22^2: the pairs grad(theta) and (R_1 d_1, R_2 d_2)
-        # take one transform each, R_1 d_2 theta a third
+        # r11^2 + 2 r12^2 + r22^2: five real fields in one transform
         g = self.grid
-        d1, d2 = grad = gradient(g, hermitian_part(g, self._theta(X)))
+        d1, d2 = gradient(g, self._theta(X))
+        v1, v2, r11, r12, r22 = to_grid(g, np.stack([
+            d1, d2, riesz_component(g, d1, 0), riesz_component(g, d2, 0),
+            riesz_component(g, d2, 1)]))
         # (sqrt is correctly rounded, so monotone: the sqrt of the max is
         # the max of the sqrt)
-        v1, v2 = to_grid(g, grad)
         out = float(np.sqrt(np.max(v1 * v1 + v2 * v2)))
-        r11, r22 = to_grid(g, (riesz_component(g, d1, 0),
-                               riesz_component(g, d2, 1)))
-        r12 = to_grid(g, riesz_component(g, d2, 0))
         acc = r11 * r11 + 2.0 * (r12 * r12) + r22 * r22
         return out + float(np.sqrt(np.max(acc)))
 
     def max_velocity(self, X):
         g = self.grid
-        v1, v2 = to_grid(g, riesz_perp(g, hermitian_part(g, self._theta(X))))
+        v1, v2 = to_grid(g, np.stack(riesz_perp(g, self._theta(X))))
         return float(np.sqrt(np.max(v1 * v1 + v2 * v2)))
 
 
@@ -538,7 +543,8 @@ def random_initial_state(model, grid, amplitude, seed):
                         continue
                     amp = rng.standard_normal() + 1j * rng.standard_normal()
                     c[k1, k2] = amp / (1.0 + k1 * k1 + k2 * k2)
-        # taking the real part of the inverse transform symmetrises c
+            c = real_part(grid, c)
+        # taking the real part of the inverse transform symmetrises a 1D c
         vals = to_grid(grid, c)
         peak = max(float(np.max(np.abs(vals))), 1e-30)
         return sp.from_values(grid, float(amplitude) * vals / peak)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .spectral import derivative, from_values, sobolev_norm
+from .spectral import from_values, full_derivative, full_sobolev_norm
 from .lie import VectorFieldXi
 
 
@@ -36,8 +36,11 @@ class NoiseBasis:
 
 
 def components_norm(grid, components, s):
-    """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field."""
-    return float(np.sqrt(sum(sobolev_norm(grid, c, s) ** 2 for c in components)))
+    """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field,
+    given on the whole spectrum (Grid.full's layout), as a noise field
+    takes them."""
+    return float(np.sqrt(sum(full_sobolev_norm(grid, c, s) ** 2
+                             for c in components)))
 
 
 def check_decay(decay_kind, decay_param):
@@ -82,7 +85,13 @@ _SQG_WAVES = [(1, 0), (0, 1), (1, 1), (1, -1)]
 
 
 def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
-    """2D divergence-free basis xi_k = perp-grad of a stream function."""
+    """2D divergence-free basis xi_k = perp-grad of a stream function.
+
+    The components are formed on the whole n x n spectrum (the complex
+    transform of psi's samples, its derivatives and the H^{s_max} norm
+    there), which is the layout a noise field takes; the field keeps only
+    their stencil.
+    """
     if grid.dim != 2:
         raise ValueError("SQG basis needs a 2D grid")
     if K < 0:
@@ -96,13 +105,17 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         scale = 1 + (k - 1) // len(_SQG_WAVES)
         m1, m2 = scale * m1, scale * m2
         phase = m1 * x1 + m2 * x2
-        wave = np.cos(phase) if k % 2 == 1 else np.sin(phase)
-        psi = from_values(grid, wave)
-        comp1 = -1.0 * derivative(grid, psi, 1)   # xi = (-d2 psi, d1 psi)
-        comp2 = derivative(grid, psi, 0)
-        a = targets[k - 1] / components_norm(grid, (comp1, comp2), s_max)
-        xis.append(VectorFieldXi(grid, [a * comp1, a * comp2]))
+        comps = _perp_grad(grid, np.cos(phase) if k % 2 == 1 else np.sin(phase))
+        a = targets[k - 1] / components_norm(grid, comps, s_max)
+        xis.append(VectorFieldXi(grid, [a * c for c in comps]))
     return NoiseBasis(xis)
+
+
+def _perp_grad(grid, wave):
+    # xi = (-d2 psi, d1 psi) on the whole spectrum, psi's samples the wave
+    # (the transform and psi are freed before the field is built)
+    psi = np.fft.fftn(wave, s=grid.shape, axes=grid.axes) / grid.n_total
+    return -1.0 * full_derivative(grid, psi, 1), full_derivative(grid, psi, 0)
 
 
 def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):

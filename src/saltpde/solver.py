@@ -15,8 +15,12 @@ reach R.  run_path hands each step the V-norm its monitor already holds;
 elsewhere (the Heun predictor, stability_experiment, a step called without
 v) a transform-free coefficient bound decides chi_R = 1 whenever it lies
 below R, and chi_R is evaluated on ops.v_norm otherwise (_chi).  A step of
-run_path then makes 8 transforms for ccf Ito-EM at K = 4 and 10 for sqg
-Stratonovich-Heun, monitors included.
+run_path then makes 8 transforms for ccf Ito-EM at K = 4 and 6 for sqg
+Stratonovich-Heun, monitors included: two per transport term (an inverse
+of u and grad(theta) together, a forward of their dot product), one for
+the V-norm's five real fields and one for the CFL check's velocity.  A 2D
+transform is real, a complex numpy pass along the first axis and a real
+one along the last, so it is two numpy calls.
 
 Stopping is checked every step against the H^s norm threshold (the
 discrete analogue of the first-exit stopping time), against a blow-up
@@ -33,7 +37,7 @@ import numpy as np
 from .models import (FIELD_NAMES, INITIAL_CONDITIONS, S_THRESHOLD,
                      make_initial_state, make_ops)
 from .noise import build_basis, check_decay, sample_path
-from .spectral import Grid, lipschitz_bound
+from .spectral import Grid, full_spectrum, lipschitz_bound
 
 
 def _smooth_step(t):
@@ -194,8 +198,9 @@ def _chi(ops, X, R):
               norm |k|;
       linear  the L2 norm, at most sum_k |X(k)|.
 
-    (The sqg Hermitian projection does not raise sum_k |theta(k)|, and a
-    zeroed Nyquist mode only lowers a sup.)  chi_R is 1 on [0, R], so
+    (A 2D state holds its half spectrum, and lipschitz_bound counts each
+    column 0 < k2 < n/2 twice, for k and -k; a zeroed Nyquist mode only
+    lowers a sup.)  chi_R is 1 on [0, R], so
     B(X)(1 + 1e-9) <= R gives chi_R(B(X)) = 1.0, which chi_cutoff returns
     for every float v <= R; the margin covers the transforms' round-off in
     ops.v_norm.  Otherwise, a non-finite B included, chi_R is evaluated on
@@ -442,14 +447,17 @@ def read_trajectory(filename):
 
 def write_state_snapshot(kind, g, X, filename):
     """Flat coefficient table of a kind state X on grid g: one row per mode
-    and field component."""
+    of the whole spectrum (fft order) and field component; the modes
+    k2 < 0 of a 2D state are the conjugates of those it holds."""
+    k_axes = g.full.k_axes
     with open(filename, "w") as fh:
         fh.write("# model = %s\n" % kind)
         fh.write("field k1 k2 re im\n")
         for name, row in zip(FIELD_NAMES[kind], X):
+            row = full_spectrum(g, row)
             for idx in np.ndindex(*g.shape):
-                k1 = int(g.k_axes[0][idx])
-                k2 = int(g.k_axes[1][idx]) if g.dim == 2 else 0
+                k1 = int(k_axes[0][idx])
+                k2 = int(k_axes[1][idx]) if g.dim == 2 else 0
                 c = row[idx]
                 fh.write("%s %d %d %s %s\n"
                          % (name, k1, k2, repr(float(c.real)), repr(float(c.imag))))

@@ -9,6 +9,22 @@ inner product sum_k f(k)*conj(g(k)), and the H^s norm is
 
     ||f||_{H^s}^2 = sum_k (1+|k|^2)^s |coeff(k)|^2.
 
+Every field is real.  A 1D field holds all n coefficients.  A 2D field
+holds its half spectrum, as rfft gives it: the columns k2 = 0..n/2 of the
+n x n spectrum, an array of shape grid.spec_shape = (n, n//2+1) whose last
+column is labelled k2 = -n/2 (numpy's fft order).  The modes with
+k2 < 0 are the conjugates coeff(-k) = conj(coeff(k)) of those held.  So
+every sum over modes (a norm, an inner product, the coefficient bound)
+counts each column 0 < k2 < n/2 twice, for k and -k, and the columns
+k2 = 0 and n/2, which hold their own conjugates, once.  A stencil shift
+that reaches a mode k - s with k2 - s2 < 0 reads the conjugate of the
+held mode s - k.  Transforms are real: a 2D forward transform is rfft
+along the last axis and a complex fftn along the first, the inverse
+ifftn along the first and irfft along the last, as numpy's rfftn/irfftn
+make them.  A noise field's components (lie.VectorFieldXi) are the one
+2D exception: they are given on the whole spectrum, whose wavenumber
+tables Grid.full holds.
+
 The trailing grid.dim axes of an array are the grid; any leading axes (the
 rows of a model state, say) pass through every function unchanged, and
 every transform runs over the trailing axes only, so one call covers every
@@ -20,26 +36,56 @@ Multiplier operators provided here: the Bessel potential D^s with symbol
 (1+|k|^2)^(s/2), the periodic Hilbert transform (1D), the perpendicular
 Riesz transform (2D), the symbol of the bump mollifier J_eps and the
 Helmholtz mollifier (1-eps^2*Lap)^(-1).  Pointwise products of fields are
-always dealiased with the 2/3 rule.  to_grid, band_values and
-dealiased_product also take a pair (a, b) of real fields, which goes
-through one complex transform of a + i*b.
+always dealiased with the 2/3 rule.
 
 Everything here is a pure function over arrays it never mutates; the grid
 object carries the precomputed wavenumber meshes and masks.
 """
 
-import itertools
+import functools
+import math
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
 
+class _Modes:
+    """Wavenumber tables of one layout of a grid's modes, from one wavenumber
+    array per axis (broadcasting to the layout's shape): k_axes (the meshes),
+    ksq = |k|^2, inv_absk = 1/|k| (0 on the mean mode), dealias_keep (the
+    2/3-rule band |k_i| <= n//3 on every axis) and not_nyquist (False where
+    some k_i = -n/2: odd multipliers are ill-defined there and zeroed)."""
+
+    def __init__(self, n, axes):
+        # the axes broadcast: (n,) in 1D, (n, 1) against (1, m) in 2D
+        self.shape = tuple(max(d) for d in zip(*(a.shape for a in axes)))
+        self.k_axes = axes if len(axes) == 1 else tuple(
+            np.broadcast_to(a, self.shape) for a in axes)
+        ksq = axes[0] * axes[0]
+        for a in axes[1:]:
+            ksq = ksq + a * a
+        self.ksq = ksq
+        absk = np.sqrt(ksq)
+        self.inv_absk = np.zeros(self.shape)
+        np.divide(1.0, absk, out=self.inv_absk, where=absk > 0)
+        keep = np.ones(self.shape, dtype=bool)
+        nyq = np.zeros(self.shape, dtype=bool)
+        for ka in self.k_axes:
+            keep &= np.abs(ka) <= n // 3
+            nyq |= ka == -(n // 2)
+        self.dealias_keep = keep
+        self.not_nyquist = ~nyq
+
+
 class Grid:
     """Uniform periodic grid, n points per axis, domain length 2*pi per axis.
 
     n must be an even power of two (dyadic refinement studies rely on it).
-    axes are the trailing array axes the grid occupies.
+    axes are the trailing array axes the grid occupies; shape is that of
+    the grid samples and spec_shape that of a field's coefficients (the
+    half spectrum in 2D).  k_axes, ksq, inv_absk, dealias_keep and
+    not_nyquist are the wavenumber tables on spec_shape (see _Modes).
     """
 
     def __init__(self, n, dim=1):
@@ -53,37 +99,32 @@ class Grid:
         self.n_total = n ** dim
         self.x = TWO_PI * np.arange(n) / n
         self.dx = TWO_PI / n
+        self.kmax_dealias = n // 3
 
         k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, Nyquist at -n/2
         if dim == 1:
-            self.k_axes = (k,)
-            self.ksq = k * k
+            self.spec_shape = self.shape
+            modes = _Modes(n, (k,))
         else:
-            k1 = k[:, None]
-            k2 = k[None, :]
-            self.k_axes = (np.broadcast_to(k1, self.shape),
-                           np.broadcast_to(k2, self.shape))
-            self.ksq = k1 * k1 + k2 * k2
-        absk = np.sqrt(self.ksq)
-        self.inv_absk = np.zeros(self.shape)   # 1/|k|, 0 on the mean mode
-        np.divide(1.0, absk, out=self.inv_absk, where=absk > 0)
-
-        # 2/3-rule band: keep |k_i| <= n//3 on every axis
-        self.kmax_dealias = n // 3
-        keep = np.ones(self.shape, dtype=bool)
-        for ka in self.k_axes:
-            keep &= np.abs(ka) <= self.kmax_dealias
-        self.dealias_keep = keep
-
-        # odd multipliers are ill-defined at the Nyquist mode; zero it there
-        nyq = np.zeros(self.shape, dtype=bool)
-        for ka in self.k_axes:
-            nyq |= ka == -(n // 2)
-        self.not_nyquist = ~nyq
+            self.spec_shape = (n, n // 2 + 1)
+            modes = _Modes(n, (k[:, None], k[None, :n // 2 + 1]))
+        self._modes = modes
+        self.k_axes, self.ksq, self.inv_absk = modes.k_axes, modes.ksq, modes.inv_absk
+        self.dealias_keep, self.not_nyquist = modes.dealias_keep, modes.not_nyquist
 
         # multipliers (derivative, Hilbert, Riesz) and norm weights, each
         # built on first use; see _symbol
         self._symbols = {}
+
+    @functools.cached_property
+    def full(self):
+        """The wavenumber tables (_Modes) of the whole spectrum in numpy fft
+        order, built on first use: the layout of a 2D noise field's
+        components and of a state snapshot.  In 1D, the grid's own."""
+        if self.dim == 1:
+            return self._modes
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return _Modes(self.n, (k[:, None], k[None, :]))
 
     @staticmethod
     def check_n(n):
@@ -113,8 +154,29 @@ def _scalar(x):
 
 
 def zero_field(grid, *lead):
-    """Zero coefficients of shape lead + grid.shape."""
-    return np.zeros(lead + grid.shape, dtype=np.complex128)
+    """Zero coefficients of shape lead + grid.spec_shape."""
+    return np.zeros(lead + grid.spec_shape, dtype=np.complex128)
+
+
+def _forward(grid, values):
+    # unnormalised coefficients of real samples, a fresh complex array; in
+    # 2D rfftn's two passes, the real one along the last axis, then the
+    # complex one along the first (in place)
+    if grid.dim == 1:
+        z = values.astype(np.complex128)
+        return np.fft.fftn(z, s=grid.shape, axes=grid.axes, out=z)
+    z = np.fft.rfft(values, axis=-1)
+    return np.fft.fftn(z, axes=(-2,), out=z)
+
+
+def _inverse(grid, z):
+    # real samples of the unnormalised coefficients z, a fresh array that is
+    # transformed in place; in 2D irfftn's two passes, the complex one along
+    # the first axis, then the real one along the last
+    if grid.dim == 1:
+        return np.real(np.fft.ifftn(z, s=grid.shape, axes=grid.axes, out=z))
+    z = np.fft.ifftn(z, axes=(-2,), out=z)
+    return np.fft.irfft(z, n=grid.n, axis=-1)
 
 
 def from_values(grid, values):
@@ -130,59 +192,58 @@ def from_values(grid, values):
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValueError("field has %d non-finite values" % bad)
-    return np.fft.fftn(values, s=grid.shape, axes=grid.axes) / grid.n_total
-
-
-def _packed(c, mult):
-    # c * mult as a fresh array; a pair (a, b) of real fields as the one
-    # complex field (a + i*b) * mult
-    if not isinstance(c, tuple):
-        return c * mult
-    a, b = c
-    z = b * 1j
-    z += a
-    z *= mult
+    if grid.dim == 1:
+        return np.fft.fftn(values, s=grid.shape, axes=grid.axes) / grid.n_total
+    z = _forward(grid, values)
+    z /= grid.n_total
     return z
 
 
-def _samples(grid, z, c):
-    # the real samples of c from its packed coefficients z (a fresh array,
-    # transformed in place): a pair's are the real and imaginary parts
-    z = np.fft.ifftn(z, s=grid.shape, axes=grid.axes, out=z)
-    return (z.real, z.imag) if isinstance(c, tuple) else np.real(z)
-
-
 def to_grid(grid, c):
-    """Real grid samples of the coefficients c, as a float ndarray.
-
-    c may also be a pair (a, b) of real fields (Hermitian coefficients,
-    such as the two components of a gradient): the pair of samples comes
-    from one complex transform of a + i*b, whose real and imaginary parts
-    are the samples of a and b.  Round-off in a's anti-Hermitian part lands
-    in b's samples, so project the fields onto their Hermitian part first
-    (hermitian_part) where the last bits matter.
-    """
-    z = _packed(c, grid.n_total)
+    """Real grid samples of the coefficients c, as a float ndarray."""
+    z = c * grid.n_total
     if not np.all(np.isfinite(z)):
         bad = int(np.count_nonzero(~np.isfinite(z)))
         raise ValueError("spectrum has %d non-finite coefficients" % bad)
-    return _samples(grid, z, c)
+    return _inverse(grid, z)
 
 
-def hermitian_part(grid, c):
-    """(c(k) + conj(c(-k)))/2: the coefficients of the real part of the
-    field c, Hermitian exactly (the derivative and Riesz multipliers keep
-    them so), which is what pairing two fields in one transform needs."""
-    flipped = np.empty_like(c)
-    # index -k mod n along each grid axis: 0 stays, 1..n-1 reverse
-    axis_parts = ((0, 0), (slice(1, None), slice(None, 0, -1)))
-    for parts in itertools.product(axis_parts, repeat=grid.dim):
-        out, src = zip(*parts)
-        flipped[(Ellipsis,) + out] = c[(Ellipsis,) + src]
-    np.conjugate(flipped, out=flipped)
-    flipped += c
-    flipped *= 0.5
-    return flipped
+def _self_conjugate_columns(grid):
+    # the half-spectrum columns k2 = 0 and -n/2, each of which holds the
+    # conjugate -k of its every mode k: row k1 pairs with row -k1 mod n
+    n = grid.n
+    return (0, n // 2), -np.arange(n) % n
+
+
+def full_spectrum(grid, c):
+    """The coefficients c on the whole spectrum (Grid.full's layout): a 2D
+    field's columns k2 < 0 taken from conjugate symmetry, a 1D field as it
+    is."""
+    if grid.dim == 1:
+        return c
+    n = grid.n
+    _, mirror = _self_conjugate_columns(grid)
+    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :n // 2 + 1] = c
+    # column j > n/2 holds k2 = j - n, the conjugate of column n - j
+    out[..., n // 2 + 1:] = np.conj(c[..., mirror, n // 2 - 1:0:-1])
+    return out
+
+
+def real_part(grid, c):
+    """The half spectrum of the real part of the field sum_k c(k)exp(i*k.x),
+    2D, with c given on the half spectrum's modes (the modes k2 < 0 absent):
+    c/2, with the conjugate of c(-k)/2 added on the columns that hold their
+    own conjugates.  So it is formed in coefficient space, exactly, with no
+    transform."""
+    if grid.dim != 2:
+        raise ValueError("real_part is 2D only")
+    out = 0.5 * c
+    columns, mirror = _self_conjugate_columns(grid)
+    for j in columns:
+        col = out[..., :, j]
+        out[..., :, j] = col + np.conj(col[..., mirror])
+    return out
 
 
 def has_mean(grid, c):
@@ -210,20 +271,34 @@ def _symbol(grid, key, build):
     return sym
 
 
-def _weight(grid, s, homogeneous=False):
-    """(1+|k|^2)^s, or |k|^(2s) with 0 on the mean mode if homogeneous."""
-    key = ("weight", s, homogeneous)
+def _counts(grid):
+    """2D: how many modes of the whole spectrum each half-spectrum mode
+    stands for, 2 (k and -k) off the columns k2 = 0 and -n/2 and 1 on
+    them; a sum over the half spectrum weighs its terms by these."""
+    def build():
+        counts = np.full(grid.spec_shape, 2.0)
+        counts[..., _self_conjugate_columns(grid)[0]] = 1.0
+        return counts
+    return _symbol(grid, ("counts",), build)
+
+
+def _weight(grid, s, homogeneous=False, counted=False):
+    """(1+|k|^2)^s, or |k|^(2s) with 0 on the mean mode if homogeneous;
+    counted multiplies in _counts on a 2D grid (a norm's weight)."""
+    counted = counted and grid.dim == 2
+    key = ("weight", s, homogeneous, counted)
     w = grid._symbols.get(key)
     if w is not None:
         return w
 
     def build():
         if not homogeneous:
-            return (1.0 + grid.ksq) ** s
-        w = np.zeros(grid.shape)
-        nz = grid.ksq > 0
-        w[nz] = grid.ksq[nz] ** s
-        return w
+            w = (1.0 + grid.ksq) ** s
+        else:
+            w = np.zeros(grid.spec_shape)
+            nz = grid.ksq > 0
+            w[nz] = grid.ksq[nz] ** s
+        return w * _counts(grid) if counted else w
     return _symbol(grid, key, build)
 
 
@@ -240,6 +315,24 @@ def derivative(grid, c, axis=0):
     zeroed."""
     return c * _symbol(grid, ("derivative", axis),
                        lambda: 1j * grid.k_axes[axis] * grid.not_nyquist)
+
+
+def full_derivative(grid, c, axis=0):
+    """derivative of coefficients c given on the whole spectrum (Grid.full's
+    layout, that of a 2D noise field's components); in 1D, derivative."""
+    if grid.dim == 1:
+        return derivative(grid, c, axis)
+    return c * _symbol(grid, ("full derivative", axis),
+                       lambda: 1j * grid.full.k_axes[axis] * grid.full.not_nyquist)
+
+
+def full_sobolev_norm(grid, c, s):
+    """sobolev_norm of coefficients c given on the whole spectrum (as
+    full_derivative takes them); in 1D, sobolev_norm."""
+    if grid.dim == 1:
+        return sobolev_norm(grid, c, s)
+    w = _symbol(grid, ("full weight", s), lambda: (1.0 + grid.full.ksq) ** s)
+    return _scalar(np.sqrt((w * np.abs(c) ** 2).sum(axis=grid.axes)))
 
 
 def gradient(grid, c):
@@ -310,45 +403,41 @@ def mollify_helmholtz(grid, c, eps):
 # dealiased products
 
 def band_values(grid, c):
-    """Grid samples of the 2/3-band projection of c; of a pair (a, b), the
-    pair of samples from one transform, as in to_grid."""
-    z = _packed(c, grid.dealias_keep)
+    """Grid samples of the 2/3-band projection of c."""
+    z = c * grid.dealias_keep
     z *= grid.n_total
-    return _samples(grid, z, c)
+    return _inverse(grid, z)
 
 
 def _band_product(grid, values):
-    # coefficients of band-sample products, cut back to the band; the
-    # transform runs in place on the one complex copy of values
-    z = values.astype(np.complex128)
-    z = np.fft.fftn(z, s=grid.shape, axes=grid.axes, out=z)
+    # coefficients of band-sample products, cut back to the band
+    z = _forward(grid, values)
     z /= grid.n_total
     z *= grid.dealias_keep
     return z
 
 
-def dealiased_product(grid, f, g):
+def dealiased_product(grid, f, g, dot=False):
     """Pointwise product with the 2/3 rule applied to inputs and output.
 
-    f and g may also be two pairs (f1, f2), (g1, g2) of real fields: the
-    product is then the dot product f1*g1 + f2*g2, summed on the grid
-    before the one forward transform, and each pair takes one inverse
-    transform (band_values), so u.grad(theta) costs three transforms.
-    Two fields take their samples from one transform of their rows
-    concatenated (their leading axes may differ), so a product costs two.
+    The two fields take their samples from one inverse transform of their
+    rows concatenated (their leading axes may differ), so a product costs
+    two transforms.  With dot=True, f and g hold the components of two
+    vector fields along their first axis, and the product is their dot
+    product f_1*g_1 + f_2*g_2 + ..., summed on the grid before the one
+    forward transform (u.grad(theta) takes two transforms).
     """
-    if isinstance(f, tuple) != isinstance(g, tuple):
-        raise ValueError("dealiased_product takes two fields or two pairs")
-    if isinstance(f, tuple):
-        (f1, f2), (g1, g2) = band_values(grid, f), band_values(grid, g)
-        return _band_product(grid, f1 * g1 + f2 * g2)
-    rows = (-1,) + grid.shape
+    rows = (-1,) + grid.spec_shape
     fg = np.concatenate([f.reshape(rows), g.reshape(rows)])
-    v = band_values(grid, fg)
-    split = f.size // grid.n_total
-    fv = v[:split].reshape(f.shape)
-    gv = v[split:].reshape(g.shape)
-    return _band_product(grid, fv * gv)
+    # band_values on this fresh array, in place
+    fg *= grid.dealias_keep
+    fg *= grid.n_total
+    v = _inverse(grid, fg)
+    split = f.size // math.prod(grid.spec_shape)
+    fv = v[:split].reshape(f.shape[:f.ndim - grid.dim] + grid.shape)
+    gv = v[split:].reshape(g.shape[:g.ndim - grid.dim] + grid.shape)
+    prod = fv * gv
+    return _band_product(grid, prod.sum(axis=0) if dot else prod)
 
 
 def _overlap(s, w):
@@ -378,9 +467,9 @@ def product_with_values(grid, factor, c):
     divergence-free.  No transform runs.  The product is three steps:
     gather_band, stencil_sum and scatter_band, so a caller that applies
     several stencils in turn (the Ito sum) gathers and scatters once.  The
-    sum reads c's coefficients directly, so c must be Hermitian (the FFT
-    route projects onto real fields); it agrees with the FFT route to
-    round-off, not bit for bit.
+    sum runs over the output modes of the half spectrum, reading a mode
+    k - s with k2 - s2 < 0 as the conjugate of the held mode s - k; it
+    agrees with the FFT route to round-off, not bit for bit.
     """
     if grid.dim == 1:
         return _band_product(grid, factor * band_values(grid, c))
@@ -388,7 +477,7 @@ def product_with_values(grid, factor, c):
 
 
 def _band_parts(grid):
-    # (block, fft index) slices along one axis of the band's wavenumbers
+    # (block, coefficient index) slices along k1 of the band's wavenumbers
     # -K..-1 and 0..K, K = n//3
     n, K = grid.n, grid.kmax_dealias
     return ((slice(0, K), slice(n - K, n)),
@@ -396,13 +485,13 @@ def _band_parts(grid):
 
 
 def gather_band(grid, c):
-    """The 2/3 band of the 2D coefficients c as one (2K+1, 2K+1) block in
-    wavenumber order, K = n//3: block row i holds wavenumber i - K.
-    Leading axes pass through."""
-    w = 2 * grid.kmax_dealias + 1
-    block = np.empty(c.shape[:-2] + (w, w), dtype=np.complex128)
-    for (b1, f1), (b2, f2) in itertools.product(_band_parts(grid), repeat=2):
-        block[..., b1, b2] = c[..., f1, f2]
+    """The 2/3 band of the 2D half-spectrum coefficients c as one
+    (2K+1, K+1) block, K = n//3: block row i holds k1 = i - K, column j
+    holds k2 = j.  Leading axes pass through."""
+    K = grid.kmax_dealias
+    block = np.empty(c.shape[:-2] + (2 * K + 1, K + 1), dtype=np.complex128)
+    for b1, f1 in _band_parts(grid):
+        block[..., b1, :] = c[..., f1, :K + 1]
     return block
 
 
@@ -412,24 +501,31 @@ def stencil_sum(grid, stencil, block):
 
     k and s in the band put k - s within 2K < n - K of the origin, so the
     FFT route's circular convolution wraps nothing into the band and each
-    shift is a plain slice of the block."""
+    shift is a plain slice of the block.  Where k2 < s2, the mode k - s has
+    k2 - s2 < 0 and is read as the conjugate of s - k, whose rows are
+    those of the direct read mirrored (k1 -> s1 - k1) and whose columns are
+    s2 - k2 = s2..1."""
     K = grid.kmax_dealias
-    w = 2 * K + 1
     kb = np.arange(-K, K + 1.0)
+    kh = kb[K:]
     acc = np.zeros(block.shape, dtype=np.complex128)
     for (s1, s2), (a1, a2) in stencil:
-        (o1, i1), (o2, i2) = _overlap(s1, w), _overlap(s2, w)
-        sym = (1j * a1) * kb[o1, None] + (1j * a2) * kb[o2]
-        acc[..., o1, o2] += sym * block[..., i1, i2]
+        (o1, i1), (o2, i2) = _overlap(s1, 2 * K + 1), _overlap(s2, K + 1)
+        row = (1j * a1) * kb[o1, None]
+        acc[..., o1, o2] += (row + (1j * a2) * kh[o2]) * block[..., i1, i2]
+        if s2 > 0:
+            acc[..., o1, :s2] += (row + (1j * a2) * kh[:s2]) * np.conj(
+                block[..., o1, s2:0:-1][..., ::-1, :])
     return acc
 
 
 def scatter_band(grid, block):
-    """The coefficients whose 2/3 band is block (gather_band's layout),
-    zero outside the band."""
-    out = np.zeros(block.shape[:-2] + grid.shape, dtype=np.complex128)
-    for (b1, f1), (b2, f2) in itertools.product(_band_parts(grid), repeat=2):
-        out[..., f1, f2] = block[..., b1, b2]
+    """The half-spectrum coefficients whose 2/3 band is block
+    (gather_band's layout), zero outside the band."""
+    K = grid.kmax_dealias
+    out = zero_field(grid, *block.shape[:-2])
+    for b1, f1 in _band_parts(grid):
+        out[..., f1, :K + 1] = block[..., b1, :]
     return out
 
 
@@ -438,24 +534,37 @@ def scatter_band(grid, block):
 
 def sobolev_norm(grid, c, s):
     """||c||_{H^s} = sqrt(sum_k (1+|k|^2)^s |coeff(k)|^2)."""
-    w = _weight(grid, s)
+    w = _weight(grid, s, counted=True)
     return _scalar(np.sqrt((w * np.abs(c) ** 2).sum(axis=grid.axes)))
 
 
 def homogeneous_norm(grid, c, s):
     """||Lambda^s c||_{L2} for mean-zero c (the k = 0 term is dropped)."""
-    w = _weight(grid, s, homogeneous=True)
+    w = _weight(grid, s, homogeneous=True, counted=True)
     return _scalar(np.sqrt((w * np.abs(c) ** 2).sum(axis=grid.axes)))
 
 
+def _inner(grid, f, g, s, homogeneous):
+    # sum over the grid axes of w * Re(f * conj(g)); in 2D a real sum over
+    # the interleaved real and imaginary parts, whose products fr*gr + fi*gi
+    # are the real part, against w repeated per pair (no complex product)
+    w = _weight(grid, s, homogeneous, counted=True)
+    if grid.dim == 1:
+        return _scalar((w * f * np.conj(g)).sum(axis=grid.axes).real)
+    w2 = _symbol(grid, ("interleaved weight", s, homogeneous),
+                 lambda: np.repeat(w, 2, axis=-1))
+    prod = np.ascontiguousarray(f).view(np.float64) \
+        * np.ascontiguousarray(g).view(np.float64)
+    prod *= w2
+    return _scalar(prod.sum(axis=grid.axes))
+
+
 def hs_inner(grid, f, g, s):
-    w = _weight(grid, s)
-    return _scalar((w * f * np.conj(g)).sum(axis=grid.axes).real)
+    return _inner(grid, f, g, s, False)
 
 
 def homogeneous_inner(grid, f, g, s):
-    w = _weight(grid, s, homogeneous=True)
-    return _scalar((w * f * np.conj(g)).sum(axis=grid.axes).real)
+    return _inner(grid, f, g, s, True)
 
 
 def sup_norm(grid, c):
@@ -476,5 +585,8 @@ def lipschitz_bound(grid, c):
     """sum over every row and mode of (1+|k|)|coeff(k)|, as a float, with
     no transform: it bounds sup|f| + sup|grad f| of each row f, summed over
     the rows, since |f(x)| <= sum_k |coeff(k)| and grad has the symbol i*k."""
-    w = _symbol(grid, ("lipschitz_bound",), lambda: 1.0 + np.sqrt(grid.ksq))
+    def build():
+        w = 1.0 + np.sqrt(grid.ksq)
+        return w * _counts(grid) if grid.dim == 2 else w
+    w = _symbol(grid, ("lipschitz_bound",), build)
     return float(np.sum(np.abs(c) * w))

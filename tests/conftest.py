@@ -6,16 +6,36 @@ import pytest
 FFT_ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft",
                     "irfft", "fft2", "ifft2")
 
+# the real passes of a 2D transform of a real field
+REAL_PASSES = ("rfft", "irfft")
+
+
+class TransformLog(list):
+    """One entry per transform, the size of the larger of its input and
+    output (in points).  A 2D transform of a real field is two numpy calls
+    (spectral._forward and _inverse): a complex pass along the first grid
+    axis (fftn or ifftn), which is the entry, and a real pass along the last
+    (rfft or irfft), which real_passes records."""
+
+    def __init__(self):
+        super().__init__()
+        self.real_passes = []
+
+    def clear(self):
+        super().clear()
+        self.real_passes.clear()
+
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A list that gains, per call of any numpy.fft entry point, the size of
-    the larger of its input and output (in points)."""
-    calls = []
+    """A TransformLog of every numpy.fft call made while the test runs."""
+    calls = TransformLog()
     for name in FFT_ENTRY_POINTS:
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+        log = calls.real_passes if name in REAL_PASSES else calls
+
+        def counted(*args, _fn=getattr(np.fft, name), _log=log, **kwargs):
             out = _fn(*args, **kwargs)
-            calls.append(max(np.size(args[0]), out.size))
+            _log.append(max(np.size(args[0]), out.size))
             return out
         monkeypatch.setattr(np.fft, name, counted)
     return calls

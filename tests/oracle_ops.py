@@ -18,8 +18,17 @@ the boundary adapts: package states go in (operator()), checked states
 that add (as the parent's did) and coefficient arrays come out, and the
 package's lie_derivative is called through a wrapper.  xi_helpers.fft_lie
 hands fft_lie_derivative the arrays a field was built from.
+
+The bodies work on the whole spectrum, as the package did before a 2D
+field became its half spectrum.  So on a 2D grid the boundary also hands
+the bodies parent_grid(grid), the parent's Grid (the wavenumber tables of
+the whole n x n spectrum), and package states on their whole spectrum
+(full_spectrum); and the lie_derivative wrapper runs the parent's 2D L_xi,
+its stencil sum on the whole spectrum (kept below verbatim), on the
+stencil of the package's field.
 """
 
+import itertools
 import types
 
 import numpy as np
@@ -27,6 +36,7 @@ import numpy as np
 from saltpde import lie as _lie
 from saltpde import models as _models
 from saltpde.solver import chi_cutoff
+from saltpde.spectral import full_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +171,39 @@ def product_with_values(values_banded, G):
 # ---------------------------------------------------------------------------
 # boundary adapters
 
+class _ParentGrid:
+    """The parent's 2D Grid: a package grid's attributes, with the
+    wavenumber tables of its whole n x n spectrum (Grid.full)."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        for name in ("n", "dim", "shape", "axes", "n_total", "x", "dx",
+                     "kmax_dealias"):
+            setattr(self, name, getattr(grid, name))
+        full = grid.full
+        self.k_axes, self.ksq, self.inv_absk = full.k_axes, full.ksq, full.inv_absk
+        self.dealias_keep, self.not_nyquist = full.dealias_keep, full.not_nyquist
+
+    def compatible(self, other):
+        return self.n == other.n and self.dim == other.dim
+
+
+def parent_grid(grid):
+    """The grid the frozen bodies take: a 1D package grid as it is, a 2D one
+    as the parent's whole-spectrum Grid."""
+    return grid if grid.dim == 1 else _ParentGrid(grid)
+
+
+def _package_grid(grid):
+    return getattr(grid, "grid", grid)
+
+
 class _StateView:
     """A package state seen through the parent's SpectralField row views."""
 
     def __init__(self, X):
-        self.kind, self.grid, self.coeffs = X.kind, X.grid, X.coeffs
+        self.kind, self.grid = X.kind, parent_grid(X.grid)
+        self.coeffs = full_spectrum(X.grid, X.coeffs)
 
     @property
     def fields(self):
@@ -188,8 +226,11 @@ class _State:
     g and g_eps use."""
 
     def __init__(self, kind, grid, coeffs):
-        state = _models.ModelState(kind, grid, coeffs)
-        self.kind, self.grid, self.coeffs = state.kind, state.grid, state.coeffs
+        # the package checks the half spectrum; the state keeps the whole
+        pkg = _package_grid(grid)
+        state = _models.ModelState(kind, pkg, coeffs[..., :pkg.spec_shape[-1]])
+        self.kind, self.grid = state.kind, grid
+        self.coeffs = np.array(coeffs, dtype=np.complex128)
 
     def __add__(self, other):
         if other.kind != self.kind:
@@ -203,11 +244,63 @@ def ModelState(kind, fields):
 
 
 def lie_derivative(xi, F):
+    if F.grid.dim == 2:
+        return SpectralField(F.grid, _parent_lie_2d(F.grid, xi._stencil, F.coeffs))
     return SpectralField(F.grid, _lie.lie_derivative(xi, F.coeffs))
 
 
 def lie_second(xi, F):
+    if F.grid.dim == 2:
+        return lie_derivative(xi, lie_derivative(xi, F))
     return SpectralField(F.grid, _lie.lie_second(xi, F.coeffs))
+
+
+# the parent's 2D L_xi (spectral.product_with_values and its three steps on
+# the whole spectrum), verbatim
+
+def _overlap(s, w):
+    """(output, input) slices of the rows i and i - s that both lie in
+    range(w): a shift by s with nothing wrapped around."""
+    return slice(max(0, s), w + min(0, s)), slice(max(0, -s), w - max(0, s))
+
+
+def _band_parts(grid):
+    # (block, fft index) slices along one axis of the band's wavenumbers
+    # -K..-1 and 0..K, K = n//3
+    n, K = grid.n, grid.kmax_dealias
+    return ((slice(0, K), slice(n - K, n)),
+            (slice(K, 2 * K + 1), slice(0, K + 1)))
+
+
+def gather_band(grid, c):
+    w = 2 * grid.kmax_dealias + 1
+    block = np.empty(c.shape[:-2] + (w, w), dtype=np.complex128)
+    for (b1, f1), (b2, f2) in itertools.product(_band_parts(grid), repeat=2):
+        block[..., b1, b2] = c[..., f1, f2]
+    return block
+
+
+def stencil_sum(grid, stencil, block):
+    K = grid.kmax_dealias
+    w = 2 * K + 1
+    kb = np.arange(-K, K + 1.0)
+    acc = np.zeros(block.shape, dtype=np.complex128)
+    for (s1, s2), (a1, a2) in stencil:
+        (o1, i1), (o2, i2) = _overlap(s1, w), _overlap(s2, w)
+        sym = (1j * a1) * kb[o1, None] + (1j * a2) * kb[o2]
+        acc[..., o1, o2] += sym * block[..., i1, i2]
+    return acc
+
+
+def scatter_band(grid, block):
+    out = np.zeros(block.shape[:-2] + grid.shape, dtype=np.complex128)
+    for (b1, f1), (b2, f2) in itertools.product(_band_parts(grid), repeat=2):
+        out[..., f1, f2] = block[..., b1, b2]
+    return out
+
+
+def _parent_lie_2d(grid, stencil, c):
+    return scatter_band(grid, stencil_sum(grid, stencil, gather_band(grid, c)))
 
 
 # the bodies call the multiplier as sp.apply_multiplier

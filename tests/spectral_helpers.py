@@ -6,11 +6,15 @@ grid first, the trailing grid.dim axes are the grid.
 
 import numpy as np
 
-from saltpde.spectral import has_mean, hs_inner, mollifier_symbol
+from saltpde.spectral import full_spectrum, has_mean, hs_inner, mollifier_symbol
 
 
 def hermitian_defect(grid, c):
-    """Max |coeff(-k) - conj(coeff(k))|; ~1e-16 for transforms of real data."""
+    """Max |coeff(-k) - conj(coeff(k))| over the whole spectrum; ~1e-16 for
+    transforms of real data.  A 2D half spectrum holds both k and -k only
+    on its columns k2 = 0 and -n/2 (full_spectrum fills in the rest from
+    conjugate symmetry), so there it reads those columns."""
+    c = full_spectrum(grid, c)
     flipped = np.conj(c[(Ellipsis,) + (np.s_[::-1],) * grid.dim])
     flipped = np.roll(flipped, 1, axis=grid.axes)
     return float(np.max(np.abs(c - flipped)))
@@ -23,7 +27,7 @@ def homogeneous_multiplier(grid, c, s):
     if s < 0 and has_mean(grid, c):
         raise ValueError("Lambda^s with s < 0 needs a zero-mean field")
     absk = np.sqrt(grid.ksq)
-    mult = np.zeros(grid.shape)
+    mult = np.zeros(grid.spec_shape)
     nz = absk > 0
     mult[nz] = absk[nz] ** s
     return c * mult

@@ -3,7 +3,8 @@
 perfbench/spans.py wraps the public functions of each layer module and the
 functions in each ``*Ops`` class's own ``vars()``; a workload whose expected
 span names something else fails only in a traced benchmark run.  This check
-reads the same names without running anything.
+reads the same names without running anything.  The numpy.fft names a
+workload expects are checked by running its 2D paths with numpy.fft wrapped.
 """
 
 import importlib
@@ -19,12 +20,16 @@ WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "work
 NOT_PACKAGE = ("numpy.fft.", "cli.open(w)")
 
 
-def expected_spans():
+def workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)     # imports only the standard library
+    return module
+
+
+def expected_spans():
     names = set()
-    for obj in vars(module).values():
+    for obj in vars(workloads()).values():
         if inspect.isclass(obj):
             names.update(getattr(obj, "expected_spans", ()))
     return sorted(n for n in names if not n.startswith(NOT_PACKAGE))
@@ -94,12 +99,12 @@ def test_sqg_heun_step_reaches_product_with_values(monkeypatch):
 
 def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     # the sqg_heun workload expects spectral.to_grid and
-    # spectral.dealiased_product; the paired transforms of the transport
-    # term, v_norm and max_velocity must go through those two functions at
-    # their module bindings, not through a helper beside them.  A step
-    # handed no V-norm decides chi_R from a coefficient bound at R = 1e6
-    # (no to_grid call); with R below that bound it calls v_norm on X and
-    # on the predictor, 3 to_grid calls each
+    # spectral.dealiased_product; the transforms of the transport term,
+    # v_norm and max_velocity must go through those two functions at their
+    # module bindings, not through a helper beside them.  A step handed no
+    # V-norm decides chi_R from a coefficient bound at R = 1e6 (no to_grid
+    # call); with R below that bound it calls v_norm on X and on the
+    # predictor, 1 to_grid call each
     import numpy as np
 
     from saltpde import spectral
@@ -116,12 +121,12 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
     assert len(counts["dealiased_product"]) == 2 and len(to_grid_calls) == 0
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 2.0)
-    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 6
+    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 2
     to_grid_calls.clear()
     ops.v_norm(X)
-    assert len(to_grid_calls) == 3
+    assert len(to_grid_calls) == 1
     ops.max_velocity(X)
-    assert len(to_grid_calls) == 4
+    assert len(to_grid_calls) == 2
 
 
 def assert_sqg_g_reaches_stencil_sum(monkeypatch):
@@ -151,3 +156,68 @@ def test_stencil_sum_check_fails_on_a_private_helper(monkeypatch):
     monkeypatch.setattr(lie, "stencil_sum", _stencil_sum)
     with pytest.raises(AssertionError):
         assert_sqg_g_reaches_stencil_sum(monkeypatch)
+
+
+def numpy_fft_calls(monkeypatch):
+    """Wrap every numpy.fft entry point the tracer wraps; returns the dict
+    of call counts by name."""
+    import numpy as np
+    from conftest import FFT_ENTRY_POINTS
+    counts = dict.fromkeys(FFT_ENTRY_POINTS, 0)
+    for name in FFT_ENTRY_POINTS:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def assert_2d_paths_reach_expected_numpy_fft(monkeypatch):
+    # the traced benchmark expects every numpy.fft name in a workload's
+    # expected_spans to be called, and expected_spans() above skips those
+    # names; so one sqg Heun step (sqg_heun) and one 2D growth sample
+    # (estimate_lab) run with numpy.fft wrapped, and each must reach every
+    # numpy.fft name its workload expects
+    import numpy as np
+
+    from saltpde.estimates import corpus_banks, corpus_state, growth_ratios
+    from saltpde.solver import step_strat_heun
+    module = workloads()
+    want = {w: sorted(n[len("numpy.fft."):] for n in cls.expected_spans
+                      if n.startswith("numpy.fft."))
+            for w, cls in (("sqg_heun", module.SqgHeun),
+                           ("estimate_lab", module.EstimateLab))}
+    assert want["sqg_heun"] and want["estimate_lab"]
+    ops, X = sqg_setup()
+    Y = corpus_state("sqg", ops.grid, 4.5, corpus_banks(2, 1, 17, 2)[0])
+    counts = numpy_fft_calls(monkeypatch)
+    for workload, run in (
+            ("sqg_heun", lambda: step_strat_heun(X, ops, np.full(4, 0.01),
+                                                 1e-3, 1e6)),
+            ("estimate_lab", lambda: growth_ratios(
+                ops, Y, ops.x_inner(Y, Y), ops.v_norm(Y)))):
+        for name in counts:
+            counts[name] = 0
+        run()
+        assert [n for n in want[workload] if not counts[n]] == [], workload
+
+
+def test_2d_paths_reach_expected_numpy_fft(monkeypatch):
+    assert_2d_paths_reach_expected_numpy_fft(monkeypatch)
+
+
+def test_numpy_fft_check_fails_on_a_2d_irfftn(monkeypatch):
+    # positive control: a 2D inverse transform made by one irfftn call
+    # (the same samples) no longer reaches numpy.fft.ifftn
+    import numpy as np
+
+    from saltpde import spectral
+    inverse = spectral._inverse
+
+    def _inverse(grid, z):
+        if grid.dim == 1:
+            return inverse(grid, z)
+        return np.fft.irfftn(z, s=grid.shape, axes=grid.axes)
+    monkeypatch.setattr(spectral, "_inverse", _inverse)
+    with pytest.raises(AssertionError):
+        assert_2d_paths_reach_expected_numpy_fft(monkeypatch)

@@ -284,6 +284,33 @@ def test_simulate_save_states(tmp_path):
     assert "theta 1 0 " in snap
 
 
+def test_sqg_snapshot_holds_the_whole_spectrum(tmp_path):
+    # an sqg state holds its half spectrum; its snapshot keeps one row per
+    # mode of the n x n grid in fft order, the k2 < 0 rows the conjugates
+    # of the k2 > 0 ones, and the held rows the state's own coefficients
+    from saltpde.solver import run_path
+    text = ("model = sqg\nn = 16\ndt = 1e-3\nt_end = 0.003\nseed = 4\n"
+            "noise_k = 2\nscheme = strat_heun\nic = random\nic_amplitude = 0.5\n"
+            "save_states = 1\nout = %s\n" % (tmp_path / "st"))
+    spec = parse_config(write_config(tmp_path, text), command="simulate")
+    cmd_simulate(spec)
+    lines = (tmp_path / "st" / "state_4.txt").read_text().splitlines()
+    assert lines[:2] == ["# model = sqg", "field k1 k2 re im"]
+    rows = [line.split() for line in lines[2:]]
+    k = np.fft.fftfreq(16, 1.0 / 16).astype(int)
+    assert [(int(r[1]), int(r[2])) for r in rows] == \
+        [(k1, k2) for k1 in k for k2 in k]
+    assert {r[0] for r in rows} == {"theta"}
+    coeff = {(int(r[1]), int(r[2])): complex(float(r[3]), float(r[4]))
+             for r in rows}
+    X = run_path(spec.sim).final_state[0]
+    for i1, k1 in enumerate(k):
+        for i2, k2 in enumerate(k[:9]):
+            assert coeff[k1, k2] == X[i1, i2]
+            if 0 < k2 < 8:
+                assert coeff[-k1 if k1 != -8 else -8, -k2] == np.conj(X[i1, i2])
+
+
 def test_converge_eps_ladder_bandlimited_identity(tmp_path):
     # all mollifiers act as the identity on far-bandlimited data: distances 0
     text = """

@@ -292,3 +292,62 @@ def test_summary_table():
     reps = run_estimates(["log_interpolation"])
     table = summary_table(reps)
     assert "log_interpolation" in table
+
+
+def per_eps_growth_ratios(ops, X):
+    """growth_ratios with its norms taken per call and one h_eps_k call per
+    index, as it was formed before the norms moved out of the eps loop."""
+    xn2 = ops.x_inner(X, X)
+    v = ops.v_norm(X)
+    lhs_energy = 2.0 * ops.x_inner(ops.g_eps(X), X)
+    lhs_pair = 0.0
+    for k in range(ops.basis.K):
+        h = ops.h_eps_k(X, k)
+        lhs_energy += ops.x_inner(h, h)
+        lhs_pair += ops.x_inner(h, X) ** 2
+    return lhs_energy / ((1.0 + v) * xn2), lhs_pair / ((1.0 + v) * xn2 * xn2)
+
+
+@pytest.mark.parametrize("model", ["sch2", "ccf", "sqg"])
+def test_growth_takes_each_states_norms_once(model, monkeypatch):
+    # x_inner(X, X) and v_norm(X) do not depend on eps, so check_growth
+    # takes them once per state and rung (one v_norm call per state, not
+    # one per state and eps), and each ratio is the per-eps one bit for bit
+    from saltpde.estimates import growth_ratios
+    from saltpde.models import make_ops
+    from saltpde.noise import build_basis
+    dim, n = (2, 32) if model == "sqg" else (1, 64)
+    ops_class = type(make_ops(model, Grid(n, dim=dim), E.DEFAULT_S[model],
+                              build_basis(Grid(n, dim=dim), 2, 8.0), 0.5))
+    v_norm, calls = ops_class.v_norm, []
+    monkeypatch.setattr(ops_class, "v_norm",
+                        lambda self, X: calls.append(1) or v_norm(self, X))
+    resolutions, eps_list = (n, 2 * n), (0.5, 0.125)
+    check_growth(model, resolutions=resolutions, corpus_count=2,
+                 eps_list=eps_list, K=3)
+    assert len(calls) == len(resolutions) * 2
+    g = Grid(n, dim=dim)
+    s = E.DEFAULT_S[model]
+    basis = build_basis(g, 3, s + 2.0)
+    for banks in corpus_banks(dim, 2, 17, per_state=2,
+                              kmax=corpus_kmax(max(resolutions))):
+        X = corpus_state(model, g, s, banks)
+        for eps in eps_list:
+            ops = make_ops(model, g, s, basis, eps)
+            got = growth_ratios(ops, X, ops.x_inner(X, X), ops.v_norm(X))
+            assert got == per_eps_growth_ratios(ops, X)
+
+
+@pytest.mark.parametrize("kmax", [0, 5, 155, 512])
+def test_2d_bank_draws_blockwise_what_one_draw_keeps(kmax):
+    # a 2D bank draws each part in blocks of rows into one buffer and keeps
+    # the rows it needs: the kept values are those of one whole draw of
+    # each part, in the same order, and the generator ends where it would
+    bank_rng, whole_rng = np.random.default_rng(61), np.random.default_rng(61)
+    bank = CoefficientBank(2, bank_rng, kmax=kmax)
+    kbig = E._KBIG
+    rows = np.s_[kbig - kmax:kbig + kmax + 1, :kmax + 1]
+    re = whole_rng.standard_normal((2 * kbig + 1, kbig + 1))[rows]
+    im = whole_rng.standard_normal((2 * kbig + 1, kbig + 1))[rows]
+    assert bank.raw.tobytes() == (re + 1j * im).tobytes()
+    assert bank_rng.standard_normal() == whole_rng.standard_normal()

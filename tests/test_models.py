@@ -8,13 +8,13 @@ from saltpde.lie import VectorFieldXi, lie_derivative
 from saltpde.models import ModelState, make_initial_state, make_ops
 from saltpde.noise import NoiseBasis, build_basis_1d, build_basis_sqg, constant_basis_1d
 from saltpde.spectral import (Grid, dealiased_product, derivative,
-                              from_values, mollifier_symbol, sobolev_norm,
-                              sup_norm, to_grid, zero_field)
+                              from_values, full_spectrum, mollifier_symbol,
+                              sobolev_norm, sup_norm, to_grid, zero_field)
 from spectral_helpers import hermitian_defect, l2_inner, mollify_j
 
 
 def band_field(grid, rng, kmax, zero_mean=True):
-    c = np.zeros(grid.shape, dtype=np.complex128)
+    c = zero_field(grid)
     if grid.dim == 1:
         k = np.arange(1, kmax + 1)
         c[k] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
@@ -23,7 +23,7 @@ def band_field(grid, rng, kmax, zero_mean=True):
         band = (absk > 0) & (absk <= kmax)
         c[band] = rng.standard_normal(int(band.sum())) \
             + 1j * rng.standard_normal(int(band.sum()))
-    vals = np.real(np.fft.ifftn(c * grid.n_total))
+    vals = to_grid(grid, c)
     return from_values(grid, vals / max(np.max(np.abs(vals)), 1e-30))
 
 
@@ -138,9 +138,11 @@ def sqg_parent_formulas(grid, theta, jhat=None, dtype=np.float64):
     The transport term is -J(u1*d1 theta + u2*d2 theta) of J theta (J = 1
     when jhat is None), one inverse transform per real field and the two
     dealiased products summed in coefficient space; the V-norm takes one
-    transform per row.  At float64 it is the frozen oracle's transport bit
-    for bit; at longdouble (numpy transforms clongdouble natively, epsilon
-    1.1e-19) it is the yardstick the float64 operators are measured by.
+    transform per row.  grid is the parent's (oracle_ops.parent_grid), and
+    theta and jhat are given on the whole spectrum.  At float64 it is the
+    frozen oracle's transport bit for bit; at longdouble (numpy transforms
+    clongdouble natively, epsilon 1.1e-19) it is the yardstick the float64
+    operators are measured by.
     """
     n_total, keep, nyq = grid.n_total, grid.dealias_keep, grid.not_nyquist
     k = [np.asarray(ka, dtype=dtype) for ka in grid.k_axes]
@@ -186,26 +188,35 @@ def long_double_error(got, ref):
     return float(np.max(np.abs(np.asarray(got, dtype=np.clongdouble) - ref)))
 
 
-# the sqg operators whose transport term pairs two real fields per
-# transform: measured against the long-double yardstick, not the old bits
-SQG_PAIRED = ("g_transport", "g", "g_eps_transport", "g_eps")
+# the sqg operators with a transport term: measured against the
+# long-double yardstick, not the old bits
+SQG_TRANSPORT = ("g_transport", "g", "g_eps_transport", "g_eps")
+
+# the sqg Ito sum on the half spectrum reads the modes k2 < 0 of its first
+# L_k terms as conjugates, where the oracle reads the terms it formed on
+# the whole spectrum: measured 1.5e-19 relative to the largest coefficient
+# at 64^2 (each h^k, one L_k of an exactly Hermitian state, is bit for bit)
+SQG_ITO_RTOL = 1e-15
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.0625])
 @pytest.mark.parametrize("model", ["sch2", "ccf", "sqg"])
 def test_operators_match_frozen_oracle(model, eps):
-    # the shared core reproduces the per-model operators bit for bit; the
-    # sqg transport term (and g, g_eps through it) transforms its real
-    # fields in pairs, so there it must be no farther from the long-double
-    # evaluation of the frozen formulas than the oracle is, max over the
-    # corpus
+    # the shared core reproduces the per-model operators bit for bit.  An
+    # sqg state is its half spectrum, which the oracle takes on the whole
+    # spectrum: its Ito sum agrees to SQG_ITO_RTOL, and its transport term
+    # (and g, g_eps through it) takes real transforms, so there it must be
+    # no farther from the long-double evaluation of the frozen formulas
+    # than the oracle is, max over the corpus
     import oracle_ops
     from saltpde.estimates import corpus_banks, corpus_state
     g, ops, s = model_setup(model, n=128 if model != "sqg" else 64, K=4,
                             eps=eps)
-    oracle = getattr(oracle_ops, type(ops).__name__)(g, s, ops.basis, eps)
+    pg = oracle_ops.parent_grid(g)
+    oracle = getattr(oracle_ops, type(ops).__name__)(pg, s, ops.basis, eps)
     calls = [(name, ()) for name in OPERATORS] + [
         (name, (k,)) for name in NOISE_OPERATORS for k in range(ops.basis.K)]
+    half = g.spec_shape[-1]
     errors = {}
     for banks in corpus_banks(g.dim, 3, seed=29, per_state=2):
         X = corpus_state(model, g, s, banks)
@@ -214,40 +225,54 @@ def test_operators_match_frozen_oracle(model, eps):
             got = getattr(ops, name)(X, *args)
             want = oracle_ops.operator(oracle, name, state, *args)
             assert type(got) is np.ndarray and want.kind == model
-            if model == "sqg" and name in SQG_PAIRED:
+            assert want.coeffs.shape[:-1] == got.shape[:-1]
+            want = want.coeffs[..., :half]
+            if model == "sqg" and name in SQG_TRANSPORT:
                 mollified = "eps" in name
-                ref = sqg_parent_formulas(g, X[0], mollifier_symbol(g, eps)
-                                          if mollified else None,
-                                          np.longdouble)[0]
+                ref = sqg_parent_formulas(
+                    pg, full_spectrum(g, X[0]),
+                    oracle_ops.mollifier_symbol(pg, eps) if mollified else None,
+                    np.longdouble)[0][..., :half]
                 if name in ("g", "g_eps"):
                     ito = "ito_correction_eps" if mollified else "ito_correction"
-                    ref = ref + oracle_ops.operator(oracle, ito, state).coeffs[0]
-                for side, out in (("package", got[0]), ("oracle", want.coeffs[0])):
+                    ref = ref + oracle_ops.operator(
+                        oracle, ito, state).coeffs[0, :, :half]
+                for side, out in (("package", got[0]), ("oracle", want[0])):
                     errors[name, side] = max(errors.get((name, side), 0.0),
                                              long_double_error(out, ref))
-                continue
-            for a, b in zip(got, want.coeffs, strict=True):
-                assert np.array_equal(a, b), (name, args)
-    for name in SQG_PAIRED if model == "sqg" else ():
+            elif model == "sqg" and name == "ito_correction":
+                assert np.max(np.abs(got - want)) \
+                    <= SQG_ITO_RTOL * np.max(np.abs(want)), (name, args)
+            else:
+                for a, b in zip(got, want, strict=True):
+                    assert np.array_equal(a, b), (name, args)
+    for name in SQG_TRANSPORT if model == "sqg" else ():
         assert errors[name, "package"] <= errors[name, "oracle"], \
             (name, errors[name, "package"], errors[name, "oracle"])
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
 def test_sqg_paired_transforms_no_farther_from_long_double(n):
-    # the transport term, V-norm and max velocity pair two real fields per
-    # transform; over the corpus, none may be farther from the long-double
-    # evaluation of the frozen formulas than those formulas in float64.
-    # Positive control: the same pairs without the Hermitian projection of
-    # theta leak each field's anti-Hermitian round-off into its partner,
-    # which must show as a transport error beyond the bound
+    # the transport term, V-norm and max velocity take their real fields
+    # through real transforms of the half spectrum (where the parent paired
+    # two fields per complex transform); over the corpus, none may be
+    # farther from the long-double evaluation of the frozen formulas than
+    # those formulas in float64, the transport term measured on the half
+    # spectrum.  The V-norm and max velocity are single floats whose errors
+    # sit at one ulp of the value, where either route wins by rounding luck
+    # (max velocity at 128^2: 6.6e-17 against 2.3e-17 for the formulas and
+    # 3.3e-17 for the parent's paired route, at a value of 0.25 with an ulp
+    # of 5.6e-17), so they may exceed the formulas' error by one ulp.
+    # Positive control: the same route on theta rounded to single precision
+    # must show as a transport error far beyond the bound
     import oracle_ops
     from saltpde.estimates import corpus_banks, corpus_state
-    from saltpde.spectral import gradient, riesz_perp
     eps = 0.0625
     g, ops, s = model_setup("sqg", n=n, K=4, eps=eps)
-    oracle = oracle_ops.SqgOps(g, s, ops.basis, eps)
-    errors = {}
+    pg = oracle_ops.parent_grid(g)
+    oracle = oracle_ops.SqgOps(pg, s, ops.basis, eps)
+    half = g.spec_shape[-1]
+    errors, ulp = {}, {}
 
     def record(name, side, got, ref):
         errors[name, side] = max(errors.get((name, side), 0.0),
@@ -255,31 +280,29 @@ def test_sqg_paired_transforms_no_farther_from_long_double(n):
 
     for banks in corpus_banks(2, 3, seed=29, per_state=2):
         X = corpus_state("sqg", g, s, banks)
-        theta = X[0]
+        theta = full_spectrum(g, X[0])
+        single = X.astype(np.complex64).astype(np.complex128)
         for name, jhat in (("g_transport", None),
-                           ("g_eps_transport", mollifier_symbol(g, eps))):
-            parent = sqg_parent_formulas(g, theta, jhat)[0]
+                           ("g_eps_transport", oracle_ops.mollifier_symbol(pg, eps))):
+            parent = sqg_parent_formulas(pg, theta, jhat)[0]
             frozen = oracle_ops.operator(oracle, name, ModelState("sqg", g, X))
             assert np.array_equal(parent, frozen.coeffs[0]), name
-            ref = sqg_parent_formulas(g, theta, jhat, np.longdouble)[0]
+            ref = sqg_parent_formulas(pg, theta, jhat, np.longdouble)[0][:, :half]
             record(name, "package", getattr(ops, name)(X)[0], ref)
-            record(name, "parent", parent, ref)
-            c = theta if jhat is None else theta * jhat
-            unprojected = dealiased_product(g, riesz_perp(g, c), gradient(g, c))
-            if jhat is not None:
-                unprojected = unprojected * jhat
-            record(name, "unprojected", unprojected * -1.0, ref)
-        parent = sqg_parent_formulas(g, theta)
-        ref = sqg_parent_formulas(g, theta, None, np.longdouble)
+            record(name, "parent", parent[:, :half], ref)
+            record(name, "single", getattr(ops, name)(single)[0], ref)
+        parent = sqg_parent_formulas(pg, theta)
+        ref = sqg_parent_formulas(pg, theta, None, np.longdouble)
         for i, name in ((1, "v_norm"), (2, "max_velocity")):
             record(name, "package", getattr(ops, name)(X), ref[i])
             record(name, "parent", parent[i], ref[i])
+            ulp[name] = max(ulp.get(name, 0.0), float(np.spacing(parent[i])))
     for name in ("g_transport", "g_eps_transport", "v_norm", "max_velocity"):
-        assert errors[name, "package"] <= errors[name, "parent"], \
+        assert errors[name, "package"] <= errors[name, "parent"] + ulp.get(name, 0.0), \
             (name, errors[name, "package"], errors[name, "parent"])
     for name in ("g_transport", "g_eps_transport"):
-        assert errors[name, "unprojected"] > 2.0 * errors[name, "parent"], \
-            (name, errors[name, "unprojected"], errors[name, "parent"])
+        assert errors[name, "single"] > 1e3 * errors[name, "parent"], \
+            (name, errors[name, "single"], errors[name, "parent"])
 
 
 @pytest.mark.parametrize("K", [1, 2, 8])
@@ -678,7 +701,8 @@ def test_sqg_mean_and_skewness():
 def test_sqg_requires_divergence_free_basis():
     g = Grid(32, dim=2)
     x1, _ = g.nodes()
-    bad_xi = VectorFieldXi(g, [from_values(g, np.cos(x1)), from_values(g, 0 * x1)])
+    bad_xi = VectorFieldXi(g, [full_spectrum(g, from_values(g, np.cos(x1))),
+                               full_spectrum(g, from_values(g, 0 * x1))])
     bad = NoiseBasis([bad_xi])
     with pytest.raises(ValueError, match="divergence-free"):
         make_ops("sqg", g, 4.5, bad, 0.1)

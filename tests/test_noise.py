@@ -53,6 +53,31 @@ def test_sqg_basis_divergence_free():
     assert all(abs(a1) < 1e-13 for _, (a1, _) in basis.xis[0]._stencil)
 
 
+# sha256 of the stencils of build_basis_sqg(Grid(n, dim=2), 8, 6.5): every
+# shift and the float.hex of every coefficient, as formed on the whole
+# spectrum (revision 1eed7ca, before 2D states held their half spectrum)
+FROZEN_SQG_STENCILS = {
+    64: "0a542a3fe8a7cda4186e20af40a321a6e973098b3f32297016a41223714d723d",
+    256: "ec50573c8f897828484e8e3f5b2d8567f043e38794d2743a97e213f88c71df72",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_SQG_STENCILS))
+def test_sqg_stencils_are_frozen(n):
+    # the basis is built on the whole spectrum and hands L_xi only its
+    # stencil: at fine grids its normalisation is dominated by transform
+    # round-off (the xfail below), so any change to how psi is transformed
+    # moves growth_sqg and difference_sqg by O(1).  16 entries, both
+    # shifts +-m of each of the 8 fields
+    import hashlib
+    basis = build_basis_sqg(Grid(n, dim=2), 8, s_max=6.5)
+    entries = [(shift, [(a.real.hex(), a.imag.hex()) for a in coeffs])
+               for xi in basis.xis for shift, coeffs in xi._stencil]
+    assert len(entries) == 16
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == FROZEN_SQG_STENCILS[n]
+
+
 @pytest.mark.parametrize("n", [64, pytest.param(512, marks=pytest.mark.xfail(
     strict=True, reason="build_basis_sqg normalises xi_k by components_norm "
     "at s_max = 6.5, which also sums the from_values round-off of every mode "

@@ -343,7 +343,7 @@ def test_ccf_em_step_fft_budget(fft_calls):
 
 def per_step_transforms(fft_calls, run, **kw):
     """The transforms one more step adds to run(cfg) for the SimConfig kw."""
-    counts = []
+    counts, real = [], []
     for steps in (1, 2):
         cfg = SimConfig(t_end=steps * kw["dt"], **kw)
         assert np.all(sample_path(cfg.seed, cfg.dt, steps,
@@ -351,16 +351,21 @@ def per_step_transforms(fft_calls, run, **kw):
         fft_calls.clear()
         run(cfg)
         counts.append(len(fft_calls))
+        real.append(len(fft_calls.real_passes))
+    # a step's 1D transforms are one numpy call each, its 2D ones a complex
+    # and a real pass each
+    assert real[1] - real[0] in (0, counts[1] - counts[0])
     return counts[1] - counts[0]
 
 
 def test_sqg_heun_step_fft_budget(fft_calls):
     # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
-    # CFL check and its V-norm, makes 10 transforms: 3 for each of the two
-    # transport products (one per pair u, grad theta and one forward), 3
-    # for the monitor's v_norm and 1 for max_velocity; the noise operators
-    # make none.  The predictor's chi_R comes from its coefficient bound
-    # at R = 1e6; with R below that bound its v_norm runs, 3 more
+    # CFL check and its V-norm, makes 6 transforms: 2 for each of the two
+    # transport products (one inverse of u and grad theta, one forward of
+    # their dot product), 1 for the monitor's v_norm (five real fields) and
+    # 1 for max_velocity; the noise operators make none.  The predictor's
+    # chi_R comes from its coefficient bound at R = 1e6; with R below that
+    # bound its v_norm runs, 1 more
     kw = dict(model="sqg", n=64, dt=1e-3, s=4.5, noise_k=4, noise_s_max=6.5,
               seed=3, scheme="strat_heun", ic_amplitude=0.5)
     grid = Grid(64, dim=2)
@@ -370,8 +375,8 @@ def test_sqg_heun_step_fft_budget(fft_calls):
     def run(cfg):
         rec = run_path(cfg)
         assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
-    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == 10
-    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == 13
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == 6
+    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == 7
 
 
 def test_stability_step_pair_fft_budget(fft_calls):
@@ -416,7 +421,7 @@ def guard_corpus(model):
             bases.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         else:
             bases.append(corpus_state(model, grid, s, banks))
-        noise = from_values(grid, rng.standard_normal(shape))
+        noise = from_values(grid, rng.standard_normal(shape[:1] + grid.shape))
         noise *= grid.dealias_keep
         if model == "sqg":
             noise[..., 0, 0] = 0.0

@@ -3,22 +3,21 @@ import pytest
 
 from saltpde.spectral import (Grid, band_values, bessel_multiplier,
                               dealiased_product, derivative, from_values,
-                              hilbert_transform, lipschitz_norm,
+                              full_spectrum, hilbert_transform, lipschitz_norm,
                               mollify_helmholtz, riesz_perp, sobolev_norm,
-                              sup_norm, to_grid)
+                              sup_norm, to_grid, zero_field)
 from spectral_helpers import (grid_inner, hermitian_defect,
                               homogeneous_multiplier, l2_inner, mollify_j)
 
 
 def random_field(grid, rng, kmax=None):
     kmax = grid.kmax_dealias if kmax is None else kmax
-    c = np.zeros(grid.shape, dtype=np.complex128)
+    c = zero_field(grid)
     absk = np.sqrt(grid.ksq)
     band = (absk > 0) & (absk <= kmax)
     c[band] = rng.standard_normal(int(band.sum())) \
         + 1j * rng.standard_normal(int(band.sum()))
-    vals = np.real(np.fft.ifftn(c * grid.n_total))
-    return from_values(grid, vals)
+    return from_values(grid, to_grid(grid, c))
 
 
 def direct_dft(values):
@@ -330,43 +329,71 @@ def test_band_values_projection():
 
 
 @pytest.mark.parametrize("n, dim", [(64, 1), (32, 2)])
-def test_pairs_share_one_transform(n, dim, monkeypatch):
-    # a pair (a, b) of real fields goes through one complex transform of
-    # a + i*b; its samples and its dot product agree with the one-field
-    # calls to round-off, and hermitian_part makes the coefficients
-    # Hermitian exactly (a projection: applying it twice changes nothing)
-    from saltpde.spectral import hermitian_part
+def test_stacked_rows_share_one_transform(n, dim, fft_calls):
+    # the rows of a stack take one transform, each row's samples bit for
+    # bit those of a one-row call; a dot product of two stacks of vector
+    # components takes one inverse transform of all their rows and one
+    # forward transform of the summed products, and agrees with the sum of
+    # the one-field products to round-off
     g = Grid(n, dim=dim)
     rng = np.random.default_rng(13)
     a, b, f, h = (random_field(g, rng) for _ in range(4))
-    for c in (a, b, np.stack([a, b])):
-        p = hermitian_part(g, c)
-        assert hermitian_defect(g, p) == 0.0
-        assert np.array_equal(hermitian_part(g, p), p)
-        assert np.max(np.abs(p - c)) < 1e-15 * np.max(np.abs(c))
-    a, b = hermitian_part(g, a), hermitian_part(g, b)
-    calls = []
-    ifftn = np.fft.ifftn
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ifftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifftn", counted)
-    va, vb = to_grid(g, (a, b))
-    assert len(calls) == 1
-    for got, want in ((va, to_grid(g, a)), (vb, to_grid(g, b))):
-        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
-    bands = band_values(g, (a, b))
-    for got, want in zip(bands, (band_values(g, a), band_values(g, b))):
-        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
-    dot = dealiased_product(g, (a, b), (f, h))
+    fft_calls.clear()
+    va, vb = to_grid(g, np.stack([a, b]))
+    bands = band_values(g, np.stack([a, b]))
+    assert len(fft_calls) == 2
+    assert len(fft_calls.real_passes) == (2 if dim == 2 else 0)
+    assert np.array_equal(va, to_grid(g, a)) and np.array_equal(vb, to_grid(g, b))
+    for got, c in zip(bands, (a, b)):
+        assert np.array_equal(got, band_values(g, c))
+    fft_calls.clear()
+    dot = dealiased_product(g, np.stack([a, b]), np.stack([f, h]), dot=True)
+    assert len(fft_calls) == 2 and dot.shape == a.shape
     want = dealiased_product(g, a, f) + dealiased_product(g, b, h)
     assert np.max(np.abs(dot - want)) < 1e-14 * np.max(np.abs(want))
-    with pytest.raises(ValueError, match="two fields or two pairs"):
-        dealiased_product(g, (a, b), np.stack([f, h]))
     with pytest.raises(ValueError, match="non-finite"):
-        to_grid(g, (a, np.full_like(b, np.nan)))
+        to_grid(g, np.stack([a, np.full_like(b, np.nan)]))
+
+
+def test_half_spectrum_is_the_whole_one():
+    # a 2D field holds the columns k2 >= 0 of its whole spectrum: from_values
+    # gives them, full_spectrum fills in k2 < 0 by conjugate symmetry, and
+    # every norm, inner product and the coefficient bound counts the
+    # columns 0 < k2 < n/2 twice (the whole spectrum's sums to round-off)
+    from saltpde.spectral import (homogeneous_inner, homogeneous_norm,
+                                  hs_inner, lipschitz_bound, real_part)
+    g = Grid(32, dim=2)
+    rng = np.random.default_rng(21)
+    vals = rng.standard_normal((2,) + g.shape)
+    c = from_values(g, vals)
+    whole = np.fft.fftn(vals, axes=(-2, -1)) / g.n_total
+    assert c.shape == (2, 32, 17) and g.spec_shape == (32, 17)
+    assert np.max(np.abs(full_spectrum(g, c) - whole)) < 1e-16
+    assert hermitian_defect(g, c) < 1e-16
+    assert np.array_equal(full_spectrum(g, c)[..., :17], c)
+    assert np.max(np.abs(to_grid(g, c) - vals)) < 1e-14
+    full = g.full
+    w = (1.0 + full.ksq) ** 1.5
+    hw = np.zeros(g.shape)
+    hw[full.ksq > 0] = full.ksq[full.ksq > 0] ** 1.5
+    for got, want in (
+            (sobolev_norm(g, c, 1.5), np.sqrt((w * np.abs(whole) ** 2).sum((-2, -1)))),
+            (homogeneous_norm(g, c, 1.5),
+             np.sqrt((hw * np.abs(whole) ** 2).sum((-2, -1)))),
+            (hs_inner(g, c[0], c[1], 1.5), (w * whole[0] * np.conj(whole[1])).sum().real),
+            (homogeneous_inner(g, c[0], c[1], 1.5),
+             (hw * whole[0] * np.conj(whole[1])).sum().real),
+            (lipschitz_bound(g, c), np.sum((1.0 + np.sqrt(full.ksq)) * np.abs(whole)))):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0), (got, want)
+    # real_part: the half spectrum of the real part of the field of c
+    one_sided = zero_field(g)
+    one_sided[3, 0], one_sided[-2, 5], one_sided[0, 0] = 1 + 2j, 0.5j, 0.3 + 0.1j
+    x1, x2 = g.nodes()
+    field = ((1 + 2j) * np.exp(3j * x1) + 0.5j * np.exp(1j * (-2 * x1 + 5 * x2))
+             + (0.3 + 0.1j))
+    assert np.max(np.abs(to_grid(g, real_part(g, one_sided)) - field.real)) < 1e-14
+    with pytest.raises(ValueError, match="2D only"):
+        real_part(Grid(16), zero_field(Grid(16)))
 
 
 def test_multipliers_commute_pairwise():
@@ -443,7 +470,8 @@ def test_leading_axes_are_free(n, dim):
                 lambda c: lipschitz_norm(g, c),
                 lambda c: product_with_values(g, band_values(g, factor), c)]
     else:
-        stencil = VectorFieldXi(g, [factor, other])._stencil
+        stencil = VectorFieldXi(g, [full_spectrum(g, factor),
+                                    full_spectrum(g, other)])._stencil
         ops += [lambda c: riesz_perp(g, c),
                 lambda c: riesz_component(g, c, 0),
                 lambda c: product_with_values(g, stencil, c)]

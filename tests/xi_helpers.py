@@ -1,7 +1,8 @@
 """Noise fields together with the arrays they were built from.
 
 A VectorFieldXi keeps only what L_xi reads: the 2/3-band samples of xi and
-div(xi) in 1D, the stencil of xi's in-band modes in 2D.  A test that
+div(xi) in 1D, the stencil of xi's in-band modes in 2D.  It is built from
+component arrays on the whole spectrum (Grid.full), in 2D too.  A test that
 checks those (a norm, the stencil's shifts and coefficients, L_xi against
 the FFT route) takes its reference from the arrays the field was built
 from, so a wrong mode, sign or tolerance cut shows on one side only.
@@ -15,7 +16,7 @@ import pytest
 
 from saltpde import noise
 from saltpde.lie import VectorFieldXi
-from saltpde.spectral import derivative
+from saltpde.spectral import full_derivative, full_spectrum
 
 
 @contextlib.contextmanager
@@ -36,16 +37,20 @@ def built_from():
 
 
 def divergence(grid, comps):
-    """div(xi) of the component arrays comps."""
-    return sum(derivative(grid, c, axis) for axis, c in enumerate(comps))
+    """div(xi) of the component arrays comps, on the whole spectrum (the
+    layout a noise field takes its components in)."""
+    return sum(full_derivative(grid, c, axis) for axis, c in enumerate(comps))
 
 
 def fft_lie(grid, comps, f):
     """Coefficients of the frozen FFT-route L_xi f for the xi with
-    component arrays comps."""
+    component arrays comps, in f's layout: the route runs on the whole
+    spectrum, and of a 2D result the half spectrum is returned."""
     import oracle_ops
+    pg = oracle_ops.parent_grid(grid)
     xi = types.SimpleNamespace(
-        components=[oracle_ops.SpectralField(grid, c) for c in comps],
-        divergence=oracle_ops.SpectralField(grid, divergence(grid, comps)))
-    return oracle_ops.fft_lie_derivative(
-        xi, oracle_ops.SpectralField(grid, f)).coeffs
+        components=[oracle_ops.SpectralField(pg, c) for c in comps],
+        divergence=oracle_ops.SpectralField(pg, divergence(grid, comps)))
+    out = oracle_ops.fft_lie_derivative(
+        xi, oracle_ops.SpectralField(pg, full_spectrum(grid, f))).coeffs
+    return out[..., :grid.spec_shape[-1]]
