@@ -52,7 +52,7 @@ at once would raise the peak memory of the 512^2 estimate checks.
 import numpy as np
 
 from .spectral import (band_values, bessel_multiplier, dealiased_product,
-                       derivative, full_derivative, gather_band,
+                       derivative, gather_band,
                        product_with_values, scatter_band, stencil_sum)
 
 # a 2D stencil keeps the modes where a component exceeds this fraction of
@@ -78,7 +78,7 @@ class VectorFieldXi:
             raise ValueError("expected %d components of shape %r"
                              % (grid.dim, grid.shape))
         self.grid = grid
-        div = sum(full_derivative(grid, c, axis)
+        div = sum(derivative(grid.full, c, axis)
                   for axis, c in enumerate(comps))
         self.max_divergence = float(np.max(np.abs(div)))
         if grid.dim == 1:

@@ -21,7 +21,7 @@ sch2, the single row theta otherwise.  A 1D row holds all n coefficients,
 an sqg row its half spectrum, the (n, n//2+1) columns k2 >= 0 of the
 n x n spectrum (see spectral): its norms count each column 0 < k2 < n/2
 twice, its L_xi reads the modes k2 < 0 as conjugates, and its transforms
-are real.  Operators, norms and steppers take and return these plain
+are real (the V-norm and max velocity excepted: _sup_length).  Operators, norms and steppers take and return these plain
 arrays; each operator checks the shape it is given against its own model
 and grid.  ModelState(kind, grid, rows) is the one checked entry for
 states from outside (kind, grid dimension, row shape, sqg zero mean):
@@ -41,11 +41,11 @@ import numpy as np
 
 from . import spectral as sp
 from .lie import ito_correction, lie_derivative
-from .spectral import (dealiased_product, derivative, gradient, has_mean,
-                       hilbert_transform, hs_inner, homogeneous_inner,
-                       homogeneous_norm, lipschitz_norm, mollifier_symbol,
-                       real_part, riesz_component, riesz_perp, sobolev_norm,
-                       sup_norm, to_grid, zero_field)
+from .spectral import (dealiased_product, derivative, full_spectrum,
+                       gradient, has_mean, hilbert_transform, hs_inner,
+                       homogeneous_inner, homogeneous_norm, lipschitz_norm,
+                       mollifier_symbol, real_part, riesz_component,
+                       riesz_perp, sobolev_norm, sup_norm, to_grid, zero_field)
 
 FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
                "sqg": ("theta",), "linear": ("theta",)}
@@ -408,24 +408,38 @@ class SqgOps(_FluidOps):
         return homogeneous_norm(self.grid, self._theta(X), self.s - 2.0)
 
     def v_norm(self, X):
-        # sup|grad theta| + sup|R grad theta| on the grid nodes.  R_1 d_2 theta
-        # and R_2 d_1 theta have one symbol, so |R grad theta|^2 is
-        # r11^2 + 2 r12^2 + r22^2: five real fields in one transform
+        # sup|grad theta| + sup|R grad theta| on the grid nodes, the Riesz
+        # part from R_i d_j theta for every i, j
         g = self.grid
-        d1, d2 = gradient(g, self._theta(X))
-        v1, v2, r11, r12, r22 = to_grid(g, np.stack([
-            d1, d2, riesz_component(g, d1, 0), riesz_component(g, d2, 0),
-            riesz_component(g, d2, 1)]))
-        # (sqrt is correctly rounded, so monotone: the sqrt of the max is
-        # the max of the sqrt)
-        out = float(np.sqrt(np.max(v1 * v1 + v2 * v2)))
-        acc = r11 * r11 + 2.0 * (r12 * r12) + r22 * r22
-        return out + float(np.sqrt(np.max(acc)))
+        grad = gradient(g, self._theta(X))
+        return _sup_length(g, grad) + _sup_length(
+            g, (riesz_component(g, d, axis) for d in grad for axis in (0, 1)))
 
     def max_velocity(self, X):
-        g = self.grid
-        v1, v2 = to_grid(g, np.stack(riesz_perp(g, self._theta(X))))
-        return float(np.sqrt(np.max(v1 * v1 + v2 * v2)))
+        return _sup_length(self.grid, riesz_perp(self.grid, self._theta(X)))
+
+
+def _sup_length(grid, fields):
+    """max over the grid nodes of the Euclidean length of the real 2D fields
+    given by their half spectra, as a float.
+
+    Each field takes one complex transform of its whole spectrum, and the
+    squares are summed in the order given, as the whole-spectrum formulas
+    evaluate these norms: the V-norm and max velocity are single floats
+    whose round-off (an ulp or so) lands on either side by luck on any other
+    route, so they are those formulas' floats, bit for bit.  One field at a
+    time keeps a single whole-spectrum array alive.
+    """
+    acc = None
+    for c in fields:
+        v = to_grid(grid.full, full_spectrum(grid, c))
+        if acc is None:
+            acc = v * v
+        else:
+            acc += v * v
+    # (sqrt is correctly rounded, so monotone: the sqrt of the max is the
+    # max of the sqrt)
+    return float(np.sqrt(np.max(acc)))
 
 
 class LinearOps:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .spectral import from_values, full_derivative, full_sobolev_norm
+from .spectral import derivative, from_values, sobolev_norm
 from .lie import VectorFieldXi
 
 
@@ -39,7 +39,7 @@ def components_norm(grid, components, s):
     """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field,
     given on the whole spectrum (Grid.full's layout), as a noise field
     takes them."""
-    return float(np.sqrt(sum(full_sobolev_norm(grid, c, s) ** 2
+    return float(np.sqrt(sum(sobolev_norm(grid.full, c, s) ** 2
                              for c in components)))
 
 
@@ -115,7 +115,7 @@ def _perp_grad(grid, wave):
     # xi = (-d2 psi, d1 psi) on the whole spectrum, psi's samples the wave
     # (the transform and psi are freed before the field is built)
     psi = np.fft.fftn(wave, s=grid.shape, axes=grid.axes) / grid.n_total
-    return -1.0 * full_derivative(grid, psi, 1), full_derivative(grid, psi, 0)
+    return -1.0 * derivative(grid.full, psi, 1), derivative(grid.full, psi, 0)
 
 
 def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):

@@ -15,12 +15,13 @@ reach R.  run_path hands each step the V-norm its monitor already holds;
 elsewhere (the Heun predictor, stability_experiment, a step called without
 v) a transform-free coefficient bound decides chi_R = 1 whenever it lies
 below R, and chi_R is evaluated on ops.v_norm otherwise (_chi).  A step of
-run_path then makes 8 transforms for ccf Ito-EM at K = 4 and 6 for sqg
-Stratonovich-Heun, monitors included: two per transport term (an inverse
-of u and grad(theta) together, a forward of their dot product), one for
-the V-norm's five real fields and one for the CFL check's velocity.  A 2D
-transform is real, a complex numpy pass along the first axis and a real
-one along the last, so it is two numpy calls.
+run_path then makes 8 transforms for ccf Ito-EM at K = 4, monitors
+included.  An sqg Stratonovich-Heun step makes 12: two per transport term
+(an inverse of u and grad(theta) together, a forward of their dot
+product), each a real transform of half spectra (a complex numpy pass
+along the first axis and a real one along the last), and one complex
+transform of a whole spectrum per real field for the V-norm (six) and the
+CFL check's velocity (two).
 
 Stopping is checked every step against the H^s norm threshold (the
 discrete analogue of the first-exit stopping time), against a blow-up

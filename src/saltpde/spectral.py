@@ -21,9 +21,10 @@ that reaches a mode k - s with k2 - s2 < 0 reads the conjugate of the
 held mode s - k.  Transforms are real: a 2D forward transform is rfft
 along the last axis and a complex fftn along the first, the inverse
 ifftn along the first and irfft along the last, as numpy's rfftn/irfftn
-make them.  A noise field's components (lie.VectorFieldXi) are the one
-2D exception: they are given on the whole spectrum, whose wavenumber
-tables Grid.full holds.
+make them.  Grid.full is the layout of the whole n x n spectrum, and every
+function here takes it as its grid too (a complex transform there): a
+noise field's components (lie.VectorFieldXi) are given on it, and the sqg
+V-norm and max velocity transform each field on it.
 
 The trailing grid.dim axes of an array are the grid; any leading axes (the
 rows of a model state, say) pass through every function unchanged, and
@@ -51,80 +52,75 @@ TWO_PI = 2.0 * np.pi
 
 
 class _Modes:
-    """Wavenumber tables of one layout of a grid's modes, from one wavenumber
-    array per axis (broadcasting to the layout's shape): k_axes (the meshes),
-    ksq = |k|^2, inv_absk = 1/|k| (0 on the mean mode), dealias_keep (the
-    2/3-rule band |k_i| <= n//3 on every axis) and not_nyquist (False where
-    some k_i = -n/2: odd multipliers are ill-defined there and zeroed)."""
+    """One layout of the modes of an n^dim grid, built from one wavenumber
+    array per axis (broadcasting to the layout's shape, spec_shape).  Every
+    function here takes a layout as its grid: a Grid (a 2D field's half
+    spectrum) or Grid.full (the whole spectrum).  half is True on the half
+    spectrum.  Tables: k_axes (the meshes), ksq = |k|^2, inv_absk = 1/|k|
+    (0 on the mean mode), dealias_keep (the 2/3-rule band |k_i| <= n//3 on
+    every axis) and not_nyquist (False where some k_i = -n/2: odd
+    multipliers are ill-defined there and zeroed)."""
 
-    def __init__(self, n, axes):
+    def __init__(self, n, axes, spec_shape):
+        self.n = n
+        self.dim = len(axes)
+        self.shape = (n,) * self.dim
+        self.axes = tuple(range(-self.dim, 0))
+        self.n_total = n ** self.dim
         # the axes broadcast: (n,) in 1D, (n, 1) against (1, m) in 2D
-        self.shape = tuple(max(d) for d in zip(*(a.shape for a in axes)))
+        self.spec_shape = shape = spec_shape
+        self.half = shape != self.shape
         self.k_axes = axes if len(axes) == 1 else tuple(
-            np.broadcast_to(a, self.shape) for a in axes)
+            np.broadcast_to(a, shape) for a in axes)
         ksq = axes[0] * axes[0]
         for a in axes[1:]:
             ksq = ksq + a * a
         self.ksq = ksq
         absk = np.sqrt(ksq)
-        self.inv_absk = np.zeros(self.shape)
+        self.inv_absk = np.zeros(shape)
         np.divide(1.0, absk, out=self.inv_absk, where=absk > 0)
-        keep = np.ones(self.shape, dtype=bool)
-        nyq = np.zeros(self.shape, dtype=bool)
+        keep = np.ones(shape, dtype=bool)
+        nyq = np.zeros(shape, dtype=bool)
         for ka in self.k_axes:
             keep &= np.abs(ka) <= n // 3
             nyq |= ka == -(n // 2)
         self.dealias_keep = keep
         self.not_nyquist = ~nyq
+        # multipliers and norm weights, each built on first use (_symbol)
+        self._symbols = {}
 
 
-class Grid:
+class Grid(_Modes):
     """Uniform periodic grid, n points per axis, domain length 2*pi per axis.
 
     n must be an even power of two (dyadic refinement studies rely on it).
     axes are the trailing array axes the grid occupies; shape is that of
     the grid samples and spec_shape that of a field's coefficients (the
-    half spectrum in 2D).  k_axes, ksq, inv_absk, dealias_keep and
-    not_nyquist are the wavenumber tables on spec_shape (see _Modes).
+    half spectrum in 2D), the layout whose tables the grid holds.
     """
 
     def __init__(self, n, dim=1):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2, got %r" % (dim,))
         n = self.check_n(n)
-        self.n = n
-        self.dim = dim
-        self.shape = (n,) * dim
-        self.axes = tuple(range(-dim, 0))
-        self.n_total = n ** dim
         self.x = TWO_PI * np.arange(n) / n
         self.dx = TWO_PI / n
         self.kmax_dealias = n // 3
-
         k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, Nyquist at -n/2
         if dim == 1:
-            self.spec_shape = self.shape
-            modes = _Modes(n, (k,))
+            super().__init__(n, (k,), (n,))
         else:
-            self.spec_shape = (n, n // 2 + 1)
-            modes = _Modes(n, (k[:, None], k[None, :n // 2 + 1]))
-        self._modes = modes
-        self.k_axes, self.ksq, self.inv_absk = modes.k_axes, modes.ksq, modes.inv_absk
-        self.dealias_keep, self.not_nyquist = modes.dealias_keep, modes.not_nyquist
-
-        # multipliers (derivative, Hilbert, Riesz) and norm weights, each
-        # built on first use; see _symbol
-        self._symbols = {}
+            super().__init__(n, (k[:, None], k[None, :n // 2 + 1]), (n, n // 2 + 1))
 
     @functools.cached_property
     def full(self):
-        """The wavenumber tables (_Modes) of the whole spectrum in numpy fft
-        order, built on first use: the layout of a 2D noise field's
-        components and of a state snapshot.  In 1D, the grid's own."""
+        """The layout of the whole spectrum in numpy fft order, built on
+        first use: that of a 2D noise field's components and of a state
+        snapshot.  In 1D, the grid itself."""
         if self.dim == 1:
-            return self._modes
+            return self
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return _Modes(self.n, (k[:, None], k[None, :]))
+        return _Modes(self.n, (k[:, None], k[None, :]), self.shape)
 
     @staticmethod
     def check_n(n):
@@ -161,8 +157,8 @@ def zero_field(grid, *lead):
 def _forward(grid, values):
     # unnormalised coefficients of real samples, a fresh complex array; in
     # 2D rfftn's two passes, the real one along the last axis, then the
-    # complex one along the first (in place)
-    if grid.dim == 1:
+    # complex one along the first (in place); on a whole spectrum fftn
+    if not grid.half:
         z = values.astype(np.complex128)
         return np.fft.fftn(z, s=grid.shape, axes=grid.axes, out=z)
     z = np.fft.rfft(values, axis=-1)
@@ -172,8 +168,9 @@ def _forward(grid, values):
 def _inverse(grid, z):
     # real samples of the unnormalised coefficients z, a fresh array that is
     # transformed in place; in 2D irfftn's two passes, the complex one along
-    # the first axis, then the real one along the last
-    if grid.dim == 1:
+    # the first axis, then the real one along the last; on a whole spectrum
+    # ifftn
+    if not grid.half:
         return np.real(np.fft.ifftn(z, s=grid.shape, axes=grid.axes, out=z))
     z = np.fft.ifftn(z, axes=(-2,), out=z)
     return np.fft.irfft(z, n=grid.n, axis=-1)
@@ -192,7 +189,7 @@ def from_values(grid, values):
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValueError("field has %d non-finite values" % bad)
-    if grid.dim == 1:
+    if not grid.half:
         return np.fft.fftn(values, s=grid.shape, axes=grid.axes) / grid.n_total
     z = _forward(grid, values)
     z /= grid.n_total
@@ -219,14 +216,15 @@ def full_spectrum(grid, c):
     """The coefficients c on the whole spectrum (Grid.full's layout): a 2D
     field's columns k2 < 0 taken from conjugate symmetry, a 1D field as it
     is."""
-    if grid.dim == 1:
+    if not grid.half:
         return c
-    n = grid.n
-    _, mirror = _self_conjugate_columns(grid)
+    n, h = grid.n, grid.n // 2 + 1
     out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :n // 2 + 1] = c
-    # column j > n/2 holds k2 = j - n, the conjugate of column n - j
-    out[..., n // 2 + 1:] = np.conj(c[..., mirror, n // 2 - 1:0:-1])
+    out[..., :h] = c
+    # column j > n/2 holds k2 = j - n: the conjugate of column n - j at row
+    # -k1 mod n (row 0 stays, rows 1..n-1 reverse)
+    np.conjugate(c[..., :1, h - 2:0:-1], out=out[..., :1, h:])
+    np.conjugate(c[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
     return out
 
 
@@ -236,7 +234,7 @@ def real_part(grid, c):
     c/2, with the conjugate of c(-k)/2 added on the columns that hold their
     own conjugates.  So it is formed in coefficient space, exactly, with no
     transform."""
-    if grid.dim != 2:
+    if not grid.half:
         raise ValueError("real_part is 2D only")
     out = 0.5 * c
     columns, mirror = _self_conjugate_columns(grid)
@@ -284,8 +282,8 @@ def _counts(grid):
 
 def _weight(grid, s, homogeneous=False, counted=False):
     """(1+|k|^2)^s, or |k|^(2s) with 0 on the mean mode if homogeneous;
-    counted multiplies in _counts on a 2D grid (a norm's weight)."""
-    counted = counted and grid.dim == 2
+    counted multiplies in _counts on a half spectrum (a norm's weight)."""
+    counted = counted and grid.half
     key = ("weight", s, homogeneous, counted)
     w = grid._symbols.get(key)
     if w is not None:
@@ -315,24 +313,6 @@ def derivative(grid, c, axis=0):
     zeroed."""
     return c * _symbol(grid, ("derivative", axis),
                        lambda: 1j * grid.k_axes[axis] * grid.not_nyquist)
-
-
-def full_derivative(grid, c, axis=0):
-    """derivative of coefficients c given on the whole spectrum (Grid.full's
-    layout, that of a 2D noise field's components); in 1D, derivative."""
-    if grid.dim == 1:
-        return derivative(grid, c, axis)
-    return c * _symbol(grid, ("full derivative", axis),
-                       lambda: 1j * grid.full.k_axes[axis] * grid.full.not_nyquist)
-
-
-def full_sobolev_norm(grid, c, s):
-    """sobolev_norm of coefficients c given on the whole spectrum (as
-    full_derivative takes them); in 1D, sobolev_norm."""
-    if grid.dim == 1:
-        return sobolev_norm(grid, c, s)
-    w = _symbol(grid, ("full weight", s), lambda: (1.0 + grid.full.ksq) ** s)
-    return _scalar(np.sqrt((w * np.abs(c) ** 2).sum(axis=grid.axes)))
 
 
 def gradient(grid, c):
@@ -587,6 +567,6 @@ def lipschitz_bound(grid, c):
     the rows, since |f(x)| <= sum_k |coeff(k)| and grad has the symbol i*k."""
     def build():
         w = 1.0 + np.sqrt(grid.ksq)
-        return w * _counts(grid) if grid.dim == 2 else w
+        return w * _counts(grid) if grid.half else w
     w = _symbol(grid, ("lipschitz_bound",), build)
     return float(np.sum(np.abs(c) * w))

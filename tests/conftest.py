@@ -12,10 +12,11 @@ REAL_PASSES = ("rfft", "irfft")
 
 class TransformLog(list):
     """One entry per transform, the size of the larger of its input and
-    output (in points).  A 2D transform of a real field is two numpy calls
-    (spectral._forward and _inverse): a complex pass along the first grid
-    axis (fftn or ifftn), which is the entry, and a real pass along the last
-    (rfft or irfft), which real_passes records."""
+    output (in points).  A 2D transform of a half spectrum is two numpy
+    calls (spectral._forward and _inverse): a complex pass along the first
+    grid axis (fftn or ifftn), which is the entry, and a real pass along
+    the last (rfft or irfft), which real_passes records.  A transform of a
+    1D field or of a whole 2D spectrum is one call, the entry."""
 
     def __init__(self):
         super().__init__()

@@ -104,7 +104,7 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     # module bindings, not through a helper beside them.  A step handed no
     # V-norm decides chi_R from a coefficient bound at R = 1e6 (no to_grid
     # call); with R below that bound it calls v_norm on X and on the
-    # predictor, 1 to_grid call each
+    # predictor, 6 to_grid calls each (one per real field; max_velocity 2)
     import numpy as np
 
     from saltpde import spectral
@@ -121,12 +121,12 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
     assert len(counts["dealiased_product"]) == 2 and len(to_grid_calls) == 0
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 2.0)
-    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 2
+    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 12
     to_grid_calls.clear()
     ops.v_norm(X)
-    assert len(to_grid_calls) == 1
+    assert len(to_grid_calls) == 6
     ops.max_velocity(X)
-    assert len(to_grid_calls) == 2
+    assert len(to_grid_calls) == 8
 
 
 def assert_sqg_g_reaches_stencil_sum(monkeypatch):

@@ -251,58 +251,81 @@ def test_operators_match_frozen_oracle(model, eps):
             (name, errors[name, "package"], errors[name, "oracle"])
 
 
+def conjugates_dropped(grid, c):
+    """The whole spectrum of half-spectrum coefficients c with its columns
+    k2 < 0 left at zero: what a route that forgot the modes the half
+    spectrum stands for would transform."""
+    out = np.zeros(c.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out[..., :c.shape[-1]] = c
+    return out
+
+
 @pytest.mark.parametrize("n", [64, 128, 256])
-def test_sqg_paired_transforms_no_farther_from_long_double(n):
-    # the transport term, V-norm and max velocity take their real fields
-    # through real transforms of the half spectrum (where the parent paired
-    # two fields per complex transform); over the corpus, none may be
-    # farther from the long-double evaluation of the frozen formulas than
-    # those formulas in float64, the transport term measured on the half
-    # spectrum.  The V-norm and max velocity are single floats whose errors
-    # sit at one ulp of the value, where either route wins by rounding luck
-    # (max velocity at 128^2: 6.6e-17 against 2.3e-17 for the formulas and
-    # 3.3e-17 for the parent's paired route, at a value of 0.25 with an ulp
-    # of 5.6e-17), so they may exceed the formulas' error by one ulp.
-    # Positive control: the same route on theta rounded to single precision
-    # must show as a transport error far beyond the bound
+def test_sqg_paired_transforms_no_farther_from_long_double(n, monkeypatch):
+    # the transport term takes its real fields through real transforms of
+    # the half spectrum (where the parent paired two fields per complex
+    # transform), the V-norm and max velocity through one complex transform
+    # per field of the whole spectrum; over the corpus, none may be farther
+    # from the long-double evaluation of the frozen formulas than those
+    # formulas in float64, the transport term measured on the half
+    # spectrum.  The V-norm and max velocity are the formulas' own floats.
+    # Positive control: the package's routes with the conjugate half
+    # dropped (half-spectrum samples and whole spectra that read the modes
+    # k2 < 0 as zero) must be far beyond the bound
     import oracle_ops
+    from saltpde import models, spectral
     from saltpde.estimates import corpus_banks, corpus_state
     eps = 0.0625
     g, ops, s = model_setup("sqg", n=n, K=4, eps=eps)
     pg = oracle_ops.parent_grid(g)
     oracle = oracle_ops.SqgOps(pg, s, ops.basis, eps)
     half = g.spec_shape[-1]
-    errors, ulp = {}, {}
+    names = ("g_transport", "g_eps_transport", "v_norm", "max_velocity")
+    inverse = spectral._inverse
+    errors = {}
 
     def record(name, side, got, ref):
         errors[name, side] = max(errors.get((name, side), 0.0),
                                  long_double_error(got, ref))
 
+    def dropped_inverse(grid, z):
+        if not grid.half:
+            return inverse(grid, z)
+        return np.real(np.fft.ifftn(conjugates_dropped(grid, z), axes=grid.axes))
+
     for banks in corpus_banks(2, 3, seed=29, per_state=2):
         X = corpus_state("sqg", g, s, banks)
         theta = full_spectrum(g, X[0])
-        single = X.astype(np.complex64).astype(np.complex128)
+        refs, formulas = {}, {}
         for name, jhat in (("g_transport", None),
                            ("g_eps_transport", oracle_ops.mollifier_symbol(pg, eps))):
             parent = sqg_parent_formulas(pg, theta, jhat)[0]
             frozen = oracle_ops.operator(oracle, name, ModelState("sqg", g, X))
             assert np.array_equal(parent, frozen.coeffs[0]), name
-            ref = sqg_parent_formulas(pg, theta, jhat, np.longdouble)[0][:, :half]
-            record(name, "package", getattr(ops, name)(X)[0], ref)
-            record(name, "parent", parent[:, :half], ref)
-            record(name, "single", getattr(ops, name)(single)[0], ref)
+            refs[name] = sqg_parent_formulas(pg, theta, jhat, np.longdouble)[0][:, :half]
+            formulas[name] = parent[:, :half]
         parent = sqg_parent_formulas(pg, theta)
         ref = sqg_parent_formulas(pg, theta, None, np.longdouble)
         for i, name in ((1, "v_norm"), (2, "max_velocity")):
-            record(name, "package", getattr(ops, name)(X), ref[i])
-            record(name, "parent", parent[i], ref[i])
-            ulp[name] = max(ulp.get(name, 0.0), float(np.spacing(parent[i])))
-    for name in ("g_transport", "g_eps_transport", "v_norm", "max_velocity"):
-        assert errors[name, "package"] <= errors[name, "parent"] + ulp.get(name, 0.0), \
+            refs[name], formulas[name] = ref[i], parent[i]
+            assert getattr(ops, name)(X) == parent[i], name
+
+        def package(name):
+            out = getattr(ops, name)(X)
+            return out if np.ndim(out) == 0 else out[0]
+        for name in names:
+            record(name, "package", package(name), refs[name])
+            record(name, "parent", formulas[name], refs[name])
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_inverse", dropped_inverse)
+            m.setattr(models, "full_spectrum", conjugates_dropped)
+            for name in names:
+                record(name, "dropped", package(name), refs[name])
+    for name in names:
+        assert errors[name, "package"] <= errors[name, "parent"], \
             (name, errors[name, "package"], errors[name, "parent"])
-    for name in ("g_transport", "g_eps_transport"):
-        assert errors[name, "single"] > 1e3 * errors[name, "parent"], \
-            (name, errors[name, "single"], errors[name, "parent"])
+        assert errors[name, "dropped"] > 1e3 * errors[name, "parent"], \
+            (name, errors[name, "dropped"], errors[name, "parent"])
 
 
 @pytest.mark.parametrize("K", [1, 2, 8])

@@ -342,7 +342,9 @@ def test_ccf_em_step_fft_budget(fft_calls):
 
 
 def per_step_transforms(fft_calls, run, **kw):
-    """The transforms one more step adds to run(cfg) for the SimConfig kw."""
+    """(transforms, real passes) one more step adds to run(cfg) for the
+    SimConfig kw: a 1D transform or a 2D one of a whole spectrum is one
+    numpy call, a 2D one of a half spectrum a complex and a real pass."""
     counts, real = [], []
     for steps in (1, 2):
         cfg = SimConfig(t_end=steps * kw["dt"], **kw)
@@ -352,20 +354,18 @@ def per_step_transforms(fft_calls, run, **kw):
         run(cfg)
         counts.append(len(fft_calls))
         real.append(len(fft_calls.real_passes))
-    # a step's 1D transforms are one numpy call each, its 2D ones a complex
-    # and a real pass each
-    assert real[1] - real[0] in (0, counts[1] - counts[0])
-    return counts[1] - counts[0]
+    return counts[1] - counts[0], real[1] - real[0]
 
 
 def test_sqg_heun_step_fft_budget(fft_calls):
     # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
-    # CFL check and its V-norm, makes 6 transforms: 2 for each of the two
-    # transport products (one inverse of u and grad theta, one forward of
-    # their dot product), 1 for the monitor's v_norm (five real fields) and
-    # 1 for max_velocity; the noise operators make none.  The predictor's
-    # chi_R comes from its coefficient bound at R = 1e6; with R below that
-    # bound its v_norm runs, 1 more
+    # CFL check and its V-norm, makes 12 transforms: 2 of half spectra for
+    # each of the two transport products (one inverse of u and grad theta,
+    # one forward of their dot product), and one of a whole spectrum per
+    # real field for the monitor's v_norm (6) and max_velocity (2); the
+    # noise operators make none.  The predictor's chi_R comes from its
+    # coefficient bound at R = 1e6; with R below that bound its v_norm
+    # runs, 6 more
     kw = dict(model="sqg", n=64, dt=1e-3, s=4.5, noise_k=4, noise_s_max=6.5,
               seed=3, scheme="strat_heun", ic_amplitude=0.5)
     grid = Grid(64, dim=2)
@@ -375,8 +375,8 @@ def test_sqg_heun_step_fft_budget(fft_calls):
     def run(cfg):
         rec = run_path(cfg)
         assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
-    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == 6
-    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == 7
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 4)
+    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 4)
 
 
 def test_stability_step_pair_fft_budget(fft_calls):
@@ -395,8 +395,8 @@ def test_stability_step_pair_fft_budget(fft_calls):
 
     def run(cfg):
         assert stability_experiment(cfg, X0, Y0).n_steps_used == cfg.n_steps()
-    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == 12
-    assert per_step_transforms(fft_calls, run, cutoff_r=1.5, **kw) == 14
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 0)
+    assert per_step_transforms(fft_calls, run, cutoff_r=1.5, **kw) == (14, 0)
 
 
 GUARD_SETUPS = {"sch2": (64, 6.0), "ccf": (128, 4.0), "sqg": (32, 4.5),

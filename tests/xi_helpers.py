@@ -16,7 +16,7 @@ import pytest
 
 from saltpde import noise
 from saltpde.lie import VectorFieldXi
-from saltpde.spectral import full_derivative, full_spectrum
+from saltpde.spectral import derivative, full_spectrum
 
 
 @contextlib.contextmanager
@@ -39,7 +39,7 @@ def built_from():
 def divergence(grid, comps):
     """div(xi) of the component arrays comps, on the whole spectrum (the
     layout a noise field takes its components in)."""
-    return sum(full_derivative(grid, c, axis) for axis, c in enumerate(comps))
+    return sum(derivative(grid.full, c, axis) for axis, c in enumerate(comps))
 
 
 def fft_lie(grid, comps, f):
