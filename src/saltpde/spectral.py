@@ -43,7 +43,6 @@ Everything here is a pure function over arrays it never mutates; the grid
 object carries the precomputed wavenumber meshes and masks.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -106,21 +105,24 @@ class Grid(_Modes):
         self.x = TWO_PI * np.arange(n) / n
         self.dx = TWO_PI / n
         self.kmax_dealias = n // 3
+        self._full = None
         k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, Nyquist at -n/2
         if dim == 1:
             super().__init__(n, (k,), (n,))
         else:
             super().__init__(n, (k[:, None], k[None, :n // 2 + 1]), (n, n // 2 + 1))
 
-    @functools.cached_property
+    @property
     def full(self):
         """The layout of the whole spectrum in numpy fft order, built on
         first use: that of a 2D noise field's components and of a state
         snapshot.  In 1D, the grid itself."""
-        if self.dim == 1:
+        if not self.half:
             return self
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return _Modes(self.n, (k[:, None], k[None, :]), self.shape)
+        if self._full is None:
+            k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+            self._full = _Modes(self.n, (k[:, None], k[None, :]), self.shape)
+        return self._full
 
     @staticmethod
     def check_n(n):

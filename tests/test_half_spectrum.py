@@ -8,7 +8,7 @@ are measured against the same whole-spectrum formulas in long double
 (numpy transforms clongdouble natively, epsilon 1.1e-19), in ulps of the
 largest reference value, per function and corpus state.  Round-off of the
 same size on two routes lands on either side by luck (over this table the
-half route wins 57 cases, loses 55 and ties 134), so the half route must
+half route wins 54 cases, loses 50 and ties 142), so the half route must
 be no farther from long double than the formulas in float64 summed over
 the table (measured: 332 ulps against 429), and in each case within
 4 times the formulas' error plus 4 ulps (the largest excess measured is
