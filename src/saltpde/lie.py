@@ -46,7 +46,11 @@ fluid models form them once per state and share them.  numpy's batched
 transforms give each row bit for bit what a one-row call gives, so the
 stacked and paired routes change no result.  A 2D basis is not stacked:
 its L_k are stencil sums with no transform to share, and K h-blocks held
-at once would raise the peak memory of the 512^2 estimate checks.
+at once would raise the peak memory of the 512^2 estimate checks.  Nor
+does a 2D field keep anything of the whole spectrum it is given on: its
+divergence and stencil are read on a layout the grid does not keep
+(spectral.Grid.full_modes(), one per basis build), so the derivative
+symbols and masks built there die with the build.
 """
 
 import numpy as np
@@ -66,20 +70,26 @@ class VectorFieldXi:
     Built from the coefficient arrays xi_1, ..., xi_dim on grid, given on
     the whole spectrum (Grid.full's layout; in 2D not the half spectrum of
     a state, since the stencil holds both modes s and -s with the
-    coefficients given there).  Keeps only max |div xi| and L_xi in the
-    form product_with_values takes: on a 2D grid the stencil of xi's
-    in-band modes (no grid-sized array), on a 1D grid the 2/3-band samples
-    of xi and div(xi).
+    coefficients given there).  modes is the whole-spectrum layout the
+    divergence and stencil are read on: by default grid.full_modes(), or
+    one that a basis build shares over its fields, so that its tables and
+    symbols are built once and die with the build.  Keeps only
+    max |div xi| and L_xi in the form product_with_values takes: on a 2D
+    grid the stencil of xi's in-band modes (no grid-sized array), on a 1D
+    grid the 2/3-band samples of xi and div(xi).
     """
 
-    def __init__(self, grid, components):
+    def __init__(self, grid, components, modes=None):
         comps = [np.asarray(c, dtype=np.complex128) for c in components]
         if len(comps) != grid.dim or any(c.shape != grid.shape for c in comps):
             raise ValueError("expected %d components of shape %r"
                              % (grid.dim, grid.shape))
         self.grid = grid
-        div = sum(derivative(grid.full, c, axis)
-                  for axis, c in enumerate(comps))
+        if modes is None:
+            modes = grid.full_modes()
+        div = np.zeros(grid.shape, dtype=np.complex128)    # summed in place
+        for axis, c in enumerate(comps):
+            div += derivative(modes, c, axis)
         self.max_divergence = float(np.max(np.abs(div)))
         if grid.dim == 1:
             # band samples of xi and div(xi), paired with (c_x, c) in one
@@ -87,7 +97,7 @@ class VectorFieldXi:
             self._factors = np.stack([band_values(grid, comps[0]),
                                       band_values(grid, div)])
         else:
-            self._stencil = _stencil(grid, comps)
+            self._stencil = _stencil(modes, comps)
         self.K = None       # a single field, not a stack
 
     @classmethod
@@ -109,12 +119,12 @@ class VectorFieldXi:
         return out
 
 
-def _stencil(grid, comps):
+def _stencil(modes, comps):
     """The in-band modes s of a 2D xi above SUPPORT_RTOL, as a tuple of
-    (s, (xi_1(s), xi_2(s))) in fft index order; s is the wavenumber pair."""
+    (s, (xi_1(s), xi_2(s))) in fft index order; s is the wavenumber pair
+    and modes the whole-spectrum layout of the components."""
     mags = [np.abs(c) for c in comps]
     tol = SUPPORT_RTOL * max(float(np.max(m)) for m in mags)
-    modes = grid.full
     idx = np.nonzero(modes.dealias_keep & ((mags[0] > tol) | (mags[1] > tol)))
     return tuple((tuple(int(k[mode]) for k in modes.k_axes),
                   tuple(complex(c[mode]) for c in comps))

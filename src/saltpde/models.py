@@ -364,11 +364,14 @@ class SqgOps(_FluidOps):
                 raise ValueError("sqg needs a divergence-free noise basis")
 
     def _transport(self, c):
-        # u.grad(theta): u and grad(theta) in one inverse transform, their
+        # u.grad(theta): u and grad(theta) written straight into the
+        # product's one buffer and sampled by one inverse transform, their
         # dot product in one forward transform
         g = self.grid
-        return dealiased_product(g, np.stack(riesz_perp(g, c)),
-                                 np.stack(gradient(g, c)), dot=True)
+        rows = (g.dim,) + c.shape
+        return dealiased_product(
+            g, (rows, lambda out: riesz_perp(g, c, out=out)),
+            (rows, lambda out: gradient(g, c, out=out)), dot=True)
 
     def b(self, X):
         return np.zeros_like(self._rows(X))
@@ -427,8 +430,10 @@ def _sup_length(grid, fields):
     squares are summed in the order given, as the whole-spectrum formulas
     evaluate these norms: the V-norm and max velocity are single floats
     whose round-off (an ulp or so) lands on either side by luck on any other
-    route, so they are those formulas' floats, bit for bit.  One field at a
-    time keeps a single whole-spectrum array alive.
+    route, so they are those formulas' floats, bit for bit.  The fields are
+    taken one at a time: two whole-spectrum complex arrays are alive at
+    once, the field's whole spectrum and to_grid's scaled copy of it, which
+    is transformed in place and holds the samples.
     """
     acc = None
     for c in fields:

@@ -38,7 +38,7 @@ class NoiseBasis:
 def components_norm(grid, components, s):
     """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field,
     given on the whole spectrum (Grid.full's layout), as a noise field
-    takes them."""
+    takes them; grid may be that layout itself (Grid.full_modes())."""
     return float(np.sqrt(sum(sobolev_norm(grid.full, c, s) ** 2
                              for c in components)))
 
@@ -90,7 +90,8 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
     The components are formed on the whole n x n spectrum (the complex
     transform of psi's samples, its derivatives and the H^{s_max} norm
     there), which is the layout a noise field takes; the field keeps only
-    their stencil.
+    their stencil.  That work is done on one layout of the build's own
+    (Grid.full_modes()), whose tables and symbols die with the build.
     """
     if grid.dim != 2:
         raise ValueError("SQG basis needs a 2D grid")
@@ -98,24 +99,33 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         raise ValueError("K must be >= 0")
     check_decay(decay_kind, decay_param)
     targets = _targets(K, decay_kind, decay_param)
-    x1, x2 = grid.nodes()
-    xis = []
-    for k in range(1, K + 1):
-        m1, m2 = _SQG_WAVES[(k - 1) % len(_SQG_WAVES)]
-        scale = 1 + (k - 1) // len(_SQG_WAVES)
-        m1, m2 = scale * m1, scale * m2
-        phase = m1 * x1 + m2 * x2
-        comps = _perp_grad(grid, np.cos(phase) if k % 2 == 1 else np.sin(phase))
-        a = targets[k - 1] / components_norm(grid, comps, s_max)
-        xis.append(VectorFieldXi(grid, [a * c for c in comps]))
-    return NoiseBasis(xis)
+    modes = grid.full_modes()
+    return NoiseBasis([_sqg_field(grid, modes, k, targets[k - 1], s_max)
+                       for k in range(1, K + 1)])
 
 
-def _perp_grad(grid, wave):
-    # xi = (-d2 psi, d1 psi) on the whole spectrum, psi's samples the wave
-    # (the transform and psi are freed before the field is built)
-    psi = np.fft.fftn(wave, s=grid.shape, axes=grid.axes) / grid.n_total
-    return -1.0 * derivative(grid.full, psi, 1), derivative(grid.full, psi, 0)
+def _sqg_field(grid, modes, k, target, s_max):
+    # xi_k = (-d2 psi, d1 psi), its components formed on the whole-spectrum
+    # layout modes and scaled in place to ||xi_k||_{H^s_max} = target; psi's
+    # samples are cos or sin of m1*x1 + m2*x2, written as the real part of
+    # psi, which is transformed in place
+    m1, m2 = _SQG_WAVES[(k - 1) % len(_SQG_WAVES)]
+    scale = 1 + (k - 1) // len(_SQG_WAVES)
+    x = grid.x
+    phase = (scale * m1) * x[:, None] + (scale * m2) * x[None, :]
+    psi = np.zeros(grid.shape, dtype=np.complex128)
+    (np.cos if k % 2 == 1 else np.sin)(phase, out=psi.real)
+    del phase
+    np.fft.fftn(psi, s=modes.shape, axes=modes.axes, out=psi)
+    psi /= modes.n_total
+    xi1 = derivative(modes, psi, 1)
+    xi1 *= -1.0         # a multiply, not a negation: the signs of zeros
+    comps = xi1, derivative(modes, psi, 0)
+    del psi
+    a = target / components_norm(modes, comps, s_max)
+    for c in comps:
+        c *= a
+    return VectorFieldXi(grid, comps, modes)
 
 
 def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):

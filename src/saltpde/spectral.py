@@ -39,10 +39,17 @@ Riesz transform (2D), the symbol of the bump mollifier J_eps and the
 Helmholtz mollifier (1-eps^2*Lap)^(-1).  Pointwise products of fields are
 always dealiased with the 2/3 rule.
 
-Everything here is a pure function over arrays it never mutates; the grid
-object carries the precomputed wavenumber meshes and masks.
+No function here writes into an array it was handed, except an out that
+the caller passes for the result (derivative, gradient, riesz_component
+and riesz_perp take one); dealiased_product forms its factors in a buffer
+of its own.  A layout carries the wavenumber meshes and builds its tables
+(|k|^2, 1/|k|, the masks) and multipliers when they are first read, then
+keeps them.  Grid.full, kept for the grid's life, holds only what is read
+on it; the basis build reads its whole-spectrum tables on a layout of its
+own (Grid.full_modes()), which dies with the build.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -54,11 +61,14 @@ class _Modes:
     """One layout of the modes of an n^dim grid, built from one wavenumber
     array per axis (broadcasting to the layout's shape, spec_shape).  Every
     function here takes a layout as its grid: a Grid (a 2D field's half
-    spectrum) or Grid.full (the whole spectrum).  half is True on the half
-    spectrum.  Tables: k_axes (the meshes), ksq = |k|^2, inv_absk = 1/|k|
-    (0 on the mean mode), dealias_keep (the 2/3-rule band |k_i| <= n//3 on
-    every axis) and not_nyquist (False where some k_i = -n/2: odd
-    multipliers are ill-defined there and zeroed)."""
+    spectrum), or Grid.full or Grid.full_modes() (the whole spectrum).
+    half is True on the half spectrum.  The geometry (shape, axes, n_total,
+    the meshes k_axes) is set at construction; each table is built when it
+    is first read and then kept: ksq = |k|^2, inv_absk = 1/|k| (0 on the
+    mean mode), dealias_keep (the 2/3-rule band |k_i| <= n//3 on every
+    axis) and not_nyquist (False where some k_i = -n/2: odd multipliers
+    are ill-defined there and zeroed), as are the multipliers and norm
+    weights of _symbol."""
 
     def __init__(self, n, axes, spec_shape):
         self.n = n
@@ -69,24 +79,43 @@ class _Modes:
         # the axes broadcast: (n,) in 1D, (n, 1) against (1, m) in 2D
         self.spec_shape = shape = spec_shape
         self.half = shape != self.shape
+        self._k = axes
         self.k_axes = axes if len(axes) == 1 else tuple(
             np.broadcast_to(a, shape) for a in axes)
-        ksq = axes[0] * axes[0]
-        for a in axes[1:]:
-            ksq = ksq + a * a
-        self.ksq = ksq
-        absk = np.sqrt(ksq)
-        self.inv_absk = np.zeros(shape)
-        np.divide(1.0, absk, out=self.inv_absk, where=absk > 0)
-        keep = np.ones(shape, dtype=bool)
-        nyq = np.zeros(shape, dtype=bool)
-        for ka in self.k_axes:
-            keep &= np.abs(ka) <= n // 3
-            nyq |= ka == -(n // 2)
-        self.dealias_keep = keep
-        self.not_nyquist = ~nyq
-        # multipliers and norm weights, each built on first use (_symbol)
         self._symbols = {}
+
+    @property
+    def full(self):
+        # a whole-spectrum layout is its own (Grid overrides this)
+        return self
+
+    @functools.cached_property
+    def ksq(self):
+        ksq = self._k[0] * self._k[0]
+        for a in self._k[1:]:
+            ksq = ksq + a * a
+        return ksq
+
+    @functools.cached_property
+    def inv_absk(self):
+        absk = np.sqrt(self.ksq)
+        inv = np.zeros(self.spec_shape)
+        np.divide(1.0, absk, out=inv, where=absk > 0)
+        return inv
+
+    @functools.cached_property
+    def dealias_keep(self):
+        keep = np.ones(self.spec_shape, dtype=bool)
+        for ka in self.k_axes:
+            keep &= np.abs(ka) <= self.n // 3
+        return keep
+
+    @functools.cached_property
+    def not_nyquist(self):
+        nyq = np.zeros(self.spec_shape, dtype=bool)
+        for ka in self.k_axes:
+            nyq |= ka == -(self.n // 2)
+        return ~nyq
 
 
 class Grid(_Modes):
@@ -115,14 +144,27 @@ class Grid(_Modes):
     @property
     def full(self):
         """The layout of the whole spectrum in numpy fft order, built on
-        first use: that of a 2D noise field's components and of a state
-        snapshot.  In 1D, the grid itself."""
+        first use and kept for the grid's life: the sqg V-norm and max
+        velocity transform on it and a state snapshot reads its k_axes,
+        which take only its geometry.  It builds a table or symbol only
+        when one is read on it, and no code of the package reads one: the
+        basis build reads them on full_modes(), whose tables die with the
+        build.  In 1D, the grid itself."""
         if not self.half:
             return self
         if self._full is None:
-            k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-            self._full = _Modes(self.n, (k[:, None], k[None, :]), self.shape)
+            self._full = self.full_modes()
         return self._full
+
+    def full_modes(self):
+        """A new layout of the whole spectrum, which the grid does not keep:
+        the layout a 2D noise field's components are given on, whose tables
+        and symbols are built on it and die with it.  In 1D, the grid
+        itself."""
+        if not self.half:
+            return self
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        return _Modes(self.n, (k[:, None], k[None, :]), self.shape)
 
     @staticmethod
     def check_n(n):
@@ -310,15 +352,22 @@ def bessel_multiplier(grid, c, s):
     return c * _weight(grid, 0.5 * s)
 
 
-def derivative(grid, c, axis=0):
+def derivative(grid, c, axis=0, out=None):
     """Spectral partial derivative along grid axis axis; the Nyquist mode is
-    zeroed."""
-    return c * _symbol(grid, ("derivative", axis),
-                       lambda: 1j * grid.k_axes[axis] * grid.not_nyquist)
+    zeroed.  Written into out, if given, and returned."""
+    sym = _symbol(grid, ("derivative", axis),
+                  lambda: 1j * grid.k_axes[axis] * grid.not_nyquist)
+    return np.multiply(c, sym, out=out)
 
 
-def gradient(grid, c):
-    return tuple(derivative(grid, c, axis) for axis in range(grid.dim))
+def gradient(grid, c, out=None):
+    """The derivatives along every grid axis, as a tuple; or written into
+    the rows of out, shape (grid.dim,) + c.shape, which is returned."""
+    if out is None:
+        return tuple(derivative(grid, c, axis) for axis in range(grid.dim))
+    for axis in range(grid.dim):
+        derivative(grid, c, axis, out=out[axis])
+    return out
 
 
 def hilbert_transform(grid, c):
@@ -329,8 +378,9 @@ def hilbert_transform(grid, c):
                        lambda: -1j * np.sign(grid.k_axes[0]) * grid.not_nyquist)
 
 
-def riesz_perp(grid, c):
-    """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D.
+def riesz_perp(grid, c, out=None):
+    """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D, as a tuple; or
+    written into the rows of out, shape (2,) + c.shape, which is returned.
 
     The sign convention gives real, divergence-free output and maps
     theta = cos(x1) to u = (0, sin(x1)).  Requires a zero-mean input.
@@ -339,14 +389,20 @@ def riesz_perp(grid, c):
         raise ValueError("Riesz transform is 2D only")
     if has_mean(grid, c):
         raise ValueError("riesz_perp needs a zero-mean field")
-    return riesz_component(grid, c, 1), -riesz_component(grid, c, 0)
+    if out is None:
+        return riesz_component(grid, c, 1), -riesz_component(grid, c, 0)
+    riesz_component(grid, c, 1, out=out[0])
+    np.negative(riesz_component(grid, c, 0, out=out[1]), out=out[1])
+    return out
 
 
-def riesz_component(grid, c, axis):
-    """R_j theta with multiplier i*k_j/|k| (2D, zero mean in = zero mean out)."""
-    return c * _symbol(grid, ("riesz", axis),
-                       lambda: 1j * grid.k_axes[axis] * grid.inv_absk
-                       * grid.not_nyquist)
+def riesz_component(grid, c, axis, out=None):
+    """R_j theta with multiplier i*k_j/|k| (2D, zero mean in = zero mean
+    out).  Written into out, if given, and returned."""
+    sym = _symbol(grid, ("riesz", axis),
+                  lambda: 1j * grid.k_axes[axis] * grid.inv_absk
+                  * grid.not_nyquist)
+    return np.multiply(c, sym, out=out)
 
 
 def _bump(r):
@@ -402,24 +458,48 @@ def _band_product(grid, values):
 def dealiased_product(grid, f, g, dot=False):
     """Pointwise product with the 2/3 rule applied to inputs and output.
 
-    The two fields take their samples from one inverse transform of their
-    rows concatenated (their leading axes may differ), so a product costs
-    two transforms.  With dot=True, f and g hold the components of two
+    The two factors take their samples from one inverse transform of their
+    rows in one buffer (their leading axes may differ), so a product costs
+    two transforms.  A factor is an array of coefficients, which is copied
+    into the buffer, or a pair (shape, write) standing for an array of that
+    shape that write(out) writes into out, the factor's part of the buffer
+    (so sqg's transport term forms u and grad(theta) in place there).  The
+    buffer is the product's own: it is band-cut and transformed in place
+    and freed before the samples are multiplied, in place; no array of the
+    caller's is written.  With dot=True, f and g hold the components of two
     vector fields along their first axis, and the product is their dot
     product f_1*g_1 + f_2*g_2 + ..., summed on the grid before the one
     forward transform (u.grad(theta) takes two transforms).
     """
-    rows = (-1,) + grid.spec_shape
-    fg = np.concatenate([f.reshape(rows), g.reshape(rows)])
-    # band_values on this fresh array, in place
-    fg *= grid.dealias_keep
-    fg *= grid.n_total
-    v = _inverse(grid, fg)
-    split = f.size // math.prod(grid.spec_shape)
-    fv = v[:split].reshape(f.shape[:f.ndim - grid.dim] + grid.shape)
-    gv = v[split:].reshape(g.shape[:g.ndim - grid.dim] + grid.shape)
-    prod = fv * gv
-    return _band_product(grid, prod.sum(axis=0) if dot else prod)
+    fshape = f[0] if isinstance(f, tuple) else f.shape
+    gshape = g[0] if isinstance(g, tuple) else g.shape
+    flead, glead = fshape[:-grid.dim], gshape[:-grid.dim]
+    split = math.prod(flead)
+    buf = np.empty((split + math.prod(glead),) + grid.spec_shape,
+                   dtype=np.complex128)
+    _write_rows(f, buf[:split].reshape(fshape))
+    _write_rows(g, buf[split:].reshape(gshape))
+    # band_values on the buffer, in place
+    buf *= grid.dealias_keep
+    buf *= grid.n_total
+    v = _inverse(grid, buf)
+    del buf     # in 2D the samples are a new array, and the buffer dies here
+    fv = v[:split].reshape(flead + grid.shape)
+    gv = v[split:].reshape(glead + grid.shape)
+    del v
+    prod = np.multiply(fv, gv, out=fv if fv.shape == gv.shape else None)
+    del fv, gv
+    if dot:
+        prod = prod.sum(axis=0)     # the samples die here
+    return _band_product(grid, prod)
+
+
+def _write_rows(factor, out):
+    # writes a factor of dealiased_product into out, its part of the buffer
+    if isinstance(factor, tuple):
+        factor[1](out)
+    else:
+        out[...] = factor
 
 
 def _overlap(s, w):

@@ -40,3 +40,26 @@ def fft_calls(monkeypatch):
             return out
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def peak_alloc():
+    """measure(fn, *args) -> (fn's result, peak, retained): tracemalloc's
+    peak of the bytes allocated during the call above those allocated at
+    its start, and the bytes still allocated after it (the result's
+    included).  tracemalloc sees numpy's data buffers, so both count every
+    array the call made."""
+    import gc
+    import tracemalloc
+
+    def measure(fn, *args, **kwargs):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = fn(*args, **kwargs)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - start, current - start
+    return measure

@@ -26,9 +26,16 @@ the whole n x n spectrum), and package states on their whole spectrum
 (full_spectrum); and the lie_derivative wrapper runs the parent's 2D L_xi,
 its stencil sum on the whole spectrum (kept below verbatim), on the
 stencil of the package's field.
+
+concat_dealiased_product and concat_sqg_transport are the package's
+dealiased_product and SqgOps._transport (on half spectra) as they were
+when the product concatenated its two factors' rows into a third array
+and the sqg transport term stacked u and grad(theta) first; the transform
+helpers they call are kept with them, verbatim.
 """
 
 import itertools
+import math
 import types
 
 import numpy as np
@@ -647,3 +654,71 @@ def step_ito_em(X, ops, dw, dt, R, v=None):
         if dw[k] != 0.0:
             out = out + (chi * dw[k]) * ops.h_eps_k(X, k)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the package's dealiased product before it took its rows in one buffer
+# (the concatenate route) and the sqg transport term that called it,
+# verbatim; the package's own multipliers are read through its grid
+
+def _forward(grid, values):
+    # unnormalised coefficients of real samples, a fresh complex array; in
+    # 2D rfftn's two passes, the real one along the last axis, then the
+    # complex one along the first (in place); on a whole spectrum fftn
+    if not grid.half:
+        z = values.astype(np.complex128)
+        return np.fft.fftn(z, s=grid.shape, axes=grid.axes, out=z)
+    z = np.fft.rfft(values, axis=-1)
+    return np.fft.fftn(z, axes=(-2,), out=z)
+
+
+def _inverse(grid, z):
+    # real samples of the unnormalised coefficients z, a fresh array that is
+    # transformed in place; in 2D irfftn's two passes, the complex one along
+    # the first axis, then the real one along the last; on a whole spectrum
+    # ifftn
+    if not grid.half:
+        return np.real(np.fft.ifftn(z, s=grid.shape, axes=grid.axes, out=z))
+    z = np.fft.ifftn(z, axes=(-2,), out=z)
+    return np.fft.irfft(z, n=grid.n, axis=-1)
+
+
+def _band_product(grid, values):
+    # coefficients of band-sample products, cut back to the band
+    z = _forward(grid, values)
+    z /= grid.n_total
+    z *= grid.dealias_keep
+    return z
+
+
+def concat_dealiased_product(grid, f, g, dot=False):
+    """Pointwise product with the 2/3 rule applied to inputs and output.
+
+    The two fields take their samples from one inverse transform of their
+    rows concatenated (their leading axes may differ), so a product costs
+    two transforms.  With dot=True, f and g hold the components of two
+    vector fields along their first axis, and the product is their dot
+    product f_1*g_1 + f_2*g_2 + ..., summed on the grid before the one
+    forward transform (u.grad(theta) takes two transforms).
+    """
+    rows = (-1,) + grid.spec_shape
+    fg = np.concatenate([f.reshape(rows), g.reshape(rows)])
+    # band_values on this fresh array, in place
+    fg *= grid.dealias_keep
+    fg *= grid.n_total
+    v = _inverse(grid, fg)
+    split = f.size // math.prod(grid.spec_shape)
+    fv = v[:split].reshape(f.shape[:f.ndim - grid.dim] + grid.shape)
+    gv = v[split:].reshape(g.shape[:g.ndim - grid.dim] + grid.shape)
+    prod = fv * gv
+    return _band_product(grid, prod.sum(axis=0) if dot else prod)
+
+
+def concat_sqg_transport(grid, c):
+    """SqgOps._transport: u.grad(theta) of the half-spectrum rows c."""
+    # u.grad(theta): u and grad(theta) in one inverse transform, their
+    # dot product in one forward transform
+    from saltpde.spectral import gradient, riesz_perp
+    g = grid
+    return concat_dealiased_product(g, np.stack(riesz_perp(g, c)),
+                                    np.stack(gradient(g, c)), dot=True)

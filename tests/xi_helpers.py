@@ -26,9 +26,9 @@ def built_from():
     was built from, in build order."""
     made = []
 
-    def recording(grid, components):
+    def recording(grid, components, modes=None):
         made.append(tuple(np.asarray(c) for c in components))
-        return VectorFieldXi(grid, components)
+        return VectorFieldXi(grid, components, modes)
     recording.stack = VectorFieldXi.stack      # NoiseBasis stacks a 1D basis
 
     with pytest.MonkeyPatch.context() as mp:
