@@ -115,8 +115,8 @@ def parse_config(path, command=None):
 
     model = raw["model"]
     if model not in DEFAULT_S:
-        raise ConfigError("%s: unknown model %r (sch2 | ccf | sqg | linear)"
-                          % (path, model))
+        raise ConfigError("%s: unknown model %r (%s)"
+                          % (path, model, " | ".join(DEFAULT_S)))
     raw.setdefault("s", DEFAULT_S[model])
     raw.setdefault("noise_s_max", raw["s"] + 2.0)
     sim = SimConfig(**{k: v for k, v in raw.items() if _KEYS[k][0] == "sim"})

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import spectral as sp
 from .lie import ds_commutator, lie_derivative
-from .models import DEFAULT_S, FIELD_NAMES, S_THRESHOLD, ModelState, make_ops
+from .models import (DEFAULT_S, FIELD_NAMES, GRID_DIM, S_THRESHOLD, ModelState,
+                     make_ops)
 from .noise import build_basis, build_basis_1d, constant_basis_1d
 from .spectral import (Grid, dealiased_product, derivative, hs_inner,
                        mollify_helmholtz, sobolev_norm, sup_norm)
@@ -336,12 +337,12 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
                  corpus_count=3, K=8, seed=17, threshold=EXPONENT_THRESHOLD):
     _require_corpus(corpus_count)
     s = DEFAULT_S[model] if s is None else s
+    dim = GRID_DIM[model]
     if eps_list is None:
         # the eps-sweep burden sits on the cheap 1D suites; 2D samples two
-        eps_list = (0.5, 0.125) if model == "sqg" else EPS_LADDER
+        eps_list = (0.5, 0.125) if dim == 2 else EPS_LADDER
     if resolutions is None:
-        resolutions = RESOLUTIONS_2D if model == "sqg" else RESOLUTIONS_1D
-    dim = 2 if model == "sqg" else 1
+        resolutions = RESOLUTIONS_2D if dim == 2 else RESOLUTIONS_1D
     banks = corpus_banks(dim, corpus_count, seed, per_state=2,
                          kmax=corpus_kmax(max(resolutions)))
 
@@ -385,9 +386,9 @@ def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
                      seed=19, threshold=EXPONENT_THRESHOLD):
     _require_corpus(corpus_count)
     s = DEFAULT_S[model] if s is None else s
+    dim = GRID_DIM[model]
     if resolutions is None:
-        resolutions = RESOLUTIONS_2D if model == "sqg" else RESOLUTIONS_1D
-    dim = 2 if model == "sqg" else 1
+        resolutions = RESOLUTIONS_2D if dim == 2 else RESOLUTIONS_1D
     banks = corpus_banks(dim, 2 * corpus_count, seed, per_state=2,
                          kmax=corpus_kmax(max(resolutions)))
 
@@ -438,12 +439,9 @@ ESTIMATE_RUNNERS = {
     "cancellation": lambda: check_cancellation(),
     "kato_ponce": lambda: check_kato_ponce(),
     "helmholtz_commutator": lambda: check_helmholtz_commutator(),
-    "growth_sch2": lambda: check_growth("sch2"),
-    "growth_ccf": lambda: check_growth("ccf"),
-    "growth_sqg": lambda: check_growth("sqg"),
-    "difference_sch2": lambda: check_difference("sch2"),
-    "difference_ccf": lambda: check_difference("ccf"),
-    "difference_sqg": lambda: check_difference("sqg"),
+    **{"growth_" + m: (lambda m=m: check_growth(m)) for m in S_THRESHOLD},
+    **{"difference_" + m: (lambda m=m: check_difference(m))
+       for m in S_THRESHOLD},
     "log_interpolation": lambda: check_log_interpolation(),
 }
 

@@ -11,9 +11,16 @@ into the compositions exactly as the regularised scheme prescribes, e.g.
 -J[Ju * Ju_x] for the quadratic terms and a J^3 factor in front of the
 second-order noise sum.  The unmollified family (g, h^k) is the same code
 with J = 1: one private core forms the transport term, the Ito sum and h^k
-for both families.  A fluid model supplies only its kind and grid dimension,
-its transport term, its noise conjugation (D^-2 L D^2 on u for sch2, the
-identity elsewhere), its regular drift b and its norms.
+for both families.  The facts of each model (field names, grid dimension,
+s threshold, default s, ops class) live in this module's tables.
+
+A model class supplies its kind, its transport term, its noise conjugation
+(D^-2 L D^2 on u for sch2, the identity elsewhere), its V-norm and max
+velocity, and where the shared ones do not fit its drift b and its norms.
+_FluidOps defines the operators, b = 0 and the one-field norms once, and
+each class binds the names it answers to in its own body (g = _FluidOps.g):
+perfbench/spans.py wraps only the functions in a class's own vars(), so a
+call is recorded under the class that made it.
 
 A state X is one element of the model's space, held as one complex
 coefficient array of shape (fields, *grid.spec_shape): rows (u, eta) for
@@ -21,14 +28,15 @@ sch2, the single row theta otherwise.  A 1D row holds all n coefficients,
 an sqg row its half spectrum, the (n, n//2+1) columns k2 >= 0 of the
 n x n spectrum (see spectral): its norms count each column 0 < k2 < n/2
 twice, its L_xi reads the modes k2 < 0 as conjugates, and its transforms
-are real (the V-norm and max velocity excepted: _sup_length).  Operators, norms and steppers take and return these plain
-arrays; each operator checks the shape it is given against its own model
-and grid.  ModelState(kind, grid, rows) is the one checked entry for
-states from outside (kind, grid dimension, row shape, sqg zero mean):
-initial data and corpus states come through it, and its .coeffs is the
-array.  Every operator takes the whole array: the spectral
-layer acts on the trailing grid axes, so one call transports,
-differentiates or applies L_xi to every row at once.
+are real (the V-norm and max velocity excepted: _sup_length).  Operators,
+norms and steppers take and return these plain arrays; each operator
+checks the shape it is given against its own model and grid.
+ModelState(kind, grid, rows) is the one checked entry for states from
+outside (kind, grid dimension, row shape, sqg zero mean): initial data and
+corpus states come through it, and its .coeffs is the array.  Every
+operator takes the whole array: the spectral layer acts on the trailing
+grid axes, so one call transports, differentiates or applies L_xi to every
+row at once.
 
 Models:
   sch2  -- two-component Camassa-Holm system, state (u, eta) on the 1D torus
@@ -47,11 +55,11 @@ from .spectral import (dealiased_product, derivative, full_spectrum,
                        mollifier_symbol, real_part, riesz_component,
                        riesz_perp, sobolev_norm, sup_norm, to_grid, zero_field)
 
+# the model facts (the ops class of each model: OPS_CLASS)
 FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
                "sqg": ("theta",), "linear": ("theta",)}
-
-S_THRESHOLD = {"sch2": 5.5, "ccf": 3.5, "sqg": 4.0}
-
+GRID_DIM = {"sch2": 1, "ccf": 1, "sqg": 2, "linear": 1}
+S_THRESHOLD = {"sch2": 5.5, "ccf": 3.5, "sqg": 4.0}     # s must exceed it
 DEFAULT_S = {"sch2": 6.0, "ccf": 4.0, "sqg": 4.5, "linear": 1.0}
 
 INITIAL_CONDITIONS = ("smooth", "random", "zero")
@@ -71,8 +79,9 @@ class ModelState:
     def __init__(self, kind, grid, rows):
         if kind not in FIELD_NAMES:
             raise ValueError("unknown model kind %r" % (kind,))
-        if grid.dim != (2 if kind == "sqg" else 1):
-            raise ValueError("%s state needs a %dD grid" % (kind, 3 - grid.dim))
+        if grid.dim != GRID_DIM[kind]:
+            raise ValueError("%s state needs a %dD grid"
+                             % (kind, GRID_DIM[kind]))
         rows = np.array(rows, dtype=np.complex128)
         if rows.shape != (len(FIELD_NAMES[kind]),) + grid.spec_shape:
             raise ValueError("%s state needs %d fields of shape %r, got %r"
@@ -85,13 +94,16 @@ class ModelState:
         self.coeffs = rows
 
 
-def _checked(X, kind, shape):
-    """X itself, if it has the shape of a kind state on the ops' grid."""
-    if getattr(X, "shape", None) != shape:
-        got = X.shape if isinstance(X, np.ndarray) else type(X).__name__
-        raise ValueError("expected a %s state of shape %r, got %s"
-                         % (kind, shape, got))
-    return X
+def _noise_indices(k, K):
+    """(whether k is one index, the indices k names as a list), after
+    checking that each lies in range(K)."""
+    # a list (the steppers' form) skips np.ndim's conversion to an array
+    scalar = not isinstance(k, list) and np.ndim(k) == 0
+    ks = [k] if scalar else list(k)
+    for j in ks:
+        if not 0 <= j < K:
+            raise ValueError("noise index %d out of range (K=%d)" % (j, K))
+    return scalar, ks
 
 
 class _FluidOps:
@@ -104,16 +116,21 @@ class _FluidOps:
     as such arrays, of shape self.shape, and checks that shape.  On a 1D
     grid the first-order terms L_k(C JX) of every k are formed once per
     state (_first): the Ito sum and the h^k of that state share them.
+
+    Shared here for the model classes to bind: the seven operators, b = 0
+    and the norms of row theta in H^s and H^{s-2} (x_inner, z_inner, x_norm,
+    z_norm), through _inner and _norm (SqgOps picks the homogeneous pair,
+    Sch2Ops an _inner over both rows).
     """
 
     kind = None
-    dim = None
     v_is_x_norm = False     # see LinearOps
     _conj = None            # C per row (Sch2Ops); None means C = 1
 
     def __init__(self, grid, s, basis, eps):
-        if grid.dim != self.dim:
-            raise ValueError("%s lives on the %dD torus" % (self.kind, self.dim))
+        if grid.dim != GRID_DIM[self.kind]:
+            raise ValueError("%s lives on the %dD torus"
+                             % (self.kind, GRID_DIM[self.kind]))
         self.grid = grid
         self.shape = (len(FIELD_NAMES[self.kind]),) + grid.spec_shape
         self.s = float(s)
@@ -126,7 +143,11 @@ class _FluidOps:
         self._first_terms = None
 
     def _rows(self, X, jhat=None):
-        X = _checked(X, self.kind, self.shape)
+        # X (times jhat), if it has the shape of a state on the ops' grid
+        if getattr(X, "shape", None) != self.shape:
+            got = X.shape if isinstance(X, np.ndarray) else type(X).__name__
+            raise ValueError("expected a %s state of shape %r, got %s"
+                             % (self.kind, self.shape, got))
         return X if jhat is None else X * jhat
 
     def _theta(self, X):
@@ -179,12 +200,7 @@ class _FluidOps:
         a later state cannot replace them.  Each h^k is a fresh array that
         the caller may write."""
         cc = self._conjugated(self._rows(X, jhat))
-        scalar = np.ndim(k) == 0
-        ks = [k] if scalar else list(k)
-        for j in ks:
-            if not 0 <= j < self.basis.K:
-                raise ValueError("noise index %d out of range (K=%d)"
-                                 % (j, self.basis.K))
+        scalar, ks = _noise_indices(k, self.basis.K)
         first = self._first(cc)
         hs = (self._h(first[j] if first is not None
                       else lie_derivative(self.basis.xis[j], cc), jhat)
@@ -202,6 +218,48 @@ class _FluidOps:
         h *= -1.0
         return h
 
+    def b(self, X):
+        return np.zeros_like(self._rows(X))
+
+    def g_transport(self, X):
+        return self._transport_op(X)
+
+    def ito_correction(self, X):
+        return self._ito_op(X)
+
+    def g(self, X):
+        return self.g_transport(X) + self.ito_correction(X)
+
+    def h_k(self, X, k):
+        return self._h_op(X, k)
+
+    def g_eps_transport(self, X):
+        return self._transport_op(X, self._jhat)
+
+    def g_eps(self, X):
+        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
+
+    def h_eps_k(self, X, k):
+        return self._h_op(X, k, self._jhat)
+
+    def _inner(self, A, B, s):
+        return hs_inner(self.grid, self._theta(A), self._theta(B), s)
+
+    def _norm(self, X, s):
+        return sobolev_norm(self.grid, self._theta(X), s)
+
+    def x_inner(self, A, B):
+        return self._inner(A, B, self.s)
+
+    def z_inner(self, A, B):
+        return self._inner(A, B, self.s - 2.0)
+
+    def x_norm(self, X):
+        return self._norm(X, self.s)
+
+    def z_norm(self, X):
+        return self._norm(X, self.s - 2.0)
+
 
 class Sch2Ops(_FluidOps):
     """Two-component CH splitting.
@@ -212,7 +270,6 @@ class Sch2Ops(_FluidOps):
     """
 
     kind = "sch2"
-    dim = 1
 
     def __init__(self, grid, s, basis, eps):
         super().__init__(grid, s, basis, eps)
@@ -237,36 +294,22 @@ class Sch2Ops(_FluidOps):
         G = derivative(g, q * self._d2inv)
         return np.stack([G, etaux]) * -1.0
 
-    def g_transport(self, X):
-        return self._transport_op(X)
+    g_transport = _FluidOps.g_transport
+    ito_correction = _FluidOps.ito_correction
+    g = _FluidOps.g
+    h_k = _FluidOps.h_k
+    g_eps_transport = _FluidOps.g_eps_transport
+    g_eps = _FluidOps.g_eps
+    h_eps_k = _FluidOps.h_eps_k
 
-    def ito_correction(self, X):
-        return self._ito_op(X)
-
-    def g(self, X):
-        return self.g_transport(X) + self.ito_correction(X)
-
-    def h_k(self, X, k):
-        return self._h_op(X, k)
-
-    def g_eps_transport(self, X):
-        return self._transport_op(X, self._jhat)
-
-    def g_eps(self, X):
-        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
-
-    def h_eps_k(self, X, k):
-        return self._h_op(X, k, self._jhat)
-
-    # -- norms
-    def x_inner(self, A, B):
+    # -- norms: u in H^s (H^{s-2}), eta one order lower; s - 2.0 - 1.0 is
+    # s - 3.0 exactly for s >= 2
+    def _inner(self, A, B, s):
         g, a, b = self.grid, self._rows(A), self._rows(B)
-        return hs_inner(g, a[0], b[0], self.s) + hs_inner(g, a[1], b[1], self.s - 1.0)
+        return hs_inner(g, a[0], b[0], s) + hs_inner(g, a[1], b[1], s - 1.0)
 
-    def z_inner(self, A, B):
-        g, a, b = self.grid, self._rows(A), self._rows(B)
-        return hs_inner(g, a[0], b[0], self.s - 2.0) \
-            + hs_inner(g, a[1], b[1], self.s - 3.0)
+    x_inner = _FluidOps.x_inner
+    z_inner = _FluidOps.z_inner
 
     def x_norm(self, X):
         return float(np.sqrt(max(self.x_inner(X, X), 0.0)))
@@ -293,47 +336,23 @@ class CcfOps(_FluidOps):
     """Nonlocal transport splitting: b = 0, g = -(H theta) theta_x + noise."""
 
     kind = "ccf"
-    dim = 1
 
     def _transport(self, c):
         g = self.grid
         return dealiased_product(g, hilbert_transform(g, c), derivative(g, c))
 
-    def b(self, X):
-        return np.zeros_like(self._rows(X))
-
-    def g_transport(self, X):
-        return self._transport_op(X)
-
-    def ito_correction(self, X):
-        return self._ito_op(X)
-
-    def g(self, X):
-        return self.g_transport(X) + self.ito_correction(X)
-
-    def h_k(self, X, k):
-        return self._h_op(X, k)
-
-    def g_eps_transport(self, X):
-        return self._transport_op(X, self._jhat)
-
-    def g_eps(self, X):
-        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
-
-    def h_eps_k(self, X, k):
-        return self._h_op(X, k, self._jhat)
-
-    def x_inner(self, A, B):
-        return hs_inner(self.grid, self._theta(A), self._theta(B), self.s)
-
-    def z_inner(self, A, B):
-        return hs_inner(self.grid, self._theta(A), self._theta(B), self.s - 2.0)
-
-    def x_norm(self, X):
-        return sobolev_norm(self.grid, self._theta(X), self.s)
-
-    def z_norm(self, X):
-        return sobolev_norm(self.grid, self._theta(X), self.s - 2.0)
+    b = _FluidOps.b
+    g_transport = _FluidOps.g_transport
+    ito_correction = _FluidOps.ito_correction
+    g = _FluidOps.g
+    h_k = _FluidOps.h_k
+    g_eps_transport = _FluidOps.g_eps_transport
+    g_eps = _FluidOps.g_eps
+    h_eps_k = _FluidOps.h_eps_k
+    x_inner = _FluidOps.x_inner
+    z_inner = _FluidOps.z_inner
+    x_norm = _FluidOps.x_norm
+    z_norm = _FluidOps.z_norm
 
     def v_norm(self, X):
         # blow-up functional sup|theta_x| + sup|H theta_x|
@@ -355,7 +374,6 @@ class SqgOps(_FluidOps):
     """
 
     kind = "sqg"
-    dim = 2
 
     def __init__(self, grid, s, basis, eps):
         super().__init__(grid, s, basis, eps)
@@ -373,42 +391,24 @@ class SqgOps(_FluidOps):
             g, (rows, lambda out: riesz_perp(g, c, out=out)),
             (rows, lambda out: gradient(g, c, out=out)), dot=True)
 
-    def b(self, X):
-        return np.zeros_like(self._rows(X))
+    def _inner(self, A, B, s):
+        return homogeneous_inner(self.grid, self._theta(A), self._theta(B), s)
 
-    def g_transport(self, X):
-        return self._transport_op(X)
+    def _norm(self, X, s):
+        return homogeneous_norm(self.grid, self._theta(X), s)
 
-    def ito_correction(self, X):
-        return self._ito_op(X)
-
-    def g(self, X):
-        return self.g_transport(X) + self.ito_correction(X)
-
-    def h_k(self, X, k):
-        return self._h_op(X, k)
-
-    def g_eps_transport(self, X):
-        return self._transport_op(X, self._jhat)
-
-    def g_eps(self, X):
-        return self.g_eps_transport(X) + self._ito_op(X, self._jhat)
-
-    def h_eps_k(self, X, k):
-        return self._h_op(X, k, self._jhat)
-
-    def x_inner(self, A, B):
-        return homogeneous_inner(self.grid, self._theta(A), self._theta(B), self.s)
-
-    def z_inner(self, A, B):
-        return homogeneous_inner(self.grid, self._theta(A), self._theta(B),
-                                 self.s - 2.0)
-
-    def x_norm(self, X):
-        return homogeneous_norm(self.grid, self._theta(X), self.s)
-
-    def z_norm(self, X):
-        return homogeneous_norm(self.grid, self._theta(X), self.s - 2.0)
+    b = _FluidOps.b
+    g_transport = _FluidOps.g_transport
+    ito_correction = _FluidOps.ito_correction
+    g = _FluidOps.g
+    h_k = _FluidOps.h_k
+    g_eps_transport = _FluidOps.g_eps_transport
+    g_eps = _FluidOps.g_eps
+    h_eps_k = _FluidOps.h_eps_k
+    x_inner = _FluidOps.x_inner
+    z_inner = _FluidOps.z_inner
+    x_norm = _FluidOps.x_norm
+    z_norm = _FluidOps.z_norm
 
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes, the Riesz
@@ -447,25 +447,25 @@ def _sup_length(grid, fields):
     return float(np.sqrt(np.max(acc)))
 
 
-class LinearOps:
+class LinearOps(_FluidOps):
     """Scalar test SDE dX = a X o dW, i.e. dX = a^2 X/2 dt + a X dW in Ito
     form, represented as a constant field so the steppers apply unchanged;
     every operator is a multiple of X (b = 0 X, g = a^2/2 X, h = a X).
     The exact solution X_0 exp(a W_t) pins down strong convergence orders.
+    Of the core it takes only the state check and the one-field norms, all
+    of them the L^2 norm (s = 0).
     """
 
     kind = "linear"
+    s = 0.0
     # the V-functional is the H^s norm (v_norm = x_norm), so a caller that
     # holds x_norm(X) holds v_norm(X)
     v_is_x_norm = True
 
-    def __init__(self, grid, a):
+    def __init__(self, grid, a):     # not the core's: no basis, no J
         self.grid = grid
         self.shape = (1,) + grid.shape
         self.a = float(a)
-
-    def _rows(self, X):
-        return _checked(X, self.kind, self.shape)
 
     def b(self, X):
         return self._rows(X) * 0.0
@@ -480,10 +480,10 @@ class LinearOps:
 
     def h_k(self, X, k):
         # a fresh array per index, as the fluid models give (the Heun step
-        # sums into them)
-        if isinstance(k, (int, np.integer)):
-            return self._rows(X) * self.a
-        return (self._rows(X) * self.a for _ in k)
+        # sums into them); the one Brownian motion has index 0
+        X = self._rows(X)
+        scalar, ks = _noise_indices(k, 1)
+        return X * self.a if scalar else (X * self.a for _ in ks)
 
     g_eps_transport = g_transport
     g_eps = g
@@ -493,16 +493,8 @@ class LinearOps:
         """The constant the field holds: its k = 0 coefficient."""
         return float(self._rows(X)[(0,) * (1 + self.grid.dim)].real)
 
-    def x_inner(self, A, B):
-        return hs_inner(self.grid, self._rows(A)[0], self._rows(B)[0], 0.0)
-
-    z_inner = x_inner
-
-    def x_norm(self, X):
-        return sobolev_norm(self.grid, self._rows(X)[0], 0.0)
-
-    z_norm = x_norm
-    v_norm = x_norm
+    x_inner = z_inner = _FluidOps.x_inner
+    x_norm = z_norm = v_norm = _FluidOps.x_norm
 
     def max_velocity(self, X):
         self._rows(X)
@@ -512,80 +504,62 @@ class LinearOps:
         return x0 * np.exp(self.a * w_t)
 
 
+OPS_CLASS = {cls.kind: cls for cls in (Sch2Ops, CcfOps, SqgOps, LinearOps)}
+
+
 def make_ops(model, grid, s, basis, eps, linear_a=1.0):
-    if model == "sch2":
-        return Sch2Ops(grid, s, basis, eps)
-    if model == "ccf":
-        return CcfOps(grid, s, basis, eps)
-    if model == "sqg":
-        return SqgOps(grid, s, basis, eps)
+    if model not in OPS_CLASS:
+        raise ValueError("unknown model %r" % (model,))
     if model == "linear":
         return LinearOps(grid, linear_a)
-    raise ValueError("unknown model %r" % (model,))
-
-
-def smooth_initial_state(model, grid, amplitude):
-    """Default deterministic smooth initial data per model."""
-    a = float(amplitude)
-    if model == "sch2":
-        vals = [a * np.cos(grid.x), a * np.sin(grid.x)]
-    elif model == "ccf":
-        vals = [a * np.cos(grid.x)]
-    elif model == "sqg":
-        x1, x2 = grid.nodes()
-        vals = [a * (np.cos(x1) + np.sin(x2) + 0.5 * np.cos(x1 + x2))]
-    elif model == "linear":
-        c = zero_field(grid, 1)
-        c[(0,) * (1 + grid.dim)] = a
-        return ModelState("linear", grid, c)
-    else:
-        raise ValueError("unknown model %r" % (model,))
-    return ModelState(model, grid, sp.from_values(grid, vals))
-
-
-def random_initial_state(model, grid, amplitude, seed):
-    """Seeded random trigonometric initial data with mild coefficient decay,
-    modes up to 4."""
-    rng = np.random.default_rng(seed)
-    kmax = 4
-
-    def scalar(zero_mean):
-        c = zero_field(grid)
-        if grid.dim == 1:
-            for k in range(1 if zero_mean else 0, kmax + 1):
-                amp = rng.standard_normal() + 1j * rng.standard_normal()
-                c[k] = amp / (1.0 + k * k)
-        else:
-            for k1 in range(-kmax, kmax + 1):
-                for k2 in range(0, kmax + 1):
-                    if k2 == 0 and k1 <= 0:
-                        continue
-                    amp = rng.standard_normal() + 1j * rng.standard_normal()
-                    c[k1, k2] = amp / (1.0 + k1 * k1 + k2 * k2)
-            c = real_part(grid, c)
-        # taking the real part of the inverse transform symmetrises a 1D c
-        vals = to_grid(grid, c)
-        peak = max(float(np.max(np.abs(vals))), 1e-30)
-        return sp.from_values(grid, float(amplitude) * vals / peak)
-
-    if model == "linear":
-        return smooth_initial_state("linear", grid, amplitude)
-    if model not in FIELD_NAMES:
-        raise ValueError("unknown model %r" % (model,))
-    return ModelState(model, grid, [scalar(model == "sqg")
-                                    for _ in FIELD_NAMES[model]])
-
-
-def zero_initial_state(model, grid):
-    return ModelState(model, grid, zero_field(grid, len(FIELD_NAMES[model])))
+    return OPS_CLASS[model](grid, s, basis, eps)
 
 
 def make_initial_state(model, grid, ic, amplitude, seed=0):
-    if ic == "smooth":
-        return smooth_initial_state(model, grid, amplitude)
-    if ic == "random":
-        return random_initial_state(model, grid, amplitude, seed)
+    """The model's initial state: ic = "smooth" (its default smooth data),
+    "random" (seeded trigonometric data with mild coefficient decay, modes
+    up to 4; the linear model's is its smooth one) or "zero"."""
+    if model not in FIELD_NAMES:
+        raise ValueError("unknown model %r" % (model,))
+    if ic not in INITIAL_CONDITIONS:
+        raise ValueError("unknown initial condition %r (%s)"
+                         % (ic, " | ".join(INITIAL_CONDITIONS)))
+    a = float(amplitude)
     if ic == "zero":
-        return zero_initial_state(model, grid)
-    raise ValueError("unknown initial condition %r (%s)"
-                     % (ic, " | ".join(INITIAL_CONDITIONS)))
+        rows = zero_field(grid, len(FIELD_NAMES[model]))
+    elif model == "linear":
+        rows = zero_field(grid, 1)
+        rows[(0,) * (1 + grid.dim)] = a
+    elif ic == "random":
+        rng = np.random.default_rng(seed)
+        rows = [_random_row(grid, a, rng, zero_mean=model == "sqg")
+                for _ in FIELD_NAMES[model]]
+    elif model == "sch2":
+        rows = sp.from_values(grid, [a * np.cos(grid.x), a * np.sin(grid.x)])
+    elif model == "ccf":
+        rows = sp.from_values(grid, [a * np.cos(grid.x)])
+    else:
+        x1, x2 = grid.nodes()
+        rows = sp.from_values(
+            grid, [a * (np.cos(x1) + np.sin(x2) + 0.5 * np.cos(x1 + x2))])
+    return ModelState(model, grid, rows)
+
+
+def _random_row(grid, amplitude, rng, zero_mean, kmax=4):
+    c = zero_field(grid)
+    if grid.dim == 1:
+        for k in range(1 if zero_mean else 0, kmax + 1):
+            amp = rng.standard_normal() + 1j * rng.standard_normal()
+            c[k] = amp / (1.0 + k * k)
+    else:
+        for k1 in range(-kmax, kmax + 1):
+            for k2 in range(0, kmax + 1):
+                if k2 == 0 and k1 <= 0:
+                    continue
+                amp = rng.standard_normal() + 1j * rng.standard_normal()
+                c[k1, k2] = amp / (1.0 + k1 * k1 + k2 * k2)
+        c = real_part(grid, c)
+    # taking the real part of the inverse transform symmetrises a 1D c
+    vals = to_grid(grid, c)
+    peak = max(float(np.max(np.abs(vals))), 1e-30)
+    return sp.from_values(grid, amplitude * vals / peak)

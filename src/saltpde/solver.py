@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (FIELD_NAMES, INITIAL_CONDITIONS, S_THRESHOLD,
+from .models import (FIELD_NAMES, GRID_DIM, INITIAL_CONDITIONS, S_THRESHOLD,
                      make_initial_state, make_ops)
 from .noise import build_basis, check_decay, sample_path
 from .spectral import Grid, full_spectrum, lipschitz_bound
@@ -93,7 +93,7 @@ class SimConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError("%s must be finite, got %r" % (name, value))
-        if self.model not in ("sch2", "ccf", "sqg", "linear"):
+        if self.model not in FIELD_NAMES:
             raise ValueError("unknown model %r" % (self.model,))
         Grid.check_n(self.n)
         if self.dt <= 0:
@@ -140,7 +140,7 @@ class SimConfig:
         return steps
 
     def grid(self):
-        return Grid(self.n, dim=2 if self.model == "sqg" else 1)
+        return Grid(self.n, dim=GRID_DIM[self.model])
 
     def build_basis(self, grid):
         if self.model == "linear":

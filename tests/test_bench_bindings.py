@@ -52,6 +52,43 @@ def test_expected_spans_are_bound():
             assert fn.__module__ == module.__name__, name
 
 
+def unbound_public_names(cls):
+    """The public callables cls answers to that are not functions in its
+    own vars(): the tracer would record their calls under another class,
+    or not at all."""
+    return sorted(name for name in dir(cls)
+                  if not name.startswith("_") and callable(getattr(cls, name))
+                  and not inspect.isfunction(vars(cls).get(name)))
+
+
+def test_ops_classes_bind_every_public_method():
+    # each model class binds the operators and norms it shares with
+    # _FluidOps in its own body, so that every call is traced under it
+    from saltpde import models
+    traced = [cls for name, cls in vars(models).items()
+              if inspect.isclass(cls) and name.endswith("Ops")]
+    assert {models.Sch2Ops, models.CcfOps, models.SqgOps,
+            models.LinearOps} <= set(traced)
+    for cls in traced:
+        assert unbound_public_names(cls) == [], cls.__name__
+
+
+def test_binding_check_fails_on_a_class_that_binds_nothing():
+    # positive control: a model class that inherits the shared operators
+    # and norms instead of binding them answers to every one of them
+    from saltpde import models
+
+    class BareOps(models._FluidOps):
+        kind = "ccf"
+
+        def v_norm(self, X):
+            return 0.0
+
+    assert unbound_public_names(BareOps) == sorted(
+        ("b", "g_transport", "ito_correction", "g", "h_k", "g_eps_transport",
+         "g_eps", "h_eps_k", "x_inner", "z_inner", "x_norm", "z_norm"))
+
+
 def count_at_bindings(monkeypatch, fn):
     """Wrap fn at every module-level binding in the package, as the tracer
     does; returns the list each call appends to and the modules patched."""

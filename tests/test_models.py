@@ -536,13 +536,18 @@ def test_sch2_g_empty_basis():
     # h vanishes identically with no noise
     with pytest.raises(ValueError, match="out of range"):
         ops.h_k(X, 0)
-    for model in ("sch2", "ccf", "sqg"):
-        gm, ops_m, _ = model_setup(model, K=2)
-        Xm = make_initial_state(model, gm, "smooth", 0.1).coeffs
+    # every model refuses an index outside range(K), alone or in a list,
+    # at the call; the linear model drives K = 1 Brownian motion
+    cases = [(model_setup(model, K=2)[1], 2) for model in ("sch2", "ccf", "sqg")]
+    cases.append((make_ops("linear", Grid(8), 1.0, None, 0.1), 1))
+    for ops_m, K in cases:
+        Xm = make_initial_state(ops_m.kind, ops_m.grid, "smooth", 0.1).coeffs
         for name in NOISE_OPERATORS:
-            for k in (-1, 2):
-                with pytest.raises(ValueError, match="out of range"):
-                    getattr(ops_m, name)(Xm, k)
+            for k in (-1, K, 7):
+                for index in (k, [0, k]):
+                    with pytest.raises(ValueError, match=r"noise index %d out "
+                                       r"of range \(K=%d\)" % (k, K)):
+                        getattr(ops_m, name)(Xm, index)
 
 
 def test_sch2_h_constant_xi_single_mode():
