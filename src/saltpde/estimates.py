@@ -126,20 +126,33 @@ def corpus_field(grid, s, kind, bank):
     return (1.0 / sobolev_norm(grid, F, s)) * F
 
 
-def corpus_banks(dim, count, seed, per_state=1, kmax=None):
-    """count tuples of per_state banks from one generator; each bank keeps
-    modes up to kmax (all it draws by default)."""
+def corpus_banks(dim, count, seed, per_state=1, kmax=None, read=None):
+    """count tuples of per_state banks from one generator; the first read
+    banks of each tuple (all by default) keep modes up to kmax (all they
+    draw by default).  The others are drawn all the same, so the stream
+    and every kept coefficient stay those of a full draw, but keep mode 0
+    only: a state that reads fewer banks than a tuple holds (ccf's and
+    sqg's one field of two) holds no unread modes."""
     rng = np.random.default_rng(seed)
-    return [tuple(CoefficientBank(dim, rng, kmax=kmax) for _ in range(per_state))
+    read = per_state if read is None else read
+    return [tuple(CoefficientBank(dim, rng, kmax=kmax if i < read else 0)
+                  for i in range(per_state))
             for _ in range(count)]
+
+
+def _corpus_model(model):
+    """model, if the estimate checks have a corpus for it (an s threshold);
+    refuses the others, the linear model included."""
+    if model not in S_THRESHOLD:
+        raise ValueError("unknown model %r; the estimate checks know %s"
+                         % (model, " | ".join(S_THRESHOLD)))
+    return model
 
 
 def corpus_state(model, grid, s, banks):
     """The model's state array, checked through ModelState: field i is the
     critical corpus field at s - i, drawn from bank i."""
-    if model not in S_THRESHOLD:
-        raise ValueError("unknown model %r" % (model,))
-    return ModelState(model, grid,
+    return ModelState(_corpus_model(model), grid,
                       [corpus_field(grid, s - i, "critical", banks[i])
                        for i in range(len(FIELD_NAMES[model]))]).coeffs
 
@@ -336,7 +349,7 @@ def growth_ratios(ops, X, xn2, v):
 def check_growth(model, s=None, eps_list=None, resolutions=None,
                  corpus_count=3, K=8, seed=17, threshold=EXPONENT_THRESHOLD):
     _require_corpus(corpus_count)
-    s = DEFAULT_S[model] if s is None else s
+    s = DEFAULT_S[_corpus_model(model)] if s is None else s
     dim = GRID_DIM[model]
     if eps_list is None:
         # the eps-sweep burden sits on the cheap 1D suites; 2D samples two
@@ -344,7 +357,8 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if dim == 2 else RESOLUTIONS_1D
     banks = corpus_banks(dim, corpus_count, seed, per_state=2,
-                         kmax=corpus_kmax(max(resolutions)))
+                         kmax=corpus_kmax(max(resolutions)),
+                         read=len(FIELD_NAMES[model]))
 
     def samples(n):
         grid = Grid(n, dim=dim)
@@ -371,13 +385,17 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
 def difference_ratio(ops, X, Y):
     diff = X - Y
     zn2 = ops.z_inner(diff, diff)
-    lhs = 2.0 * ops.z_inner(ops.g(X) - ops.g(Y), diff)
+    # g and h^k return fresh arrays: the differences are formed in place
+    gd = ops.g(X)
+    gd -= ops.g(Y)
+    lhs = 2.0 * ops.z_inner(gd, diff)
+    del gd
     # every h^k of X, then of Y: on a 1D grid each state's first-order
     # terms are formed once (alternating the states would form them per k)
     ks = range(ops.basis.K)
     for hx, hy in zip(ops.h_k(X, ks), ops.h_k(Y, ks)):
-        hd = hx - hy
-        lhs += ops.z_inner(hd, hd)
+        hx -= hy
+        lhs += ops.z_inner(hx, hx)
     rhs = (1.0 + ops.x_norm(X) ** 2 + ops.x_norm(Y) ** 2) * zn2
     return lhs / rhs
 
@@ -385,12 +403,13 @@ def difference_ratio(ops, X, Y):
 def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
                      seed=19, threshold=EXPONENT_THRESHOLD):
     _require_corpus(corpus_count)
-    s = DEFAULT_S[model] if s is None else s
+    s = DEFAULT_S[_corpus_model(model)] if s is None else s
     dim = GRID_DIM[model]
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if dim == 2 else RESOLUTIONS_1D
     banks = corpus_banks(dim, 2 * corpus_count, seed, per_state=2,
-                         kmax=corpus_kmax(max(resolutions)))
+                         kmax=corpus_kmax(max(resolutions)),
+                         read=len(FIELD_NAMES[model]))
 
     def samples(n):
         grid = Grid(n, dim=dim)

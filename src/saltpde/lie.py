@@ -87,16 +87,23 @@ class VectorFieldXi:
         self.grid = grid
         if modes is None:
             modes = grid.full_modes()
-        div = np.zeros(grid.shape, dtype=np.complex128)    # summed in place
-        for axis, c in enumerate(comps):
-            div += derivative(modes, c, axis)
-        self.max_divergence = float(np.max(np.abs(div)))
         if grid.dim == 1:
-            # band samples of xi and div(xi), paired with (c_x, c) in one
+            # div(xi) summed on zeros, whose signs band_values reads: band
+            # samples of xi and div(xi), paired with (c_x, c) in one
             # product (lie_derivative)
+            div = np.zeros(grid.shape, dtype=np.complex128)
+            div += derivative(modes, comps[0], 0)
+            self.max_divergence = float(np.max(np.abs(div)))
             self._factors = np.stack([band_values(grid, comps[0]),
                                       band_values(grid, div)])
         else:
+            # div(xi) summed in place on the first derivative and dropped
+            # before the stencil is read: it differs from a sum on zeros
+            # only in the signs of zeros, which no modulus reads
+            div = derivative(modes, comps[0], 0)
+            div += derivative(modes, comps[1], 1)
+            self.max_divergence = float(np.max(np.abs(div)))
+            del div
             self._stencil = _stencil(modes, comps)
         self.K = None       # a single field, not a stack
 

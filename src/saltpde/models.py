@@ -15,12 +15,14 @@ for both families.  The facts of each model (field names, grid dimension,
 s threshold, default s, ops class) live in this module's tables.
 
 A model class supplies its kind, its transport term, its noise conjugation
-(D^-2 L D^2 on u for sch2, the identity elsewhere), its V-norm and max
-velocity, and where the shared ones do not fit its drift b and its norms.
-_FluidOps defines the operators, b = 0 and the one-field norms once, and
-each class binds the names it answers to in its own body (g = _FluidOps.g):
-perfbench/spans.py wraps only the functions in a class's own vars(), so a
-call is recorded under the class that made it.
+(D^-2 L D^2 on u for sch2, the identity elsewhere), its V-norm and exact
+max velocity (_sup_velocity), and where the shared ones do not fit its
+drift b and its norms.  _FluidOps defines the operators, b = 0, the
+one-field norms and max_velocity (which bounds the velocity without a
+transform where a caller's limit allows) once, and each class binds the
+names it answers to in its own body (g = _FluidOps.g): perfbench/spans.py
+wraps only the functions in a class's own vars(), so a call is recorded
+under the class that made it.
 
 A state X is one element of the model's space, held as one complex
 coefficient array of shape (fields, *grid.spec_shape): rows (u, eta) for
@@ -51,9 +53,10 @@ from . import spectral as sp
 from .lie import ito_correction, lie_derivative
 from .spectral import (dealiased_product, derivative, full_spectrum,
                        gradient, has_mean, hilbert_transform, hs_inner,
-                       homogeneous_inner, homogeneous_norm, lipschitz_norm,
-                       mollifier_symbol, real_part, riesz_component,
-                       riesz_perp, sobolev_norm, sup_norm, to_grid, zero_field)
+                       homogeneous_inner, homogeneous_norm, lipschitz_bound,
+                       lipschitz_norm, mollifier_symbol, real_part,
+                       riesz_component, riesz_perp, sobolev_norm, sup_norm,
+                       to_grid, zero_field)
 
 # the model facts (the ops class of each model: OPS_CLASS)
 FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
@@ -117,10 +120,10 @@ class _FluidOps:
     grid the first-order terms L_k(C JX) of every k are formed once per
     state (_first): the Ito sum and the h^k of that state share them.
 
-    Shared here for the model classes to bind: the seven operators, b = 0
-    and the norms of row theta in H^s and H^{s-2} (x_inner, z_inner, x_norm,
-    z_norm), through _inner and _norm (SqgOps picks the homogeneous pair,
-    Sch2Ops an _inner over both rows).
+    Shared here for the model classes to bind: the seven operators, b = 0,
+    max_velocity and the norms of row theta in H^s and H^{s-2} (x_inner,
+    z_inner, x_norm, z_norm), through _inner and _norm (SqgOps picks the
+    homogeneous pair, Sch2Ops an _inner over both rows).
     """
 
     kind = None
@@ -260,6 +263,21 @@ class _FluidOps:
     def z_norm(self, X):
         return self._norm(X, self.s - 2.0)
 
+    def max_velocity(self, X, limit=None):
+        """sup of the velocity's length over the grid nodes (the model's
+        _sup_velocity).  Given a limit, the coefficient bound
+        B = lipschitz_bound(grid, X) is returned instead, with no
+        transform, wherever B(1 + 1e-9) <= limit: B bounds sup|u|, since
+        |u(x)| <= sum_k |u(k)| and each model's velocity multiplier (1 on
+        sch2's u, H for ccf, R-perp for sqg) has modulus at most 1, and the
+        margin covers the transforms' round-off, so a caller that compares
+        the result with limit decides as it would on the exact sup."""
+        if limit is not None:
+            bound = lipschitz_bound(self.grid, self._rows(X))
+            if bound * (1.0 + 1e-9) <= limit:
+                return bound
+        return self._sup_velocity(X)
+
 
 class Sch2Ops(_FluidOps):
     """Two-component CH splitting.
@@ -328,8 +346,10 @@ class Sch2Ops(_FluidOps):
         return sobolev_norm(self.grid, u, 1.0) ** 2 \
             + sobolev_norm(self.grid, eta, 0.0) ** 2
 
-    def max_velocity(self, X):
+    def _sup_velocity(self, X):
         return sup_norm(self.grid, self._rows(X)[0])
+
+    max_velocity = _FluidOps.max_velocity
 
 
 class CcfOps(_FluidOps):
@@ -361,8 +381,10 @@ class CcfOps(_FluidOps):
         sup_tx, sup_htx = sup_norm(g, np.stack([tx, hilbert_transform(g, tx)]))
         return float(sup_tx + sup_htx)
 
-    def max_velocity(self, X):
+    def _sup_velocity(self, X):
         return sup_norm(self.grid, hilbert_transform(self.grid, self._theta(X)))
+
+    max_velocity = _FluidOps.max_velocity
 
 
 class SqgOps(_FluidOps):
@@ -382,14 +404,14 @@ class SqgOps(_FluidOps):
                 raise ValueError("sqg needs a divergence-free noise basis")
 
     def _transport(self, c):
-        # u.grad(theta): u and grad(theta) written straight into the
-        # product's one buffer and sampled by one inverse transform, their
-        # dot product in one forward transform
+        # u.grad(theta), one pair (u_i, d_i theta) at a time: each written
+        # straight into a row of the product's two-row buffer and sampled
+        # by one inverse transform, the dot product in one forward
         g = self.grid
         rows = (g.dim,) + c.shape
         return dealiased_product(
-            g, (rows, lambda out: riesz_perp(g, c, out=out)),
-            (rows, lambda out: gradient(g, c, out=out)), dot=True)
+            g, (rows, lambda i, out: riesz_perp(g, c, i, out)),
+            (rows, lambda i, out: derivative(g, c, i, out=out)), dot=True)
 
     def _inner(self, A, B, s):
         return homogeneous_inner(self.grid, self._theta(A), self._theta(B), s)
@@ -418,8 +440,10 @@ class SqgOps(_FluidOps):
         return _sup_length(g, grad) + _sup_length(
             g, (riesz_component(g, d, axis) for d in grad for axis in (0, 1)))
 
-    def max_velocity(self, X):
+    def _sup_velocity(self, X):
         return _sup_length(self.grid, riesz_perp(self.grid, self._theta(X)))
+
+    max_velocity = _FluidOps.max_velocity
 
 
 def _sup_length(grid, fields):
@@ -431,17 +455,20 @@ def _sup_length(grid, fields):
     evaluate these norms: the V-norm and max velocity are single floats
     whose round-off (an ulp or so) lands on either side by luck on any other
     route, so they are those formulas' floats, bit for bit.  The fields are
-    taken one at a time: two whole-spectrum complex arrays are alive at
-    once, the field's whole spectrum and to_grid's scaled copy of it, which
-    is transformed in place and holds the samples.
+    taken one at a time, each field's fresh whole spectrum scaled and
+    transformed in place (to_grid's out), so it holds the samples, whose
+    square is formed there too.  The first square is a fresh array: the
+    samples are a view of the complex spectrum, which it would keep alive.
     """
     acc = None
     for c in fields:
-        v = to_grid(grid.full, full_spectrum(grid, c))
+        z = full_spectrum(grid, c)
+        v = to_grid(grid.full, z, out=z)
         if acc is None:
             acc = v * v
         else:
-            acc += v * v
+            acc += np.multiply(v, v, out=v)
+        del z, v
     # (sqrt is correctly rounded, so monotone: the sqrt of the max is the
     # max of the sqrt)
     return float(np.sqrt(np.max(acc)))
@@ -496,7 +523,7 @@ class LinearOps(_FluidOps):
     x_inner = z_inner = _FluidOps.x_inner
     x_norm = z_norm = v_norm = _FluidOps.x_norm
 
-    def max_velocity(self, X):
+    def max_velocity(self, X, limit=None):
         self._rows(X)
         return 0.0
 

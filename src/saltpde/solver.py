@@ -15,13 +15,15 @@ reach R.  run_path hands each step the V-norm its monitor already holds;
 elsewhere (the Heun predictor, stability_experiment, a step called without
 v) a transform-free coefficient bound decides chi_R = 1 whenever it lies
 below R, and chi_R is evaluated on ops.v_norm otherwise (_chi).  A step of
-run_path then makes 8 transforms for ccf Ito-EM at K = 4, monitors
-included.  An sqg Stratonovich-Heun step makes 12: two per transport term
-(an inverse of u and grad(theta) together, a forward of their dot
+run_path then makes 7 transforms for ccf Ito-EM at K = 4, monitors
+included.  An sqg Stratonovich-Heun step makes 12: three per transport
+term (an inverse of each pair (u_i, d_i theta), a forward of their dot
 product), each a real transform of half spectra (a complex numpy pass
 along the first axis and a real one along the last), and one complex
-transform of a whole spectrum per real field for the V-norm (six) and the
-CFL check's velocity (two).
+transform of a whole spectrum per real field for the V-norm (six).  The
+CFL check reads the velocity's coefficient bound (models'
+max_velocity), which on the shipped runs stays far below its limit, and
+transforms only where the bound does not decide it.
 
 Stopping is checked every step against the H^s norm threshold (the
 discrete analogue of the first-exit stopping time), against a blow-up
@@ -326,10 +328,13 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     # so a NaN or inf coefficient makes it non-finite; the state is scanned
     # only then, and a finite state whose norm overflows is not "diverged"
     dws = path.increments.tolist()
+    # the velocity a step may reach: max_velocity answers with a coefficient
+    # bound, without a transform, wherever that bound decides the check
     cfl_limit = 0.5 * grid.dx
+    speed_limit = cfl_limit / cfg.dt
     t = 0.0
     for nstep in range(0 if reason else n_steps):
-        if cfg.dt * ops.max_velocity(X) > cfl_limit:
+        if cfg.dt * ops.max_velocity(X, speed_limit) > cfl_limit:
             reason = "cfl"
             if rec.times[-1] != t:
                 rec.add(t, hs, v)

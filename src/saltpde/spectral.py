@@ -40,13 +40,14 @@ Helmholtz mollifier (1-eps^2*Lap)^(-1).  Pointwise products of fields are
 always dealiased with the 2/3 rule.
 
 No function here writes into an array it was handed, except an out that
-the caller passes for the result (derivative, gradient, riesz_component
-and riesz_perp take one); dealiased_product forms its factors in a buffer
-of its own.  A layout carries the wavenumber meshes and builds its tables
-(|k|^2, 1/|k|, the masks) and multipliers when they are first read, then
-keeps them.  Grid.full, kept for the grid's life, holds only what is read
-on it; the basis build reads its whole-spectrum tables on a layout of its
-own (Grid.full_modes()), which dies with the build.
+the caller passes for the result (derivative, riesz_component and
+riesz_perp's one component take one) or, in to_grid, for the transform to
+run in; dealiased_product forms its factors in a buffer of its own.  A
+layout carries the wavenumber meshes and builds its tables (|k|^2, 1/|k|,
+the masks) and multipliers when they are first read, then keeps them.
+Grid.full, kept for the grid's life, holds only what is read on it; the
+basis build reads its whole-spectrum tables on a layout of its own
+(Grid.full_modes()), which dies with the build.
 """
 
 import functools
@@ -240,9 +241,12 @@ def from_values(grid, values):
     return z
 
 
-def to_grid(grid, c):
-    """Real grid samples of the coefficients c, as a float ndarray."""
-    z = c * grid.n_total
+def to_grid(grid, c, out=None):
+    """Real grid samples of the coefficients c, as a float ndarray.  out,
+    if given, is a complex array of c's shape (c itself, say) that takes
+    the scaled coefficients and is transformed in place; on a 1D grid or a
+    whole spectrum the samples are then a view of out's real part."""
+    z = np.multiply(c, grid.n_total, out=out)
     if not np.all(np.isfinite(z)):
         bad = int(np.count_nonzero(~np.isfinite(z)))
         raise ValueError("spectrum has %d non-finite coefficients" % bad)
@@ -360,14 +364,9 @@ def derivative(grid, c, axis=0, out=None):
     return np.multiply(c, sym, out=out)
 
 
-def gradient(grid, c, out=None):
-    """The derivatives along every grid axis, as a tuple; or written into
-    the rows of out, shape (grid.dim,) + c.shape, which is returned."""
-    if out is None:
-        return tuple(derivative(grid, c, axis) for axis in range(grid.dim))
-    for axis in range(grid.dim):
-        derivative(grid, c, axis, out=out[axis])
-    return out
+def gradient(grid, c):
+    """The derivatives along every grid axis, as a tuple."""
+    return tuple(derivative(grid, c, axis) for axis in range(grid.dim))
 
 
 def hilbert_transform(grid, c):
@@ -378,9 +377,9 @@ def hilbert_transform(grid, c):
                        lambda: -1j * np.sign(grid.k_axes[0]) * grid.not_nyquist)
 
 
-def riesz_perp(grid, c, out=None):
-    """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D, as a tuple; or
-    written into the rows of out, shape (2,) + c.shape, which is returned.
+def riesz_perp(grid, c, component=None, out=None):
+    """u = R^perp(theta) = (R_2 theta, -R_1 theta) in 2D, as a tuple; with
+    component = i, u_i alone, written into out if given and returned.
 
     The sign convention gives real, divergence-free output and maps
     theta = cos(x1) to u = (0, sin(x1)).  Requires a zero-mean input.
@@ -389,11 +388,10 @@ def riesz_perp(grid, c, out=None):
         raise ValueError("Riesz transform is 2D only")
     if has_mean(grid, c):
         raise ValueError("riesz_perp needs a zero-mean field")
-    if out is None:
+    if component is None:
         return riesz_component(grid, c, 1), -riesz_component(grid, c, 0)
-    riesz_component(grid, c, 1, out=out[0])
-    np.negative(riesz_component(grid, c, 0, out=out[1]), out=out[1])
-    return out
+    u = riesz_component(grid, c, 1 - component, out=out)
+    return u if component == 0 else np.negative(u, out=u)
 
 
 def riesz_component(grid, c, axis, out=None):
@@ -460,25 +458,30 @@ def dealiased_product(grid, f, g, dot=False):
 
     The two factors take their samples from one inverse transform of their
     rows in one buffer (their leading axes may differ), so a product costs
-    two transforms.  A factor is an array of coefficients, which is copied
-    into the buffer, or a pair (shape, write) standing for an array of that
-    shape that write(out) writes into out, the factor's part of the buffer
-    (so sqg's transport term forms u and grad(theta) in place there).  The
-    buffer is the product's own: it is band-cut and transformed in place
-    and freed before the samples are multiplied, in place; no array of the
-    caller's is written.  With dot=True, f and g hold the components of two
-    vector fields along their first axis, and the product is their dot
-    product f_1*g_1 + f_2*g_2 + ..., summed on the grid before the one
-    forward transform (u.grad(theta) takes two transforms).
+    two transforms.  The buffer is the product's own: it is band-cut and
+    transformed in place and freed before the samples are multiplied, in
+    place; no array of the caller's is written.
+
+    With dot=True, f and g hold the components of two vector fields along
+    their first axis (f's shape), and the product is their dot product
+    f_1*g_1 + f_2*g_2 + ..., summed on the grid before the one forward
+    transform.  The pairs (f_i, g_i) are sampled one at a time in a two-row
+    buffer, and each pair's product is added into one sum in component
+    order, so d components take d inverse transforms and one forward
+    (u.grad(theta) takes three), and one pair's samples and the sum are
+    all the samples held at once.  A factor of a dot product is an array
+    or a pair (shape, write) standing for an array of that shape whose
+    component i write(i, out) writes into out, a row of the buffer (so
+    sqg's transport term forms u_i and d_i theta in place there).
     """
-    fshape = f[0] if isinstance(f, tuple) else f.shape
-    gshape = g[0] if isinstance(g, tuple) else g.shape
-    flead, glead = fshape[:-grid.dim], gshape[:-grid.dim]
+    if dot:
+        return _band_product(grid, _dot_values(grid, f, g))
+    flead, glead = f.shape[:-grid.dim], g.shape[:-grid.dim]
     split = math.prod(flead)
     buf = np.empty((split + math.prod(glead),) + grid.spec_shape,
                    dtype=np.complex128)
-    _write_rows(f, buf[:split].reshape(fshape))
-    _write_rows(g, buf[split:].reshape(gshape))
+    buf[:split].reshape(f.shape)[...] = f
+    buf[split:].reshape(g.shape)[...] = g
     # band_values on the buffer, in place
     buf *= grid.dealias_keep
     buf *= grid.n_total
@@ -489,17 +492,33 @@ def dealiased_product(grid, f, g, dot=False):
     del v
     prod = np.multiply(fv, gv, out=fv if fv.shape == gv.shape else None)
     del fv, gv
-    if dot:
-        prod = prod.sum(axis=0)     # the samples die here
     return _band_product(grid, prod)
 
 
-def _write_rows(factor, out):
-    # writes a factor of dealiased_product into out, its part of the buffer
-    if isinstance(factor, tuple):
-        factor[1](out)
-    else:
-        out[...] = factor
+def _dot_values(grid, f, g):
+    # the grid samples of sum_i f_i*g_i, one pair of band-cut components
+    # at a time: the first pair's product is a fresh array, and each later
+    # one is formed in its samples and added to it, as prod.sum(axis=0)
+    # adds the rows of the products of all pairs
+    shape = f[0] if isinstance(f, tuple) else f.shape
+    buf = np.empty((2,) + shape[1:-grid.dim] + grid.spec_shape,
+                   dtype=np.complex128)
+    total = None
+    for i in range(shape[0]):
+        for factor, row in ((f, buf[0]), (g, buf[1])):
+            if isinstance(factor, tuple):
+                factor[1](i, row)
+            else:
+                row[...] = factor[i]
+        buf *= grid.dealias_keep
+        buf *= grid.n_total
+        v = _inverse(grid, buf)
+        if total is None:
+            total = v[0] * v[1]
+        else:
+            total += np.multiply(v[0], v[1], out=v[0])
+        del v
+    return total
 
 
 def _overlap(s, w):

@@ -86,7 +86,8 @@ def test_binding_check_fails_on_a_class_that_binds_nothing():
 
     assert unbound_public_names(BareOps) == sorted(
         ("b", "g_transport", "ito_correction", "g", "h_k", "g_eps_transport",
-         "g_eps", "h_eps_k", "x_inner", "z_inner", "x_norm", "z_norm"))
+         "g_eps", "h_eps_k", "max_velocity", "x_inner", "z_inner", "x_norm",
+         "z_norm"))
 
 
 def count_at_bindings(monkeypatch, fn):
@@ -141,7 +142,9 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     # module bindings, not through a helper beside them.  A step handed no
     # V-norm decides chi_R from a coefficient bound at R = 1e6 (no to_grid
     # call); with R below that bound it calls v_norm on X and on the
-    # predictor, 6 to_grid calls each (one per real field; max_velocity 2)
+    # predictor, 6 to_grid calls each (one per real field).  max_velocity
+    # makes 2, and none where its coefficient bound lies below the limit
+    # it is given (the CFL check's)
     import numpy as np
 
     from saltpde import spectral
@@ -164,6 +167,10 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     assert len(to_grid_calls) == 6
     ops.max_velocity(X)
     assert len(to_grid_calls) == 8
+    ops.max_velocity(X, 1e9)
+    assert len(to_grid_calls) == 8
+    ops.max_velocity(X, 0.0)
+    assert len(to_grid_calls) == 10
 
 
 def assert_sqg_g_reaches_stencil_sum(monkeypatch):

@@ -44,6 +44,55 @@ def test_trimmed_bank_fields_equal_the_full_bank():
         small.field(Grid(1024, dim=2), 5.1, kmax)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_unread_banks_keep_no_modes(dim):
+    # corpus_banks(..., read=1) draws every bank of a tuple, so the stream
+    # and the read banks are those of a full draw, bit for bit; the unread
+    # second bank of each tuple keeps mode 0 only
+    kmax = corpus_kmax(128)
+    full = corpus_banks(dim, 3, seed=43, per_state=2, kmax=kmax)
+    read = corpus_banks(dim, 3, seed=43, per_state=2, kmax=kmax, read=1)
+    for (whole, spare), (kept, unread) in zip(full, read):
+        assert kept.kmax == kmax and kept.raw.tobytes() == whole.raw.tobytes()
+        assert unread.kmax == 0 and unread.raw.size == 1
+        assert unread.raw.tobytes() == spare.raw[
+            (kmax, 0) if dim == 2 else 0].tobytes()
+
+
+@pytest.mark.parametrize("model", ["sch2", "ccf", "sqg"])
+def test_checks_draw_only_the_banks_a_state_reads(model, monkeypatch):
+    # check_growth and check_difference keep modes in the first
+    # len(FIELD_NAMES[model]) banks of each pair: sch2 reads both, ccf and
+    # sqg only the first
+    from saltpde.models import FIELD_NAMES
+    drawn = []
+    banks = E.corpus_banks
+    monkeypatch.setattr(E, "corpus_banks", lambda *a, **k: drawn.append(
+        banks(*a, **k)) or drawn[-1])
+    rungs = (16, 32) if model == "sqg" else (32, 64)
+    check_growth(model, resolutions=rungs, corpus_count=1, K=1,
+                 eps_list=(0.5,))
+    check_difference(model, resolutions=rungs, corpus_count=1, K=1)
+    assert len(drawn) == 2
+    for tuples in drawn:
+        for pair in tuples:
+            assert [b.kmax > 0 for b in pair] == [
+                i < len(FIELD_NAMES[model]) for i in range(2)]
+
+
+@pytest.mark.parametrize("check", [check_growth, check_difference])
+@pytest.mark.parametrize("model", ["linear", "bogus"])
+def test_checks_refuse_a_model_without_a_corpus_up_front(check, model,
+                                                         monkeypatch):
+    # the linear model has no s threshold and no corpus: the check refuses
+    # it, naming the models it knows, before it draws a bank
+    monkeypatch.setattr(E, "corpus_banks", lambda *a, **k: pytest.fail(
+        "drew banks for %r" % model))
+    with pytest.raises(ValueError, match="unknown model %r; the estimate "
+                       "checks know sch2 | ccf | sqg" % model):
+        check(model, resolutions=(16,), corpus_count=1)
+
+
 def test_corpus_kinds():
     g = Grid(128)
     bank = CoefficientBank(1, np.random.default_rng(1))

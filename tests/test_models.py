@@ -704,6 +704,30 @@ def test_ccf_v_norm_and_velocity():
     assert abs(ops.max_velocity(X) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("model, dim, s", [("sch2", 1, 6.0), ("ccf", 1, 4.0),
+                                          ("sqg", 2, 4.5)])
+def test_max_velocity_answers_with_its_bound_below_a_limit(model, dim, s,
+                                                           fft_calls):
+    # given a limit that B = lipschitz_bound(X) keeps below with its 1e-9
+    # margin, max_velocity returns B, an upper bound of the exact sup, with
+    # no transform; given one that B exceeds, the exact sup, bit for bit
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.noise import build_basis
+    from saltpde.spectral import lipschitz_bound
+    g = Grid(32, dim=dim)
+    ops = make_ops(model, g, s, build_basis(g, 2, s + 2.0), 0.25)
+    X = corpus_state(model, g, s,
+                     corpus_banks(dim, 1, 5, per_state=2, kmax=8)[0])
+    exact, bound = ops.max_velocity(X), lipschitz_bound(g, X)
+    assert 0.0 < exact < bound
+    fft_calls.clear()
+    assert ops.max_velocity(X, bound * (1.0 + 2e-9)) == bound
+    assert len(fft_calls) == 0
+    for limit in (bound, exact, 0.5 * exact):
+        assert ops.max_velocity(X, limit) == exact
+    assert len(fft_calls) == 3 * (2 if dim == 2 else 1)
+
+
 def test_sqg_single_mode_orthogonality():
     g = Grid(32, dim=2)
     x1, _ = g.nodes()
@@ -745,6 +769,7 @@ def test_linear_ops():
     assert abs(ops.value(corr) - 0.5 * 4.0 * 1.5) < 1e-14
     h = ops.h_k(X, 0)
     assert abs(ops.value(h) - 3.0) < 1e-14
+    assert ops.max_velocity(X) == ops.max_velocity(X, 1e-3) == 0.0
     assert abs(ops.exact_solution(1.5, 0.3) - 1.5 * np.exp(0.6)) < 1e-14
 
 

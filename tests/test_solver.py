@@ -144,6 +144,29 @@ def test_cfl_guard():
         assert late.times.count(late.tau) == 1
 
 
+def test_cfl_check_takes_the_exact_velocity_where_the_bound_exceeds_it(
+        monkeypatch):
+    # sqg at 32^2: sup|u| = 0.96 and its coefficient bound B = 2.60 on the
+    # initial state, against dx/2 = 0.098.  At dt = 1/16, dt*B exceeds dx/2
+    # but dt*sup|u| does not: every check takes the exact sup and the run
+    # goes on; at dt = 1/8 the velocity itself breaks the guard and the run
+    # stops with "cfl" at tau = 0; at dt = 2^-10 the bound decides every
+    # check, and no exact sup is taken
+    from saltpde import models
+    calls = []
+    exact = models.SqgOps._sup_velocity
+    monkeypatch.setattr(models.SqgOps, "_sup_velocity",
+                        lambda self, X: calls.append(X) or exact(self, X))
+    kw = dict(model="sqg", n=32, s=4.5, noise_k=2, noise_s_max=6.5, seed=3,
+              scheme="strat_heun", ic_amplitude=0.5)
+    for dt, reason, checks in ((1 / 16, "end", 4), (1 / 8, "cfl", 1),
+                               (2.0 ** -10, "end", 0)):
+        calls.clear()
+        rec = run_path(SimConfig(dt=dt, t_end=4 * dt, **kw))
+        assert (rec.stop_reason, len(calls)) == (reason, checks), dt
+        assert rec.tau == (0.0 if reason == "cfl" else 4 * dt)
+
+
 def test_blowup_indicator_on_steepening_gradients():
     # nonlocal transport steepens gradients; the V-functional growth flag
     # must stop the run with the dedicated reason before the final time
@@ -323,11 +346,11 @@ def test_em_step_matches_frozen_oracle():
 
 def test_ccf_em_step_fft_budget(fft_calls):
     # one ccf Ito-EM step of run_path at n = 256, K = 4, with its CFL check
-    # and its V-norm, makes 8 transforms over 8192 points: 2 for the
+    # and its V-norm, makes 7 transforms over 7936 points: 2 for the
     # transport product (512 + 256 points), 2 for the stacked first-order
     # terms L_k(JX) that the Ito sum and the h^k share (512 + 2048), 2 for
-    # the second-order terms (2048 + 2048), 1 for max_velocity (256) and 1
-    # for v_norm (512)
+    # the second-order terms (2048 + 2048) and 1 for v_norm (512); the CFL
+    # check reads the velocity's coefficient bound
     counts = []
     for steps in (1, 2):
         cfg = SimConfig(model="ccf", n=256, dt=1e-3, t_end=steps * 1e-3,
@@ -337,8 +360,8 @@ def test_ccf_em_step_fft_budget(fft_calls):
         rec = run_path(cfg)
         assert rec.stop_reason == "end" and len(rec.times) == steps + 1
         counts.append((len(fft_calls), sum(fft_calls)))
-    assert counts[1][0] - counts[0][0] == 8
-    assert counts[1][1] - counts[0][1] == 8192
+    assert counts[1][0] - counts[0][0] == 7
+    assert counts[1][1] - counts[0][1] == 7936
 
 
 def per_step_transforms(fft_calls, run, **kw):
@@ -359,13 +382,13 @@ def per_step_transforms(fft_calls, run, **kw):
 
 def test_sqg_heun_step_fft_budget(fft_calls):
     # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
-    # CFL check and its V-norm, makes 12 transforms: 2 of half spectra for
-    # each of the two transport products (one inverse of u and grad theta,
-    # one forward of their dot product), and one of a whole spectrum per
-    # real field for the monitor's v_norm (6) and max_velocity (2); the
-    # noise operators make none.  The predictor's chi_R comes from its
-    # coefficient bound at R = 1e6; with R below that bound its v_norm
-    # runs, 6 more
+    # CFL check and its V-norm, makes 12 transforms: 3 of half spectra for
+    # each of the two transport products (one inverse of each pair
+    # (u_i, d_i theta), one forward of their dot product), and one of a
+    # whole spectrum per real field for the monitor's v_norm (6); the CFL
+    # check reads the velocity's coefficient bound and the noise operators
+    # make none.  The predictor's chi_R comes from its coefficient bound at
+    # R = 1e6; with R below that bound its v_norm runs, 6 more
     kw = dict(model="sqg", n=64, dt=1e-3, s=4.5, noise_k=4, noise_s_max=6.5,
               seed=3, scheme="strat_heun", ic_amplitude=0.5)
     grid = Grid(64, dim=2)
@@ -375,8 +398,8 @@ def test_sqg_heun_step_fft_budget(fft_calls):
     def run(cfg):
         rec = run_path(cfg)
         assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
-    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 4)
-    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 4)
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 6)
+    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 6)
 
 
 def test_stability_step_pair_fft_budget(fft_calls):
