@@ -12,6 +12,8 @@ Configs are flat key-value text files::
 Every run writes a manifest echoing all effective parameters (defaults
 included) in the same grammar, so a manifest alone reproduces the run
 byte for byte.  All floats are serialised with full round-trip precision.
+Each command builds its set-up (grid, noise basis, ops) once from spec.sim
+and hands it to every run it makes (one ops per eps rung, on one basis).
 """
 
 import argparse
@@ -21,6 +23,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -196,28 +199,26 @@ def write_manifest(spec, filename):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _run_member(args):
-    cfg, keep_state = args
-    return run_path(cfg, keep_final_state=bool(keep_state))
-
-
 def cmd_simulate(spec):
     """Run the ensemble; one trajectory file per member plus statistics."""
     os.makedirs(spec.out, exist_ok=True)
     write_manifest(spec, os.path.join(spec.out, "manifest.txt"))
     cfgs = [replace(spec.sim, seed=spec.sim.seed + i)
             for i in range(spec.ensemble)]
-    jobs = [(cfg, spec.save_states) for cfg in cfgs]
+    # pickled for the workers before any step (_FluidOps._first's read-only
+    # terms would unpickle writeable)
+    ops = spec.sim.build_ops()
+    run = partial(run_path, ops=ops, keep_final_state=bool(spec.save_states))
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_run_member, jobs))
+            records = list(pool.map(run, cfgs))
     else:
-        records = [_run_member(job) for job in jobs]
+        records = [run(cfg) for cfg in cfgs]
 
     for cfg, rec in zip(cfgs, records):
         write_trajectory(rec, os.path.join(spec.out, "traj_%d.txt" % cfg.seed))
         if spec.save_states and rec.final_state is not None:
-            write_state_snapshot(cfg.model, cfg.grid(), rec.final_state,
+            write_state_snapshot(cfg.model, ops.grid, rec.final_state,
                                  os.path.join(spec.out,
                                               "state_%d.txt" % cfg.seed))
 
@@ -260,11 +261,15 @@ def _ladder_paths(cfgs):
 def eps_convergence(spec):
     """Distances between consecutive eps-rungs at the final time."""
     ladder = sorted(spec.eps_ladder, reverse=True)
-    ops = spec.sim.build_ops()      # z_norm reads only the grid and s
+    grid = spec.sim.grid()
+    basis = spec.sim.build_basis(grid)
     path = _path(spec.sim)          # every rung runs on the same path
-    finals = [run_path(replace(spec.sim, epsilon=eps), path=path).final_state
-              for eps in ladder]
-    dists = [ops.z_norm(a - b) for a, b in zip(finals, finals[1:])]
+    cfgs = [replace(spec.sim, epsilon=eps) for eps in ladder]
+    opss = [cfg.build_ops(grid, basis) for cfg in cfgs]
+    finals = [run_path(cfg, ops, path=path).final_state
+              for cfg, ops in zip(cfgs, opss)]
+    # z_norm reads only the grid and s: any rung's ops take it
+    dists = [opss[0].z_norm(a - b) for a, b in zip(finals, finals[1:])]
     order = _fit_order(ladder[:-1], dists)
     return ladder, dists, order
 
@@ -272,12 +277,12 @@ def eps_convergence(spec):
 def dt_consistency(spec):
     """EM(Ito) vs Heun(Stratonovich) distance at T down the dt ladder."""
     ladder = sorted(spec.dt_ladder, reverse=True)
-    ops = spec.sim.build_ops()      # z_norm reads only the grid and s
+    ops = spec.sim.build_ops()      # neither dt nor the scheme enters the ops
     cfgs = [replace(spec.sim, dt=dt) for dt in ladder]
     dists = []
     for cfg, path in zip(cfgs, _ladder_paths(cfgs)):
-        rec_em = run_path(replace(cfg, scheme="ito_em"), path=path)
-        rec_he = run_path(replace(cfg, scheme="strat_heun"), path=path)
+        rec_em = run_path(replace(cfg, scheme="ito_em"), ops, path=path)
+        rec_he = run_path(replace(cfg, scheme="strat_heun"), ops, path=path)
         dists.append(ops.z_norm(rec_em.final_state - rec_he.final_state))
     order = _fit_order(ladder, dists)
     return ladder, dists, order
@@ -298,7 +303,7 @@ def linear_strong_error(spec):
     for member in range(spec.ensemble):
         mcfgs = [replace(cfg, seed=cfg.seed + member) for cfg in cfgs]
         for mcfg, path, rung in zip(mcfgs, _ladder_paths(mcfgs), errs):
-            rec = run_path(mcfg, path=path)
+            rec = run_path(mcfg, ops, path=path)
             exact = ops.exact_solution(x0, path.endpoint()[0])
             rung.append(abs(ops.value(rec.final_state) - exact))
     errors = [float(np.mean(rung)) for rung in errs]
@@ -312,24 +317,18 @@ def cmd_converge(spec):
     lines = []
     if spec.eps_ladder:
         ladder, dists, order = eps_convergence(spec)
-        lines.append("# eps_order = %s" % repr(order))
-        lines.append("eps_i eps_next distance")
-        for i, d in enumerate(dists):
-            lines.append("%s %s %s" % (repr(ladder[i]), repr(ladder[i + 1]),
-                                       repr(float(d))))
+        lines += ["# eps_order = %s" % repr(order), "eps_i eps_next distance"]
+        lines += ["%s %s %s" % (repr(a), repr(b), repr(float(d)))
+                  for a, b, d in zip(ladder, ladder[1:], dists)]
     if spec.dt_ladder:
-        if spec.sim.model == "linear":
-            ladder, errs, order = linear_strong_error(spec)
-            lines.append("# strong_order_em = %s" % repr(order))
-            lines.append("dt strong_error")
-            for dt, e in zip(ladder, errs):
-                lines.append("%s %s" % (repr(dt), repr(float(e))))
-        else:
-            ladder, dists, order = dt_consistency(spec)
-            lines.append("# dt_order = %s" % repr(order))
-            lines.append("dt em_heun_distance")
-            for dt, d in zip(ladder, dists):
-                lines.append("%s %s" % (repr(dt), repr(float(d))))
+        name, column, ladder_run = (
+            ("strong_order_em", "strong_error", linear_strong_error)
+            if spec.sim.model == "linear"
+            else ("dt_order", "em_heun_distance", dt_consistency))
+        ladder, values, order = ladder_run(spec)
+        lines += ["# %s = %s" % (name, repr(order)), "dt " + column]
+        lines += ["%s %s" % (repr(dt), repr(float(v)))
+                  for dt, v in zip(ladder, values)]
     report = "\n".join(lines) + "\n"
     with open(os.path.join(spec.out, "converge.txt"), "w") as fh:
         fh.write(report)
@@ -366,11 +365,10 @@ def cmd_stability(spec):
     os.makedirs(spec.out, exist_ok=True)
     write_manifest(spec, os.path.join(spec.out, "manifest.txt"))
     cfg = spec.sim
-    cfg.validate()
-    grid = cfg.grid()
-    X0 = cfg.initial_state(grid)
+    ops = cfg.validate().build_ops()
+    X0 = cfg.initial_state(ops.grid)
     Y0 = perturbed_state(X0, spec.delta, spec.perturb_mode)
-    rep = stability_experiment(cfg, X0, Y0)
+    rep = stability_experiment(cfg, ops, X0, Y0)
     lines = ["# delta = %s" % repr(spec.delta),
              "# perturb_mode = %d" % spec.perturb_mode,
              "distance0 sup_distance ratio tau_joint",

@@ -213,16 +213,20 @@ def _sups(rungs, samples, width=1):
     return sups.tolist()
 
 
-def _require_corpus(corpus_count):
+def _require(corpus_count, resolutions=None):
+    """Refuse an empty corpus, and a ladder of one rung (a slope on one point)."""
     if corpus_count < 1:
         raise ValueError("corpus_count must be >= 1, got %r" % (corpus_count,))
+    if resolutions is not None and len(resolutions) < 2:
+        raise ValueError("a ladder check needs at least two resolutions, got %r"
+                         % (tuple(resolutions),))
 
 
 def _finish(estimate_id, resolutions, ratios, threshold, details,
             extra_ok=True):
     """The report of a ladder; it fails on a NaN ratio, and on a ladder
     whose every ratio sits at or below RATIO_FLOOR (it measured nothing)."""
-    exponent = fit_exponent(resolutions, ratios) if len(resolutions) > 1 else 0.0
+    exponent = fit_exponent(resolutions, ratios)
     measured = np.any(np.abs(ratios) > RATIO_FLOOR)
     passed = (np.all(np.isfinite(ratios)) and measured and exponent < threshold
               and extra_ok)
@@ -248,7 +252,7 @@ def cancellation_terms(grid, s, basis, f):
 def check_cancellation(s=4.0, resolutions=RESOLUTIONS_1D, K=8,
                        corpus_count=4, seed=7,
                        threshold=EXPONENT_THRESHOLD):
-    _require_corpus(corpus_count)
+    _require(corpus_count, resolutions)
     banks = corpus_banks(1, corpus_count, seed)
 
     def samples(n):
@@ -285,7 +289,7 @@ def kato_ponce_ratio(grid, s, f, g):
 
 def check_kato_ponce(s=4.0, resolutions=RESOLUTIONS_1D, corpus_count=4,
                      seed=11, threshold=EXPONENT_THRESHOLD):
-    _require_corpus(corpus_count)
+    _require(corpus_count, resolutions)
     banks = corpus_banks(1, corpus_count, seed, per_state=2)
 
     def samples(n):
@@ -312,7 +316,7 @@ def helmholtz_commutator_ratio(grid, eps, g, f):
 def check_helmholtz_commutator(eps_list=tuple(2.0 ** -j for j in range(1, 9)),
                                resolutions=RESOLUTIONS_1D, corpus_count=3,
                                seed=13, threshold=EXPONENT_THRESHOLD):
-    _require_corpus(corpus_count)
+    _require(corpus_count, resolutions)
     banks = corpus_banks(1, corpus_count, seed)
 
     def samples(n):
@@ -348,7 +352,6 @@ def growth_ratios(ops, X, xn2, v):
 
 def check_growth(model, s=None, eps_list=None, resolutions=None,
                  corpus_count=3, K=8, seed=17, threshold=EXPONENT_THRESHOLD):
-    _require_corpus(corpus_count)
     s = DEFAULT_S[_corpus_model(model)] if s is None else s
     dim = GRID_DIM[model]
     if eps_list is None:
@@ -356,6 +359,7 @@ def check_growth(model, s=None, eps_list=None, resolutions=None,
         eps_list = (0.5, 0.125) if dim == 2 else EPS_LADDER
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if dim == 2 else RESOLUTIONS_1D
+    _require(corpus_count, resolutions)
     banks = corpus_banks(dim, corpus_count, seed, per_state=2,
                          kmax=corpus_kmax(max(resolutions)),
                          read=len(FIELD_NAMES[model]))
@@ -402,11 +406,11 @@ def difference_ratio(ops, X, Y):
 
 def check_difference(model, s=None, resolutions=None, corpus_count=3, K=8,
                      seed=19, threshold=EXPONENT_THRESHOLD):
-    _require_corpus(corpus_count)
     s = DEFAULT_S[_corpus_model(model)] if s is None else s
     dim = GRID_DIM[model]
     if resolutions is None:
         resolutions = RESOLUTIONS_2D if dim == 2 else RESOLUTIONS_1D
+    _require(corpus_count, resolutions)
     banks = corpus_banks(dim, 2 * corpus_count, seed, per_state=2,
                          kmax=corpus_kmax(max(resolutions)),
                          read=len(FIELD_NAMES[model]))
@@ -436,7 +440,7 @@ def log_interpolation_ratio(grid, theta):
 
 
 def check_log_interpolation(n=1024, modes=64, corpus_count=4, seed=23):
-    _require_corpus(corpus_count)
+    _require(corpus_count)
     grid = Grid(n)
     thetas = [sp.from_values(grid, np.cos(m * grid.x)) for m in range(1, modes + 1)]
     thetas += [corpus_field(grid, 2.0, "critical", b)

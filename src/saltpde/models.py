@@ -282,7 +282,7 @@ class _FluidOps:
 class Sch2Ops(_FluidOps):
     """Two-component CH splitting.
 
-    b(u,eta) = (-dx D^-2(u^2/2 + u_x^2 + eta^2/2), -eta*u_x)
+    b(u,eta) = (-dx D^-2(u^2 + u_x^2/2 + eta^2/2), -eta*u_x)
     g        = (-u*u_x + D^-2 sum L^2(D^2 u)/2,  -u*eta_x + sum L^2(eta)/2)
     h^k      = (-D^-2 L_k(D^2 u), -L_k(eta))
     """
@@ -308,7 +308,7 @@ class Sch2Ops(_FluidOps):
         # u*u, ux*ux, eta*eta and eta*ux in one product
         uu, uxux, etaeta, etaux = dealiased_product(
             g, np.stack([u, ux, eta, eta]), np.stack([u, ux, eta, ux]))
-        q = 0.5 * uu + uxux + 0.5 * etaeta
+        q = uu + 0.5 * uxux + 0.5 * etaeta
         G = derivative(g, q * self._d2inv)
         return np.stack([G, etaux]) * -1.0
 

@@ -25,6 +25,10 @@ CFL check reads the velocity's coefficient bound (models'
 max_velocity), which on the shipped runs stays far below its limit, and
 transforms only where the bound does not decide it.
 
+run_path and stability_experiment build no grid, basis or ops: b, g_eps
+and h_eps^k are fixed maps, and a caller hands every run the one ops it
+built (cfg.build_ops()).
+
 Stopping is checked every step against the H^s norm threshold (the
 discrete analogue of the first-exit stopping time), against a blow-up
 indicator (growth of the V-functional beyond a configurable multiple of
@@ -151,9 +155,8 @@ class SimConfig:
                            self.noise_decay, self.noise_decay_param)
 
     def build_ops(self, grid=None, basis=None):
-        grid = grid if grid is not None else self.grid()
-        if basis is None:
-            basis = self.build_basis(grid)
+        grid = self.grid() if grid is None else grid
+        basis = self.build_basis(grid) if basis is None else basis
         return make_ops(self.model, grid, self.s, basis, self.epsilon,
                         self.linear_a)
 
@@ -276,29 +279,33 @@ def step_strat_heun(X, ops, dw, dt, R, v=None):
 _STEPPERS = {"ito_em": step_ito_em, "strat_heun": step_strat_heun}
 
 
-def _driving_path(cfg, path):
-    """path, or the seed's path if None; a supplied path must have exactly
-    cfg.path_k() components and at least cfg.n_steps() steps."""
-    n_steps, K = cfg.n_steps(), cfg.path_k()
+def _setup(cfg, ops, path, **states):
+    """(n_steps, path, the coefficients of each ModelState of states) of
+    a run of cfg on ops, each cfg's model on cfg's grid (a state None is
+    cfg's initial state); a path None is the seed's, a supplied one needs
+    exactly cfg.path_k() components and at least cfg.n_steps() steps."""
+    cfg.validate()
+    n_steps, K, grid = cfg.n_steps(), cfg.path_k(), ops.grid
+    if ops.kind != cfg.model or (grid.n, grid.dim) != (cfg.n, GRID_DIM[cfg.model]):
+        raise ValueError("ops are %s ops on %r; this run needs %s ops on %r"
+                         % (ops.kind, grid, cfg.model, cfg.grid()))
     if path is None:
-        return sample_path(cfg.seed, cfg.dt, n_steps, K)
-    if path.K != K or path.n_steps < n_steps:
+        path = sample_path(cfg.seed, cfg.dt, n_steps, K)
+    elif path.K != K or path.n_steps < n_steps:
         raise ValueError("supplied Brownian path has %d steps x %d components; "
                          "this run needs at least %d steps x exactly %d"
                          % (path.n_steps, path.K, n_steps, K))
-    return path
+    for name, X in states.items():
+        X = cfg.initial_state(grid) if X is None else X
+        if X.kind != cfg.model or not X.grid.compatible(grid):
+            raise ValueError("%s is a %s state on %r; this run needs a %s "
+                             "state on %r" % (name, X.kind, X.grid, cfg.model, grid))
+        states[name] = X.coeffs
+    return (n_steps, path, *states.values())
 
 
-def _entry(cfg, grid, X, name):
-    """The coefficient array of the ModelState X, if it is cfg's model on grid."""
-    if X.kind != cfg.model or not X.grid.compatible(grid):
-        raise ValueError("%s is a %s state on %r; this run needs a %s state "
-                         "on %r" % (name, X.kind, X.grid, cfg.model, grid))
-    return X.coeffs
-
-
-def run_path(cfg, path=None, X0=None, keep_final_state=True):
-    """Integrate one trajectory; returns the TrajectoryRecord.
+def run_path(cfg, ops, path=None, X0=None, keep_final_state=True):
+    """Integrate one trajectory of cfg on ops; returns the TrajectoryRecord.
 
     Stops at the first sample where the H^s norm reaches n_stop (discrete
     first-exit time), when the V-functional grows past blowup_factor times
@@ -308,12 +315,7 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     X0, if given, is a ModelState of cfg's model on cfg's grid; the record's
     final_state is the final coefficient array.
     """
-    cfg.validate()
-    grid = cfg.grid()
-    ops = cfg.build_ops(grid)
-    n_steps = cfg.n_steps()
-    path = _driving_path(cfg, path)
-    X = _entry(cfg, grid, cfg.initial_state(grid) if X0 is None else X0, "X0")
+    n_steps, path, X = _setup(cfg, ops, path, X0=X0)
     step = _STEPPERS[cfg.scheme]
     rec = TrajectoryRecord(model=cfg.model)
 
@@ -330,7 +332,7 @@ def run_path(cfg, path=None, X0=None, keep_final_state=True):
     dws = path.increments.tolist()
     # the velocity a step may reach: max_velocity answers with a coefficient
     # bound, without a transform, wherever that bound decides the check
-    cfl_limit = 0.5 * grid.dx
+    cfl_limit = 0.5 * ops.grid.dx
     speed_limit = cfl_limit / cfg.dt
     t = 0.0
     for nstep in range(0 if reason else n_steps):
@@ -373,20 +375,15 @@ class StabilityReport:
     n_steps_used: int
 
 
-def stability_experiment(cfg, X0, Y0, path=None):
+def stability_experiment(cfg, ops, X0, Y0, path=None):
     """Same-noise two-trajectory experiment behind the pathwise-stability
     estimate: both runs share the Brownian path and are stopped at the
     joint first-exit time from the ball of radius M+2 in the H^s norm,
     M = max of the initial norms.  Reports sup_t ||X - Y||_{H^{s-2}} and
     its ratio to the initial distance.  X0 and Y0 are ModelStates of cfg's
-    model on cfg's grid.
+    model on cfg's grid, and ops cfg's set-up, as in run_path.
     """
-    cfg.validate()
-    grid = cfg.grid()
-    ops = cfg.build_ops(grid)
-    n_steps = cfg.n_steps()
-    path = _driving_path(cfg, path)
-    X0, Y0 = _entry(cfg, grid, X0, "X0"), _entry(cfg, grid, Y0, "Y0")
+    n_steps, path, X0, Y0 = _setup(cfg, ops, path, X0=X0, Y0=Y0)
 
     M = max(ops.x_norm(X0), ops.x_norm(Y0))
     threshold = M + 2.0

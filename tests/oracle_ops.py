@@ -339,7 +339,7 @@ def _wrong_variant(expected, got):
 class Sch2Ops:
     """Two-component CH splitting.
 
-    b(u,eta) = (-dx D^-2(u^2/2 + u_x^2 + eta^2/2), -eta*u_x)
+    b(u,eta) = (-dx D^-2(u^2 + u_x^2/2 + eta^2/2), -eta*u_x)
     g        = (-u*u_x + D^-2 sum L^2(D^2 u)/2,  -u*eta_x + sum L^2(eta)/2)
     h^k      = (-D^-2 L_k(D^2 u), -L_k(eta))
     """
@@ -375,7 +375,7 @@ class Sch2Ops:
         self._check(X)
         u, eta = X.fields
         ux = derivative(u)
-        q = 0.5 * dealiased_product(u, u) + dealiased_product(ux, ux) \
+        q = dealiased_product(u, u) + 0.5 * dealiased_product(ux, ux) \
             + 0.5 * dealiased_product(eta, eta)
         G = derivative(self._D2inv(q))
         return ModelState("sch2", (-1.0 * G, -1.0 * dealiased_product(eta, ux)))

@@ -153,7 +153,7 @@ def test_criterion_5a_deterministic_ch_energy():
                     record_every=1000)
     ops = cfg.build_ops()
     X0 = cfg.initial_state(cfg.grid()).coeffs
-    rec = run_path(cfg)
+    rec = run_path(cfg, ops)
     drift = abs(ops.energy(rec.final_state) - ops.energy(X0)) / ops.energy(X0)
     ok = drift < 1e-4 and not rec.stopped
     assert report("5a", "deterministic two-component CH energy", ok,
@@ -166,7 +166,7 @@ def test_criterion_5b_deterministic_ccf_sup():
                     record_every=500)
     g = cfg.grid()
     X0 = cfg.initial_state(g)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     drift = abs(sup_norm(g, rec.final_state[0]) - sup_norm(g, X0.coeffs[0])) \
         / sup_norm(g, X0.coeffs[0])
     ok = drift < 1e-3 and rec.stop_reason in ("end", "blowup_indicator")
@@ -183,7 +183,7 @@ def test_criterion_5c_sqg_l2_drift_slope():
     dts = (1e-3, 5e-4, 2.5e-4)
     drifts = []
     for dt in dts:
-        rec = run_path(replace(base, dt=dt))
+        rec = run_path(replace(base, dt=dt), base.build_ops())
         drifts.append(abs(sobolev_norm(g, rec.final_state[0], 0.0) - l20) / l20)
     slope = float(np.polyfit(np.log(dts), np.log(drifts), 1)[0])
     ok = 0.7 <= slope <= 1.3
@@ -196,13 +196,13 @@ def test_criterion_5d_mean_conservation_eta_sqg():
     cfg = SimConfig(model="sch2", n=128, dt=1e-3, t_end=0.2, s=6.0,
                     noise_k=4, noise_s_max=8.0, ic_amplitude=0.1, seed=5,
                     record_every=50)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     eta_drift = abs(rec.final_state[1, 0].real)
 
     cfg2 = SimConfig(model="sqg", n=64, dt=1e-3, t_end=0.1, s=4.5,
                      noise_k=4, noise_s_max=6.5, ic_amplitude=0.4, seed=6,
                      record_every=20)
-    rec2 = run_path(cfg2)
+    rec2 = run_path(cfg2, cfg2.build_ops())
     sqg_drift = abs(rec2.final_state[0, 0, 0].real)
 
     ok = eta_drift < 1e-12 and sqg_drift < 1e-12
@@ -220,7 +220,7 @@ def test_criterion_5d_mean_conservation_ccf():
                     noise_k=4, noise_s_max=6.0, ic_amplitude=0.1, seed=5,
                     record_every=50)
     X0 = cfg.initial_state(cfg.grid())
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     drift = abs(rec.final_state[0, 0].real - X0.coeffs[0, 0].real)
     report("5d", "spatial mean of CCF theta in noisy runs",
            drift < 1e-12, "(drift=%.2e; not conserved by the model)" % drift)
@@ -238,8 +238,8 @@ def test_criterion_6_scheme_consistency():
     dists = []
     for i in range(5):
         cfg = replace(base, dt=1e-3 / 2 ** i)
-        em = run_path(replace(cfg, scheme="ito_em"))
-        he = run_path(replace(cfg, scheme="strat_heun"))
+        em = run_path(replace(cfg, scheme="ito_em"), ops)
+        he = run_path(replace(cfg, scheme="strat_heun"), ops)
         dists.append(ops.z_norm(em.final_state - he.final_state))
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -270,9 +270,10 @@ def test_criterion_7_stability_uniqueness():
         bump = from_values(grid, delta * np.cos(grid.x))
         return ModelState("ccf", grid, (X0.coeffs[0] + bump,))
 
-    rep0 = stability_experiment(cfg, X0, ModelState("ccf", grid, X0.coeffs))
-    rep1 = stability_experiment(cfg, X0, perturbed(1e-6))
-    rep2 = stability_experiment(cfg, X0, perturbed(1e-7))
+    ops = cfg.build_ops()
+    rep0 = stability_experiment(cfg, ops, X0, ModelState("ccf", grid, X0.coeffs))
+    rep1 = stability_experiment(cfg, ops, X0, perturbed(1e-6))
+    rep2 = stability_experiment(cfg, ops, X0, perturbed(1e-7))
     agree = abs(rep1.ratio - rep2.ratio) <= 0.2 * rep2.ratio
     ok = rep0.sup_distance < 1e-13 and agree
     assert report(7, "same-noise stability / uniqueness", ok,

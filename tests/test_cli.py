@@ -303,7 +303,7 @@ def test_sqg_snapshot_holds_the_whole_spectrum(tmp_path):
     assert {r[0] for r in rows} == {"theta"}
     coeff = {(int(r[1]), int(r[2])): complex(float(r[3]), float(r[4]))
              for r in rows}
-    X = run_path(spec.sim).final_state[0]
+    X = run_path(spec.sim, spec.sim.build_ops()).final_state[0]
     for i1, k1 in enumerate(k):
         for i2, k2 in enumerate(k[:9]):
             assert coeff[k1, k2] == X[i1, i2]
@@ -465,7 +465,7 @@ def _rung_by_rung_linear_strong_error(spec):
         for member in range(spec.ensemble):
             mcfg = replace(cfg, seed=cfg.seed + member)
             path = sample_path(mcfg.seed, mcfg.dt, mcfg.n_steps(), mcfg.path_k())
-            rec = run_path(mcfg, path=path)
+            rec = run_path(mcfg, ops, path=path)
             exact = ops.exact_solution(x0, path.endpoint()[0])
             errs.append(abs(ops.value(rec.final_state) - exact))
         errors.append(float(np.mean(errs)))
@@ -509,8 +509,8 @@ def test_converge_ladders_draw_one_path(tmp_path, monkeypatch):
     _, dists, _ = cli.eps_convergence(spec)
     assert len(draws) == 1
     ops = sim.build_ops()
-    finals = [run_path(replace(sim, epsilon=e)).final_state
-              for e in (0.5, 0.25, 0.125)]
+    finals = [run_path(cfg, cfg.build_ops()).final_state
+              for cfg in (replace(sim, epsilon=e) for e in (0.5, 0.25, 0.125))]
     assert dists == [ops.z_norm(a - b) for a, b in zip(finals, finals[1:])]
 
     draws.clear()
@@ -518,7 +518,139 @@ def test_converge_ladders_draw_one_path(tmp_path, monkeypatch):
     assert draws == [(5, 5e-4, 16, 2)]
     want = []
     for dt in (2e-3, 1e-3, 5e-4):
-        em = run_path(replace(sim, dt=dt))
-        he = run_path(replace(sim, dt=dt, scheme="strat_heun"))
+        em = run_path(replace(sim, dt=dt), ops)
+        he = run_path(replace(sim, dt=dt, scheme="strat_heun"), ops)
         want.append(ops.z_norm(em.final_state - he.final_state))
     assert dists == want
+
+
+# ---------------------------------------------------------------------------
+# one set-up per command: the runs of a command step on the ops it builds once
+
+def _recorded_runs(monkeypatch):
+    """Every run_path call a command makes, as (cfg, ops, kwargs, record)."""
+    import saltpde.cli as cli
+    from saltpde.solver import run_path
+    runs = []
+
+    def recording(cfg, ops, **kw):
+        rec = run_path(cfg, ops, **kw)
+        runs.append((cfg, ops, kw, rec))
+        return rec
+    monkeypatch.setattr(cli, "run_path", recording)
+    return runs
+
+
+def _record_bytes(rec):
+    return (rec.times, rec.hs_norms, rec.v_norms, rec.stopped, rec.tau,
+            rec.stop_reason, rec.final_state.tobytes())
+
+
+def _assert_runs_repeat_on_shared_and_fresh_ops(runs):
+    # each run again, in the command's order and reversed, on the ops the
+    # command handed it (stepped by every other run by then) and on fresh
+    # ops: the records and final states are the same bit for bit
+    from saltpde.solver import run_path
+    want = [_record_bytes(rec) for _, _, _, rec in runs]
+    for order in (list(range(len(runs))), list(range(len(runs)))[::-1]):
+        for i in order:
+            cfg, ops, kw, _ = runs[i]
+            assert _record_bytes(run_path(cfg, ops, **kw)) == want[i], i
+            assert _record_bytes(run_path(cfg, cfg.build_ops(), **kw)) == want[i], i
+
+
+SHARED_CCF = """
+model = ccf
+n = 64
+dt = 1e-3
+t_end = 0.008
+seed = 5
+noise_k = 3
+ic = random
+ic_amplitude = 0.3
+"""
+
+SHARED_LINEAR = """
+model = linear
+n = 8
+dt = 0.0625
+t_end = 0.5
+seed = 100
+noise_k = 1
+ic_amplitude = 1.0
+ensemble = 3
+dt_ladder = 0.0625,0.03125,0.015625
+"""
+
+
+def test_simulate_members_share_one_ops(tmp_path, monkeypatch):
+    runs = _recorded_runs(monkeypatch)
+    spec = parse_config(write_config(
+        tmp_path, SHARED_CCF + "ensemble = 3\nsave_states = 1\n"), "simulate")
+    spec.out = str(tmp_path / "w1")
+    cmd_simulate(spec)
+    assert len(runs) == 3 and len({id(ops) for _, ops, _, _ in runs}) == 1
+    assert [cfg.seed for cfg, _, _, _ in runs] == [5, 6, 7]
+    _assert_runs_repeat_on_shared_and_fresh_ops(runs)
+    # the workers step pickled copies of the one ops: the same bytes,
+    # snapshots included
+    monkeypatch.undo()          # the recording run_path does not pickle
+    spec.out, spec.workers = str(tmp_path / "w2"), 2
+    cmd_simulate(spec)
+    for name in sorted(os.listdir(tmp_path / "w1")):
+        if name != "manifest.txt":
+            assert (tmp_path / "w1" / name).read_bytes() == \
+                (tmp_path / "w2" / name).read_bytes(), name
+
+
+def test_converge_rungs_share_one_set_up(tmp_path, monkeypatch):
+    import saltpde.cli as cli
+    runs = _recorded_runs(monkeypatch)
+    spec = parse_config(write_config(
+        tmp_path, SHARED_CCF + "eps_ladder = 0.5,0.25,0.125\n"
+        "dt_ladder = 2e-3,1e-3,5e-4\n"), "converge")
+    # eps: one ops per rung, all on one grid and one basis
+    cli.eps_convergence(spec)
+    assert len(runs) == 3
+    assert len({id(ops) for _, ops, _, _ in runs}) == 3
+    assert len({id(ops.grid) for _, ops, _, _ in runs}) == 1
+    assert len({id(ops.basis) for _, ops, _, _ in runs}) == 1
+    assert [ops.eps for _, ops, _, _ in runs] == [0.5, 0.25, 0.125]
+    _assert_runs_repeat_on_shared_and_fresh_ops(runs)
+    # dt: both schemes on every rung, all on one ops
+    runs.clear()
+    cli.dt_consistency(spec)
+    assert [(cfg.dt, cfg.scheme) for cfg, _, _, _ in runs] == [
+        (dt, scheme) for dt in (2e-3, 1e-3, 5e-4)
+        for scheme in ("ito_em", "strat_heun")]
+    assert len({id(ops) for _, ops, _, _ in runs}) == 1
+    _assert_runs_repeat_on_shared_and_fresh_ops(runs)
+
+
+def test_linear_strong_error_members_share_one_ops(tmp_path, monkeypatch):
+    from saltpde.cli import linear_strong_error
+    runs = _recorded_runs(monkeypatch)
+    linear_strong_error(parse_config(write_config(tmp_path, SHARED_LINEAR),
+                                     "converge"))
+    assert len(runs) == 9 and len({id(ops) for _, ops, _, _ in runs}) == 1
+    _assert_runs_repeat_on_shared_and_fresh_ops(runs)
+
+
+@pytest.mark.parametrize("command, text, ops_calls, basis_calls", [
+    ("simulate", SHARED_CCF + "ensemble = 4\n", 1, 1),
+    ("converge", SHARED_CCF + "eps_ladder = 0.5,0.25,0.125\n", 3, 1),
+    ("converge", SHARED_CCF + "dt_ladder = 2e-3,1e-3,5e-4\n", 1, 1),
+    ("converge", SHARED_LINEAR, 1, 0),         # the linear model has no basis
+    ("stability", SHARED_CCF, 1, 1)])
+def test_each_command_builds_its_set_up_once(tmp_path, monkeypatch, command,
+                                              text, ops_calls, basis_calls):
+    import saltpde.solver as solver
+    calls = []
+    for name in ("make_ops", "build_basis"):
+        fn = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    cfg = write_config(tmp_path, text)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls.count("make_ops") == ops_calls
+    assert calls.count("build_basis") == basis_calls

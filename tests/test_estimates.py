@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,33 @@ def test_checks_refuse_a_model_without_a_corpus_up_front(check, model,
     with pytest.raises(ValueError, match="unknown model %r; the estimate "
                        "checks know sch2 | ccf | sqg" % model):
         check(model, resolutions=(16,), corpus_count=1)
+
+
+CHECK_BY_ID = {
+    "cancellation": check_cancellation,
+    "kato_ponce": check_kato_ponce,
+    "helmholtz_commutator": check_helmholtz_commutator,
+    **{"growth_" + m: (lambda m=m, **k: check_growth(m, **k))
+       for m in ("sch2", "ccf", "sqg")},
+    **{"difference_" + m: (lambda m=m, **k: check_difference(m, **k))
+       for m in ("sch2", "ccf", "sqg")}}
+
+
+@pytest.mark.parametrize("resolutions", [(64,), ()])
+@pytest.mark.parametrize("cid", sorted(CHECK_BY_ID))
+def test_ladder_checks_refuse_a_one_rung_ladder(cid, resolutions, monkeypatch):
+    # one rung fits its exponent on one point (check_growth('ccf',
+    # resolutions=(64,)) read PASS): every ladder check refuses fewer than
+    # two rungs before it draws a bank, after the corpus check
+    check = CHECK_BY_ID[cid]
+    monkeypatch.setattr(E, "corpus_banks", lambda *a, **k: pytest.fail(
+        "drew banks for %s" % cid))
+    want = ("a ladder check needs at least two resolutions, got %r"
+            % (resolutions,))
+    with pytest.raises(ValueError, match=re.escape(want)):
+        check(resolutions=resolutions, corpus_count=1)
+    with pytest.raises(ValueError, match="corpus_count must be >= 1"):
+        check(resolutions=resolutions, corpus_count=0)
 
 
 def test_corpus_kinds():

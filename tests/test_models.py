@@ -501,12 +501,117 @@ def test_sch2_b_against_term_by_term_oracle():
         return (np.fft.fft(va * vb) / g.n) * keep
 
     ux = u * 1j * g.k_axes[0] * g.not_nyquist
-    q = 0.5 * prod(u, u) + prod(ux, ux) + 0.5 * prod(eta, eta)
+    q = prod(u, u) + 0.5 * prod(ux, ux) + 0.5 * prod(eta, eta)
     G = q / (1.0 + g.ksq) * 1j * g.k_axes[0] * g.not_nyquist
     b_u = -1.0 * G
     b_eta = -1.0 * prod(eta, ux)
     assert np.max(np.abs(out[0] - b_u)) < 1e-11
     assert np.max(np.abs(out[1] - b_eta)) < 1e-11
+
+
+# The two-component Camassa-Holm system (Chen, Liu and Zhang 2006;
+# Constantin and Ivanov 2008) in nonlocal form,
+#   u_t + u u_x = -dx D^-2(A u^2 + C u_x^2 + eta^2/2),  eta_t = -(u eta)_x,
+# has A = 1 and C = 1/2.  Its invariants pin both coefficients: the energy
+# int(u^2 + u_x^2 + eta^2) holds only for C = 1/2, and with eta = 0 the CH
+# invariant int(u^3 + u u_x^2) only for A = 1; int u and int eta hold for
+# any A, C and under the transport noise too, where J_eps is the identity
+# (test_sch2_means_under_noise).  The bounds were set before the first run:
+# the correct system drifts by the scheme's O(dt^2) error (about 1e-10 in
+# the energy here), the swapped one by about 3e-2.
+SCH2_ENERGY_BOUND = 1e-7       # relative energy drift, noise off
+SCH2_CH_BOUND = 1e-6           # drift of int(u^3 + u u_x^2), eta = 0
+SCH2_MEAN_BOUND = 1e-13        # drift of the k = 0 coefficients
+
+
+def sch2_b_with(A, C):
+    """Sch2Ops.b with the coefficients A of u^2 and C of u_x^2."""
+    def b(self, X):
+        g = self.grid
+        u, eta = X
+        ux = derivative(g, u)
+        q = A * dealiased_product(g, u, u) + C * dealiased_product(g, ux, ux) \
+            + 0.5 * dealiased_product(g, eta, eta)
+        return -np.stack([derivative(g, q / (1.0 + g.ksq)),
+                          dealiased_product(g, eta, ux)])
+    return b
+
+
+def sch2_run(ic="smooth", noise_k=0, eta=True, eps=0.0625):
+    """(ops, initial state, final state) of a Heun run at n = 256, T = 1,
+    amplitude 0.5; eta=False zeroes eta."""
+    from saltpde.solver import SimConfig, run_path
+    cfg = SimConfig(model="sch2", n=256, dt=1e-3, t_end=1.0, s=6.0,
+                    epsilon=eps, noise_k=noise_k, noise_s_max=8.0, ic=ic,
+                    ic_amplitude=0.5, seed=3, scheme="strat_heun",
+                    record_every=10 ** 6)
+    ops = cfg.build_ops()
+    X0 = cfg.initial_state(ops.grid)
+    if not eta:
+        X0 = ModelState("sch2", ops.grid, [X0.coeffs[0], 0 * X0.coeffs[1]])
+    rec = run_path(cfg, ops, X0=X0)
+    assert rec.stop_reason == "end"
+    return ops, X0.coeffs, rec.final_state
+
+
+def sch2_energy_drift(ic):
+    ops, X0, X = sch2_run(ic)
+    return abs(ops.energy(X) - ops.energy(X0)) / ops.energy(X0)
+
+
+def sch2_ch_drift():
+    """Drift of int(u^3 + u u_x^2), relative to int(|u|^3 + |u| u_x^2), on a
+    run with eta = 0 (grid sums, exact for these band-limited cubics)."""
+    ops, X0, X = sch2_run("random", eta=False)
+    g = ops.grid
+
+    def terms(X):
+        u, ux = to_grid(g, np.stack([X[0], derivative(g, X[0])]))
+        return u ** 3 + u * ux ** 2, np.abs(u) ** 3 + np.abs(u) * ux ** 2
+    (h0, scale), (h1, _) = terms(X0), terms(X)
+    return abs(np.sum(h1) - np.sum(h0)) / np.sum(scale)
+
+
+def test_sch2_b_is_the_two_component_ch_drift():
+    g, ops = sch2_setup(n=256)
+    X = make_initial_state("sch2", g, "random", 0.5, seed=3).coeffs
+    want = sch2_b_with(1.0, 0.5)(ops, X)
+    assert np.max(np.abs(ops.b(X) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ic", ["smooth", "random"])
+def test_sch2_conserves_its_energy_at_amplitude_half(ic):
+    assert sch2_energy_drift(ic) < SCH2_ENERGY_BOUND
+
+
+def test_sch2_conserves_the_ch_invariant_without_eta():
+    assert sch2_ch_drift() < SCH2_CH_BOUND
+
+
+@pytest.mark.parametrize("eps", [1 / 32, 1 / 16])
+def test_sch2_means_under_noise(eps):
+    # int u holds at every eps.  int eta holds where J_eps is the identity
+    # on the state's band: the eta row -J((Ju)(J eta)_x) - eta u_x of the
+    # regularised system has the mean sum_k ik (jhat^2 - 1) u(k) eta(-k),
+    # 0 for modes below 1/eps.  At eps = 1/16 the run reaches modes beyond
+    # 16 and int eta moves by about 1e-10: the first run of this test, at
+    # eps = 1/16 alone, failed the bound there
+    ops, X0, X = sch2_run("random", noise_k=2, eps=eps)
+    assert abs(X0[0, 0]) > 1e-3 and abs(X0[1, 0]) > 1e-3
+    du, deta = np.abs(X[:, 0] - X0[:, 0])
+    assert du < SCH2_MEAN_BOUND
+    assert (deta < SCH2_MEAN_BOUND) == (eps < 1 / 16), deta
+
+
+def test_sch2_invariants_catch_the_swapped_coefficients(monkeypatch):
+    # positive controls: the coefficients of the original code (A = 1/2,
+    # C = 1) lose the energy; A = C = 1/2 keeps the energy and loses the
+    # CH invariant
+    from saltpde.models import Sch2Ops
+    monkeypatch.setattr(Sch2Ops, "b", sch2_b_with(0.5, 1.0))
+    assert sch2_energy_drift("smooth") > SCH2_ENERGY_BOUND
+    monkeypatch.setattr(Sch2Ops, "b", sch2_b_with(0.5, 0.5))
+    assert sch2_ch_drift() > SCH2_CH_BOUND
 
 
 def test_sch2_b_fft_budget(fft_calls):

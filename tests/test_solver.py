@@ -42,7 +42,7 @@ def em_cfg(**kw):
 
 def test_zero_state_is_fixed_point():
     cfg = em_cfg(ic="zero")
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert rec.hs_norms[-1] == 0.0
     assert not rec.stopped
 
@@ -92,7 +92,7 @@ def test_heun_reduces_to_rk2_without_noise():
 
 def test_run_path_t_end_zero():
     cfg = em_cfg(t_end=0.0)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert len(rec.times) == 1
     assert not rec.stopped
     assert rec.stop_reason == "end"
@@ -100,7 +100,7 @@ def test_run_path_t_end_zero():
 
 def test_stop_threshold_below_initial_norm():
     cfg = em_cfg(n_stop=1e-6)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert rec.stopped
     assert rec.tau == 0.0
     assert rec.stop_reason == "threshold"
@@ -111,12 +111,12 @@ def test_stopping_time_monotone_in_threshold():
     cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, t_end=0.2,
                  ic_amplitude=0.3, record_every=1)
     ops = cfg.build_ops()
-    base = run_path(cfg)
+    base = run_path(cfg, ops)
     norms = np.array(base.hs_norms)
     lo, hi = norms.min(), norms.max()
     taus = []
     for n_stop in (0.5 * lo, 0.5 * (lo + hi), 1.1 * hi):
-        rec = run_path(replace(cfg, n_stop=float(n_stop)))
+        rec = run_path(replace(cfg, n_stop=float(n_stop)), ops)
         taus.append(rec.tau if rec.stopped else np.inf)
     assert taus[0] <= taus[1] <= taus[2]
 
@@ -126,7 +126,7 @@ def test_cfl_guard():
     # stops there, with one row at tau = 0, instead of raising
     cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, dt=0.05, t_end=0.1,
                  ic_amplitude=3.0, noise_k=0)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert rec.stopped
     assert rec.stop_reason == "cfl"
     assert rec.tau == 0.0
@@ -135,9 +135,10 @@ def test_cfl_guard():
     # time of the offending state, whose row ends the record exactly once,
     # whether or not record_every = 3 had already recorded it
     for amp, steps in ((1.1, 8), (1.2, 3)):
-        late = run_path(em_cfg(model="ccf", s=4.0, noise_s_max=6.0, dt=0.04,
-                               t_end=2.0, ic_amplitude=amp, noise_k=4,
-                               record_every=3, blowup_factor=1e9))
+        cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, dt=0.04, t_end=2.0,
+                     ic_amplitude=amp, noise_k=4, record_every=3,
+                     blowup_factor=1e9)
+        late = run_path(cfg, cfg.build_ops())
         assert late.stop_reason == "cfl"
         assert late.tau == steps * 0.04
         assert late.times[-1] == late.tau
@@ -162,7 +163,8 @@ def test_cfl_check_takes_the_exact_velocity_where_the_bound_exceeds_it(
     for dt, reason, checks in ((1 / 16, "end", 4), (1 / 8, "cfl", 1),
                                (2.0 ** -10, "end", 0)):
         calls.clear()
-        rec = run_path(SimConfig(dt=dt, t_end=4 * dt, **kw))
+        cfg = SimConfig(dt=dt, t_end=4 * dt, **kw)
+        rec = run_path(cfg, cfg.build_ops())
         assert (rec.stop_reason, len(calls)) == (reason, checks), dt
         assert rec.tau == (0.0 if reason == "cfl" else 4 * dt)
 
@@ -173,7 +175,7 @@ def test_blowup_indicator_on_steepening_gradients():
     cfg = SimConfig(model="ccf", n=128, dt=1e-3, t_end=2.0, s=4.0,
                     noise_k=0, noise_s_max=6.0, ic_amplitude=0.5,
                     blowup_factor=1.5, record_every=100)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert rec.stopped
     assert rec.stop_reason == "blowup_indicator"
     assert rec.tau < 2.0
@@ -185,7 +187,7 @@ def test_divergence_flagged():
     cfg = SimConfig(model="linear", n=8, dt=1.0, t_end=3.0, ic_amplitude=1.0,
                     linear_a=1e200, noise_k=1, record_every=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = run_path(cfg)
+        rec = run_path(cfg, cfg.build_ops())
     assert rec.stopped
     assert rec.stop_reason == "diverged"
     assert rec.tau == 1.0
@@ -201,7 +203,7 @@ def test_finite_state_with_overflowing_norm_ends_at_threshold():
     grid = cfg.grid()
     X0 = ModelState("linear", grid, [from_values(grid, np.full(8, 1e150))])
     with np.errstate(over="ignore"):
-        rec = run_path(cfg, X0=X0)
+        rec = run_path(cfg, cfg.build_ops(), X0=X0)
     assert np.isfinite(rec.final_state).all()
     assert rec.stop_reason == "threshold" and rec.tau == 1.0
     assert rec.hs_norms == [1e150, np.inf]
@@ -223,7 +225,7 @@ def test_linear_step_norm_budget(monkeypatch):
         cfg = SimConfig(model="linear", n=8, dt=1.0 / 16, t_end=steps / 16,
                         noise_k=1, seed=100, ic_amplitude=1.0)
         calls.clear()
-        rec = run_path(cfg)
+        rec = run_path(cfg, cfg.build_ops())
         assert rec.stop_reason == "end" and len(rec.times) == steps + 1
         counts.append(len(calls))
     assert counts[1] - counts[0] == 1
@@ -232,27 +234,28 @@ def test_linear_step_norm_budget(monkeypatch):
 def test_cutoff_idempotence_same_trajectory():
     # V-norm never exceeds R: doubling R gives the identical trajectory
     cfg = em_cfg(cutoff_r=50.0, t_end=0.05)
-    a = run_path(cfg)
-    b = run_path(replace(cfg, cutoff_r=100.0))
+    ops = cfg.build_ops()
+    a = run_path(cfg, ops)
+    b = run_path(replace(cfg, cutoff_r=100.0), ops)
     assert a.hs_norms == b.hs_norms
     assert np.array_equal(a.final_state[0], b.final_state[0])
 
 
 def test_mean_conserved_in_noisy_runs():
     cfg = em_cfg(t_end=0.1, noise_k=3)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert abs(rec.final_state[1, 0].real) < 1e-12
 
     cfg2 = SimConfig(model="sqg", n=32, dt=1e-3, t_end=0.05, s=4.5,
                      noise_k=3, noise_s_max=6.5, ic_amplitude=0.3, seed=2,
                      record_every=10)
-    rec2 = run_path(cfg2)
+    rec2 = run_path(cfg2, cfg2.build_ops())
     assert abs(rec2.final_state[0, 0, 0].real) < 1e-12
 
 
 def test_trajectory_round_trip(tmp_path):
     cfg = em_cfg(t_end=0.02, record_every=2)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     fn = str(tmp_path / "traj.txt")
     write_trajectory(rec, fn)
     back = read_trajectory(fn)
@@ -268,7 +271,8 @@ def test_stability_identical_initial_data():
     cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, t_end=0.05)
     grid = cfg.grid()
     X0 = cfg.initial_state(grid)
-    rep = stability_experiment(cfg, X0, ModelState("ccf", grid, X0.coeffs))
+    rep = stability_experiment(cfg, cfg.build_ops(), X0,
+                               ModelState("ccf", grid, X0.coeffs))
     assert rep.distance0 == 0.0
     assert rep.sup_distance < 1e-14
     assert np.isnan(rep.ratio)
@@ -284,8 +288,8 @@ def test_stability_linear_response():
         bump = from_values(grid, delta * np.cos(grid.x))
         return ModelState("ccf", grid, (X0.coeffs[0] + bump,))
 
-    r1 = stability_experiment(cfg, X0, perturbed(1e-6))
-    r2 = stability_experiment(cfg, X0, perturbed(1e-7))
+    r1 = stability_experiment(cfg, cfg.build_ops(), X0, perturbed(1e-6))
+    r2 = stability_experiment(cfg, cfg.build_ops(), X0, perturbed(1e-7))
     assert abs(r1.ratio - r2.ratio) < 0.2 * r2.ratio
     assert r1.ratio < 10.0
 
@@ -299,7 +303,8 @@ def test_stability_ratio_stable_under_dt_halving():
     Y0 = ModelState("ccf", grid, (X0.coeffs[0] + bump,))
     ratios = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        rep = stability_experiment(replace(base, dt=dt), X0, Y0)
+        rep = stability_experiment(replace(base, dt=dt), base.build_ops(),
+                                   X0, Y0)
         ratios.append(rep.ratio)
     print("stability ratios over dt:", ratios)
     assert max(ratios) < 1.5 * min(ratios)
@@ -357,7 +362,7 @@ def test_ccf_em_step_fft_budget(fft_calls):
                         s=4.0, noise_k=4, seed=3)
         assert np.all(sample_path(3, cfg.dt, steps, 4).increments != 0.0)
         fft_calls.clear()
-        rec = run_path(cfg)
+        rec = run_path(cfg, cfg.build_ops())
         assert rec.stop_reason == "end" and len(rec.times) == steps + 1
         counts.append((len(fft_calls), sum(fft_calls)))
     assert counts[1][0] - counts[0][0] == 7
@@ -396,7 +401,7 @@ def test_sqg_heun_step_fft_budget(fft_calls):
     assert 2.0 < lipschitz_bound(grid, X0) < 1e6
 
     def run(cfg):
-        rec = run_path(cfg)
+        rec = run_path(cfg, cfg.build_ops())
         assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
     assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 6)
     assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 6)
@@ -417,7 +422,8 @@ def test_stability_step_pair_fft_budget(fft_calls):
     assert 2.0 * lipschitz_bound(grid, X0.coeffs) > 3.0
 
     def run(cfg):
-        assert stability_experiment(cfg, X0, Y0).n_steps_used == cfg.n_steps()
+        rep = stability_experiment(cfg, cfg.build_ops(), X0, Y0)
+        assert rep.n_steps_used == cfg.n_steps()
     assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 0)
     assert per_step_transforms(fft_calls, run, cutoff_r=1.5, **kw) == (14, 0)
 
@@ -519,12 +525,35 @@ def test_entry_states_must_match_the_config():
         want = "is a %s state on %r; this run needs a ccf state on %r" \
             % (bad.kind, bad.grid, grid)
         with pytest.raises(ValueError, match="X0 " + re.escape(want)):
-            run_path(cfg, X0=bad)
+            run_path(cfg, cfg.build_ops(), X0=bad)
         with pytest.raises(ValueError, match="X0 " + re.escape(want)):
-            stability_experiment(cfg, bad, X0)
+            stability_experiment(cfg, cfg.build_ops(), bad, X0)
         with pytest.raises(ValueError, match="Y0 " + re.escape(want)):
-            stability_experiment(cfg, X0, bad)
-    assert run_path(cfg, X0=X0).stop_reason == "end"
+            stability_experiment(cfg, cfg.build_ops(), X0, bad)
+    assert run_path(cfg, cfg.build_ops(), X0=X0).stop_reason == "end"
+
+
+def test_runs_refuse_ops_of_another_model_or_grid():
+    # the ops are checked where they enter, as X0 is: cfg's model on cfg's
+    # grid (linear ops have the state shape of ccf ops on the same grid,
+    # and sqg ops at n = 64 a grid of the same n)
+    cfg = em_cfg(model="ccf", s=4.0, noise_s_max=6.0, t_end=0.002)
+    grid = cfg.grid()
+    X0 = cfg.initial_state(grid)
+    for other in (replace(cfg, model="linear", noise_k=1, s=1.0),
+                  replace(cfg, n=32),
+                  replace(cfg, model="sch2", s=6.0, noise_s_max=8.0),
+                  replace(cfg, model="sqg", s=4.5, noise_s_max=6.5)):
+        bad = other.build_ops()
+        want = re.escape("ops are %s ops on %r; this run needs ccf ops on %r"
+                         % (other.model, bad.grid, grid))
+        with pytest.raises(ValueError, match=want):
+            run_path(cfg, bad)
+        with pytest.raises(ValueError, match=want):
+            run_path(cfg, bad, X0=X0)
+        with pytest.raises(ValueError, match=want):
+            stability_experiment(cfg, bad, X0, X0)
+    assert run_path(cfg, cfg.build_ops(), X0=X0).stop_reason == "end"
 
 
 @pytest.mark.parametrize("model, noise_k, steps, K", [
@@ -539,12 +568,12 @@ def test_supplied_path_must_fit_the_run(model, noise_k, steps, K):
     want = ("supplied Brownian path has %d steps x %d components; this run "
             "needs at least 10 steps x exactly %d" % (steps, K, noise_k))
     with pytest.raises(ValueError, match=want):
-        run_path(cfg, path=path)
+        run_path(cfg, cfg.build_ops(), path=path)
     X0 = cfg.initial_state(cfg.grid())
     with pytest.raises(ValueError, match=want):
-        stability_experiment(cfg, X0, X0, path=path)
+        stability_experiment(cfg, cfg.build_ops(), X0, X0, path=path)
     # a longer path with the right components drives the run
-    rec = run_path(cfg, path=sample_path(5, cfg.dt, 12, noise_k))
+    rec = run_path(cfg, cfg.build_ops(), path=sample_path(5, cfg.dt, 12, noise_k))
     assert rec.stop_reason == "end"
 
 
@@ -559,12 +588,12 @@ def test_run_path_builds_one_checked_state(monkeypatch):
     monkeypatch.setattr(ModelState, "__init__", counted)
     cfg = SimConfig(model="ccf", n=64, dt=1e-3, t_end=0.02, s=4.0,
                     noise_k=4, seed=3)
-    rec = run_path(cfg)
+    rec = run_path(cfg, cfg.build_ops())
     assert rec.stop_reason == "end" and len(rec.times) == 21
     assert type(rec.final_state) is np.ndarray
     assert len(calls) == 1
     X0 = cfg.initial_state(cfg.grid())
     calls.clear()
-    again = run_path(cfg, X0=X0)
+    again = run_path(cfg, cfg.build_ops(), X0=X0)
     assert again.hs_norms == rec.hs_norms
     assert len(calls) == 0

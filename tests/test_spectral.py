@@ -510,7 +510,7 @@ def test_symbol_cache_stays_small_on_real_runs(monkeypatch):
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     for name in ("simulate_ccf", "simulate_sqg"):
         sim = parse_config(os.path.join(configs, name + ".cfg")).sim
-        run_path(replace(sim, t_end=5 * sim.dt))
+        run_path(replace(sim, t_end=5 * sim.dt), sim.build_ops())
     for model in ("sch2", "sqg"):
         check_growth(model, resolutions=(64, 128))
         check_difference(model, resolutions=(64, 128))
