@@ -68,9 +68,9 @@ class VectorFieldXi:
     """Smooth correlation vector field, one component per dimension.
 
     Built from the coefficient arrays xi_1, ..., xi_dim on grid, given on
-    the whole spectrum (Grid.full's layout; in 2D not the half spectrum of
-    a state, since the stencil holds both modes s and -s with the
-    coefficients given there).  modes is the whole-spectrum layout the
+    the whole spectrum (Grid.full_modes()'s layout; in 2D not the half
+    spectrum of a state, since the stencil holds both modes s and -s with
+    the coefficients given there).  modes is the whole-spectrum layout the
     divergence and stencil are read on: by default grid.full_modes(), or
     one that a basis build shares over its fields, so that its tables and
     symbols are built once and die with the build.  Keeps only

@@ -30,9 +30,9 @@ sch2, the single row theta otherwise.  A 1D row holds all n coefficients,
 an sqg row its half spectrum, the (n, n//2+1) columns k2 >= 0 of the
 n x n spectrum (see spectral): its norms count each column 0 < k2 < n/2
 twice, its L_xi reads the modes k2 < 0 as conjugates, and its transforms
-are real (the V-norm and max velocity excepted: _sup_length).  Operators,
-norms and steppers take and return these plain arrays; each operator
-checks the shape it is given against its own model and grid.
+are real.  Operators, norms and steppers take and return these plain
+arrays; each operator checks the shape it is given against its own model
+and grid.
 ModelState(kind, grid, rows) is the one checked entry for states from
 outside (kind, grid dimension, row shape, sqg zero mean): initial data and
 corpus states come through it, and its .coeffs is the array.  Every
@@ -51,12 +51,12 @@ import numpy as np
 
 from . import spectral as sp
 from .lie import ito_correction, lie_derivative
-from .spectral import (dealiased_product, derivative, full_spectrum,
-                       gradient, has_mean, hilbert_transform, hs_inner,
-                       homogeneous_inner, homogeneous_norm, lipschitz_bound,
-                       lipschitz_norm, mollifier_symbol, real_part,
-                       riesz_component, riesz_perp, sobolev_norm, sup_norm,
-                       to_grid, zero_field)
+from .spectral import (dealiased_product, derivative, gradient, has_mean,
+                       hilbert_transform, hs_inner, homogeneous_inner,
+                       homogeneous_norm, lipschitz_bound, lipschitz_norm,
+                       mollifier_symbol, real_part, riesz_component,
+                       riesz_perp, sobolev_norm, sup_norm, to_grid,
+                       within_bound, zero_field)
 
 # the model facts (the ops class of each model: OPS_CLASS)
 FIELD_NAMES = {"sch2": ("u", "eta"), "ccf": ("theta",),
@@ -267,14 +267,14 @@ class _FluidOps:
         """sup of the velocity's length over the grid nodes (the model's
         _sup_velocity).  Given a limit, the coefficient bound
         B = lipschitz_bound(grid, X) is returned instead, with no
-        transform, wherever B(1 + 1e-9) <= limit: B bounds sup|u|, since
+        transform, wherever within_bound(B, limit): B bounds sup|u|, since
         |u(x)| <= sum_k |u(k)| and each model's velocity multiplier (1 on
-        sch2's u, H for ccf, R-perp for sqg) has modulus at most 1, and the
-        margin covers the transforms' round-off, so a caller that compares
-        the result with limit decides as it would on the exact sup."""
+        sch2's u, H for ccf, R-perp for sqg) has modulus at most 1, so a
+        caller that compares the result with limit decides as it would on
+        the exact sup."""
         if limit is not None:
             bound = lipschitz_bound(self.grid, self._rows(X))
-            if bound * (1.0 + 1e-9) <= limit:
+            if within_bound(bound, limit):
                 return bound
         return self._sup_velocity(X)
 
@@ -448,27 +448,14 @@ class SqgOps(_FluidOps):
 
 def _sup_length(grid, fields):
     """max over the grid nodes of the Euclidean length of the real 2D fields
-    given by their half spectra, as a float.
-
-    Each field takes one complex transform of its whole spectrum, and the
-    squares are summed in the order given, as the whole-spectrum formulas
-    evaluate these norms: the V-norm and max velocity are single floats
-    whose round-off (an ulp or so) lands on either side by luck on any other
-    route, so they are those formulas' floats, bit for bit.  The fields are
-    taken one at a time, each field's fresh whole spectrum scaled and
-    transformed in place (to_grid's out), so it holds the samples, whose
-    square is formed there too.  The first square is a fresh array: the
-    samples are a view of the complex spectrum, which it would keep alive.
-    """
+    given by their half spectra, as a float: the fields are sampled one at
+    a time and their squares summed in the order given."""
     acc = None
     for c in fields:
-        z = full_spectrum(grid, c)
-        v = to_grid(grid.full, z, out=z)
-        if acc is None:
-            acc = v * v
-        else:
-            acc += np.multiply(v, v, out=v)
-        del z, v
+        v = to_grid(grid, c)
+        v *= v
+        acc = v if acc is None else np.add(acc, v, out=acc)
+        del v
     # (sqrt is correctly rounded, so monotone: the sqrt of the max is the
     # max of the sqrt)
     return float(np.sqrt(np.max(acc)))

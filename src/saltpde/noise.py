@@ -37,9 +37,9 @@ class NoiseBasis:
 
 def components_norm(grid, components, s):
     """sqrt(sum_i ||xi_i||_{H^s}^2) over the components of a vector field,
-    given on the whole spectrum (Grid.full's layout), as a noise field
-    takes them; grid may be that layout itself (Grid.full_modes())."""
-    return float(np.sqrt(sum(sobolev_norm(grid.full, c, s) ** 2
+    given on the whole spectrum, as a noise field takes them, and grid
+    their layout (Grid.full_modes())."""
+    return float(np.sqrt(sum(sobolev_norm(grid, c, s) ** 2
                              for c in components)))
 
 
@@ -137,7 +137,7 @@ def build_basis(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
 
 def constant_basis_1d(grid, c):
     """Single constant field xi = c; the exact-cancellation special case."""
-    xi = VectorFieldXi(grid, [from_values(grid, np.full(grid.shape, float(c)))])
+    xi = VectorFieldXi(grid, [from_values(grid, float(c) * np.ones(grid.shape))])
     return NoiseBasis([xi])
 
 

@@ -16,14 +16,13 @@ elsewhere (the Heun predictor, stability_experiment, a step called without
 v) a transform-free coefficient bound decides chi_R = 1 whenever it lies
 below R, and chi_R is evaluated on ops.v_norm otherwise (_chi).  A step of
 run_path then makes 7 transforms for ccf Ito-EM at K = 4, monitors
-included.  An sqg Stratonovich-Heun step makes 12: three per transport
-term (an inverse of each pair (u_i, d_i theta), a forward of their dot
-product), each a real transform of half spectra (a complex numpy pass
-along the first axis and a real one along the last), and one complex
-transform of a whole spectrum per real field for the V-norm (six).  The
-CFL check reads the velocity's coefficient bound (models'
-max_velocity), which on the shipped runs stays far below its limit, and
-transforms only where the bound does not decide it.
+included.  An sqg Stratonovich-Heun step makes 12, each a real transform
+of half spectra (a complex numpy pass along the first axis and a real one
+along the last): three per transport term (an inverse of each pair
+(u_i, d_i theta), a forward of their dot product) and one per real field
+for the V-norm (six).  The CFL check reads the velocity's coefficient
+bound (models' max_velocity), which on the shipped runs stays far below
+its limit, and transforms only where the bound does not decide it.
 
 run_path and stability_experiment build no grid, basis or ops: b, g_eps
 and h_eps^k are fixed maps, and a caller hands every run the one ops it
@@ -44,7 +43,7 @@ import numpy as np
 from .models import (FIELD_NAMES, GRID_DIM, INITIAL_CONDITIONS, S_THRESHOLD,
                      make_initial_state, make_ops)
 from .noise import build_basis, check_decay, sample_path
-from .spectral import Grid, full_spectrum, lipschitz_bound
+from .spectral import Grid, full_spectrum, lipschitz_bound, within_bound
 
 
 def _smooth_step(t):
@@ -206,14 +205,13 @@ def _chi(ops, X, R):
 
     (A 2D state holds its half spectrum, and lipschitz_bound counts each
     column 0 < k2 < n/2 twice, for k and -k; a zeroed Nyquist mode only
-    lowers a sup.)  chi_R is 1 on [0, R], so
-    B(X)(1 + 1e-9) <= R gives chi_R(B(X)) = 1.0, which chi_cutoff returns
-    for every float v <= R; the margin covers the transforms' round-off in
-    ops.v_norm.  Otherwise, a non-finite B included, chi_R is evaluated on
+    lowers a sup.)  chi_R is 1 on [0, R], so within_bound(B(X), R) gives
+    chi_R(B(X)) = 1.0, which chi_cutoff returns for every float v <= R.
+    Otherwise, a non-finite B included, chi_R is evaluated on
     ops.v_norm(X).  Either way chi_cutoff refuses R <= 1.
     """
     bound = 2.0 * lipschitz_bound(ops.grid, X)
-    if bound * (1.0 + 1e-9) <= R:
+    if within_bound(bound, R):
         return chi_cutoff(bound, R)
     return chi_cutoff(ops.v_norm(X), R)
 
@@ -282,13 +280,21 @@ _STEPPERS = {"ito_em": step_ito_em, "strat_heun": step_strat_heun}
 def _setup(cfg, ops, path, **states):
     """(n_steps, path, the coefficients of each ModelState of states) of
     a run of cfg on ops, each cfg's model on cfg's grid (a state None is
-    cfg's initial state); a path None is the seed's, a supplied one needs
+    cfg's initial state) and ops built with cfg's s, epsilon and noise_k
+    (linear_a for linear); a path None is the seed's, a supplied one needs
     exactly cfg.path_k() components and at least cfg.n_steps() steps."""
     cfg.validate()
     n_steps, K, grid = cfg.n_steps(), cfg.path_k(), ops.grid
     if ops.kind != cfg.model or (grid.n, grid.dim) != (cfg.n, GRID_DIM[cfg.model]):
         raise ValueError("ops are %s ops on %r; this run needs %s ops on %r"
                          % (ops.kind, grid, cfg.model, cfg.grid()))
+    built = ((("a", ops.a, cfg.linear_a),) if cfg.model == "linear" else
+             (("s", ops.s, cfg.s), ("eps", ops.eps, cfg.epsilon),
+              ("basis.K", ops.basis.K, cfg.noise_k)))
+    for name, have, want in built:
+        if have != want:
+            raise ValueError("ops have %s = %r; this run needs %s = %r"
+                             % (name, have, name, want))
     if path is None:
         path = sample_path(cfg.seed, cfg.dt, n_steps, K)
     elif path.K != K or path.n_steps < n_steps:
@@ -452,7 +458,7 @@ def write_state_snapshot(kind, g, X, filename):
     """Flat coefficient table of a kind state X on grid g: one row per mode
     of the whole spectrum (fft order) and field component; the modes
     k2 < 0 of a 2D state are the conjugates of those it holds."""
-    k_axes = g.full.k_axes
+    k_axes = g.full_modes().k_axes
     with open(filename, "w") as fh:
         fh.write("# model = %s\n" % kind)
         fh.write("field k1 k2 re im\n")

@@ -21,10 +21,9 @@ that reaches a mode k - s with k2 - s2 < 0 reads the conjugate of the
 held mode s - k.  Transforms are real: a 2D forward transform is rfft
 along the last axis and a complex fftn along the first, the inverse
 ifftn along the first and irfft along the last, as numpy's rfftn/irfftn
-make them.  Grid.full is the layout of the whole n x n spectrum, and every
-function here takes it as its grid too (a complex transform there): a
-noise field's components (lie.VectorFieldXi) are given on it, and the sqg
-V-norm and max velocity transform each field on it.
+make them.  Grid.full_modes() is a layout of the whole n x n spectrum, and
+every function here takes it as its grid too (a complex transform there):
+a noise field's components (lie.VectorFieldXi) are given on it.
 
 The trailing grid.dim axes of an array are the grid; any leading axes (the
 rows of a model state, say) pass through every function unchanged, and
@@ -41,13 +40,11 @@ always dealiased with the 2/3 rule.
 
 No function here writes into an array it was handed, except an out that
 the caller passes for the result (derivative, riesz_component and
-riesz_perp's one component take one) or, in to_grid, for the transform to
-run in; dealiased_product forms its factors in a buffer of its own.  A
-layout carries the wavenumber meshes and builds its tables (|k|^2, 1/|k|,
-the masks) and multipliers when they are first read, then keeps them.
-Grid.full, kept for the grid's life, holds only what is read on it; the
-basis build reads its whole-spectrum tables on a layout of its own
-(Grid.full_modes()), which dies with the build.
+riesz_perp's one component take one); dealiased_product forms its factors
+in a buffer of its own.  A layout carries the wavenumber meshes and builds
+its tables (|k|^2, 1/|k|, the masks) and multipliers when they are first
+read, then keeps them; the basis build reads its whole-spectrum tables on a
+layout of its own (Grid.full_modes()), which dies with the build.
 """
 
 import functools
@@ -62,7 +59,7 @@ class _Modes:
     """One layout of the modes of an n^dim grid, built from one wavenumber
     array per axis (broadcasting to the layout's shape, spec_shape).  Every
     function here takes a layout as its grid: a Grid (a 2D field's half
-    spectrum), or Grid.full or Grid.full_modes() (the whole spectrum).
+    spectrum) or Grid.full_modes() (the whole spectrum).
     half is True on the half spectrum.  The geometry (shape, axes, n_total,
     the meshes k_axes) is set at construction; each table is built when it
     is first read and then kept: ksq = |k|^2, inv_absk = 1/|k| (0 on the
@@ -84,11 +81,6 @@ class _Modes:
         self.k_axes = axes if len(axes) == 1 else tuple(
             np.broadcast_to(a, shape) for a in axes)
         self._symbols = {}
-
-    @property
-    def full(self):
-        # a whole-spectrum layout is its own (Grid overrides this)
-        return self
 
     @functools.cached_property
     def ksq(self):
@@ -135,27 +127,11 @@ class Grid(_Modes):
         self.x = TWO_PI * np.arange(n) / n
         self.dx = TWO_PI / n
         self.kmax_dealias = n // 3
-        self._full = None
         k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, Nyquist at -n/2
         if dim == 1:
             super().__init__(n, (k,), (n,))
         else:
             super().__init__(n, (k[:, None], k[None, :n // 2 + 1]), (n, n // 2 + 1))
-
-    @property
-    def full(self):
-        """The layout of the whole spectrum in numpy fft order, built on
-        first use and kept for the grid's life: the sqg V-norm and max
-        velocity transform on it and a state snapshot reads its k_axes,
-        which take only its geometry.  It builds a table or symbol only
-        when one is read on it, and no code of the package reads one: the
-        basis build reads them on full_modes(), whose tables die with the
-        build.  In 1D, the grid itself."""
-        if not self.half:
-            return self
-        if self._full is None:
-            self._full = self.full_modes()
-        return self._full
 
     def full_modes(self):
         """A new layout of the whole spectrum, which the grid does not keep:
@@ -234,19 +210,14 @@ def from_values(grid, values):
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ValueError("field has %d non-finite values" % bad)
-    if not grid.half:
-        return np.fft.fftn(values, s=grid.shape, axes=grid.axes) / grid.n_total
     z = _forward(grid, values)
     z /= grid.n_total
     return z
 
 
-def to_grid(grid, c, out=None):
-    """Real grid samples of the coefficients c, as a float ndarray.  out,
-    if given, is a complex array of c's shape (c itself, say) that takes
-    the scaled coefficients and is transformed in place; on a 1D grid or a
-    whole spectrum the samples are then a view of out's real part."""
-    z = np.multiply(c, grid.n_total, out=out)
+def to_grid(grid, c):
+    """Real grid samples of the coefficients c, as a float ndarray."""
+    z = np.multiply(c, grid.n_total)
     if not np.all(np.isfinite(z)):
         bad = int(np.count_nonzero(~np.isfinite(z)))
         raise ValueError("spectrum has %d non-finite coefficients" % bad)
@@ -261,7 +232,7 @@ def _self_conjugate_columns(grid):
 
 
 def full_spectrum(grid, c):
-    """The coefficients c on the whole spectrum (Grid.full's layout): a 2D
+    """The coefficients c on the whole spectrum (Grid.full_modes()): a 2D
     field's columns k2 < 0 taken from conjugate symmetry, a 1D field as it
     is."""
     if not grid.half:
@@ -322,7 +293,7 @@ def _counts(grid):
     stands for, 2 (k and -k) off the columns k2 = 0 and -n/2 and 1 on
     them; a sum over the half spectrum weighs its terms by these."""
     def build():
-        counts = np.full(grid.spec_shape, 2.0)
+        counts = 2.0 * np.ones(grid.spec_shape)
         counts[..., _self_conjugate_columns(grid)[0]] = 1.0
         return counts
     return _symbol(grid, ("counts",), build)
@@ -660,6 +631,12 @@ def lipschitz_norm(grid, c):
     v, dv = to_grid(grid, np.stack([c, derivative(grid, c, 0)]))
     return _scalar(np.max(np.abs(v), axis=grid.axes)
                    + np.max(np.abs(dv), axis=grid.axes))
+
+
+def within_bound(bound, limit):
+    """bound(1 + 1e-9) <= limit: a coefficient bound (lipschitz_bound)
+    decides value <= limit, with a margin for the value's round-off."""
+    return bound * (1.0 + 1e-9) <= limit
 
 
 def lipschitz_bound(grid, c):

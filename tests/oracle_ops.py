@@ -180,14 +180,14 @@ def product_with_values(values_banded, G):
 
 class _ParentGrid:
     """The parent's 2D Grid: a package grid's attributes, with the
-    wavenumber tables of its whole n x n spectrum (Grid.full)."""
+    wavenumber tables of its whole n x n spectrum (Grid.full_modes())."""
 
     def __init__(self, grid):
         self.grid = grid
         for name in ("n", "dim", "shape", "axes", "n_total", "x", "dx",
                      "kmax_dealias"):
             setattr(self, name, getattr(grid, name))
-        full = grid.full
+        full = grid.full_modes()
         self.k_axes, self.ksq, self.inv_absk = full.k_axes, full.ksq, full.inv_absk
         self.dealias_keep, self.not_nyquist = full.dealias_keep, full.not_nyquist
 

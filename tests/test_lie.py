@@ -271,7 +271,7 @@ def test_lie_derivative_2d_dense_xi_matches_fft_route():
     comps = [full_spectrum(g, from_values(g, rng.standard_normal(g.shape)))
              for _ in range(2)]
     xi = VectorFieldXi(g, comps)
-    full = g.full
+    full = g.full_modes()
     in_band = {(int(k1), int(k2)) for k1, k2 in zip(
         full.k_axes[0][full.dealias_keep], full.k_axes[1][full.dealias_keep])}
     shifts = [shift for shift, _ in xi._stencil]

@@ -29,12 +29,12 @@ from saltpde.estimates import (corpus_banks, corpus_field, corpus_state,
                                helmholtz_commutator_ratio, kato_ponce_ratio)
 from saltpde.models import make_ops
 from saltpde.noise import build_basis_1d, build_basis_sqg
-from saltpde.spectral import Grid
+from saltpde.solver import SimConfig, run_path
+from saltpde.spectral import Grid, lipschitz_bound
 
 N = 256
 UNIT = N * (N // 2 + 1) * 16
 S = 4.5
-TABLES = ("ksq", "inv_absk", "dealias_keep", "not_nyquist")
 
 
 @pytest.fixture(scope="module")
@@ -70,45 +70,60 @@ def owned_arrays(*roots):
     return found
 
 
+def whole_arrays(grid, *roots):
+    """The arrays reachable from grid and roots (owned_arrays) whose
+    trailing axes have the grid's shape: whole spectra or samples."""
+    return [a for a in owned_arrays(grid, *roots)
+            if a.shape[-2:] == grid.shape]
+
+
 def test_sqg_basis_leaves_no_whole_spectrum_arrays(peak_alloc):
     # the build reads ksq, the masks, two derivative symbols and the
     # H^{s_max} weight of the whole spectrum (about 7 units at 256^2, which
-    # the grid kept for its life when they lived on Grid.full); they die
+    # a layout kept with the grid would hold for the grid's life); they die
     # with the build, which leaves its 16 stencil entries
     g = Grid(N, dim=2)
     basis, _, retained = peak_alloc(build_basis_sqg, g, 8, S + 2.0)
     assert retained < 0.1 * UNIT        # measured 0.024 units
-    whole = [a for a in owned_arrays(g, basis) if a.shape[-2:] == g.shape]
-    assert whole == []
-    # positive control: a table read on Grid.full stays with the grid
-    assert g.full.ksq.shape == g.shape
-    assert any(a is g.full.ksq for a in owned_arrays(g, basis))
+    assert whole_arrays(g, basis) == []
+    # positive control: a table read on a whole-spectrum layout that the
+    # basis keeps is found
+    basis.layout = g.full_modes()
+    ksq = basis.layout.ksq
+    assert any(a is ksq for a in whole_arrays(g, basis))
 
 
-def test_full_layout_is_one_object_holding_no_tables(sqg256):
-    # the V-norm and max velocity transform on Grid.full, which reads only
-    # its geometry: one layout across calls, with no table or symbol
-    g, basis, X, _ = sqg256
-    ops = make_ops("sqg", g, S, basis, 0.5)
+def test_sqg_state_path_holds_no_whole_spectrum_array():
+    # the V-norm, the max velocity on both of its routes and one Heun step
+    # of run_path sample every field on its half spectrum, and keep no
+    # array of the grid's shape on the grid or the ops
+    cfg = SimConfig(model="sqg", n=64, dt=1e-3, t_end=1e-3, s=S, noise_k=4,
+                    noise_s_max=S + 2.0, scheme="strat_heun")
+    ops = cfg.build_ops()
+    g = ops.grid
+    X = cfg.initial_state(g).coeffs
     ops.v_norm(X)
-    layout = g.full
-    for _ in range(2):
-        ops.v_norm(X)
-        ops.max_velocity(X)
-        assert g.full is layout
-    assert not set(TABLES) & set(vars(layout)) and layout._symbols == {}
+    bound = lipschitz_bound(g, X)
+    assert ops.max_velocity(X, 2.0 * bound) == bound
+    assert ops.max_velocity(X, 0.5 * bound) < bound
+    assert run_path(cfg, ops).stop_reason == "end"
+    assert whole_arrays(g, ops) == []
+    # positive control: an array of the grid's shape on the ops is found
+    ops.probe = np.zeros(g.shape)
+    assert any(a is ops.probe for a in whole_arrays(g, ops))
 
 
 # (function, budget in units): the peak measured with the transport's
-# component pairs sampled one at a time, the V-norm's spectra transformed
-# in place and the basis build's divergence summed in place, plus its
-# headroom; and the peak of the route before (both pairs in one buffer,
-# to_grid's scaled copy, a zeroed divergence) for comparison
+# component pairs sampled one at a time, the V-norm's fields sampled one at
+# a time on their half spectra and the basis build's divergence summed in
+# place, plus its headroom; and the peak of the route before (both pairs in
+# one buffer, whole spectra transformed in place, a zeroed divergence) for
+# comparison
 BUDGETS = {
     "g": 6.0,                   # measured 4.98 (+1.02); before 7.98
     "growth_ratios": 7.0,       # measured 5.99 (+1.02); before 8.98
     "difference_ratio": 8.0,    # measured 6.99 (+1.02); before 9.98
-    "v_norm": 7.5,              # measured 6.48 (+1.02); before 10.08
+    "v_norm": 7.02,             # measured 6.00 (+1.02); before 6.48
     "build_basis_sqg": 15.2,    # measured 14.17 (+1.02); before 15.27
 }
 

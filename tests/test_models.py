@@ -262,26 +262,27 @@ def conjugates_dropped(grid, c):
 
 @pytest.mark.parametrize("n", [64, 128, 256])
 def test_sqg_paired_transforms_no_farther_from_long_double(n, monkeypatch):
-    # the transport term takes its real fields through real transforms of
-    # the half spectrum (where the parent paired two fields per complex
-    # transform), the V-norm and max velocity through one complex transform
-    # per field of the whole spectrum; over the corpus, none may be farther
-    # from the long-double evaluation of the frozen formulas than those
-    # formulas in float64, the transport term measured on the half
-    # spectrum.  The V-norm and max velocity are the formulas' own floats.
-    # Positive control: the package's routes with the conjugate half
-    # dropped (half-spectrum samples and whole spectra that read the modes
-    # k2 < 0 as zero) must be far beyond the bound
+    # the transport term, the V-norm and the max velocity take their real
+    # fields through real transforms of the half spectrum (where the parent
+    # paired two fields per complex transform of the whole spectrum); over
+    # the corpus, the transport term may be no farther from the long-double
+    # evaluation of the frozen formulas than those formulas in float64,
+    # measured on the half spectrum.  The V-norm and max velocity are single
+    # floats whose round-off of 1-3 ulps lands on either side by luck, so
+    # they are judged by test_half_spectrum's table rule instead.  Positive
+    # control: the package's routes with the conjugate half dropped (samples
+    # that read the modes k2 < 0 as zero) must be far beyond the formulas'
+    # error, for all four
     import oracle_ops
-    from saltpde import models, spectral
+    from saltpde import spectral
     from saltpde.estimates import corpus_banks, corpus_state
     eps = 0.0625
     g, ops, s = model_setup("sqg", n=n, K=4, eps=eps)
     pg = oracle_ops.parent_grid(g)
     oracle = oracle_ops.SqgOps(pg, s, ops.basis, eps)
     half = g.spec_shape[-1]
-    names = ("g_transport", "g_eps_transport", "v_norm", "max_velocity")
-    inverse = spectral._inverse
+    transport = ("g_transport", "g_eps_transport")
+    names = transport + ("v_norm", "max_velocity")
     errors = {}
 
     def record(name, side, got, ref):
@@ -289,8 +290,6 @@ def test_sqg_paired_transforms_no_farther_from_long_double(n, monkeypatch):
                                  long_double_error(got, ref))
 
     def dropped_inverse(grid, z):
-        if not grid.half:
-            return inverse(grid, z)
         return np.real(np.fft.ifftn(conjugates_dropped(grid, z), axes=grid.axes))
 
     for banks in corpus_banks(2, 3, seed=29, per_state=2):
@@ -308,22 +307,22 @@ def test_sqg_paired_transforms_no_farther_from_long_double(n, monkeypatch):
         ref = sqg_parent_formulas(pg, theta, None, np.longdouble)
         for i, name in ((1, "v_norm"), (2, "max_velocity")):
             refs[name], formulas[name] = ref[i], parent[i]
-            assert getattr(ops, name)(X) == parent[i], name
 
         def package(name):
             out = getattr(ops, name)(X)
             return out if np.ndim(out) == 0 else out[0]
         for name in names:
-            record(name, "package", package(name), refs[name])
             record(name, "parent", formulas[name], refs[name])
+        for name in transport:
+            record(name, "package", package(name), refs[name])
         with monkeypatch.context() as m:
             m.setattr(spectral, "_inverse", dropped_inverse)
-            m.setattr(models, "full_spectrum", conjugates_dropped)
             for name in names:
                 record(name, "dropped", package(name), refs[name])
-    for name in names:
+    for name in transport:
         assert errors[name, "package"] <= errors[name, "parent"], \
             (name, errors[name, "package"], errors[name, "parent"])
+    for name in names:
         assert errors[name, "dropped"] > 1e3 * errors[name, "parent"], \
             (name, errors[name, "dropped"], errors[name, "parent"])
 

@@ -387,13 +387,13 @@ def per_step_transforms(fft_calls, run, **kw):
 
 def test_sqg_heun_step_fft_budget(fft_calls):
     # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
-    # CFL check and its V-norm, makes 12 transforms: 3 of half spectra for
-    # each of the two transport products (one inverse of each pair
-    # (u_i, d_i theta), one forward of their dot product), and one of a
-    # whole spectrum per real field for the monitor's v_norm (6); the CFL
-    # check reads the velocity's coefficient bound and the noise operators
-    # make none.  The predictor's chi_R comes from its coefficient bound at
-    # R = 1e6; with R below that bound its v_norm runs, 6 more
+    # CFL check and its V-norm, makes 12 transforms, every one real (of half
+    # spectra): 3 for each of the two transport products (one inverse of
+    # each pair (u_i, d_i theta), one forward of their dot product), and one
+    # per real field for the monitor's v_norm (6); the CFL check reads the
+    # velocity's coefficient bound and the noise operators make none.  The
+    # predictor's chi_R comes from its coefficient bound at R = 1e6; with R
+    # below that bound its v_norm runs, 6 more
     kw = dict(model="sqg", n=64, dt=1e-3, s=4.5, noise_k=4, noise_s_max=6.5,
               seed=3, scheme="strat_heun", ic_amplitude=0.5)
     grid = Grid(64, dim=2)
@@ -403,8 +403,8 @@ def test_sqg_heun_step_fft_budget(fft_calls):
     def run(cfg):
         rec = run_path(cfg, cfg.build_ops())
         assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
-    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 6)
-    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 6)
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 12)
+    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 18)
 
 
 def test_stability_step_pair_fft_budget(fft_calls):
@@ -554,6 +554,27 @@ def test_runs_refuse_ops_of_another_model_or_grid():
         with pytest.raises(ValueError, match=want):
             stability_experiment(cfg, bad, X0, X0)
     assert run_path(cfg, cfg.build_ops(), X0=X0).stop_reason == "end"
+
+
+@pytest.mark.parametrize("model, key, value, want", [
+    ("ccf", "s", 4.5, "ops have s = 4.5; this run needs s = 4.0"),
+    ("ccf", "epsilon", 0.125, "ops have eps = 0.125; this run needs eps = 0.0625"),
+    ("ccf", "noise_k", 2, "ops have basis.K = 2; this run needs basis.K = 4"),
+    ("sqg", "s", 5.0, "ops have s = 5.0; this run needs s = 4.5"),
+    ("linear", "linear_a", 0.5, "ops have a = 0.5; this run needs a = 1.0")])
+def test_runs_refuse_ops_built_for_another_run(model, key, value, want):
+    # ops of cfg's model and grid built with another s, epsilon, noise_k
+    # or linear_a; linear ops have s = 0, whatever cfg.s is, and run
+    noise_k, s = {"ccf": (4, 4.0), "sqg": (4, 4.5), "linear": (1, 1.0)}[model]
+    cfg = em_cfg(model=model, n=16, s=s, noise_k=noise_k, noise_s_max=s + 2.0,
+                 epsilon=0.0625, t_end=0.002)
+    X0 = cfg.initial_state(cfg.grid())
+    bad = replace(cfg, **{key: value}).build_ops()
+    for run in (lambda: run_path(cfg, bad),
+                lambda: stability_experiment(cfg, bad, X0, X0)):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            run()
+    assert run_path(cfg, cfg.build_ops()).stop_reason == "end"
 
 
 @pytest.mark.parametrize("model, noise_k, steps, K", [

@@ -372,7 +372,7 @@ def test_half_spectrum_is_the_whole_one():
     assert hermitian_defect(g, c) < 1e-16
     assert np.array_equal(full_spectrum(g, c)[..., :17], c)
     assert np.max(np.abs(to_grid(g, c) - vals)) < 1e-14
-    full = g.full
+    full = g.full_modes()
     w = (1.0 + full.ksq) ** 1.5
     hw = np.zeros(g.shape)
     hw[full.ksq > 0] = full.ksq[full.ksq > 0] ** 1.5
@@ -518,3 +518,16 @@ def test_symbol_cache_stays_small_on_real_runs(monkeypatch):
                  for grid in grids.values()]
     assert max(exponents) >= 2
     assert max(exponents) < 8, exponents
+
+
+def test_within_bound_is_the_one_margin():
+    # the rule by which a coefficient bound decides a check without a
+    # transform, in models' max_velocity and solver's chi_R: the bound
+    # with a margin of 1e-9, and never a NaN or infinite bound
+    from saltpde import models, solver, spectral
+    assert models.within_bound is solver.within_bound is spectral.within_bound
+    assert spectral.within_bound(1.0, 1.0 + 2e-9)
+    assert not spectral.within_bound(1.0, 1.0 + 0.5e-9)
+    assert not spectral.within_bound(1.0, 1.0)
+    for bad in (float("nan"), float("inf")):
+        assert not spectral.within_bound(bad, 1e300)

@@ -2,10 +2,11 @@
 
 A VectorFieldXi keeps only what L_xi reads: the 2/3-band samples of xi and
 div(xi) in 1D, the stencil of xi's in-band modes in 2D.  It is built from
-component arrays on the whole spectrum (Grid.full), in 2D too.  A test that
-checks those (a norm, the stencil's shifts and coefficients, L_xi against
-the FFT route) takes its reference from the arrays the field was built
-from, so a wrong mode, sign or tolerance cut shows on one side only.
+component arrays on the whole spectrum (Grid.full_modes()), in 2D too.  A
+test that checks those (a norm, the stencil's shifts and coefficients,
+L_xi against the FFT route) takes its reference from the arrays the field
+was built from, so a wrong mode, sign or tolerance cut shows on one side
+only.
 """
 
 import contextlib
@@ -39,7 +40,8 @@ def built_from():
 def divergence(grid, comps):
     """div(xi) of the component arrays comps, on the whole spectrum (the
     layout a noise field takes its components in)."""
-    return sum(derivative(grid.full, c, axis) for axis, c in enumerate(comps))
+    modes = grid.full_modes()
+    return sum(derivative(modes, c, axis) for axis, c in enumerate(comps))
 
 
 def fft_lie(grid, comps, f):
