@@ -17,12 +17,11 @@ s threshold, default s, ops class) live in this module's tables.
 A model class supplies its kind, its transport term, its noise conjugation
 (D^-2 L D^2 on u for sch2, the identity elsewhere), its V-norm and exact
 max velocity (_sup_velocity), and where the shared ones do not fit its
-drift b and its norms.  _FluidOps defines the operators, b = 0, the
-one-field norms and max_velocity (which bounds the velocity without a
-transform where a caller's limit allows) once, and each class binds the
-names it answers to in its own body (g = _FluidOps.g): perfbench/spans.py
-wraps only the functions in a class's own vars(), so a call is recorded
-under the class that made it.
+drift b and its norms' _inner and _norm.  _FluidOps defines the operators,
+b = 0, the norms and max_velocity (which bounds the velocity without a
+transform where a caller's limit allows) once; one rule below OPS_CLASS
+puts each of them that a class does not define into the class's own
+vars().
 
 A state X is one element of the model's space, held as one complex
 coefficient array of shape (fields, *grid.spec_shape): rows (u, eta) for
@@ -46,6 +45,8 @@ Models:
   sqg   -- surface quasi-geostrophic equation with u = Riesz-perp(theta), 2D
   linear -- scalar test SDE dX = a X o dW (degenerate model for scheme checks)
 """
+
+import inspect
 
 import numpy as np
 
@@ -120,10 +121,10 @@ class _FluidOps:
     grid the first-order terms L_k(C JX) of every k are formed once per
     state (_first): the Ito sum and the h^k of that state share them.
 
-    Shared here for the model classes to bind: the seven operators, b = 0,
-    max_velocity and the norms of row theta in H^s and H^{s-2} (x_inner,
-    z_inner, x_norm, z_norm), through _inner and _norm (SqgOps picks the
-    homogeneous pair, Sch2Ops an _inner over both rows).
+    Shared by every model class: the seven operators, b = 0, max_velocity
+    and the norms in H^s and H^{s-2} (x_inner, z_inner, x_norm, z_norm),
+    through _inner and _norm, here those of row theta (SqgOps picks the
+    homogeneous pair, Sch2Ops a pair over both rows).
     """
 
     kind = None
@@ -312,28 +313,14 @@ class Sch2Ops(_FluidOps):
         G = derivative(g, q * self._d2inv)
         return np.stack([G, etaux]) * -1.0
 
-    g_transport = _FluidOps.g_transport
-    ito_correction = _FluidOps.ito_correction
-    g = _FluidOps.g
-    h_k = _FluidOps.h_k
-    g_eps_transport = _FluidOps.g_eps_transport
-    g_eps = _FluidOps.g_eps
-    h_eps_k = _FluidOps.h_eps_k
-
     # -- norms: u in H^s (H^{s-2}), eta one order lower; s - 2.0 - 1.0 is
     # s - 3.0 exactly for s >= 2
     def _inner(self, A, B, s):
         g, a, b = self.grid, self._rows(A), self._rows(B)
         return hs_inner(g, a[0], b[0], s) + hs_inner(g, a[1], b[1], s - 1.0)
 
-    x_inner = _FluidOps.x_inner
-    z_inner = _FluidOps.z_inner
-
-    def x_norm(self, X):
-        return float(np.sqrt(max(self.x_inner(X, X), 0.0)))
-
-    def z_norm(self, X):
-        return float(np.sqrt(max(self.z_inner(X, X), 0.0)))
+    def _norm(self, X, s):
+        return float(np.sqrt(max(self._inner(X, X, s), 0.0)))
 
     def v_norm(self, X):
         # W^{1,inf} x W^{1,inf} blow-up functional, grid surrogate
@@ -349,8 +336,6 @@ class Sch2Ops(_FluidOps):
     def _sup_velocity(self, X):
         return sup_norm(self.grid, self._rows(X)[0])
 
-    max_velocity = _FluidOps.max_velocity
-
 
 class CcfOps(_FluidOps):
     """Nonlocal transport splitting: b = 0, g = -(H theta) theta_x + noise."""
@@ -361,19 +346,6 @@ class CcfOps(_FluidOps):
         g = self.grid
         return dealiased_product(g, hilbert_transform(g, c), derivative(g, c))
 
-    b = _FluidOps.b
-    g_transport = _FluidOps.g_transport
-    ito_correction = _FluidOps.ito_correction
-    g = _FluidOps.g
-    h_k = _FluidOps.h_k
-    g_eps_transport = _FluidOps.g_eps_transport
-    g_eps = _FluidOps.g_eps
-    h_eps_k = _FluidOps.h_eps_k
-    x_inner = _FluidOps.x_inner
-    z_inner = _FluidOps.z_inner
-    x_norm = _FluidOps.x_norm
-    z_norm = _FluidOps.z_norm
-
     def v_norm(self, X):
         # blow-up functional sup|theta_x| + sup|H theta_x|
         g = self.grid
@@ -383,8 +355,6 @@ class CcfOps(_FluidOps):
 
     def _sup_velocity(self, X):
         return sup_norm(self.grid, hilbert_transform(self.grid, self._theta(X)))
-
-    max_velocity = _FluidOps.max_velocity
 
 
 class SqgOps(_FluidOps):
@@ -419,19 +389,6 @@ class SqgOps(_FluidOps):
     def _norm(self, X, s):
         return homogeneous_norm(self.grid, self._theta(X), s)
 
-    b = _FluidOps.b
-    g_transport = _FluidOps.g_transport
-    ito_correction = _FluidOps.ito_correction
-    g = _FluidOps.g
-    h_k = _FluidOps.h_k
-    g_eps_transport = _FluidOps.g_eps_transport
-    g_eps = _FluidOps.g_eps
-    h_eps_k = _FluidOps.h_eps_k
-    x_inner = _FluidOps.x_inner
-    z_inner = _FluidOps.z_inner
-    x_norm = _FluidOps.x_norm
-    z_norm = _FluidOps.z_norm
-
     def v_norm(self, X):
         # sup|grad theta| + sup|R grad theta| on the grid nodes, the Riesz
         # part from R_i d_j theta for every i, j
@@ -442,8 +399,6 @@ class SqgOps(_FluidOps):
 
     def _sup_velocity(self, X):
         return _sup_length(self.grid, riesz_perp(self.grid, self._theta(X)))
-
-    max_velocity = _FluidOps.max_velocity
 
 
 def _sup_length(grid, fields):
@@ -519,6 +474,17 @@ class LinearOps(_FluidOps):
 
 
 OPS_CLASS = {cls.kind: cls for cls in (Sch2Ops, CcfOps, SqgOps, LinearOps)}
+
+# each model class holds every public function of the core that it does not
+# define itself in its own vars(), as the same function object:
+# perfbench/spans.py wraps only those, so a call is recorded under the class
+# that made it
+for _cls in OPS_CLASS.values():
+    for _name, _fn in vars(_FluidOps).items():
+        if (inspect.isfunction(_fn) and not _name.startswith("_")
+                and _name not in vars(_cls)):
+            setattr(_cls, _name, _fn)
+del _cls, _name, _fn
 
 
 def make_ops(model, grid, s, basis, eps, linear_a=1.0):

@@ -3,8 +3,10 @@
 The correlation fields xi_k are trigonometric modes scaled so that
 ||xi_k||_{H^{s_max}} follows a prescribed decay law, r^k (geometric, ratio
 r = 1/2 by default) or k^(-p) (polynomial); check_decay rejects a law whose
-sum over k diverges.  The 2D builder derives the xi_k from stream functions
-via the perpendicular gradient, so they are divergence-free by construction.
+sum over k diverges, and check_resolved a basis with a field that the 2/3
+band |k_i| <= n//3 of the grid cuts away.  The 2D builder derives the xi_k
+from stream functions via the perpendicular gradient, so they are
+divergence-free by construction.
 
 Brownian increments are generated by deterministic midpoint refinement of
 a coarse path anchored at a scale fixed by the binary mantissa of dt.  Two
@@ -59,6 +61,27 @@ def check_decay(decay_kind, decay_param):
         raise ValueError("unknown decay kind %r" % (decay_kind,))
 
 
+# the sqg field xi_k is the wave _SQG_WAVES[(k-1) % 4] at scale _sqg_scale(k)
+_SQG_WAVES = [(1, 0), (0, 1), (1, 1), (1, -1)]
+
+
+def _sqg_scale(k):
+    return 1 + (k - 1) // len(_SQG_WAVES)
+
+
+def check_resolved(dim, n, K):
+    """Reject K fields on a grid of n points per side whose last field has
+    a wavenumber component above n//3: every operator applies the 2/3 band,
+    so such a field would act as zero.  The largest component of xi_k is k
+    in 1D and its wave's scale on the sqg torus."""
+    top = K if dim == 1 else _sqg_scale(K)
+    if K > 0 and top > n // 3:
+        raise ValueError(
+            "%d noise fields need wavenumber %d, above n//3 = %d at n = %d, "
+            "where the 2/3 dealiasing cuts the last fields to zero"
+            % (K, top, n // 3, n))
+
+
 def _targets(K, decay_kind, decay_param):
     if decay_kind == "geometric":
         return [decay_param ** k for k in range(1, K + 1)]
@@ -70,6 +93,7 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
     if K < 0:
         raise ValueError("K must be >= 0")
     check_decay(decay_kind, decay_param)
+    check_resolved(1, grid.n, K)
     targets = _targets(K, decay_kind, decay_param)
     xis = []
     x = grid.x
@@ -79,9 +103,6 @@ def build_basis_1d(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
         wave = np.cos(k * x) if k % 2 == 1 else np.sin(k * x)
         xis.append(VectorFieldXi(grid, [from_values(grid, a * wave)]))
     return NoiseBasis(xis)
-
-
-_SQG_WAVES = [(1, 0), (0, 1), (1, 1), (1, -1)]
 
 
 def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
@@ -98,6 +119,7 @@ def build_basis_sqg(grid, K, s_max, decay_kind="geometric", decay_param=0.5):
     if K < 0:
         raise ValueError("K must be >= 0")
     check_decay(decay_kind, decay_param)
+    check_resolved(2, grid.n, K)
     targets = _targets(K, decay_kind, decay_param)
     modes = grid.full_modes()
     return NoiseBasis([_sqg_field(grid, modes, k, targets[k - 1], s_max)
@@ -110,7 +132,7 @@ def _sqg_field(grid, modes, k, target, s_max):
     # samples are cos or sin of m1*x1 + m2*x2, written as the real part of
     # psi, which is transformed in place
     m1, m2 = _SQG_WAVES[(k - 1) % len(_SQG_WAVES)]
-    scale = 1 + (k - 1) // len(_SQG_WAVES)
+    scale = _sqg_scale(k)
     x = grid.x
     phase = (scale * m1) * x[:, None] + (scale * m2) * x[None, :]
     psi = np.zeros(grid.shape, dtype=np.complex128)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .models import (FIELD_NAMES, GRID_DIM, INITIAL_CONDITIONS, S_THRESHOLD,
                      make_initial_state, make_ops)
-from .noise import build_basis, check_decay, sample_path
+from .noise import build_basis, check_decay, check_resolved, sample_path
 from .spectral import Grid, full_spectrum, lipschitz_bound, within_bound
 
 
@@ -116,6 +116,10 @@ class SimConfig:
                 check_decay(self.noise_decay, self.noise_decay_param)
             except ValueError as exc:
                 raise ValueError("noise_decay, noise_decay_param: %s" % exc) from None
+            try:
+                check_resolved(GRID_DIM[self.model], self.n, self.noise_k)
+            except ValueError as exc:
+                raise ValueError("noise_k, n: %s" % exc) from None
         if self.model == "linear" and self.noise_k > 1:
             raise ValueError("the linear test SDE drives a single Brownian "
                              "motion; noise_k must be 0 or 1")

@@ -90,6 +90,41 @@ def test_binding_check_fails_on_a_class_that_binds_nothing():
          "z_norm"))
 
 
+def test_binding_rule_gives_the_core_functions_and_overrides_nothing():
+    # the rule below OPS_CLASS puts each public function of _FluidOps that
+    # a model class does not define into the class's vars() as that very
+    # function, so the tracer wraps the shared code under the class name
+    import numpy as np
+
+    from saltpde import models, spectral
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.noise import build_basis_1d
+    core = {name: fn for name, fn in vars(models._FluidOps).items()
+            if inspect.isfunction(fn) and not name.startswith("_")}
+    own = {models.Sch2Ops: {"b"}, models.CcfOps: set(), models.SqgOps: set()}
+    for cls, defined in own.items():
+        for name, fn in core.items():
+            assert (vars(cls)[name] is fn) == (name not in defined), \
+                (cls.__name__, name)
+        # the class's own definitions stay
+        assert vars(cls)["v_norm"].__qualname__ == cls.__name__ + ".v_norm"
+    assert models.Sch2Ops.b is not models._FluidOps.b
+    # LinearOps defines or aliases every core name itself
+    lin = vars(models.LinearOps)
+    assert lin["z_inner"] is core["x_inner"]
+    assert lin["z_norm"] is lin["v_norm"] is core["x_norm"]
+    assert lin["g_eps"] is lin["g"] and lin["h_eps_k"] is lin["h_k"]
+    assert lin["max_velocity"].__qualname__ == "LinearOps.max_velocity"
+
+    # sch2's norms through the core, with the arithmetic of its own former
+    # x_norm and z_norm, bit for bit
+    grid = spectral.Grid(64)
+    ops = models.make_ops("sch2", grid, 6.0, build_basis_1d(grid, 4, 8.0), 0.1)
+    X = corpus_state("sch2", grid, 6.0, corpus_banks(1, 1, 3, per_state=2)[0])
+    assert ops.x_norm(X) == float(np.sqrt(max(ops.x_inner(X, X), 0.0)))
+    assert ops.z_norm(X) == float(np.sqrt(max(ops.z_inner(X, X), 0.0)))
+
+
 def count_at_bindings(monkeypatch, fn):
     """Wrap fn at every module-level binding in the package, as the tracer
     does; returns the list each call appends to and the modules patched."""

@@ -73,6 +73,13 @@ UNRUNNABLE = (
     ({"n_stop": "inf"}, "n_stop must be finite, got inf"),
     ({"delta": "nan"}, "delta must be finite, got nan"),
     ({"blowup_factor": "-1"}, "blowup_factor must exceed 1"),
+    # noise fields above the 2/3 band n//3, which would act as zero
+    ({"n": "16", "noise_k": "6"},
+     "noise_k, n: 6 noise fields need wavenumber 6, above n//3 = 5"),
+    ({"model": "ccf", "n": "16", "noise_k": "8"},
+     "noise_k, n: 8 noise fields need wavenumber 8"),
+    ({"model": "sqg", "n": "8", "noise_k": "9"},
+     "noise_k, n: 9 noise fields need wavenumber 3, above n//3 = 2"),
 )
 
 
@@ -97,6 +104,15 @@ def test_sch2_s_threshold_rejected(tmp_path, monkeypatch):
     assert main(["simulate", cfg, "--seed", "-5"]) == 2
     assert main(["simulate", cfg, "--workers", "0"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_noise_k_at_the_dealiasing_band_parses(tmp_path):
+    # the last field at wavenumber n//3 (1D) or wave scale n//3 (sqg) is
+    # kept by the 2/3 band
+    for model, n, K in (("sch2", 16, 5), ("ccf", 16, 5), ("sqg", 8, 8)):
+        cfg = write_config(tmp_path, "model = %s\nn = %d\nnoise_k = %d\n"
+                           "dt = 1e-3\nt_end = 0.01\nseed = 0\n" % (model, n, K))
+        assert parse_config(cfg).sim.noise_k == K
 
 
 def test_unknown_key_cites_line(tmp_path):

@@ -30,6 +30,29 @@ def test_divergent_polynomial_config_rejected():
                        decay_param=0.9)
 
 
+def test_fields_beyond_the_dealiasing_band_refused():
+    # xi_k has wavenumber k in 1D and wave scale 1 + (k-1)//4 on the sqg
+    # torus; above n//3 every operator's 2/3 band would cut it to zero
+    assert build_basis_1d(Grid(16), 5, 6.0).K == 5
+    with pytest.raises(ValueError, match="wavenumber 6, above n//3 = 5"):
+        build_basis_1d(Grid(16), 6, 6.0)
+    assert build_basis_sqg(Grid(8, dim=2), 8, 6.0).K == 8
+    with pytest.raises(ValueError, match="wavenumber 3, above n//3 = 2"):
+        build_basis_sqg(Grid(8, dim=2), 9, 6.0)
+
+
+def test_every_field_at_the_dealiasing_band_acts():
+    # positive control for the rule above: at K = n//3 the last field still
+    # moves a smooth state, so the band keeps every field the rule lets by
+    from saltpde.models import make_initial_state, make_ops
+    from saltpde.noise import build_basis
+    for model, grid, K in (("ccf", Grid(16), 5), ("sqg", Grid(8, dim=2), 8)):
+        ops = make_ops(model, grid, 4.5, build_basis(grid, K, 6.5), 0.1)
+        X = make_initial_state(model, grid, "smooth", 1.0).coeffs
+        for k in range(K):
+            assert np.max(np.abs(ops.h_k(X, k))) > 1e-8, (model, k)
+
+
 def stencil_norm(xi, s):
     """||xi||_{H^s} summed over the stencil's entries, the modes L_xi uses."""
     return math.sqrt(sum((1.0 + s1 * s1 + s2 * s2) ** s * (abs(a1) ** 2 + abs(a2) ** 2)
