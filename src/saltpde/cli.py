@@ -21,7 +21,6 @@ import ctypes
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import partial
 
@@ -210,6 +209,8 @@ def cmd_simulate(spec):
     ops = spec.sim.build_ops()
     run = partial(run_path, ops=ops, keep_final_state=bool(spec.save_states))
     if spec.workers > 1:
+        # imported here: a one-worker run does without the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(run, cfgs))
     else:

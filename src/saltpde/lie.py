@@ -22,11 +22,11 @@ spectrum (the columns k2 >= 0, see spectral), so the sum runs over the
 output modes with k2 >= 0, and a shift that reaches a mode k - s with
 k2 - s2 < 0 reads the conjugate of the held mode s - k.  A shipped xi_k
 is one trigonometric mode, so its stencil holds the two shifts +-m, and
-the result agrees with the FFT route to round-off.  The Ito sum on a
-2D basis gathers the band of its input once, applies both L_k of every
-xi_k inside that block (spectral.stencil_sum), sums there and scatters
-once; the sum is bit for bit the per-field one, whose scatter and gather
-between two L_k copy the block unchanged.  In 1D the factors xi and
+the result agrees with the FFT route to round-off.  The Ito sum on an
+unstacked 2D basis gathers the band of its input once, applies both L_k
+of every xi_k inside that block (spectral.stencil_sum), sums there and
+scatters once; the sum is bit for bit the per-field one, whose scatter and
+gather between two L_k copy the block unchanged.  In 1D the factors xi and
 div(xi) stay cached as band samples and the products go through the FFTs,
 because the Lie cancellation check conditions Q = term1 + term2 only to
 about 1e-9 at N = 1024, and any reordering of the 1D arithmetic, even the
@@ -35,19 +35,25 @@ L_xi c = xi*c_x + div(xi)*c are one product_with_values call on the pair
 (xi, div xi) x (c_x, c): one inverse and one forward transform, whose two
 rows are then added.
 
-The K fields of a 1D noise basis also come as one stacked field
-(VectorFieldXi.stack), whose cached band samples have shape (2, K, n).
+The K fields of a noise basis also come as one stacked field
+(VectorFieldXi.stack) where VectorFieldXi.stacks says so: a 1D basis
+always, its cached band samples of shape (2, K, n); a 2D basis where its
+stencil plan (spectral.StencilPlan: per field, entry and output mode of
+the band block, a gather index, a conjugate flag and the symbol) fits
+spectral.STACK_BYTES, which simulate_sqg's (64^2, K = 4, 189200 bytes)
+does and no basis at 256^2 or beyond does (one half-spectrum row there is
+528384 bytes); above the budget the fields run one at a time, so the
+peaks of the 256^2 and 512^2 estimate checks stay those of one row.
 lie_derivative applies field k of a stack to index k of its input's first
 axis, which has length K or 1, so one call forms every L_k c.  The Ito sum
 (1/2) sum_k L_k^2 c and the h^k = -L_k c (up to the models' J and
 conjugation) start from these same first-order terms: a caller that holds
-them passes them to lie_second and ito_correction as first, and the 1D
-fluid models form them once per state and share them.  numpy's batched
-transforms give each row bit for bit what a one-row call gives, so the
-stacked and paired routes change no result.  A 2D basis is not stacked:
-its L_k are stencil sums with no transform to share, and K h-blocks held
-at once would raise the peak memory of the 512^2 estimate checks.  Nor
-does a 2D field keep anything of the whole spectrum it is given on: its
+them passes them to lie_second and ito_correction as first, and the fluid
+models form them once per state and share them.  numpy's batched
+transforms give each row bit for bit what a one-row call gives, and the
+stacked stencil pass (spectral.stacked_stencil_sum) gives each row
+stencil_sum's bytes, so the stacked and paired routes change no result.
+A 2D field keeps nothing of the whole spectrum it is given on: its
 divergence and stencil are read on a layout the grid does not keep
 (spectral.Grid.full_modes(), one per basis build), so the derivative
 symbols and masks built there die with the build.
@@ -55,9 +61,11 @@ symbols and masks built there die with the build.
 
 import numpy as np
 
-from .spectral import (band_values, bessel_multiplier, dealiased_product,
-                       derivative, gather_band,
-                       product_with_values, scatter_band, stencil_sum)
+from . import spectral
+from .spectral import (StencilPlan, band_values, bessel_multiplier,
+                       dealiased_product, derivative, gather_band,
+                       product_with_values, scatter_band, stencil_plan,
+                       stencil_sum)
 
 # a 2D stencil keeps the modes where a component exceeds this fraction of
 # xi's largest coefficient; below it they are transform round-off
@@ -109,21 +117,31 @@ class VectorFieldXi:
 
     @classmethod
     def stack(cls, xis):
-        """The 1D fields xis as one stacked field of K = len(xis) fields,
-        for lie_derivative only.
+        """The fields xis as one stacked field of K = len(xis) fields, for
+        lie_derivative only.
 
-        The cached factors gain an axis of length K after the (xi, div xi)
-        axis, whose row k is xis[k]'s own band samples, so a stacked product
-        reads the same samples as the single-field one.
+        In 1D the cached factors gain an axis of length K after the
+        (xi, div xi) axis, whose row k is xis[k]'s own band samples, so a
+        stacked product reads the same samples as the single-field one.  In
+        2D the stencils become one spectral.StencilPlan.
         """
         grid = xis[0].grid
-        if grid.dim != 1:
-            raise ValueError("only 1D fields stack, got %r" % (grid,))
         out = cls.__new__(cls)
         out.grid = grid
-        out._factors = np.stack([xi._factors for xi in xis], axis=1)
+        if grid.dim == 1:
+            out._factors = np.stack([xi._factors for xi in xis], axis=1)
+        else:
+            out._plan = stencil_plan(grid, [xi._stencil for xi in xis])
         out.K = len(xis)
         return out
+
+    @staticmethod
+    def stacks(xis):
+        """Whether a basis of the fields xis holds them as one stack: in 1D
+        always, in 2D where their plan fits spectral.STACK_BYTES."""
+        grid = xis[0].grid
+        return grid.dim == 1 or StencilPlan.nbytes(
+            grid, [xi._stencil for xi in xis]) <= spectral.STACK_BYTES
 
 
 def _stencil(modes, comps):
@@ -159,11 +177,12 @@ def lie_derivative(xi, c):
     """
     grid = xi.grid
     _check_grid(grid, c)
-    if grid.dim == 2:
-        return product_with_values(grid, xi._stencil, c)
     if xi.K is not None and (c.ndim == grid.dim or c.shape[0] not in (1, xi.K)):
         raise ValueError("a stack of %d fields needs a first axis of length "
                          "%d or 1, got shape %r" % (xi.K, xi.K, c.shape))
+    if grid.dim == 2:
+        return product_with_values(
+            grid, xi._stencil if xi.K is None else xi._plan, c)
     # the factors' own axes, then unit axes up to the grid: broadcasting
     # alone would pair the pair axis or the stack with c's rows (sch2's u
     # and eta)
@@ -186,11 +205,11 @@ def lie_second(xi, c, first=None):
 def ito_correction(basis, c, first=None):
     """(1/2) * sum_{k <= K} L_{xi_k}^2 c over a truncated noise basis.
 
-    A 1D basis forms every L_k^2 c in one stacked call; first is the
+    A stacked basis forms every L_k^2 c in one stacked call; first is the
     stacked L_k c, shape (K,) + c.shape, if the caller already holds it.
-    A 2D basis works in one band block of c: both L_k of every xi_k are
-    stencil sums there, and the block is scattered once.  The terms are
-    summed from zero in k order on every route.
+    An unstacked 2D basis works in one band block of c: both L_k of every
+    xi_k are stencil sums there, and the block is scattered once.  The
+    terms are summed from zero in k order on every route.
     """
     if basis.stack is not None:
         terms = lie_second(basis.stack, c[None], first)

@@ -47,6 +47,7 @@ Models:
 """
 
 import inspect
+import itertools
 
 import numpy as np
 
@@ -117,9 +118,10 @@ class _FluidOps:
     forms the transport term -J T(JX), the Ito sum
     J^3 C^-1 (1/2) sum_k L_k^2 (C JX) and h^k = -J C^-1 L_k(C JX), each
     on the whole (fields, *grid) array.  Every public method takes states
-    as such arrays, of shape self.shape, and checks that shape.  On a 1D
-    grid the first-order terms L_k(C JX) of every k are formed once per
-    state (_first): the Ito sum and the h^k of that state share them.
+    as such arrays, of shape self.shape, and checks that shape.  With a
+    stacked basis (every 1D one, a 2D one under spectral.STACK_BYTES) the
+    first-order terms L_k(C JX) of every k are formed once per state
+    (_first): the Ito sum and the h^k of that state share them.
 
     Shared by every model class: the seven operators, b = 0, max_velocity
     and the norms in H^s and H^{s-2} (x_inner, z_inner, x_norm, z_norm),
@@ -164,8 +166,9 @@ class _FluidOps:
         return c if self._conj is None else c * self._conj_inv
 
     def _first(self, cc):
-        """The first-order terms L_k(cc) of a 1D basis as one (K,) + cc.shape
-        array, for cc = C JX; None on a 2D grid or an empty basis.
+        """The first-order terms L_k(cc) of a stacked basis as one
+        (K,) + cc.shape array, for cc = C JX; None for a basis without a
+        stack (an empty one, a 2D one above spectral.STACK_BYTES).
 
         One slot remembers the last cc by a copy of its bytes, so the Ito
         sum and the h^k of one state form the terms once, and any state
@@ -196,29 +199,32 @@ class _FluidOps:
 
     def _h_op(self, X, k, jhat=None):
         """h^k for one index k; for a sequence of indices, an iterator over
-        the h^k in that order.  Each h^k is formed when it is reached, so
-        that a stepper holds no more of them at once than it uses (a step
-        whose heap peak rises and falls by a few 64^2 states gets its pages
-        trimmed and faulted in again); on a 1D grid from row k of the
-        state's first-order terms (_first), which are taken at the call, so
-        a later state cannot replace them.  Each h^k is a fresh array that
-        the caller may write."""
+        the h^k in that order.  With a stacked basis they come from the
+        rows of the state's first-order terms (_first), which are taken at
+        the call, so a later state cannot replace them, and the h^k of a
+        sequence are formed together, in one pass over those rows.
+        Otherwise each h^k is formed when it is reached, so that a stepper
+        holds no more of them at once than it uses.  Each h^k is an array
+        (a row of one fresh array, for a sequence) that the caller may
+        write."""
         cc = self._conjugated(self._rows(X, jhat))
         scalar, ks = _noise_indices(k, self.basis.K)
         first = self._first(cc)
-        hs = (self._h(first[j] if first is not None
-                      else lie_derivative(self.basis.xis[j], cc), jhat)
-              for j in ks)
+        if first is not None:
+            # a fresh copy of the rows for a sequence, a read-only row for k
+            h = self._h(first[ks[0] if scalar else ks], jhat)
+            return h if scalar else iter(h)
+        hs = (self._h(lie_derivative(self.basis.xis[j], cc), jhat) for j in ks)
         return next(hs) if scalar else hs
 
     def _h(self, lc, jhat):
-        # -J C^-1 of the first-order terms lc = L_xi(C c), scaled in place:
-        # lc is fresh unless it is a (read-only) row of _first
+        # -J C^-1 of the first-order terms lc = L_xi(C c), scaled in place
+        # once fresh: lc is fresh unless it is a read-only row of _first
         h = self._unconjugated(lc)
-        if not h.flags.writeable:
-            h = h.copy()
         if jhat is not None:
-            h *= jhat
+            h = np.multiply(h, jhat, out=h if h.flags.writeable else None)
+        elif not h.flags.writeable:
+            h = h.copy()
         h *= -1.0
         return h
 
@@ -394,26 +400,38 @@ class SqgOps(_FluidOps):
         # part from R_i d_j theta for every i, j
         g = self.grid
         grad = gradient(g, self._theta(X))
-        return _sup_length(g, grad) + _sup_length(
-            g, (riesz_component(g, d, axis) for d in grad for axis in (0, 1)))
+        sup_grad, sup_riesz = _sup_lengths(g, (2, 4), itertools.chain(
+            grad, (riesz_component(g, d, axis) for d in grad for axis in (0, 1))))
+        return sup_grad + sup_riesz
 
     def _sup_velocity(self, X):
-        return _sup_length(self.grid, riesz_perp(self.grid, self._theta(X)))
+        return _sup_lengths(self.grid, (2,),
+                            riesz_perp(self.grid, self._theta(X)))[0]
 
 
-def _sup_length(grid, fields):
-    """max over the grid nodes of the Euclidean length of the real 2D fields
-    given by their half spectra, as a float: the fields are sampled one at
-    a time and their squares summed in the order given."""
-    acc = None
-    for c in fields:
-        v = to_grid(grid, c)
-        v *= v
-        acc = v if acc is None else np.add(acc, v, out=acc)
-        del v
-    # (sqrt is correctly rounded, so monotone: the sqrt of the max is the
-    # max of the sqrt)
-    return float(np.sqrt(np.max(acc)))
+def _sup_lengths(grid, sizes, fields):
+    """For each run of sizes[i] consecutive fields of the iterable fields
+    (real 2D fields given by their half spectra), the max over the grid
+    nodes of their Euclidean length, as a list of floats: the squares of a
+    run are summed in the order given.  The fields are sampled in one
+    transform where their coefficients fit spectral.STACK_BYTES together;
+    otherwise one at a time, each as the iterable yields it."""
+    if sum(sizes) * 16 * np.prod(grid.spec_shape) <= sp.STACK_BYTES:
+        samples = iter(to_grid(grid, np.stack(list(fields))))
+    else:
+        samples = (to_grid(grid, c) for c in fields)
+    sups = []
+    for size in sizes:
+        acc = None
+        for _ in range(size):
+            v = next(samples)
+            v *= v
+            acc = v if acc is None else np.add(acc, v, out=acc)
+            del v
+        # (sqrt is correctly rounded, so monotone: the sqrt of the max is
+        # the max of the sqrt)
+        sups.append(float(np.sqrt(np.max(acc))))
+    return sups
 
 
 class LinearOps(_FluidOps):

@@ -32,9 +32,10 @@ class NoiseBasis:
     def __init__(self, xis):
         self.xis = list(xis)
         self.K = len(self.xis)
-        # a 1D basis also holds its fields as one stack (see lie.py)
+        # the fields also as one stack where VectorFieldXi.stacks says so
+        # (see lie.py)
         self.stack = (VectorFieldXi.stack(self.xis)
-                      if self.xis and self.xis[0].grid.dim == 1 else None)
+                      if self.xis and VectorFieldXi.stacks(self.xis) else None)
 
 
 def components_norm(grid, components, s):

@@ -16,11 +16,13 @@ elsewhere (the Heun predictor, stability_experiment, a step called without
 v) a transform-free coefficient bound decides chi_R = 1 whenever it lies
 below R, and chi_R is evaluated on ops.v_norm otherwise (_chi).  A step of
 run_path then makes 7 transforms for ccf Ito-EM at K = 4, monitors
-included.  An sqg Stratonovich-Heun step makes 12, each a real transform
-of half spectra (a complex numpy pass along the first axis and a real one
-along the last): three per transport term (an inverse of each pair
-(u_i, d_i theta), a forward of their dot product) and one per real field
-for the V-norm (six).  The CFL check reads the velocity's coefficient
+included.  An sqg Stratonovich-Heun step at 64^2 makes 5, each a real
+transform of half spectra (a complex numpy pass along the first axis and
+a real one along the last): two per transport term (an inverse of both
+pairs (u_i, d_i theta), a forward of their dot product) and one of the
+V-norm's six real fields; the noise terms make none.  (Above
+spectral.STACK_BYTES, at 256^2 say, the pairs and fields are sampled one
+at a time: 12 transforms.)  The CFL check reads the velocity's coefficient
 bound (models' max_velocity), which on the shipped runs stays far below
 its limit, and transforms only where the bound does not decide it.
 
@@ -245,7 +247,8 @@ def step_strat_heun(X, ops, dw, dt, R, v=None):
     Uses the transport drift only; the Ito correction is generated by the
     scheme itself, which is exactly what the cross-validation against
     step_ito_em exercises.  v is ops.v_norm(X), as in step_ito_em; the
-    predictor's chi_R is decided by _chi.  The sums run in place on the
+    predictor's chi_R is decided by _chi.  A state with chi_R = 0 is an
+    exact fixed point, as in step_ito_em.  The sums run in place on the
     fresh arrays the operators return, in the order of the textbook form
     X + dt/2 (f0 + f1) + sum_k dW_k/2 (chi0 h0_k + chi1 h1_k).
     """
@@ -256,6 +259,8 @@ def step_strat_heun(X, ops, dw, dt, R, v=None):
         return f
 
     chi0 = _chi(ops, X, R) if v is None else chi_cutoff(v, R)
+    if chi0 == 0.0:
+        return X
     f0 = drift(X, chi0)
     ks = [k for k in range(len(dw)) if dw[k] != 0.0]
     h0 = list(ops.h_eps_k(X, ks))

@@ -54,6 +54,14 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# the most bytes that one stacked intermediate may take: a noise basis's
+# stencil plan (stencil_plan), the samples of the pairs of a dot product
+# and of a V-norm's fields taken in one transform.  Above it that work runs
+# one field at a time, so the peaks at 256^2 and beyond (where one
+# half-spectrum row is 528 KB) are those of one row.  Every use reads it
+# from this module, so a test may set it to force either route
+STACK_BYTES = 256 * 1024
+
 
 class _Modes:
     """One layout of the modes of an n^dim grid, built from one wavenumber
@@ -436,11 +444,13 @@ def dealiased_product(grid, f, g, dot=False):
     With dot=True, f and g hold the components of two vector fields along
     their first axis (f's shape), and the product is their dot product
     f_1*g_1 + f_2*g_2 + ..., summed on the grid before the one forward
-    transform.  The pairs (f_i, g_i) are sampled one at a time in a two-row
-    buffer, and each pair's product is added into one sum in component
-    order, so d components take d inverse transforms and one forward
-    (u.grad(theta) takes three), and one pair's samples and the sum are
-    all the samples held at once.  A factor of a dot product is an array
+    transform.  The pairs (f_i, g_i) are sampled together in one buffer
+    where their rows fit STACK_BYTES (one inverse transform: u.grad(theta)
+    takes two transforms at 64^2), and one at a time in a two-row buffer
+    otherwise (d inverse transforms, and one pair's samples and the sum
+    are all the samples held at once); each pair's product is added into
+    one sum in component order, so both give the same bits.  A factor of a
+    dot product is an array
     or a pair (shape, write) standing for an array of that shape whose
     component i write(i, out) writes into out, a row of the buffer (so
     sqg's transport term forms u_i and d_i theta in place there).
@@ -467,27 +477,31 @@ def dealiased_product(grid, f, g, dot=False):
 
 
 def _dot_values(grid, f, g):
-    # the grid samples of sum_i f_i*g_i, one pair of band-cut components
-    # at a time: the first pair's product is a fresh array, and each later
-    # one is formed in its samples and added to it, as prod.sum(axis=0)
-    # adds the rows of the products of all pairs
+    # the grid samples of sum_i f_i*g_i from the band-cut components: the
+    # first pair's product is a fresh array, and each later one is formed
+    # in its samples and added to it, as prod.sum(axis=0) adds the rows of
+    # the products of all pairs.  Every pair is sampled in one transform
+    # where their rows fit STACK_BYTES, one pair at a time otherwise
     shape = f[0] if isinstance(f, tuple) else f.shape
-    buf = np.empty((2,) + shape[1:-grid.dim] + grid.spec_shape,
-                   dtype=np.complex128)
+    pair = (2,) + shape[1:-grid.dim] + grid.spec_shape
+    batch = shape[0] if shape[0] * 16 * math.prod(pair) <= STACK_BYTES else 1
+    buf = np.empty((batch,) + pair, dtype=np.complex128)
     total = None
-    for i in range(shape[0]):
-        for factor, row in ((f, buf[0]), (g, buf[1])):
-            if isinstance(factor, tuple):
-                factor[1](i, row)
-            else:
-                row[...] = factor[i]
+    for start in range(0, shape[0], batch):
+        for i, rows in enumerate(buf, start):
+            for factor, row in ((f, rows[0]), (g, rows[1])):
+                if isinstance(factor, tuple):
+                    factor[1](i, row)
+                else:
+                    row[...] = factor[i]
         buf *= grid.dealias_keep
         buf *= grid.n_total
         v = _inverse(grid, buf)
-        if total is None:
-            total = v[0] * v[1]
-        else:
-            total += np.multiply(v[0], v[1], out=v[0])
+        for j in range(batch):
+            if total is None:
+                total = v[j, 0] * v[j, 1]
+            else:
+                total += np.multiply(v[j, 0], v[j, 1], out=v[j, 0])
         del v
     return total
 
@@ -521,11 +535,15 @@ def product_with_values(grid, factor, c):
     several stencils in turn (the Ito sum) gathers and scatters once.  The
     sum runs over the output modes of the half spectrum, reading a mode
     k - s with k2 - s2 < 0 as the conjugate of the held mode s - k; it
-    agrees with the FFT route to round-off, not bit for bit.
+    agrees with the FFT route to round-off, not bit for bit.  factor may
+    also be the StencilPlan of K stencils: then stacked_stencil_sum forms
+    every field's product at once, field k on index k of c's first axis.
     """
     if grid.dim == 1:
         return _band_product(grid, factor * band_values(grid, c))
-    return scatter_band(grid, stencil_sum(grid, factor, gather_band(grid, c)))
+    kernel = stacked_stencil_sum if isinstance(factor, StencilPlan) \
+        else stencil_sum
+    return scatter_band(grid, kernel(grid, factor, gather_band(grid, c)))
 
 
 def _band_parts(grid):
@@ -569,6 +587,93 @@ def stencil_sum(grid, stencil, block):
             acc[..., o1, :s2] += (row + (1j * a2) * kh[:s2]) * np.conj(
                 block[..., o1, s2:0:-1][..., ::-1, :])
     return acc
+
+
+class StencilPlan:
+    """The stencils of K fields as one gather, for stacked_stencil_sum.
+
+    Three arrays of shape (K, E, P), E the length of the longest stencil
+    and P = (2B+1)(B+1) the size of a band block (gather_band, B = n//3),
+    for each field k, entry e and output mode p of the block: index, where
+    in the block with one zero slot appended (index P) entry e reads for p;
+    conj, whether that read is the conjugate of a held mode (k2 < s2); and
+    symbol, i*(a1*k1 + a2*k2) of p, formed as stencil_sum forms it.  A read
+    outside the band and an entry past the end of a shorter stencil read
+    the zero slot (the latter with a zero symbol)."""
+
+    __slots__ = ("index", "conj", "symbol")
+
+    @staticmethod
+    def nbytes(grid, stencils):
+        """The bytes of the plan of stencils on grid."""
+        B = grid.kmax_dealias
+        entries = len(stencils) * max(map(len, stencils), default=0)
+        return entries * (2 * B + 1) * (B + 1) * (
+            np.dtype(np.intp).itemsize + 1 + 16)
+
+
+def stencil_plan(grid, stencils):
+    """The StencilPlan of the stencils of K fields (each a tuple of
+    (s, (a1, a2)), see product_with_values) on a 2D grid."""
+    B = grid.kmax_dealias
+    w1, w2 = 2 * B + 1, B + 1
+    kb = np.arange(-B, B + 1.0)
+    kh = kb[B:]
+    r, j = np.arange(w1)[:, None], np.arange(w2)
+    shape = (len(stencils), max(map(len, stencils), default=0), w1, w2)
+    plan = StencilPlan()
+    plan.index = np.full(shape, w1 * w2, dtype=np.intp)
+    plan.conj = np.zeros(shape, dtype=bool)
+    plan.symbol = np.zeros(shape, dtype=np.complex128)
+    for k, stencil in enumerate(stencils):
+        for e, ((s1, s2), (a1, a2)) in enumerate(stencil):
+            # the rows that stencil_sum's overlap of s1 keeps, and in them
+            # the direct reads of k - s and the mirrored reads of s - k
+            rows = (r >= s1) & (r < w1 + s1)
+            direct = rows & (j >= s2) & (j < w2 + s2)
+            mirrored = rows & (j < s2)
+            index = plan.index[k, e]
+            index[direct] = ((r - s1) * w2 + (j - s2))[direct]
+            index[mirrored] = ((2 * B + s1 - r) * w2 + (s2 - j))[mirrored]
+            plan.conj[k, e] = mirrored
+            row = (1j * a1) * kb[:, None]
+            plan.symbol[k, e] = row + (1j * a2) * kh
+    for name in StencilPlan.__slots__:
+        table = getattr(plan, name).reshape(shape[:2] + (w1 * w2,))
+        table.flags.writeable = False
+        setattr(plan, name, table)
+    return plan
+
+
+def stacked_stencil_sum(grid, plan, block):
+    """stencil_sum of every field of a StencilPlan in one pass: field k acts
+    on index k of block's first axis, which has length K or 1 (then every
+    field acts on the same block); the result has K rows on that axis.
+
+    Each entry's terms are gathered for every output mode at once, read as
+    conjugates where the plan says, multiplied as symbol * value and added
+    into a block of zeros in entry order, so each row is stencil_sum's
+    bit for bit: the terms of the zero slot are zeros, and a sum that
+    starts from +0 never holds -0, so adding a zero leaves it unchanged."""
+    K, E, P = plan.index.shape
+    lead = block.shape[:-2]
+    rows = math.prod(lead[1:])
+    src = np.zeros((lead[0] * rows, P + 1), dtype=np.complex128)
+    src[:, :P] = block.reshape(-1, P)
+    index = plan.index[:, :, None, :]
+    if len(src) > 1:
+        # where in src the row that field k reads for input row r (a row
+        # of the axes after the first) starts
+        field = np.arange(K) if lead[0] == K else np.zeros(K, dtype=np.intp)
+        start = (field[:, None] * rows + np.arange(rows)) * (P + 1)
+        index = index + start[:, None, :, None]
+    terms = src.ravel().take(index)
+    np.conjugate(terms, out=terms, where=plan.conj[:, :, None, :])
+    np.multiply(plan.symbol[:, :, None, :], terms, out=terms)
+    acc = np.zeros((K, rows, P), dtype=np.complex128)
+    for e in range(E):
+        acc += terms[:, e]
+    return acc.reshape((K,) + block.shape[1:])
 
 
 def scatter_band(grid, block):

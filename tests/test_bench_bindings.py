@@ -166,8 +166,10 @@ def test_sqg_heun_step_reaches_product_with_values(monkeypatch):
                                        spectral.product_with_values)
     assert "saltpde.lie" in patched
     ops, X = sqg_setup()
+    assert ops.basis.stack is not None
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
-    assert len(calls) >= ops.basis.K
+    # one stacked call per state, X and the predictor
+    assert len(calls) == 2
 
 
 def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
@@ -177,9 +179,10 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     # module bindings, not through a helper beside them.  A step handed no
     # V-norm decides chi_R from a coefficient bound at R = 1e6 (no to_grid
     # call); with R below that bound it calls v_norm on X and on the
-    # predictor, 6 to_grid calls each (one per real field).  max_velocity
-    # makes 2, and none where its coefficient bound lies below the limit
-    # it is given (the CFL check's)
+    # predictor, one to_grid call each (its six real fields together, at
+    # 32^2 within spectral.STACK_BYTES).  max_velocity makes 1, and none
+    # where its coefficient bound lies below the limit it is given (the CFL
+    # check's)
     import numpy as np
 
     from saltpde import spectral
@@ -196,28 +199,45 @@ def test_sqg_heun_step_and_norms_reach_to_grid_and_product(monkeypatch):
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 1e6)
     assert len(counts["dealiased_product"]) == 2 and len(to_grid_calls) == 0
     step_strat_heun(X, ops, np.full(4, 0.01), 1e-3, 2.0)
-    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 12
+    assert len(counts["dealiased_product"]) == 4 and len(to_grid_calls) == 2
     to_grid_calls.clear()
     ops.v_norm(X)
-    assert len(to_grid_calls) == 6
+    assert len(to_grid_calls) == 1
     ops.max_velocity(X)
-    assert len(to_grid_calls) == 8
+    assert len(to_grid_calls) == 2
     ops.max_velocity(X, 1e9)
-    assert len(to_grid_calls) == 8
+    assert len(to_grid_calls) == 2
     ops.max_velocity(X, 0.0)
-    assert len(to_grid_calls) == 10
+    assert len(to_grid_calls) == 3
 
 
 def assert_sqg_g_reaches_stencil_sum(monkeypatch):
-    # the Ito sum of a 2D basis applies both L_k of every xi_k as block
-    # stencil sums; the tracer records spectral.stencil_sum only if lie
-    # calls it through its module binding
+    # the Ito sum of a 2D basis without a stack (its plan above
+    # spectral.STACK_BYTES, here a budget of 0) applies both L_k of every
+    # xi_k as block stencil sums; the tracer records spectral.stencil_sum
+    # only if lie calls it through its module binding
     from saltpde import spectral
+    monkeypatch.setattr(spectral, "STACK_BYTES", 0)
     calls, patched = count_at_bindings(monkeypatch, spectral.stencil_sum)
     ops, X = sqg_setup()
+    assert ops.basis.stack is None
     ops.g(X)
     assert "saltpde.lie" in patched
     assert len(calls) == 2 * ops.basis.K
+
+
+def test_sqg_g_reaches_stacked_stencil_sum(monkeypatch):
+    # a stacked 2D basis forms the first- and the second-order terms of
+    # every xi_k in one stacked stencil sum each, which product_with_values
+    # calls through spectral's own binding
+    from saltpde import spectral
+    calls, patched = count_at_bindings(monkeypatch,
+                                       spectral.stacked_stencil_sum)
+    ops, X = sqg_setup()
+    assert ops.basis.stack is not None
+    ops.g(X)
+    assert "saltpde.spectral" in patched
+    assert len(calls) == 2
 
 
 def test_sqg_g_reaches_stencil_sum(monkeypatch):

@@ -322,8 +322,9 @@ def test_noise_field_holds_only_its_lie_data():
     basis = build_basis_1d(g1, 3, 6.0)
     assert set(vars(basis.xis[0])) == {"grid", "K", "max_divergence", "_factors"}
     assert set(vars(basis.stack)) == {"grid", "K", "_factors"}
-    xi = build_basis_sqg(g2, 2, 6.5).xis[0]
-    assert set(vars(xi)) == {"grid", "K", "max_divergence", "_stencil"}
+    basis = build_basis_sqg(g2, 2, 6.5)
+    assert set(vars(basis.xis[0])) == {"grid", "K", "max_divergence", "_stencil"}
+    assert set(vars(basis.stack)) == {"grid", "K", "_plan"}
 
 
 def test_2d_xi_holds_no_grid_array():
@@ -352,6 +353,129 @@ def test_2d_ito_correction_is_the_per_field_sum(n):
         want = 0.5 * sum(lie_second(xi, X) for xi in basis.xis)
         assert np.array_equal(ito_correction(basis, X), want)
         assert np.array_equal(ito_correction(basis, X[0]), want[0])
+
+
+def same_bits(a, b):
+    # np.array_equal, and the signs of zeros too
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def white_sqg_fields(g, K, rng, kmax=6):
+    """K divergence-free fields xi = (-d2 psi, d1 psi) of white-noise
+    stream functions psi on the modes |k_i| <= kmax: stencils of
+    (2 kmax + 1)^2 - 1 shifts of every sign, most read in part as
+    conjugates."""
+    modes = g.full_modes()
+    keep = (np.abs(modes.k_axes[0]) <= kmax) & (np.abs(modes.k_axes[1]) <= kmax)
+    xis = []
+    for _ in range(K):
+        psi = full_spectrum(g, from_values(g, rng.standard_normal(g.shape)))
+        psi *= keep
+        xi1 = derivative(modes, psi, 1)
+        xi1 *= -1.0
+        xis.append(VectorFieldXi(g, (xi1, derivative(modes, psi, 0)), modes))
+    return xis
+
+
+def stacked_and_per_field(xis):
+    """Two NoiseBasis of xis: one stacked whatever its plan's bytes, one
+    without a stack (spectral.STACK_BYTES 0), whose 2D L_k are stencil
+    sums field by field."""
+    from saltpde import spectral
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "STACK_BYTES", 1 << 62)
+        stacked = NoiseBasis(xis)
+        mp.setattr(spectral, "STACK_BYTES", 0)
+        per_field = NoiseBasis(xis)
+    assert stacked.stack is not None and per_field.stack is None
+    return stacked, per_field
+
+
+@pytest.mark.parametrize("kind", ["shipped", "white"])
+@pytest.mark.parametrize("K", [1, 2, 4])
+@pytest.mark.parametrize("n", [32, 64])
+def test_stacked_2d_route_is_the_per_field_route(n, K, kind):
+    # one stacked stencil pass (spectral.stacked_stencil_sum) forms every
+    # L_k of a 2D basis, field k acting on index k of the first axis, and
+    # gives each row the per-field stencil sum byte for byte, zero signs
+    # included; so do the Ito sum and the operators built on them
+    from saltpde.estimates import corpus_banks, corpus_state
+    from saltpde.models import make_ops
+    g = Grid(n, dim=2)
+    rng = np.random.default_rng(59 + K)
+    xis = (build_basis_sqg(g, K, 6.5).xis if kind == "shipped"
+           else white_sqg_fields(g, K, rng))
+    stacked, per_field = stacked_and_per_field(xis)
+    X = corpus_state("sqg", g, 4.5, corpus_banks(2, 1, 61, per_state=2)[0])
+    first = lie_derivative(stacked.stack, X[None])
+    second = lie_derivative(stacked.stack, first)
+    assert first.shape == second.shape == (K,) + X.shape
+    for k, xi in enumerate(xis):
+        assert same_bits(first[k], lie_derivative(xi, X)), k
+        assert same_bits(second[k], lie_second(xi, X)), k
+    for c in (X, X[0]):
+        assert same_bits(ito_correction(stacked, c),
+                         ito_correction(per_field, c))
+    for eps in (0.5, 0.0625):
+        ops = [make_ops("sqg", g, 4.5, basis, eps)
+               for basis in (stacked, per_field)]
+        for name in ("g_eps", "ito_correction"):
+            got, want = (getattr(o, name)(X) for o in ops)
+            assert same_bits(got, want), (name, eps)
+        for name in ("h_k", "h_eps_k"):
+            for k in range(K):
+                got, want = (getattr(o, name)(X, k) for o in ops)
+                assert same_bits(got, want), (name, eps, k)
+            ks = list(range(K))[::-1]
+            for got, want in zip(*(getattr(o, name)(X, ks) for o in ops)):
+                assert same_bits(got, want), (name, eps)
+
+
+def test_stacked_2d_perturbed_entry_moves_only_its_row():
+    # positive control: one stencil entry of field j changed in the plan
+    # changes row j of the stacked L_k, and no other row by a bit
+    import copy
+    from saltpde.estimates import corpus_banks, corpus_state
+    g = Grid(32, dim=2)
+    xis = build_basis_sqg(g, 4, 6.5).xis
+    X = corpus_state("sqg", g, 4.5, corpus_banks(2, 1, 67, per_state=2)[0])
+    base = lie_derivative(VectorFieldXi.stack(xis), X[None])
+    for j in range(len(xis)):
+        bumped = copy.copy(xis[j])
+        (shift, (a1, a2)), *rest = bumped._stencil
+        bumped._stencil = ((shift, (a1 * 1.5, a2 * 1.5)),) + tuple(rest)
+        got = lie_derivative(
+            VectorFieldXi.stack(xis[:j] + [bumped] + xis[j + 1:]), X[None])
+        for k in range(len(xis)):
+            assert same_bits(got[k], base[k]) == (k != j), (j, k)
+
+
+def test_2d_basis_stacks_within_the_byte_budget():
+    # simulate_sqg's basis (64^2, K = 4) has a plan of 189200 bytes, within
+    # spectral.STACK_BYTES, and is stacked; at 256^2 its plan (one
+    # half-spectrum row alone is 528384 bytes) is not, and the fields run
+    # one at a time
+    import os
+    from saltpde import spectral
+    from saltpde.cli import parse_config
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "simulate_sqg.cfg")
+    sim = parse_config(cfg).sim
+    g = sim.grid()
+    basis = sim.build_basis(g)
+    stencils = [xi._stencil for xi in basis.xis]
+    nbytes = spectral.StencilPlan.nbytes(g, stencils)
+    assert (g.n, basis.K, nbytes) == (64, 4, 189200)
+    assert nbytes <= spectral.STACK_BYTES
+    assert basis.stack is not None and basis.stack.K == 4
+    plan = basis.stack._plan
+    assert sum(getattr(plan, name).nbytes
+               for name in spectral.StencilPlan.__slots__) == nbytes
+    big = Grid(256, dim=2)
+    basis = build_basis_sqg(big, 4, sim.noise_s_max)
+    assert spectral.StencilPlan.nbytes(
+        big, [xi._stencil for xi in basis.xis]) > spectral.STACK_BYTES
+    assert basis.stack is None
 
 
 def test_lie_derivative_2d_makes_no_transforms(fft_calls):

@@ -48,15 +48,18 @@ def test_zero_state_is_fixed_point():
 
 
 def test_cutoff_kills_step_entirely():
+    # chi_R = 0 (V-norm beyond 2R) makes the state an exact fixed point:
+    # both schemes return X itself, with the V-norm handed in or not
     cfg = em_cfg(cutoff_r=1.0 + 1e-9)   # V-norm of the state far exceeds 2R
     grid = cfg.grid()
     ops = cfg.build_ops(grid)
     X = make_initial_state("sch2", grid, "smooth", 50.0).coeffs
-    assert ops.v_norm(X) > 2 * cfg.cutoff_r
-    path = sample_path(1, cfg.dt, 4, 2)
-    X1 = step_ito_em(X, ops, path.increments[0], cfg.dt, cfg.cutoff_r)
-    assert X1 is X or (np.array_equal(X1[0], X[0])
-                       and np.array_equal(X1[1], X[1]))
+    v = ops.v_norm(X)
+    assert v > 2 * cfg.cutoff_r
+    dw = sample_path(1, cfg.dt, 4, 2).increments[0]
+    for step in (step_ito_em, step_strat_heun):
+        assert step(X, ops, dw, cfg.dt, cfg.cutoff_r) is X, step.__name__
+        assert step(X, ops, dw, cfg.dt, cfg.cutoff_r, v) is X, step.__name__
 
 
 def test_em_step_recomposition_oracle():
@@ -387,13 +390,13 @@ def per_step_transforms(fft_calls, run, **kw):
 
 def test_sqg_heun_step_fft_budget(fft_calls):
     # one sqg Stratonovich-Heun step of run_path at 64^2, K = 4, with its
-    # CFL check and its V-norm, makes 12 transforms, every one real (of half
-    # spectra): 3 for each of the two transport products (one inverse of
-    # each pair (u_i, d_i theta), one forward of their dot product), and one
-    # per real field for the monitor's v_norm (6); the CFL check reads the
-    # velocity's coefficient bound and the noise operators make none.  The
-    # predictor's chi_R comes from its coefficient bound at R = 1e6; with R
-    # below that bound its v_norm runs, 6 more
+    # CFL check and its V-norm, makes 5 transforms, every one real (of half
+    # spectra): 2 for each of the two transport products (one inverse of
+    # both pairs (u_i, d_i theta), one forward of their dot product), and
+    # one of the monitor's v_norm (its six real fields together); the CFL
+    # check reads the velocity's coefficient bound and the noise operators
+    # make none.  The predictor's chi_R comes from its coefficient bound at
+    # R = 1e6; with R below that bound its v_norm runs, 1 more
     kw = dict(model="sqg", n=64, dt=1e-3, s=4.5, noise_k=4, noise_s_max=6.5,
               seed=3, scheme="strat_heun", ic_amplitude=0.5)
     grid = Grid(64, dim=2)
@@ -403,8 +406,8 @@ def test_sqg_heun_step_fft_budget(fft_calls):
     def run(cfg):
         rec = run_path(cfg, cfg.build_ops())
         assert rec.stop_reason == "end" and len(rec.times) == cfg.n_steps() + 1
-    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (12, 12)
-    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (18, 18)
+    assert per_step_transforms(fft_calls, run, cutoff_r=1e6, **kw) == (5, 5)
+    assert per_step_transforms(fft_calls, run, cutoff_r=2.0, **kw) == (6, 6)
 
 
 def test_stability_step_pair_fft_budget(fft_calls):

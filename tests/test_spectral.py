@@ -329,12 +329,14 @@ def test_band_values_projection():
 
 
 @pytest.mark.parametrize("n, dim", [(64, 1), (32, 2)])
-def test_stacked_rows_share_one_transform(n, dim, fft_calls):
+def test_stacked_rows_share_one_transform(n, dim, fft_calls, monkeypatch):
     # the rows of a stack take one transform, each row's samples bit for
     # bit those of a one-row call; a dot product of two stacks of vector
-    # components takes one inverse transform per pair of components and one
+    # components takes one inverse transform of every pair (within
+    # STACK_BYTES; one per pair above it, bit for bit the same) and one
     # forward transform of the summed products, and agrees with the sum of
     # the one-field products to round-off
+    from saltpde import spectral
     g = Grid(n, dim=dim)
     rng = np.random.default_rng(13)
     a, b, f, h = (random_field(g, rng) for _ in range(4))
@@ -348,7 +350,11 @@ def test_stacked_rows_share_one_transform(n, dim, fft_calls):
         assert np.array_equal(got, band_values(g, c))
     fft_calls.clear()
     dot = dealiased_product(g, np.stack([a, b]), np.stack([f, h]), dot=True)
-    assert len(fft_calls) == 3 and dot.shape == a.shape
+    assert len(fft_calls) == 2 and dot.shape == a.shape
+    monkeypatch.setattr(spectral, "STACK_BYTES", 0)
+    fft_calls.clear()
+    paired = dealiased_product(g, np.stack([a, b]), np.stack([f, h]), dot=True)
+    assert len(fft_calls) == 3 and paired.tobytes() == dot.tobytes()
     want = dealiased_product(g, a, f) + dealiased_product(g, b, h)
     assert np.max(np.abs(dot - want)) < 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="non-finite"):

@@ -30,7 +30,8 @@ def built_from():
     def recording(grid, components, modes=None):
         made.append(tuple(np.asarray(c) for c in components))
         return VectorFieldXi(grid, components, modes)
-    recording.stack = VectorFieldXi.stack      # NoiseBasis stacks a 1D basis
+    # NoiseBasis stacks the fields where VectorFieldXi.stacks says so
+    recording.stack, recording.stacks = VectorFieldXi.stack, VectorFieldXi.stacks
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(noise, "VectorFieldXi", recording)
