@@ -363,8 +363,7 @@ def same_bits(a, b):
 def white_sqg_fields(g, K, rng, kmax=6):
     """K divergence-free fields xi = (-d2 psi, d1 psi) of white-noise
     stream functions psi on the modes |k_i| <= kmax: stencils of
-    (2 kmax + 1)^2 - 1 shifts of every sign, most read in part as
-    conjugates."""
+    (2 kmax + 1)^2 - 1 shifts of every sign."""
     modes = g.full_modes()
     keep = (np.abs(modes.k_axes[0]) <= kmax) & (np.abs(modes.k_axes[1]) <= kmax)
     xis = []
